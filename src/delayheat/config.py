@@ -168,8 +168,7 @@ def build_function(value, length, tau=None, slot="function"):
 
 
 _NODELAY_KEYS = ("kind", "diffusion", "drift", "reaction", "length", "horizon",
-                 "source", "initial", "trace_left", "trace_right",
-                 "include_lift_reaction")
+                 "source", "initial", "trace_left", "trace_right")
 _DELAY_KEYS = ("kind", "diffusion", "diffusion_lag", "drift", "drift_lag",
                "reaction", "reaction_lag", "delay", "length", "horizon",
                "source", "initial", "trace_left", "trace_right")
@@ -190,9 +189,6 @@ def problem_from_dict(data):
             _reject_unknown(data, _NODELAY_KEYS, where)
             fn = lambda key: build_function(
                 _require(data, key, where), length, None, f"problem.{key}")
-            flag = data.get("include_lift_reaction", False)
-            if not isinstance(flag, bool):
-                raise ConfigError("include_lift_reaction must be a boolean")
             return HeatProblem(
                 a=_number(_require(data, "diffusion", where), "diffusion"),
                 b=_number(data.get("drift", 0.0), "drift"),
@@ -203,7 +199,6 @@ def problem_from_dict(data):
                 psi=fn("initial"),
                 theta1=fn("trace_left"),
                 theta2=fn("trace_right"),
-                include_lift_reaction=flag,
             )
         _reject_unknown(data, _DELAY_KEYS, where)
         tau = _number(_require(data, "delay", where), "delay")

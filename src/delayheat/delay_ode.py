@@ -21,8 +21,19 @@ Solution formulas:
                   x(t) = integral_{0}^{t} K(t - tau - s) rho(s) ds
 
 and the full solution is their sum.  Integrands are piecewise smooth with
-kinks where t - tau - s crosses a multiple of tau; quadrature panels split
-there and are graded toward the end where exp(-a s) peaks.
+kinks where t - tau - s crosses a multiple of tau.
+
+Two evaluators share these formulas:
+
+* :func:`solve_homogeneous`, :func:`solve_forced` and :func:`superpose`
+  evaluate x at any t, one adaptive quadrature per point, with panels split
+  at the kinks and graded toward the end where exp(-a s) peaks.
+* :func:`solve_on_grid` returns the whole trajectory on the grid
+  dt = tau / m (the method of steps).  There every kink falls on a multiple
+  of dt, so one fixed set of dt-wide panels serves all output times, and
+  both integrals become Toeplitz sums over one table of K per trajectory.
+  The field solvers use this path; the per-point functions remain the
+  reference it is tested against and serve ``dde solve``.
 """
 
 from __future__ import annotations
@@ -32,9 +43,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericError
+from .errors import DomainError, InputError, NumericError, QuadratureError
 from .funcspec import FunctionSpec
-from .quadrature import QuadratureConfig, composite_gauss, graded_breakpoints
+from .quadrature import (
+    QuadratureConfig,
+    composite_gauss,
+    graded_breakpoints,
+    halve_panels,
+    panel_nodes,
+)
 
 
 @dataclass(frozen=True)
@@ -51,16 +68,6 @@ class DelayOdeParams:
                 raise InputError(f"{name} must be finite")
         if self.tau <= 0.0:
             raise InputError(f"tau must be positive, got {self.tau!r}")
-
-    @property
-    def scaled_delay_coeff(self):
-        """b * exp(-a tau): the delayed-exponential parameter of the closed form.
-
-        Computed lazily; overflows in float for strongly negative a * tau,
-        which is why the solver never uses it directly (see module docstring).
-        Diagnostics use :meth:`log_abs_scaled_delay_coeff` instead.
-        """
-        return self.b * math.exp(-self.a * self.tau)
 
     def log_abs_scaled_delay_coeff(self):
         """log |b * exp(-a tau)|; -inf when b == 0."""
@@ -114,8 +121,10 @@ def kernel(params, xi):
         return float(out[0]) if scalar else out
     seg = np.zeros(xi.shape, dtype=int)
     seg[alive] = np.floor(xi[alive] / params.tau).astype(int) + 1
-    kmax = int(seg[alive].max())
     a, b, tau = params.a, params.b, params.tau
+    # Terms j >= 1 carry the factor b^j, so without lag coupling only the
+    # pure exponential is left.
+    kmax = int(seg[alive].max()) if b != 0.0 else 0
     for j in range(kmax + 1):
         mask = alive & (seg >= j)
         if not np.any(mask):
@@ -214,4 +223,81 @@ def superpose(params, history, rho, t, quad=None):
     """Full solution: homogeneous part plus forced part."""
     return solve_homogeneous(params, history, t, quad) + solve_forced(
         params, rho, t, quad
+    )
+
+
+def _sample(f, s):
+    """Evaluate a vectorized callable on an array of any shape."""
+    return np.asarray(f(s.ravel()), dtype=float).reshape(s.shape)
+
+
+def solve_on_grid(params, history, rho, steps_per_tau, n_steps, quad=None):
+    """x(j dt) for j = 1..n_steps on the grid dt = tau / steps_per_tau.
+
+    ``history`` (a :class:`HistoryFunction`) or ``rho`` may be None for zero
+    history or no forcing.  Returns an array of length ``n_steps``.
+
+    Both integrals of the module docstring are taken over the same dt-wide
+    panels of [-tau, t_n]; panel p (p = 0, 1, ...) starts at s = -tau + p dt.
+    Every kink of K(t_j - tau - s) lies on a panel edge, and a point at offset
+    c in (0, 1) of panel p contributes through K((j - p - c) dt).  One table
+    of K at (k - c) dt, k = 1-m..n_steps, therefore serves every output time,
+    and x(t_j) is a Toeplitz contraction of that table with the weighted data
+    samples.  Each panel carries Gauss nodes on sub-panels graded toward the
+    end where exp(-a dt c) peaks; the whole trajectory is accepted once all
+    sub-panels halved agree with the previous level to
+    ``abs_tol + 1e-14 * |x|`` at every output time.  Raises
+    :class:`QuadratureError` after ``max_panel_splits`` halvings otherwise.
+    """
+    if quad is None:
+        quad = QuadratureConfig()
+    m = int(steps_per_tau)
+    if m < 1:
+        raise InputError(f"steps_per_tau must be at least 1, got {steps_per_tau!r}")
+    if n_steps < 0:
+        raise InputError(f"n_steps must be non-negative, got {n_steps!r}")
+    a, tau = params.a, params.tau
+    dt = tau / m
+    head = np.zeros(n_steps)
+    if n_steps == 0:
+        return head
+    if history is not None:
+        beta_start = float(np.asarray(history.beta(-tau), dtype=float))
+        head = kernel(params, dt * np.arange(1, n_steps + 1)) * beta_start
+    lags = np.arange(1 - m, n_steps + 1)
+
+    def level_value(edges):
+        offsets, weights = panel_nodes(edges, quad.nodes_per_panel)
+        table = kernel(params, dt * (lags[:, None] - offsets[None, :]))
+        data = np.zeros((m + n_steps, offsets.size))
+        if history is not None:
+            s = dt * (np.arange(m)[:, None] + offsets[None, :]) - tau
+            data[:m] = _sample(history.beta_prime, s) - a * _sample(history.beta, s)
+        if rho is not None:
+            s = dt * (np.arange(n_steps)[:, None] + offsets[None, :])
+            data[m:] = _sample(rho, s)
+        data *= dt * weights
+        x = head.copy()
+        # Row i holds k = i + 1 - m and links panel p = j - k to output j >= 1.
+        # Rows that underflowed to exact zeros (stiff modes) add nothing.
+        for i in np.flatnonzero(table.any(axis=1)):
+            j0 = max(1, i - m + 1)
+            x[j0 - 1:] += data[j0 - i + m - 1:n_steps - i + m] @ table[i]
+        return x
+
+    edges = np.array([0.0, *graded_breakpoints(0.0, 1.0, -a * dt), 1.0])
+    value = level_value(edges)
+    residual = np.inf
+    for _ in range(quad.max_panel_splits):
+        edges = halve_panels(edges)
+        refined = level_value(edges)
+        diff = np.abs(refined - value)
+        residual = float(diff.max())
+        value = refined
+        if np.all(diff <= quad.abs_tol + 1e-14 * np.abs(refined)):
+            return value
+    raise QuadratureError(
+        f"grid quadrature did not converge to {quad.abs_tol:g} "
+        f"after {quad.max_panel_splits} panel splits",
+        residual=residual,
     )

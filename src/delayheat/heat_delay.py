@@ -30,6 +30,10 @@ Every sine mode then satisfies a scalar delay ODE
 solved in closed form by :mod:`delayheat.delay_ode`.  The delayed-exponential
 parameter B_n * exp(-L_n tau) overflows for large n, so only (L_n, B_n) are
 ever passed around; the kernel combines the factors in log space.
+
+:func:`solve_delay` evaluates every mode, whether or not its data vanish, on
+the output grid at once with :func:`delayheat.delay_ode.solve_on_grid`;
+:func:`mode_solution` evaluates one mode at any t.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ import numpy as np
 from .delay_ode import (
     DelayOdeParams,
     HistoryFunction,
-    kernel,
     solve_homogeneous,
+    solve_on_grid,
     superpose,
 )
 from .errors import CompatibilityError, DomainError, InputError
@@ -56,11 +60,8 @@ from .funcspec import (
     fs_sum,
     fs_time_shift,
 )
-from .parallel import map_ordered
 from .quadrature import QuadratureConfig
 from .spectral import EigenBasis, sine_projection_rule
-
-_NEGLIGIBLE_REL = 1e-14
 
 
 @dataclass
@@ -304,19 +305,6 @@ def mode_solution(ms, n, t, quad=None):
     return superpose(params, history, ms.mode_forcing(n), t, quad)
 
 
-def _mode_contribution_bound(ms, i, quad):
-    """Cheap upper bound for sup_t |X_n|, used to skip negligible modes."""
-    params = ms.mode_params(i + 1)
-    xi = np.linspace(-ms.tau, ms.horizon, 65)
-    kmax = float(np.max(np.abs(kernel(params, xi))))
-    drive = np.abs(ms.phi_prime_samples[i] - params.a * ms.phi_samples[i])
-    return kmax * (
-        abs(ms.phi_samples[i, 0])
-        + ms.tau * float(drive.max())
-        + ms.horizon * float(np.max(np.abs(ms.forcing_samples[i])))
-    ) + float(np.max(np.abs(ms.phi_samples[i])))
-
-
 def solve_delay(p, basis, grid=None, quad=None, hist_samples=129, path_samples=None):
     """Solve the delayed problem on a grid; returns a :class:`SolutionField`.
 
@@ -343,28 +331,13 @@ def solve_delay(p, basis, grid=None, quad=None, hist_samples=129, path_samples=N
     # History segment: the data itself, in the reduced frame.
     u[:n_hist] = np.asarray(rp.phi(x[None, :], t[:n_hist, None]), float)
 
-    sin_x = basis.eigenfunctions(x)
-    bounds = np.array([_mode_contribution_bound(ms, i, quad)
-                       for i in range(basis.n_modes)])
-    scale = max(float(bounds.max()), 1e-300)
-    active = []
-    consecutive = 0
+    traj = np.empty((t_pos.size, basis.n_modes))
     for i in range(basis.n_modes):
-        if bounds[i] < _NEGLIGIBLE_REL * scale:
-            consecutive += 1
-            if consecutive >= 3:
-                break
-            continue
-        consecutive = 0
-        active.append(i)
-
-    def mode_trajectory(i):
-        return np.array([mode_solution(ms, i + 1, float(tj), quad) for tj in t_pos])
-
-    if t_pos.size:
-        for i, traj in zip(active, map_ordered(mode_trajectory, active)):
-            u[n_hist:] += np.outer(traj, sin_x[i])
-        u[n_hist:] += np.asarray(rp.lift(x[None, :], t_pos[:, None]), float)
+        traj[:, i] = solve_on_grid(ms.mode_params(i + 1), ms.mode_history(i + 1),
+                                   ms.mode_forcing(i + 1), grid.nt_per_tau,
+                                   t_pos.size, quad)
+    u[n_hist:] = traj @ basis.eigenfunctions(x)
+    u[n_hist:] += np.asarray(rp.lift(x[None, :], t_pos[:, None]), float)
 
     v = u * np.exp(rp.mu * x)[None, :]
     meta = {

@@ -17,16 +17,20 @@ Writing u = w + lift with the linear boundary lift
 lift(x, t) = mu1(t) + (x / l)(mu2(t) - mu1(t)) gives a homogeneous Dirichlet
 problem for w with initial value Phi = phi - lift(., 0) and forcing
 F = f - d/dt lift (the lift is spatially linear, so it drops out of the
-diffusion term; no zeroth-order term survives the substitution).  The
-``include_lift_reaction`` switch adds the alternative reading F += c * lift
-for comparison experiments; it is off by default because it contradicts the
-reduced equation (see test_heat_nodelay for the head-to-head check).
+diffusion term; no zeroth-order term survives the substitution).
 
 The solution splits into three parts synthesized over the sine eigenbasis:
 
     u1: free decay of Phi,      u1_n(t) = Phi_n exp(-(pi n a / l)^2 t)
     u2: Duhamel forcing term,   u2_n(t) = integral_0^t exp(-(pi n a / l)^2 (t-s)) F_n(s) ds
     u3: the boundary lift itself.
+
+On the output grid, u1 is the exact exponential.  u2_n is the forced
+solution of the delay ODE x' = -(pi n a / l)^2 x + F_n without lag coupling,
+so :func:`solve` evaluates it at all grid times at once with the same grid
+engine as the delay solver (:func:`delayheat.delay_ode.solve_on_grid`, with
+a delay of one time step).  :func:`solve_u2` keeps a per-point quadrature
+of the same integral, evaluable at any t.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .delay_ode import DelayOdeParams, solve_on_grid
 from .errors import DomainError, InputError
 from .field import GridSpec, SolutionField
 from .funcspec import (
@@ -46,11 +51,8 @@ from .funcspec import (
     fs_scale,
     fs_sum,
 )
-from .parallel import map_ordered
 from .quadrature import QuadratureConfig, composite_gauss, graded_breakpoints
 from .spectral import EigenBasis, sine_projection_rule
-
-_NEGLIGIBLE_REL = 1e-14  # per-mode contribution floor for early stopping
 
 
 @dataclass
@@ -66,7 +68,6 @@ class HeatProblem:
     psi: FunctionSpec
     theta1: FunctionSpec
     theta2: FunctionSpec
-    include_lift_reaction: bool = False
 
     def __post_init__(self):
         for name in ("a", "b", "c", "length", "horizon"):
@@ -99,7 +100,7 @@ class ReducedProblem:
     mu2: FunctionSpec
     lift: FunctionSpec
     shifted_initial: FunctionSpec  # Phi = phi - lift(., 0)
-    forcing: FunctionSpec          # F = f - d/dt lift (+ c * lift if requested)
+    forcing: FunctionSpec          # F = f - d/dt lift
     _cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -122,8 +123,6 @@ def reduce_problem(p):
         fs_ramp_x(fs_const(-(mu2_0 - mu1_0) / p.length)),
     )
     forcing = fs_sum(f, fs_scale(lift.differentiate("t"), -1.0))
-    if p.include_lift_reaction:
-        forcing = fs_sum(forcing, fs_scale(lift, p.c))
     return ReducedProblem(
         a=p.a,
         length=p.length,
@@ -150,7 +149,6 @@ class _ModeData:
     initial_coeffs: np.ndarray      # Phi_n
     decay_rates: np.ndarray         # (pi n a / l)^2
     forcing_splines: list           # per-mode cubic splines of F_n(t) on [0, T]
-    forcing_sup: np.ndarray         # sup_t |F_n| over the samples
 
 
 def _mode_data(rp, basis, quad, path_samples=257):
@@ -173,7 +171,6 @@ def _mode_data(rp, basis, quad, path_samples=257):
         initial_coeffs=initial_coeffs,
         decay_rates=basis.eigenvalues() * rp.a**2,
         forcing_splines=splines,
-        forcing_sup=np.max(np.abs(f_paths), axis=1),
     )
     rp._cache[key] = data
     return data
@@ -246,38 +243,17 @@ def solve(p, basis, grid=None, quad=None, path_samples=257):
     x = grid.x_points(p.length)
     t = grid.t_points(p.horizon)
     data = _mode_data(rp, basis, quad, path_samples)
-    sin_x = basis.eigenfunctions(x)  # (N, nx+1)
 
-    # Free decay, vectorized over the whole grid.
-    decay = np.exp(-np.outer(t, data.decay_rates))  # (nt+1, N)
-    u = (decay * data.initial_coeffs) @ sin_x
-
-    # Duhamel term, mode by mode with an early-out for negligible forcing:
-    # u2_n is bounded by sup|F_n| * min(t, 1/rate).
-    rates = data.decay_rates
-    bounds = data.forcing_sup * np.minimum(p.horizon, 1.0 / np.maximum(rates, 1e-300))
-    scale = max(float(np.max(np.abs(u))), float(bounds.max()), 1e-300)
-    consecutive_negligible = 0
-    active = []
+    # Modal trajectories: the exact free decay plus the Duhamel term, which is
+    # the grid engine with a = -rate, no lag coupling and a delay of one time
+    # step, so that its kernel is exp(-rate (t - s)).
+    traj = np.exp(-np.outer(t, data.decay_rates)) * data.initial_coeffs  # (nt+1, N)
+    dt = grid.time_step(p.horizon)
     for i in range(basis.n_modes):
-        if bounds[i] < _NEGLIGIBLE_REL * scale:
-            consecutive_negligible += 1
-            if consecutive_negligible >= 3:
-                break
-            continue
-        consecutive_negligible = 0
-        active.append(i)
-
-    def mode_trajectory(i):
-        traj = np.zeros(t.size)
-        for j, tj in enumerate(t):
-            if tj > 0.0:
-                traj[j] = _duhamel_decay(rates[i], data.forcing_splines[i],
-                                         float(tj), quad)
-        return traj
-
-    for i, traj in zip(active, map_ordered(mode_trajectory, active)):
-        u += np.outer(traj, sin_x[i])
+        params = DelayOdeParams(a=-float(data.decay_rates[i]), b=0.0, tau=dt)
+        traj[1:, i] += solve_on_grid(params, None, data.forcing_splines[i], 1,
+                                     grid.nt, quad)
+    u = traj @ basis.eigenfunctions(x)
 
     # Boundary lift and return to the original frame.
     u += np.asarray(rp.lift(x[None, :], t[:, None]), dtype=float)

@@ -1,5 +1,11 @@
 """Optional thread pool over independent per-mode work.
 
+No solver calls this module any more: the grid engine evaluates a mode's
+whole trajectory in a few vectorized operations, and a thread pool over
+modes does not pay off.  It remains importable because the benchmark's
+tracer (``perfbench/layers.py``) wraps :func:`map_ordered`; it can go once
+the benchmark stops referring to it.
+
 Parallelism is opt-in via the environment variable ``RETARD_HEAT_THREADS``
 (default 1 = sequential).  Results are always reduced in mode order, so
 output bytes do not depend on the thread count or scheduling.

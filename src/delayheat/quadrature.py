@@ -67,7 +67,8 @@ def panel_nodes(edges, nodes_per_panel):
     return pts, wts
 
 
-def _refine(edges):
+def halve_panels(edges):
+    """Panel edges with every panel of ``edges`` split at its midpoint."""
     mids = 0.5 * (edges[:-1] + edges[1:])
     out = np.empty(edges.size + mids.size)
     out[0::2] = edges
@@ -122,7 +123,7 @@ def composite_gauss(f, a, b, quad=None, breakpoints=()):
     value = level_value(edges)
     residual = np.inf
     for _ in range(quad.max_panel_splits):
-        edges = _refine(edges)
+        edges = halve_panels(edges)
         refined = level_value(edges)
         residual = abs(refined - value)
         value = refined

@@ -11,6 +11,7 @@ import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,6 +90,10 @@ def _cli(args, cwd, env_extra=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
+    # The child runs in ``cwd``, so a relative ``src`` entry would not resolve.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, *filter(None, [env.get("PYTHONPATH")])])
     return subprocess.run(
         [sys.executable, "-m", "delayheat", *args],
         cwd=cwd, env=env, capture_output=True, text=True,

@@ -198,6 +198,19 @@ def test_solve_numeric_failure_exits_3(tmp_path, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+def test_delay_solve_numeric_failure_exits_3(tmp_path, capsys):
+    cfg = _delay_config(
+        tmp_path, psi="sin(x) + sin(5*x)",
+        solver={"modes": 8, "nx": 20, "nt_per_tau": 4,
+                "quadrature": {"nodes_per_panel": 2, "max_panel_splits": 1,
+                               "abs_tol": 1e-16}},
+    )
+    code = main(["solve", "--config", cfg, "--override-advisory"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "grid quadrature" in err
+
+
 # ---------------------------------------------------------------------------
 # compare and sweep
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ def test_full_nodelay_config():
             "kind": "nodelay", "diffusion": 2.0, "drift": 0.5, "reaction": 0.1,
             "length": 1.0, "horizon": 0.5, "source": "x*t",
             "initial": "sin(pi*x/l)", "trace_left": "0", "trace_right": 0.0,
-            "include_lift_reaction": True,
         },
         "solver": {"modes": 8, "nx": 40, "nt": 20,
                    "quadrature": {"nodes_per_panel": 8, "max_panel_splits": 4,
@@ -76,7 +75,6 @@ def test_full_nodelay_config():
     p = cfg.problem
     assert isinstance(p, HeatProblem)
     assert (p.a, p.b, p.c) == (2.0, 0.5, 0.1)
-    assert p.include_lift_reaction is True
     assert p.psi(0.5, 0.0) == pytest.approx(1.0)  # l is bound in expressions
     assert cfg.solver.modes == 8
     assert cfg.solver.quadrature.nodes_per_panel == 8

@@ -7,17 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dde_steps import dde_steps
+from dde_steps import dde_steps, dde_steps_exact
 from delayheat.delay_ode import (
     DelayOdeParams,
     HistoryFunction,
     kernel,
     solve_forced,
     solve_homogeneous,
+    solve_on_grid,
     superpose,
 )
 from delayheat.delayed_exp import DelayedExpParams, delayed_exp_eval
-from delayheat.errors import DomainError, InputError
+from delayheat.errors import DomainError, InputError, QuadratureError
+from delayheat.quadrature import QuadratureConfig
 from delayheat.funcspec import parse_function
 
 
@@ -89,12 +91,15 @@ def test_validation():
         DelayOdeParams(a=math.nan, b=0.0, tau=1.0)
 
 
-@pytest.mark.parametrize("a, b, tau", [
+_NONSTIFF = [
     (-1.0, -0.8, 1.0),
     (0.5, 0.8, 0.5),
     (0.0, -0.8, 0.5),
     (-1.0, 0.8, 1.0),
-])
+]
+
+
+@pytest.mark.parametrize("a, b, tau", _NONSTIFF)
 def test_homogeneous_matches_stepping_oracle(a, b, tau):
     params = DelayOdeParams(a=a, b=b, tau=tau)
     history = HistoryFunction.from_funcspec(parse_function("1 + t"))
@@ -102,6 +107,57 @@ def test_homogeneous_matches_stepping_oracle(a, b, tau):
     mine = solve_homogeneous(params, history, t)
     ref = dde_steps(a, b, tau, lambda s: 1.0 + s, t)
     np.testing.assert_allclose(mine, ref, rtol=0, atol=5e-10)
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("a, b, tau", _NONSTIFF)
+def test_grid_engine_matches_per_time_solution(a, b, tau, forced):
+    params = DelayOdeParams(a=a, b=b, tau=tau)
+    history = HistoryFunction.from_funcspec(parse_function("cos(3*t)"))
+    rho = (lambda s: np.sin(2.0 * np.asarray(s, dtype=float))) if forced else None
+    steps_per_tau, n_steps = 8, 30
+    t = tau / steps_per_tau * np.arange(1, n_steps + 1)
+    mine = solve_on_grid(params, history, rho, steps_per_tau, n_steps)
+    if forced:
+        ref = superpose(params, history, rho, t)
+    else:
+        ref = solve_homogeneous(params, history, t)
+    np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("b", [-160.0, 160.0])
+def test_grid_engine_on_stiff_mode_matches_exact_method_of_steps(b):
+    # |a| tau = 662: a high sine mode of the delayed heat equation.
+    a, tau = -1325.0, 0.5
+    params = DelayOdeParams(a=a, b=b, tau=tau)
+    history = HistoryFunction.from_callables(
+        lambda s: 1.0 + s + s**2, lambda s: 1.0 + 2.0 * s)
+    rho = lambda s: 0.5 - np.asarray(s, dtype=float)
+    t = tau / 16 * np.arange(1, 49)
+    mine = solve_on_grid(params, history, rho, 16, 48)
+    ref = dde_steps_exact(a, b, tau, [1.0, 1.0, 1.0], t, rho_poly=[0.5, -1.0])
+    np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-12)
+
+
+def test_grid_engine_without_data_is_zero_and_checks_arguments():
+    params = DelayOdeParams(a=-0.5, b=0.3, tau=1.0)
+    np.testing.assert_array_equal(solve_on_grid(params, None, None, 4, 6), 0.0)
+    assert solve_on_grid(params, _const_history(), None, 4, 0).size == 0
+    with pytest.raises(InputError):
+        solve_on_grid(params, _const_history(), None, 0, 4)
+    with pytest.raises(InputError):
+        solve_on_grid(params, _const_history(), None, 4, -1)
+
+
+def test_grid_engine_raises_when_refinement_budget_is_exhausted():
+    params = DelayOdeParams(a=-40.0, b=0.5, tau=1.0)
+    history = HistoryFunction.from_funcspec(parse_function("cos(5*t)"))
+    starved = QuadratureConfig(nodes_per_panel=2, max_panel_splits=1, abs_tol=1e-16)
+    with pytest.raises(QuadratureError):
+        solve_on_grid(params, history, None, 2, 6, starved)
+    no_splits = QuadratureConfig(max_panel_splits=0)
+    with pytest.raises(QuadratureError):
+        solve_on_grid(params, history, None, 2, 6, no_splits)
 
 
 def test_forced_matches_stepping_oracle():

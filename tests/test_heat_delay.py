@@ -11,10 +11,12 @@ from delayheat import (
     DelayHeatProblem,
     DelayOdeParams,
     EigenBasis,
+    FdConfig,
     GridSpec,
     HistoryFunction,
     InputError,
     build_modes,
+    fd_solve_delay,
     fs_sum,
     mode_solution,
     parse_function,
@@ -221,6 +223,24 @@ def test_stiff_mode_diagnostics_and_finite_solve():
     field = solve_delay(p, basis, grid=GridSpec(nx=10, nt_per_tau=4))
     assert np.all(np.isfinite(field.v))
     assert np.max(np.abs(field.v)) < 50.0
+
+
+# ---------------------------------------------------------------------------
+# Data that starts at a high mode
+# ---------------------------------------------------------------------------
+
+
+def test_data_starting_at_mode_six_matches_fd_oracle():
+    # Modes 1-5 carry no data at all; every mode must still be solved.
+    p = _problem(d2=-0.5, tau=0.5, horizon=1.0, psi="sin(6*x)")
+    field = solve_delay(p, EigenBasis(p.length, 16),
+                        grid=GridSpec(nx=60, nt_per_tau=16))
+    coarse = fd_solve_delay(p, FdConfig(nx=60, nt_per_tau=16)).v
+    fine = fd_solve_delay(p, FdConfig(nx=120, nt_per_tau=32)).v
+    # CN's own error is about 4/3 of the refinement difference.
+    tol = 4.0 * np.max(np.abs(coarse - fine[::2, ::2]))
+    assert np.max(np.abs(field.v[field.t > 0.0])) > 0.2
+    assert np.max(np.abs(field.v - coarse)) <= tol
 
 
 # ---------------------------------------------------------------------------
