@@ -3,13 +3,20 @@
 Coefficient-level problem data (initial values, boundary traces, forcing)
 enters the solvers as :class:`FunctionSpec` objects.  A spec is either
 
-* an expression in the variables ``x`` and ``t`` — parsed from text by
-  :func:`parse_expression` and differentiated symbolically, or
+* an expression in the variables ``x`` and ``t``, parsed from text by
+  :func:`parse_expression`, or
 * a sampled grid (1D in ``x`` or ``t``, or a 2D rectangle) interpolated
   linearly or with cubic splines, or
 * an algebraic combination of other specs (sums, scalings, exponential
-  weights, time shifts) built with the ``fs_*`` helpers; these carry exact
-  differentiation rules so solver-side changes of variables stay symbolic.
+  weights, time shifts) built with the ``fs_*`` helpers, so solver-side
+  changes of variables keep exact derivatives.
+
+Every spec evaluates its truncated Taylor expansion in (x, t) to any order
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13), and
+``differentiate`` reads partial derivatives off it: expressions through
+Taylor recurrences for each operation, sampled grids through their
+interpolants.  Nothing is rewritten symbolically, so the cost of an order-k
+derivative grows like k^2 per expression node and the expression never grows.
 
 Expression grammar (ASCII, whitespace-insensitive)::
 
@@ -256,136 +263,206 @@ def to_string(node):
 
 
 # ---------------------------------------------------------------------------
-# Symbolic differentiation with light folding
+# Truncated Taylor arithmetic (Griewank & Walther, Evaluating Derivatives,
+# 2nd ed., ch. 13)
 # ---------------------------------------------------------------------------
 
 
-def _num(v):
-    # Keep literals non-negative so printing round-trips structurally.
-    v = float(v)
-    if not math.isfinite(v):
-        raise NumericError("constant folding produced a non-finite value")
-    return Num(v) if v >= 0.0 else Neg(Num(-v))
+def _is_zero(c):
+    """True for a Python-float 0.0: a coefficient known to vanish identically.
+    Computed coefficients are numpy values, never taken for one."""
+    return type(c) is float and c == 0.0
 
 
-def _is_num(node, value=None):
-    return isinstance(node, Num) and (value is None or node.value == value)
+class _Jet:
+    """Truncated Taylor series ``sum_k c[k] h^k`` in one variable.
+
+    A spec's jet of order (kx, kt) is a jet in x whose coefficients are jets
+    in t (plain arrays when kt == 0), or a jet in t when kx == 0.  Any
+    coefficient may instead be a plain value, which stands for a constant.
+    """
+
+    __slots__ = ("c",)
+    __array_ufunc__ = None  # numpy operands defer to the reflected methods
+
+    def __init__(self, c):
+        self.c = c
+
+    def _map(self, fn):
+        return _Jet([c if _is_zero(c) else fn(c) for c in self.c])
+
+    def __add__(self, other):
+        if isinstance(other, _Jet):
+            return _Jet([_plus(a, b) for a, b in zip(self.c, other.c)])
+        return _Jet([_plus(self.c[0], other)] + self.c[1:])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._map(lambda c: -c)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if not isinstance(other, _Jet):
+            return self._map(lambda c: c * other)
+        a, b = self.c, other.c
+        return _Jet([_dot((a[i], b[k - i]) for i in range(k + 1)) for k in range(len(a))])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return _over(self, other)
 
 
-def _add(a, b):
-    if _is_num(a) and _is_num(b):
-        return _num(a.value + b.value)
-    if _is_num(a, 0.0):
+def _plus(a, b):
+    if _is_zero(a):
         return b
-    if _is_num(b, 0.0):
-        return a
-    return Bin("+", a, b)
+    return a if _is_zero(b) else a + b
 
 
-def _sub(a, b):
-    if _is_num(a) and _is_num(b):
-        return _num(a.value - b.value)
-    if _is_num(b, 0.0):
-        return a
-    if _is_num(a, 0.0):
-        return _neg(b)
-    return Bin("-", a, b)
+def _times(a, b):
+    return 0.0 if _is_zero(a) or _is_zero(b) else a * b
 
 
-def _mul(a, b):
-    if _is_num(a) and _is_num(b):
-        return _num(a.value * b.value)
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
-        return Num(0.0)
-    if _is_num(a, 1.0):
-        return b
-    if _is_num(b, 1.0):
-        return a
-    return Bin("*", a, b)
+def _dot(pairs):
+    total = 0.0
+    for a, b in pairs:
+        total = _plus(total, _times(a, b))
+    return total
 
 
-def _div(a, b):
-    if _is_num(a, 0.0) and not _is_num(b, 0.0):
-        return Num(0.0)
-    if _is_num(b, 1.0):
-        return a
-    return Bin("/", a, b)
+def _base(v):
+    """The value (order-0 coefficient) of a jet or plain value."""
+    while isinstance(v, _Jet):
+        v = v.c[0]
+    return v
 
 
-def _pow(a, b):
-    if _is_num(b, 1.0):
-        return a
-    if _is_num(b, 0.0):
-        return Num(1.0)
-    return Bin("^", a, b)
+def _over(a, b):
+    """a / b; a vanishing numerator needs no divisor."""
+    if _is_zero(a):
+        return 0.0
+    if np.any(np.asarray(_base(b)) == 0.0):
+        raise DomainError("division by zero")
+    if not isinstance(b, _Jet):
+        return a._map(lambda c: c / b) if isinstance(a, _Jet) else a / b
+    a = a.c if isinstance(a, _Jet) else [a] + [0.0] * (len(b.c) - 1)
+    inv = _over(1.0, b.c[0])
+    q = []
+    for k in range(len(b.c)):
+        rest = _dot((b.c[j], q[k - j]) for j in range(1, k + 1))
+        q.append(_times(_plus(a[k], _times(rest, -1.0)), inv))
+    return _Jet(q)
 
 
-def _neg(a):
-    if _is_num(a, 0.0):
-        return a
-    if isinstance(a, Neg):
-        return a.operand
-    return Neg(a)
+def _weighted(u):
+    """[j * u_j]: the coefficients of h * du/dh."""
+    return [0.0] + [j * c for j, c in enumerate(u.c) if j]
 
 
-def diff_ast(node, var):
-    """Symbolic partial derivative of an AST with respect to 'x' or 't'."""
-    if var not in VARIABLES:
-        raise InputError(f"differentiation variable must be 'x' or 't', got {var!r}")
-    if isinstance(node, Num) or isinstance(node, Const):
-        return Num(0.0)
-    if isinstance(node, Var):
-        return Num(1.0) if node.name == var else Num(0.0)
-    if isinstance(node, Neg):
-        return _neg(diff_ast(node.operand, var))
-    if isinstance(node, Bin):
-        ld = diff_ast(node.left, var)
-        rd = diff_ast(node.right, var)
-        if node.op == "+":
-            return _add(ld, rd)
-        if node.op == "-":
-            return _sub(ld, rd)
-        if node.op == "*":
-            return _add(_mul(ld, node.right), _mul(node.left, rd))
-        if node.op == "/":
-            return _div(_sub(_mul(ld, node.right), _mul(node.left, rd)),
-                        _pow(node.right, Num(2.0)))
-        # u^v: power rule when the exponent is constant, else exp/log form.
-        u, v = node.left, node.right
-        if _is_num(rd, 0.0):
-            return _mul(_mul(v, _pow(u, _sub(v, Num(1.0)))), ld)
-        if _is_num(ld, 0.0):
-            return _mul(_mul(_pow(u, v), Call("log", u)), rd)
-        return _mul(_pow(u, v),
-                    _add(_mul(rd, Call("log", u)), _div(_mul(v, ld), u)))
-    if isinstance(node, Call):
-        ad = diff_ast(node.arg, var)
-        u = node.arg
-        if node.fn == "sin":
-            outer = Call("cos", u)
-        elif node.fn == "cos":
-            outer = _neg(Call("sin", u))
-        elif node.fn == "exp":
-            outer = Call("exp", u)
-        elif node.fn == "log":
-            return _div(ad, u)
-        elif node.fn == "sqrt":
-            return _div(ad, _mul(Num(2.0), Call("sqrt", u)))
-        elif node.fn == "abs":
-            # sign(u) expressed inside the grammar; undefined at u = 0.
-            outer = _div(u, Call("abs", u))
-        else:
-            raise InputError(f"unknown function {node.fn!r}")
-        return _mul(outer, ad)
-    raise InputError(f"not an AST node: {node!r}")
+def _exp(u):
+    if not isinstance(u, _Jet):
+        return np.exp(u)
+    du, e = _weighted(u), [_exp(u.c[0])]
+    for k in range(1, len(u.c)):
+        e.append(_times(_dot((du[j], e[k - j]) for j in range(1, k + 1)), 1.0 / k))
+    return _Jet(e)
+
+
+def _log(u):
+    if not isinstance(u, _Jet):
+        return np.log(u)
+    q = _over(_Jet(_weighted(u)), u)  # h u'/u, whose k-th term is k log(u)_k
+    return _Jet([_log(u.c[0])] + [_times(c, 1.0 / k) for k, c in enumerate(q.c) if k])
+
+
+def _sincos(u):
+    if not isinstance(u, _Jet):
+        return np.sin(u), np.cos(u)
+    du = _weighted(u)
+    s0, c0 = _sincos(u.c[0])
+    s, c = [s0], [c0]
+    for k in range(1, len(u.c)):
+        s.append(_times(_dot((du[j], c[k - j]) for j in range(1, k + 1)), 1.0 / k))
+        c.append(_times(_dot((du[j], s[k - j]) for j in range(1, k + 1)), -1.0 / k))
+    return _Jet(s), _Jet(c)
+
+
+def _abs(u):
+    if not isinstance(u, _Jet):
+        return np.abs(u)
+    sign = np.sign(_base(u))
+    if not np.any(sign == 0.0):
+        return u * sign
+    if all(_is_zero(c) for c in u.c[1:]):
+        return _Jet([_abs(u.c[0])] + u.c[1:])
+    raise DomainError("abs has no derivative at 0")
+
+
+def _power(a, b):
+    """a^b; the caller has checked the domain on the values."""
+    if isinstance(b, _Jet):
+        if np.any(np.asarray(_base(a)) <= 0.0):
+            raise DomainError("log of a non-positive value")
+        return _exp(b * _log(a))
+    if not isinstance(a, _Jet):
+        if np.any((np.asarray(a) == 0.0) & (np.asarray(b) < 0.0)):
+            raise DomainError("zero raised to a negative power")
+        return np.power(a, b)
+    # Binomial series a^b = sum_m C(b, m) a0^(b - m) (a - a0)^m.  It stops
+    # where C(b, m) vanishes (integer b >= 0), so x^2 works at x = 0, and
+    # a0^(b - m) is formed only while (a - a0)^m has terms.
+    n = len(a.c)
+    delta = _Jet([0.0] + a.c[1:])
+    out, power, binom = _Jet([0.0] * n), _Jet([1.0] + [0.0] * (n - 1)), 1.0
+    for m in range(n):
+        if m:
+            power, binom = power * delta, binom * (b - m + 1) / m
+        if np.all(binom == 0.0) or all(_is_zero(c) for c in power.c):
+            break
+        coef = binom * _power(a.c[0], b - m)
+        out = out + power._map(lambda c: c * coef)
+    return out
+
+
+def _nested(coef, kx, kt):
+    """The jet of order (kx, kt) whose Taylor coefficients are coef(i, j)."""
+    def in_t(i):
+        cs = [coef(i, j) for j in range(kt + 1)]
+        return cs[0] if all(_is_zero(c) for c in cs[1:]) else _Jet(cs)
+    return in_t(0) if kx == 0 else _Jet([in_t(i) for i in range(kx + 1)])
+
+
+def _coef(jet, i, j, kx):
+    """Taylor coefficient (i, j) of a jet of x-order kx."""
+    if kx:
+        if isinstance(jet, _Jet):
+            jet = jet.c[i]
+        elif i:
+            return 0.0
+    if isinstance(jet, _Jet):
+        return jet.c[j]
+    return jet if j == 0 else 0.0
+
+
+def _variables(x, t, kx, kt):
+    """The coordinates x and t as jets of order (kx, kt)."""
+    return (_nested(lambda i, j: x if i == j == 0 else float((i, j) == (1, 0)), kx, kt),
+            _nested(lambda i, j: t if i == j == 0 else float((i, j) == (0, 1)), kx, kt))
 
 
 # ---------------------------------------------------------------------------
-# AST evaluation (vectorized over numpy arrays)
+# AST evaluation (vectorized over numpy arrays, on values or jets)
 # ---------------------------------------------------------------------------
 
 
 def _eval_ast(node, x, t, consts):
+    """Evaluate an AST at x, t: plain arrays give values, jets give jets."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
@@ -407,50 +484,41 @@ def _eval_ast(node, x, t, consts):
         if node.op == "*":
             return a * b
         if node.op == "/":
-            if np.any(np.asarray(b) == 0.0):
+            if np.any(np.asarray(_base(b)) == 0.0):
                 raise DomainError("division by zero")
-            return a / b
-        a_arr, b_arr = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+            return _over(a, b) if isinstance(a, _Jet) or isinstance(b, _Jet) else a / b
+        a_arr = np.asarray(_base(a), dtype=float)
+        b_arr = np.asarray(_base(b), dtype=float)
         frac_exp = b_arr != np.floor(b_arr)
         if np.any((a_arr < 0.0) & frac_exp):
             raise DomainError("negative base raised to a non-integer power")
         if np.any((a_arr == 0.0) & (b_arr < 0.0)):
             raise DomainError("zero raised to a negative power")
         with np.errstate(over="ignore"):
+            if isinstance(a, _Jet) or isinstance(b, _Jet):
+                return _power(a, b)
             return np.power(a, b)
     if isinstance(node, Call):
         u = _eval_ast(node.arg, x, t, consts)
-        if node.fn == "sin":
-            return np.sin(u)
-        if node.fn == "cos":
-            return np.cos(u)
+        u0 = np.asarray(_base(u))
+        if node.fn in ("sin", "cos"):
+            if not isinstance(u, _Jet):
+                return np.sin(u) if node.fn == "sin" else np.cos(u)
+            return _sincos(u)[node.fn == "cos"]
         if node.fn == "exp":
             with np.errstate(over="ignore"):
-                return np.exp(u)
+                return _exp(u)
         if node.fn == "log":
-            if np.any(np.asarray(u) <= 0.0):
+            if np.any(u0 <= 0.0):
                 raise DomainError("log of a non-positive value")
-            return np.log(u)
+            return _log(u)
         if node.fn == "sqrt":
-            if np.any(np.asarray(u) < 0.0):
+            if np.any(u0 < 0.0):
                 raise DomainError("sqrt of a negative value")
-            return np.sqrt(u)
+            return _power(u, 0.5) if isinstance(u, _Jet) else np.sqrt(u)
         if node.fn == "abs":
-            return np.abs(u)
+            return _abs(u)
     raise InputError(f"not an AST node: {node!r}")
-
-
-def free_constants(node):
-    """Set of named-constant names appearing in an AST."""
-    if isinstance(node, Const):
-        return {node.name}
-    if isinstance(node, Neg):
-        return free_constants(node.operand)
-    if isinstance(node, Bin):
-        return free_constants(node.left) | free_constants(node.right)
-    if isinstance(node, Call):
-        return free_constants(node.arg)
-    return set()
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +534,19 @@ class FunctionSpec:
     representations raise :class:`UnsupportedOperationError` once the order
     exceeds what the interpolant supports, and ``smoothness(var)`` reports the
     remaining trustworthy order (``None`` means unlimited).
+    ``smoothness(var, kx, kt)`` is that order for the (kx, kt) partial
+    derivative, whose sampled parts may vanish identically.
+
+    Subclasses implement ``_jet(x, t, kx, kt)``: the Taylor coefficients at
+    (x, t) up to x-order kx and t-order kt, as a jet in x of jets in t, a jet
+    in t when kx == 0, or plain values when kx == kt == 0.
     """
 
     def __call__(self, x, t):
         x_arr = np.asarray(x, dtype=float)
         t_arr = np.asarray(t, dtype=float)
         shape = np.broadcast_shapes(x_arr.shape, t_arr.shape)
-        out = self._evaluate(x_arr, t_arr)
+        out = self._jet(x_arr, t_arr, 0, 0)
         out = np.broadcast_to(np.asarray(out, dtype=float), shape)
         if not np.all(np.isfinite(out)):
             raise NumericError(f"{type(self).__name__} produced a non-finite value")
@@ -480,7 +554,7 @@ class FunctionSpec:
             return float(out)
         return np.array(out)
 
-    def _evaluate(self, x, t):
+    def _jet(self, x, t, kx, kt):
         raise NotImplementedError
 
     def differentiate(self, var, order=1):
@@ -488,26 +562,47 @@ class FunctionSpec:
             raise InputError(f"differentiation variable must be 'x' or 't', got {var!r}")
         if order not in (1, 2):
             raise InputError(f"derivative order must be 1 or 2, got {order!r}")
+        base, kx, kt = ((self.base, self.kx, self.kt) if isinstance(self, _Partial)
+                        else (self, 0, 0))
         budget = self.smoothness(var)
         if budget is not None and order > budget:
             raise UnsupportedOperationError(
-                f"{type(self).__name__} supports d/d{var} only up to order {budget}"
+                f"{type(base).__name__} supports d/d{var} only up to order {budget}"
             )
-        out = self
-        for _ in range(order):
-            out = out._diff_once(var)
-        return out
+        if var == "x":
+            return _Partial(base, kx + order, kt)
+        return _Partial(base, kx, kt + order)
 
-    def _diff_once(self, var):
-        raise NotImplementedError
-
-    def smoothness(self, var):
+    def smoothness(self, var, kx=0, kt=0):
         return None
 
 
 @dataclass
+class _Partial(FunctionSpec):
+    """d^(kx + kt) base / dx^kx dt^kt, read off the base's jet."""
+
+    base: FunctionSpec
+    kx: int
+    kt: int
+
+    def _jet(self, x, t, kx, kt):
+        full = self.base._jet(x, t, kx + self.kx, kt + self.kt)
+
+        def coef(i, j):
+            c = _coef(full, i + self.kx, j + self.kt, kx + self.kx)
+            ratio = (math.factorial(i + self.kx) // math.factorial(i)
+                     * math.factorial(j + self.kt) // math.factorial(j))
+            return c if ratio == 1 else _times(c, float(ratio))
+
+        return _nested(coef, kx, kt)
+
+    def smoothness(self, var, kx=0, kt=0):
+        return self.base.smoothness(var, kx + self.kx, kt + self.kt)
+
+
+@dataclass
 class ExprFunction(FunctionSpec):
-    """Expression-backed spec; differentiation is symbolic."""
+    """Expression-backed spec; derivatives are Taylor coefficients of the AST."""
 
     ast: object
     consts: dict = field(default_factory=dict)
@@ -517,11 +612,8 @@ class ExprFunction(FunctionSpec):
         merged.update(self.consts)
         self.consts = merged
 
-    def _evaluate(self, x, t):
-        return _eval_ast(self.ast, x, t, self.consts)
-
-    def _diff_once(self, var):
-        return ExprFunction(diff_ast(self.ast, var), dict(self.consts))
+    def _jet(self, x, t, kx, kt):
+        return _eval_ast(self.ast, *_variables(x, t, kx, kt), self.consts)
 
     def bind(self, **values):
         merged = dict(self.consts)
@@ -539,13 +631,29 @@ def parse_function(src, **consts):
 
 
 def fs_const(value):
+    # Keep literals non-negative so printing round-trips structurally.
     v = float(value)
-    return ExprFunction(_num(v))
+    if not math.isfinite(v):
+        raise NumericError(f"constant must be finite, got {v!r}")
+    return ExprFunction(Num(v) if v >= 0.0 else Neg(Num(-v)))
+
+
+def _clip(u, pts, name):
+    """Sample coordinates clipped into the grid; DomainError well outside it."""
+    lo, hi = pts[0], pts[-1]
+    tol = 1e-9 * max(hi - lo, 1.0)
+    if np.any(u < lo - tol) or np.any(u > hi + tol):
+        raise DomainError(f"sample evaluation outside [{lo!r}, {hi!r}] in {name}")
+    return np.clip(u, lo, hi)
 
 
 @dataclass
 class Sampled1DFunction(FunctionSpec):
-    """Values sampled on a strictly increasing 1D grid in ``x`` or ``t``."""
+    """Values sampled on a strictly increasing 1D grid in ``x`` or ``t``.
+
+    Derivatives are those of the interpolant: the spline's own for ``cubic``,
+    linear interpolation of ``np.gradient`` differences for ``linear``.
+    """
 
     var: str
     points: np.ndarray
@@ -573,70 +681,31 @@ class Sampled1DFunction(FunctionSpec):
             self.budget = 2 if self.kind == "cubic" else 1
         self._spline = None
 
-    def _axis_values(self, x, t):
-        u = x if self.var == "x" else t
-        lo, hi = self.points[0], self.points[-1]
-        tol = 1e-9 * max(hi - lo, 1.0)
-        if np.any(u < lo - tol) or np.any(u > hi + tol):
-            raise DomainError(
-                f"sample evaluation outside [{lo!r}, {hi!r}] in {self.var}"
-            )
-        return np.clip(u, lo, hi)
-
-    def _evaluate(self, x, t):
-        u = self._axis_values(x, t)
+    def _derivative(self, u, order):
         if self.kind == "linear":
-            return np.interp(u, self.points, self.values)
+            values = self.values
+            for _ in range(order):
+                values = np.gradient(values, self.points)
+            return np.interp(u, self.points, values)
         if self._spline is None:
             from scipy.interpolate import CubicSpline
 
             self._spline = CubicSpline(self.points, self.values)
-        return self._spline(u)
+        return self._spline(u, order)
 
-    def smoothness(self, var):
-        return self.budget if var == self.var else None
+    def _jet(self, x, t, kx, kt):
+        u = _clip(x if self.var == "x" else t, self.points, self.var)
+        order = kx if self.var == "x" else kt
+        taylor = [self._derivative(u, k) / math.factorial(k) for k in range(order + 1)]
+        if self.var == "x":
+            return _nested(lambda i, j: taylor[i] if j == 0 else 0.0, kx, kt)
+        return _nested(lambda i, j: taylor[j] if i == 0 else 0.0, kx, kt)
 
-    def _diff_once(self, var):
-        if var != self.var:
-            return fs_const(0.0)
-        if self.kind == "linear":
-            grads = np.gradient(self.values, self.points)
-            return Sampled1DFunction(self.var, self.points, grads, "linear",
-                                     budget=self.budget - 1)
-        from scipy.interpolate import CubicSpline
-
-        if self._spline is None:
-            self._spline = CubicSpline(self.points, self.values)
-        deriv = self._spline.derivative(1)
-        return _PPolyFunction(self.var, deriv, self.budget - 1,
-                              (self.points[0], self.points[-1]))
-
-
-@dataclass
-class _PPolyFunction(FunctionSpec):
-    """Derivative of a cubic-sampled spec (piecewise polynomial)."""
-
-    var: str
-    ppoly: object
-    budget: int
-    domain: tuple
-
-    def _evaluate(self, x, t):
-        u = x if self.var == "x" else t
-        lo, hi = self.domain
-        tol = 1e-9 * max(hi - lo, 1.0)
-        if np.any(u < lo - tol) or np.any(u > hi + tol):
-            raise DomainError(f"sample evaluation outside [{lo!r}, {hi!r}] in {self.var}")
-        return self.ppoly(np.clip(u, lo, hi))
-
-    def smoothness(self, var):
-        return self.budget if var == self.var else None
-
-    def _diff_once(self, var):
-        if var != self.var:
-            return fs_const(0.0)
-        return _PPolyFunction(self.var, self.ppoly.derivative(1), self.budget - 1,
-                              self.domain)
+    def smoothness(self, var, kx=0, kt=0):
+        own, other = (kx, kt) if self.var == "x" else (kt, kx)
+        if var != self.var or other:  # partials in the other variable are 0
+            return None
+        return self.budget - own
 
 
 @dataclass
@@ -668,103 +737,45 @@ class Sampled2DFunction(FunctionSpec):
         if self.budgets is None:
             b = 2 if self.kind == "cubic" else 1
             self.budgets = {"x": b, "t": b}
-        self._interp = None
+        self._spline = None
 
-    def _clipped(self, u, pts, name):
-        lo, hi = pts[0], pts[-1]
-        tol = 1e-9 * max(hi - lo, 1.0)
-        if np.any(u < lo - tol) or np.any(u > hi + tol):
-            raise DomainError(f"sample evaluation outside [{lo!r}, {hi!r}] in {name}")
-        return np.clip(u, lo, hi)
-
-    def _evaluate(self, x, t):
-        xb, tb = np.broadcast_arrays(x, t)
-        xc = self._clipped(xb, self.x_points, "x")
-        tc = self._clipped(tb, self.t_points, "t")
+    def _derivative(self, xc, tc, dx, dt):
+        """d^(dx+dt) / dx^dx dt^dt of the interpolant at in-range points."""
         if self.kind == "cubic":
-            if self._interp is None:
+            if self._spline is None:
                 from scipy.interpolate import RectBivariateSpline
 
-                self._interp = RectBivariateSpline(
+                self._spline = RectBivariateSpline(
                     self.x_points, self.t_points, self.values, kx=3, ky=3, s=0
                 )
-            flat = self._interp.ev(np.ravel(xc), np.ravel(tc))
+            flat = self._spline.ev(np.ravel(xc), np.ravel(tc), dx=dx, dy=dt)
             return flat.reshape(np.shape(xc))
-        if self._interp is None:
-            from scipy.interpolate import RegularGridInterpolator
+        from scipy.interpolate import RegularGridInterpolator
 
-            self._interp = RegularGridInterpolator(
-                (self.x_points, self.t_points), self.values, method="linear"
-            )
+        values = self.values
+        for _ in range(dx):
+            values = np.gradient(values, self.x_points, axis=0)
+        for _ in range(dt):
+            values = np.gradient(values, self.t_points, axis=1)
+        interp = RegularGridInterpolator((self.x_points, self.t_points), values,
+                                         method="linear")
         pts = np.column_stack([np.ravel(xc), np.ravel(tc)])
-        return self._interp(pts).reshape(np.shape(xc))
+        return interp(pts).reshape(np.shape(xc))
 
-    def smoothness(self, var):
-        return self.budgets[var]
-
-    def _diff_once(self, var):
-        if self.kind == "linear":
-            axis = 0 if var == "x" else 1
-            pts = self.x_points if var == "x" else self.t_points
-            grads = np.gradient(self.values, pts, axis=axis)
-            budgets = dict(self.budgets)
-            budgets[var] -= 1
-            return Sampled2DFunction(self.x_points, self.t_points, grads, "linear",
-                                     budgets=budgets)
-        from scipy.interpolate import RectBivariateSpline
-
-        if self._interp is None:
-            self._interp = RectBivariateSpline(
-                self.x_points, self.t_points, self.values, kx=3, ky=3, s=0
-            )
-        dx, dy = (1, 0) if var == "x" else (0, 1)
-        budgets = dict(self.budgets)
-        budgets[var] -= 1
-        return _RectSplineFunction(
-            self._interp.partial_derivative(dx, dy),
-            (self.x_points[0], self.x_points[-1]),
-            (self.t_points[0], self.t_points[-1]),
-            budgets,
-        )
-
-
-@dataclass
-class _RectSplineFunction(FunctionSpec):
-    """Partial derivative of a cubic 2D sampled spec."""
-
-    spline: object
-    x_domain: tuple
-    t_domain: tuple
-    budgets: dict
-
-    def _evaluate(self, x, t):
+    def _jet(self, x, t, kx, kt):
         xb, tb = np.broadcast_arrays(x, t)
+        xc = _clip(xb, self.x_points, "x")
+        tc = _clip(tb, self.t_points, "t")
+        return _nested(lambda i, j: self._derivative(xc, tc, i, j)
+                       / (math.factorial(i) * math.factorial(j)), kx, kt)
 
-        def clip(u, dom, name):
-            lo, hi = dom
-            tol = 1e-9 * max(hi - lo, 1.0)
-            if np.any(u < lo - tol) or np.any(u > hi + tol):
-                raise DomainError(f"sample evaluation outside [{lo!r}, {hi!r}] in {name}")
-            return np.clip(u, lo, hi)
-
-        xc = clip(xb, self.x_domain, "x")
-        tc = clip(tb, self.t_domain, "t")
-        flat = self.spline(np.ravel(xc), np.ravel(tc), grid=False)
-        return np.asarray(flat, dtype=float).reshape(np.shape(xc))
-
-    def smoothness(self, var):
-        return self.budgets[var]
-
-    def _diff_once(self, var):
-        dx, dy = (1, 0) if var == "x" else (0, 1)
-        budgets = dict(self.budgets)
-        budgets[var] -= 1
-        return _RectSplineFunction(self.spline.partial_derivative(dx, dy),
-                                   self.x_domain, self.t_domain, budgets)
+    def smoothness(self, var, kx=0, kt=0):
+        return self.budgets[var] - (kx if var == "x" else kt)
 
 
 # ---------------------------------------------------------------------------
-# Combinators (exact differentiation rules for solver-side transformations)
+# Combinators (solver-side changes of variables; each is one line of jet
+# arithmetic, so derivatives of the transformed data stay exact)
 # ---------------------------------------------------------------------------
 
 
@@ -777,17 +788,14 @@ def _min_budget(values):
 class SummedFunction(FunctionSpec):
     parts: tuple
 
-    def _evaluate(self, x, t):
+    def _jet(self, x, t, kx, kt):
         total = 0.0
         for p in self.parts:
-            total = total + p._evaluate(x, t)
+            total = total + p._jet(x, t, kx, kt)
         return total
 
-    def smoothness(self, var):
-        return _min_budget([p.smoothness(var) for p in self.parts])
-
-    def _diff_once(self, var):
-        return SummedFunction(tuple(p._diff_once(var) for p in self.parts))
+    def smoothness(self, var, kx=0, kt=0):
+        return _min_budget([p.smoothness(var, kx, kt) for p in self.parts])
 
 
 @dataclass
@@ -795,14 +803,11 @@ class ScaledFunction(FunctionSpec):
     base: FunctionSpec
     factor: float
 
-    def _evaluate(self, x, t):
-        return self.factor * self.base._evaluate(x, t)
+    def _jet(self, x, t, kx, kt):
+        return self.factor * self.base._jet(x, t, kx, kt)
 
-    def smoothness(self, var):
-        return self.base.smoothness(var)
-
-    def _diff_once(self, var):
-        return ScaledFunction(self.base._diff_once(var), self.factor)
+    def smoothness(self, var, kx=0, kt=0):
+        return self.base.smoothness(var, kx, kt)
 
 
 @dataclass
@@ -814,18 +819,19 @@ class ExpWeightedFunction(FunctionSpec):
     coef_t: float = 0.0
     offset: float = 0.0
 
-    def _evaluate(self, x, t):
-        w = np.exp(self.offset + self.coef_x * x + self.coef_t * t)
-        return w * self.base._evaluate(x, t)
+    def _jet(self, x, t, kx, kt):
+        # Terms with a zero coefficient are left out, so that a constant
+        # weight stays a scalar instead of a full (x, t) grid.
+        arg = self.offset
+        for coef, var in zip((self.coef_x, self.coef_t), _variables(x, t, kx, kt)):
+            if coef != 0.0:
+                arg = arg + coef * var
+        return _exp(arg) * self.base._jet(x, t, kx, kt)
 
-    def smoothness(self, var):
-        return self.base.smoothness(var)
-
-    def _diff_once(self, var):
-        coef = self.coef_x if var == "x" else self.coef_t
-        inner = SummedFunction((ScaledFunction(self.base, coef),
-                                self.base._diff_once(var)))
-        return ExpWeightedFunction(inner, self.coef_x, self.coef_t, self.offset)
+    def smoothness(self, var, kx=0, kt=0):
+        # By Leibniz's rule the partial involves every lower partial of base.
+        return _min_budget([self.base.smoothness(var, i, j)
+                            for i in range(kx + 1) for j in range(kt + 1)])
 
 
 @dataclass
@@ -835,14 +841,11 @@ class TimeShiftedFunction(FunctionSpec):
     base: FunctionSpec
     shift: float
 
-    def _evaluate(self, x, t):
-        return self.base._evaluate(x, np.asarray(t, dtype=float) - self.shift)
+    def _jet(self, x, t, kx, kt):
+        return self.base._jet(x, np.asarray(t, dtype=float) - self.shift, kx, kt)
 
-    def smoothness(self, var):
-        return self.base.smoothness(var)
-
-    def _diff_once(self, var):
-        return TimeShiftedFunction(self.base._diff_once(var), self.shift)
+    def smoothness(self, var, kx=0, kt=0):
+        return self.base.smoothness(var, kx, kt)
 
 
 @dataclass
@@ -851,16 +854,13 @@ class RampInXFunction(FunctionSpec):
 
     slope: FunctionSpec
 
-    def _evaluate(self, x, t):
-        return np.asarray(x, dtype=float) * self.slope._evaluate(x, t)
+    def _jet(self, x, t, kx, kt):
+        return _variables(x, t, kx, kt)[0] * self.slope._jet(x, t, kx, kt)
 
-    def smoothness(self, var):
-        return self.slope.smoothness(var)
-
-    def _diff_once(self, var):
-        if var == "x":
-            return self.slope
-        return RampInXFunction(self.slope._diff_once(var))
+    def smoothness(self, var, kx=0, kt=0):
+        # d^kx/dx^kx (x slope) = x slope^(kx) + kx slope^(kx - 1).
+        return _min_budget([self.slope.smoothness(var, i, kt)
+                            for i in range(max(kx - 1, 0), kx + 1)])
 
 
 def fs_sum(*parts):

@@ -248,6 +248,9 @@ class ModeSystem:
         return rows
 
 
+_PROJECT_BLOCK = 32
+
+
 def build_modes(rp, basis, quad=None, hist_samples=129, path_samples=None):
     """Project the reduced problem onto the sine basis."""
     if quad is None:
@@ -262,17 +265,17 @@ def build_modes(rp, basis, quad=None, hist_samples=129, path_samples=None):
     pts, wts, sin_table = sine_projection_rule(basis, quad)
     weight = (2.0 / rp.length) * wts
 
+    def project(spec, times):
+        # Blocks of time columns bound the (points x times) grids held at once.
+        out = np.empty((basis.n_modes, times.size))
+        for lo in range(0, times.size, _PROJECT_BLOCK):
+            cols = times[lo:lo + _PROJECT_BLOCK]
+            grid = np.asarray(spec(pts[:, None], cols[None, :]), float)
+            out[:, lo:lo + cols.size] = sin_table @ (weight[:, None] * grid)
+        return out
+
     hist_times = np.linspace(-rp.tau, 0.0, hist_samples)
-    phi_grid = np.asarray(rp.shifted_initial(pts[:, None], hist_times[None, :]), float)
-    phi_t = rp.shifted_initial.differentiate("t")
-    phi_prime_grid = np.asarray(phi_t(pts[:, None], hist_times[None, :]), float)
-
     forcing_times = np.linspace(0.0, rp.horizon, path_samples)
-    f_grid = np.asarray(rp.forcing(pts[:, None], forcing_times[None, :]), float)
-    f_t = rp.forcing.differentiate("t")
-    f_prime_grid = np.asarray(f_t(pts[:, None], forcing_times[None, :]), float)
-
-    project = lambda grid: sin_table @ (weight[:, None] * grid)
     lam1 = basis.eigenvalues() * rp.a1**2
     lam2 = basis.eigenvalues() * rp.a2**2
     ms = ModeSystem(
@@ -282,11 +285,11 @@ def build_modes(rp, basis, quad=None, hist_samples=129, path_samples=None):
         ode_a=rp.c1 - lam1,
         ode_b=rp.c2 - lam2,
         hist_times=hist_times,
-        phi_samples=project(phi_grid),
-        phi_prime_samples=project(phi_prime_grid),
+        phi_samples=project(rp.shifted_initial, hist_times),
+        phi_prime_samples=project(rp.shifted_initial.differentiate("t"), hist_times),
         forcing_times=forcing_times,
-        forcing_samples=project(f_grid),
-        forcing_prime_samples=project(f_prime_grid),
+        forcing_samples=project(rp.forcing, forcing_times),
+        forcing_prime_samples=project(rp.forcing.differentiate("t"), forcing_times),
     )
     rp._cache[key] = ms
     return ms

@@ -17,6 +17,7 @@ from delayheat import (
     build_modes,
     check_compatibility,
     check_decay_conditions,
+    check_endpoint_conditions,
     check_problem,
     parse_function,
     reduce_delay,
@@ -161,6 +162,18 @@ def test_endpoint_identities_detect_boundary_violations():
     assert by_name["initial_trace"]["status"] == "pass"
     assert by_name["initial_x2_t0"]["status"] == "fail"
     assert by_name["initial_x2_t0"]["residual"] == pytest.approx(2.0, rel=1e-9)
+
+
+def test_quotient_profile_verifies_its_high_order_identities():
+    # The delay_smooth_sweep problem with a sharper quotient profile: its even
+    # x-derivatives vanish at 0 and pi, so the order-8 identity holds.
+    # Evaluating it must not degenerate into a zero divisor.
+    p = _delay(d2=-0.4, tau=0.5, horizon=1.0, psi="sin(x) / (1.05 - cos(x))")
+    by_name = {entry["name"]: entry for entry in check_endpoint_conditions(p)}
+    entry = by_name["initial_x8_t0"]
+    assert entry["status"] == "pass"
+    assert isinstance(entry["residual"], float)
+    assert entry["residual"] <= entry["tol"]
 
 
 def test_sampled_history_reports_unverifiable_not_failed():

@@ -1,7 +1,9 @@
 """Expression grammar, evaluation, differentiation, and sampled fallbacks."""
 
 import math
+import operator
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -147,6 +149,72 @@ def test_abs_derivative_away_from_kink():
     assert df(0.0, 0.0) == pytest.approx(-1.0)
 
 
+_MP_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow}
+
+
+def _mp_eval(node, x, t):
+    """Evaluate an AST in mpmath arithmetic (reference for derivatives)."""
+    if isinstance(node, Num):
+        return mpmath.mpf(node.value)
+    if isinstance(node, Var):
+        return x if node.name == "x" else t
+    if isinstance(node, Const):
+        return {"pi": mpmath.pi}[node.name]
+    if isinstance(node, Neg):
+        return -_mp_eval(node.operand, x, t)
+    if isinstance(node, Call):
+        fn = mpmath.fabs if node.fn == "abs" else getattr(mpmath, node.fn)
+        return fn(_mp_eval(node.arg, x, t))
+    return _MP_OPS[node.op](_mp_eval(node.left, x, t), _mp_eval(node.right, x, t))
+
+
+def _partial(spec, steps):
+    for var, order in steps:
+        spec = spec.differentiate(var, order)
+    return spec
+
+
+@pytest.mark.parametrize("src", [
+    "sin(2*x + x*t)",
+    "cos(x*t - x/2)",
+    "exp(x*t/2 - x)",
+    "log(2 + x*t + x^2)",
+    "sqrt(3 + x*t - x/4)",
+    "abs(cos(x*t) - 2)",
+    "x / (1.5 + cos(x*t))",
+    "(1 + x^2)^1.5 * t^3",
+    "(1 + x)^(t + 0.5)",
+])
+@pytest.mark.parametrize("steps", [
+    [("x", 2)] * 4,                  # d^8/dx^8
+    [("x", 2), ("t", 2)],            # d^4/dx^2 dt^2
+], ids=["x8", "x2t2"])
+def test_high_order_and_mixed_derivatives_match_mpmath(src, steps):
+    x0, t0 = 0.7, 0.4
+    orders = (sum(k for v, k in steps if v == "x"), sum(k for v, k in steps if v == "t"))
+    ast = parse_expression(src)
+    with mpmath.workdps(30):
+        ref = float(mpmath.diff(lambda x, t: _mp_eval(ast, x, t),
+                                (mpmath.mpf(x0), mpmath.mpf(t0)), orders))
+    got = _partial(parse_function(src), steps)(x0, t0)
+    assert got == pytest.approx(ref, rel=1e-12, abs=1e-20)
+
+
+def test_combinator_chain_derivative_at_order_twelve_matches_closed_form():
+    # exp(0.1 + 0.5 x - 0.2 t) * x * sin(2 x + (t - 0.3)) = Im(x e^{c x} e^{w})
+    # with c = 0.5 + 2i, w = 0.1 - 0.2 t + i (t - 0.3); and
+    # d^n/dx^n (x e^{c x}) = (c^n x + n c^(n-1)) e^{c x}.
+    spec = fs_exp_weight(fs_ramp_x(fs_time_shift(parse_function("sin(2*x + t)"), 0.3)),
+                         coef_x=0.5, coef_t=-0.2, offset=0.1)
+    d12 = _partial(spec, [("x", 2)] * 6)
+    c, n = 0.5 + 2j, 12
+    for x, t in [(0.0, 0.0), (0.9, 0.4), (2.5, -0.7)]:
+        w = 0.1 - 0.2 * t + 1j * (t - 0.3)
+        exact = ((c**n * x + n * c ** (n - 1)) * np.exp(c * x + w)).imag
+        assert d12(x, t) == pytest.approx(exact, rel=1e-12, abs=1e-12 * abs(c) ** n)
+
+
 # --------------------------------------------------------- domain errors
 
 @pytest.mark.parametrize("src, x", [
@@ -218,6 +286,17 @@ def test_sampled_2d_eval_and_derivatives():
     d2x = s.differentiate("x", 2)
     with pytest.raises(UnsupportedOperationError):
         d2x.differentiate("x", 1)
+
+
+def test_partials_that_vanish_do_not_spend_a_sampled_budget():
+    # x * slope(t) with a linearly interpolated slope: d2/dx2 vanishes
+    # identically, so every t-derivative of it is available, while d/dx is
+    # the slope itself and keeps the slope's t budget.
+    pts = np.linspace(0.0, 1.0, 9)
+    ramp = fs_ramp_x(Sampled1DFunction(var="t", points=pts, values=pts, kind="linear"))
+    assert ramp.differentiate("x", 2).differentiate("t", 2)(0.5, 0.5) == 0.0
+    with pytest.raises(UnsupportedOperationError):
+        ramp.differentiate("x", 1).differentiate("t", 2)
 
 
 def test_sampled_domain_clipping_tolerance():
