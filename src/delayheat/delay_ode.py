@@ -32,8 +32,10 @@ Two evaluators share these formulas:
   dt = tau / m (the method of steps).  There every kink falls on a multiple
   of dt, so one fixed set of dt-wide panels serves all output times, and
   both integrals become Toeplitz sums over one table of K per trajectory.
-  The field solvers use this path; the per-point functions remain the
-  reference it is tested against and serve ``dde solve``.
+  Without lag coupling (b = 0) K is a pure exponential, and the sum is a
+  one-term recursion over the panels instead, O(n) per trajectory rather
+  than O(n^2).  The field solvers use this path; the per-point functions
+  remain the reference it is tested against and serve ``dde solve``.
 """
 
 from __future__ import annotations
@@ -248,6 +250,9 @@ def solve_on_grid(params, history, rho, steps_per_tau, n_steps, quad=None):
     sub-panels halved agree with the previous level to
     ``abs_tol + 1e-14 * |x|`` at every output time.  Raises
     :class:`QuadratureError` after ``max_panel_splits`` halvings otherwise.
+    When b == 0, K((k - c) dt) = exp(a dt)^(k - 1 + m) K((1 - m - c) dt), so
+    each output is the previous one times exp(a dt) plus its newest panel,
+    and only the first row of the table is needed.
     """
     if quad is None:
         quad = QuadratureConfig()
@@ -265,6 +270,14 @@ def solve_on_grid(params, history, rho, steps_per_tau, n_steps, quad=None):
         beta_start = float(np.asarray(history.beta(-tau), dtype=float))
         head = kernel(params, dt * np.arange(1, n_steps + 1)) * beta_start
     lags = np.arange(1 - m, n_steps + 1)
+    if params.b == 0.0:
+        # Only K's leading exponential is left.  The kernel's overflow check,
+        # applied to the trajectory's largest argument, keeps the recursion
+        # from overflowing silently.
+        lags = lags[:1]
+        if a * (tau + n_steps * dt) > _MAX_EXP_ARG:
+            raise NumericError("delay kernel overflow (a * xi too large)")
+        decay = math.exp(a * dt)
 
     def level_value(edges):
         offsets, weights = panel_nodes(edges, quad.nodes_per_panel)
@@ -277,6 +290,14 @@ def solve_on_grid(params, history, rho, steps_per_tau, n_steps, quad=None):
             s = dt * (np.arange(n_steps)[:, None] + offsets[None, :])
             data[m:] = _sample(rho, s)
         data *= dt * weights
+        if params.b == 0.0:
+            # z_r sums panels p <= r: z_r = exp(a dt) z_(r-1) + panel r, and
+            # x(t_j) = z_(j + m - 1).
+            z, acc = [], 0.0
+            for contribution in (data @ table[0]).tolist():
+                acc = decay * acc + contribution
+                z.append(acc)
+            return head + np.array(z[m:])
         x = head.copy()
         # Row i holds k = i + 1 - m and links panel p = j - k to output j >= 1.
         # Rows that underflowed to exact zeros (stiff modes) add nothing.

@@ -2,8 +2,11 @@
 
 CSV schema: header ``x,t,v`` (plus a ``u`` column when a change of variables
 was applied and the reduced-frame values are available), rows ordered t-major
-then x, floats printed with 17 significant digits.  The writer is fully
-deterministic: the same field always produces byte-identical output.
+then x, floats printed with 17 significant digits (``%.17g``).  The writer
+streams the file in blocks of whole time rows, one ``%`` format call per
+block, so it never holds the full text in memory; the blocking does not
+change the bytes.  The writer is fully deterministic: the same field always
+produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -15,6 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
+
+# Cells (CSV rows) formatted per block: the writer holds one block of text at
+# a time, never the whole file.
+_CSV_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -86,18 +93,25 @@ class SolutionField:
                 raise InputError("u must have the same shape as v")
 
     def write_csv(self, path):
-        cols = "x,t,v,u" if self.u is not None else "x,t,v"
-        lines = [cols]
-        for j in range(self.t.size):
-            tj = self.t[j]
-            for i in range(self.x.size):
-                row = f"{self.x[i]:.17g},{tj:.17g},{self.v[j, i]:.17g}"
-                if self.u is not None:
-                    row += f",{self.u[j, i]:.17g}"
-                lines.append(row)
+        """Write the field as CSV (see the module docstring for the schema)."""
+        planes = [self.v] if self.u is None else [self.v, self.u]
+        width = 1 + len(planes)
+        xs = ["%.17g" % x for x in self.x.tolist()]
+        nx = len(xs)
+        rows_per_block = max(1, _CSV_BLOCK_CELLS // nx)
+        # Each time row's template carries its own t string, so t is
+        # formatted once per row and a block is one C-level % call.
+        tail = ",%.17g" * len(planes) + "\n"
+        row_templates = ["%s," + ("%.17g" % t) + tail for t in self.t.tolist()]
         with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines))
-            fh.write("\n")
+            fh.write("x,t,v,u\n" if self.u is not None else "x,t,v\n")
+            for j0 in range(0, len(row_templates), rows_per_block):
+                rows = row_templates[j0:j0 + rows_per_block]
+                args = [None] * (len(rows) * nx * width)
+                args[0::width] = xs * len(rows)
+                for col, plane in enumerate(planes, 1):
+                    args[col::width] = plane[j0:j0 + len(rows)].ravel().tolist()
+                fh.write("".join(tpl * nx for tpl in rows) % tuple(args))
 
     def write_meta(self, path):
         payload = dict(self.meta)

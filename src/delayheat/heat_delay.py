@@ -39,7 +39,7 @@ the output grid at once with :func:`delayheat.delay_ode.solve_on_grid`;
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -81,6 +81,8 @@ class DelayHeatProblem:
     psi: FunctionSpec       # initial segment, function of (x, t) on [-tau, 0]
     theta1: FunctionSpec
     theta2: FunctionSpec
+    # (field values, ReducedDelayProblem) of the last reduce_delay call.
+    _reduced: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("a1", "a2", "b1", "b2", "d1", "d2", "tau", "length", "horizon"):
@@ -122,7 +124,16 @@ class ReducedDelayProblem:
 
 
 def reduce_delay(p):
-    """Apply the drift-removing weight; rejects non-proportional drift pairs."""
+    """Apply the drift-removing weight; rejects non-proportional drift pairs.
+
+    The reduction is kept on ``p`` and returned again while no field of ``p``
+    has been reassigned, so the compat checks and the solve of one problem
+    share it, and with it the projections :func:`build_modes` caches.
+    """
+    inputs = tuple(getattr(p, f.name) for f in fields(p) if f.init)
+    if p._reduced is not None and all(
+            a is b for a, b in zip(p._reduced[0], inputs)):
+        return p._reduced[1]
     lhs = p.b1 * p.a2**2
     rhs = p.b2 * p.a1**2
     scale = max(abs(lhs), abs(rhs), 1.0)
@@ -150,7 +161,7 @@ def reduce_delay(p):
         fs_scale(lift, c1),
         fs_scale(fs_time_shift(lift, p.tau), c2),
     )
-    return ReducedDelayProblem(
+    rp = ReducedDelayProblem(
         a1=p.a1,
         a2=p.a2,
         c1=c1,
@@ -167,6 +178,8 @@ def reduce_delay(p):
         shifted_initial=shifted_initial,
         forcing=forcing,
     )
+    p._reduced = (inputs, rp)
+    return rp
 
 
 # ---------------------------------------------------------------------------
@@ -255,12 +268,12 @@ def build_modes(rp, basis, quad=None, hist_samples=129, path_samples=None):
     """Project the reduced problem onto the sine basis."""
     if quad is None:
         quad = QuadratureConfig()
+    if path_samples is None:
+        path_samples = max(257, 64 * int(math.ceil(rp.horizon / rp.tau)) + 1)
     key = ("modes", basis, quad, hist_samples, path_samples)
     cached = rp._cache.get(key)
     if cached is not None:
         return cached
-    if path_samples is None:
-        path_samples = max(257, 64 * int(math.ceil(rp.horizon / rp.tau)) + 1)
 
     pts, wts, sin_table = sine_projection_rule(basis, quad)
     weight = (2.0 / rp.length) * wts

@@ -29,8 +29,11 @@ On the output grid, u1 is the exact exponential.  u2_n is the forced
 solution of the delay ODE x' = -(pi n a / l)^2 x + F_n without lag coupling,
 so :func:`solve` evaluates it at all grid times at once with the same grid
 engine as the delay solver (:func:`delayheat.delay_ode.solve_on_grid`, with
-a delay of one time step).  :func:`solve_u2` keeps a per-point quadrature
-of the same integral, evaluable at any t.
+a delay of one time step).  With b = 0 the engine's kernel is the pure
+exponential exp(-(pi n a / l)^2 (t - s)), so it advances each trajectory by
+a one-term recursion, one step of decay plus the newest panel, in O(nt)
+rather than O(nt^2).  :func:`solve_u2` keeps a per-point quadrature of the
+same integral, evaluable at any t.
 """
 
 from __future__ import annotations

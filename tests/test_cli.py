@@ -229,6 +229,24 @@ def test_compare_reports_small_difference(tmp_path, capsys):
     assert "sup difference" in capsys.readouterr().out
 
 
+def test_compare_projects_a_delay_problem_once(tmp_path, monkeypatch):
+    # The compat gate and the solve share one reduction of the problem, so
+    # with the 16 modes the gate's decay screen needs, one projection serves
+    # both.
+    from delayheat import heat_delay
+
+    rule = heat_delay.sine_projection_rule
+    calls = []
+    monkeypatch.setattr(heat_delay, "sine_projection_rule",
+                        lambda *args: calls.append(args) or rule(*args))
+    cfg = _delay_config(tmp_path,
+                        solver={"modes": 16, "nx": 20, "nt_per_tau": 8})
+    code = main(["compare", "--config", cfg,
+                 "--out-report", str(tmp_path / "cmp.json")])
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_compare_outputs_are_deterministic(tmp_path):
     cfg = _delay_config(tmp_path)
     paths = {}

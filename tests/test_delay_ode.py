@@ -18,7 +18,7 @@ from delayheat.delay_ode import (
     superpose,
 )
 from delayheat.delayed_exp import DelayedExpParams, delayed_exp_eval
-from delayheat.errors import DomainError, InputError, QuadratureError
+from delayheat.errors import DomainError, InputError, NumericError, QuadratureError
 from delayheat.quadrature import QuadratureConfig
 from delayheat.funcspec import parse_function
 
@@ -125,7 +125,7 @@ def test_grid_engine_matches_per_time_solution(a, b, tau, forced):
     np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-10)
 
 
-@pytest.mark.parametrize("b", [-160.0, 160.0])
+@pytest.mark.parametrize("b", [-160.0, 0.0, 160.0])
 def test_grid_engine_on_stiff_mode_matches_exact_method_of_steps(b):
     # |a| tau = 662: a high sine mode of the delayed heat equation.
     a, tau = -1325.0, 0.5
@@ -158,6 +158,15 @@ def test_grid_engine_raises_when_refinement_budget_is_exhausted():
     no_splits = QuadratureConfig(max_panel_splits=0)
     with pytest.raises(QuadratureError):
         solve_on_grid(params, history, None, 2, 6, no_splits)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_grid_engine_raises_on_kernel_overflow(b):
+    # a (tau + t_n) = 1100 is beyond exp's float range: the b = 0 recursion
+    # must refuse as the kernel table does, not return inf.
+    params = DelayOdeParams(a=100.0, b=b, tau=1.0)
+    with pytest.raises(NumericError):
+        solve_on_grid(params, None, lambda s: np.ones_like(s), 2, 20)
 
 
 def test_forced_matches_stepping_oracle():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import delayheat.field as field_module
 from delayheat import (
     GridSpec,
     InputError,
@@ -133,6 +134,49 @@ def test_csv_writes_are_deterministic(tmp_path):
     field.write_csv(p1)
     field.write_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _per_row_csv(field):
+    """The row-at-a-time writer the block writer replaced: the reference."""
+    cols = "x,t,v,u" if field.u is not None else "x,t,v"
+    lines = [cols]
+    for j in range(field.t.size):
+        tj = field.t[j]
+        for i in range(field.x.size):
+            row = f"{field.x[i]:.17g},{tj:.17g},{field.v[j, i]:.17g}"
+            if field.u is not None:
+                row += f",{field.u[j, i]:.17g}"
+            lines.append(row)
+    return ("\n".join(lines) + "\n").encode()
+
+
+# Values where %.17g and repr differ or formatting has edge cases.
+_AWKWARD = [-0.0, 5e-324, 2.2250738585072014e-309, 1e300, -1e300, 3.0, 1e16,
+            -7.0, 0.1, 1.0 / 3.0]
+
+
+@pytest.mark.parametrize("nx, n_times, with_u, block", [
+    (400, 101, False, None),   # 40 time rows per block: blocks of 40, 40, 21
+    (400, 101, True, None),
+    (12, 1, False, None),      # a single time row
+    (12, 1, True, None),
+    (6, 9, True, 16),          # 2 time rows per block, odd row count
+    (6, 5, False, 3),          # block smaller than a time row
+])
+def test_block_writer_matches_per_row_writer(tmp_path, monkeypatch, nx,
+                                             n_times, with_u, block):
+    if block is not None:
+        monkeypatch.setattr(field_module, "_CSV_BLOCK_CELLS", block)
+    rng = np.random.default_rng(nx + n_times)
+    x = np.linspace(0.0, 1.0, nx + 1)
+    t = np.linspace(-0.5, 1.5, n_times)
+    v = rng.standard_normal((n_times, nx + 1)) * 10.0 ** rng.integers(-8, 8)
+    v.flat[:len(_AWKWARD)] = _AWKWARD
+    u = -np.flip(v) if with_u else None
+    field = SolutionField(x=x, t=t, v=v, u=u)
+    path = tmp_path / "field.csv"
+    field.write_csv(path)
+    assert path.read_bytes() == _per_row_csv(field)
 
 
 def test_meta_sidecar(tmp_path):

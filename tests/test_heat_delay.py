@@ -61,6 +61,18 @@ def test_proportional_drift_is_accepted():
     assert rp.c2 == pytest.approx(0.25 * 0.16 + 0.2 * (-0.4) - 0.3)
 
 
+def test_reduction_is_shared_until_a_field_is_reassigned():
+    p = _problem(d2=-0.5)
+    rp = reduce_delay(p)
+    basis = EigenBasis(p.length, 4)
+    assert reduce_delay(p) is rp
+    assert build_modes(reduce_delay(p), basis) is build_modes(rp, basis)
+    p.d2 = -0.25
+    fresh = reduce_delay(p)
+    assert fresh is not rp
+    assert fresh.c2 == pytest.approx(-0.25)
+
+
 def test_vanishing_lagged_diffusion_is_fine():
     p = _problem(a1=1.0, a2=0.0, b1=0.6, b2=0.0, d2=-0.5)
     rp = reduce_delay(p)
