@@ -196,11 +196,8 @@ def _solve_field(cfg, modes=None):
     s = cfg.solver
     basis = _basis_for(cfg, modes)
     grid = _grid_for(cfg)
-    if isinstance(cfg.problem, DelayHeatProblem):
-        return solve_delay(cfg.problem, basis, grid, s.quadrature,
-                           path_samples=s.path_samples)
-    return solve_nodelay(cfg.problem, basis, grid, s.quadrature,
-                         path_samples=s.path_samples or 257)
+    solve = solve_delay if isinstance(cfg.problem, DelayHeatProblem) else solve_nodelay
+    return solve(cfg.problem, basis, grid, s.quadrature, path_samples=s.path_samples)
 
 
 def _fd_field(cfg):

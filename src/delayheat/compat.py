@@ -154,8 +154,6 @@ def check_decay_conditions(ms, m=None, delta=0.5, fit_slack=0.25):
 
     Needs at least 16 modes for the tail fits to mean anything.
     """
-    from scipy.interpolate import CubicSpline
-
     if ms.basis.n_modes < 16:
         raise InsufficientDataError(
             f"decay proxies need at least 16 modes, got {ms.basis.n_modes}")
@@ -166,16 +164,13 @@ def check_decay_conditions(ms, m=None, delta=0.5, fit_slack=0.25):
     phi_start = _floor_small(np.abs(ms.phi_samples[:, 0]))
     seq1 = n ** (2 * m + 3 + delta) * phi_start
 
-    # Phi_n'' from second differentiation of the Phi path; evaluated on a
-    # refined grid so interior extremes are caught.
+    # Phi_n'' from second differentiation of the fitted Phi paths; evaluated
+    # on a refined grid so interior extremes are caught.
     fine = np.linspace(ms.hist_times[0], ms.hist_times[-1],
                        4 * ms.hist_times.size)
     phi_sup = _floor_small(np.max(np.abs(ms.phi_samples), axis=1))
     phi_prime_sup = _floor_small(np.max(np.abs(ms.phi_prime_samples), axis=1))
-    phi_second_sup = np.empty(n.size)
-    for i in range(n.size):
-        spline = CubicSpline(ms.hist_times, ms.phi_samples[i])
-        phi_second_sup[i] = float(np.max(np.abs(spline.derivative(2)(fine))))
+    phi_second_sup = np.max(np.abs(ms.phi_spline.derivative(2)(fine)), axis=1)
     # Curvature of a spline through data known only to roundoff is noise of
     # size ~eps/h^2; entries below that (relative to the path scale) are
     # indistinguishable from zero and must not feed the fit.

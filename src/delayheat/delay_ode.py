@@ -83,8 +83,8 @@ class HistoryFunction:
     """History segment beta on [-tau, 0] with its derivative.
 
     Both callables must accept numpy arrays.  ``beta_prime`` is either
-    supplied directly or produced by differentiating the expression / the
-    interpolating spline of the source data.
+    supplied directly (the solvers pass a spline of the projected derivative
+    data) or produced by differentiating an expression (:meth:`from_funcspec`).
     """
 
     beta: object
@@ -96,13 +96,6 @@ class HistoryFunction:
             raise InputError("from_funcspec expects a FunctionSpec")
         d = fs.differentiate("t", 1)
         return cls(beta=lambda s: fs(0.0, s), beta_prime=lambda s: d(0.0, s))
-
-    @classmethod
-    def from_samples(cls, points, values):
-        from scipy.interpolate import CubicSpline
-
-        spline = CubicSpline(np.asarray(points, float), np.asarray(values, float))
-        return cls(beta=spline, beta_prime=spline.derivative(1))
 
     @classmethod
     def from_callables(cls, beta, beta_prime):

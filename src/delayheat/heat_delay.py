@@ -50,7 +50,7 @@ from .delay_ode import (
     solve_on_grid,
     superpose,
 )
-from .errors import CompatibilityError, DomainError, InputError
+from .errors import CompatibilityError, InputError
 from .field import GridSpec, SolutionField
 from .funcspec import (
     FunctionSpec,
@@ -61,7 +61,8 @@ from .funcspec import (
     fs_time_shift,
 )
 from .quadrature import QuadratureConfig
-from .spectral import EigenBasis, sine_projection_rule
+from .spectral import (EigenBasis, fit_paths, mode_path, project_paths,
+                       sine_projection_rule)
 
 
 @dataclass
@@ -183,7 +184,7 @@ def reduce_delay(p):
 
 
 # ---------------------------------------------------------------------------
-# Mode system: per-mode delay-ODE coefficients and sampled coefficient paths
+# Mode system: per-mode delay-ODE coefficients and fitted coefficient paths
 # ---------------------------------------------------------------------------
 
 
@@ -195,7 +196,10 @@ class ModeSystem:
     history paths Phi_n and their derivative paths live on ``hist_times``
     (the derivative comes from projecting the differentiated history data,
     not from differencing the Phi_n samples); the forcing paths F_n and
-    F_n' live on ``forcing_times``.
+    F_n' live on ``forcing_times``.  Phi_n, Phi_n' and F_n are each fitted
+    once, as one vector-valued cubic spline per family (``phi_spline``,
+    ``phi_prime_spline``, ``forcing_spline``), which :meth:`mode_history`
+    and :meth:`mode_forcing` view one mode at a time; they fit nothing.
     """
 
     basis: EigenBasis
@@ -209,46 +213,31 @@ class ModeSystem:
     forcing_times: np.ndarray
     forcing_samples: np.ndarray     # (N, len(forcing_times))
     forcing_prime_samples: np.ndarray
-    _splines: dict = field(default_factory=dict, repr=False)
+    phi_spline: object = field(init=False, repr=False, compare=False)
+    phi_prime_spline: object = field(init=False, repr=False, compare=False)
+    forcing_spline: object = field(init=False, repr=False, compare=False)
 
-    def log_abs_scaled_delay_coeff(self, n):
-        """log |B_n exp(-L_n tau)| for mode n (1-based); -inf when B_n == 0."""
-        b = self.ode_b[n - 1]
-        if b == 0.0:
-            return -math.inf
-        return math.log(abs(b)) - self.ode_a[n - 1] * self.tau
-
-    def _spline(self, kind, n):
-        key = (kind, n)
-        sp = self._splines.get(key)
-        if sp is None:
-            from scipy.interpolate import CubicSpline
-
-            rows = {
-                "phi": (self.hist_times, self.phi_samples),
-                "phi_prime": (self.hist_times, self.phi_prime_samples),
-                "forcing": (self.forcing_times, self.forcing_samples),
-            }[kind]
-            sp = CubicSpline(rows[0], rows[1][n - 1])
-            self._splines[key] = sp
-        return sp
+    def __post_init__(self):
+        self.phi_spline = fit_paths(self.hist_times, self.phi_samples)
+        self.phi_prime_spline = fit_paths(self.hist_times, self.phi_prime_samples)
+        self.forcing_spline = fit_paths(self.forcing_times, self.forcing_samples)
 
     def mode_params(self, n):
         return DelayOdeParams(a=float(self.ode_a[n - 1]),
                               b=float(self.ode_b[n - 1]), tau=self.tau)
 
     def mode_history(self, n):
-        return HistoryFunction(beta=self._spline("phi", n),
-                               beta_prime=self._spline("phi_prime", n))
+        return HistoryFunction(beta=mode_path(self.phi_spline, n),
+                               beta_prime=mode_path(self.phi_prime_spline, n))
 
     def mode_forcing(self, n):
-        return self._spline("forcing", n)
+        return mode_path(self.forcing_spline, n)
 
     def diagnostics(self):
         """Per-mode table: rates, delayed-parameter log magnitude, path sizes."""
         rows = []
         for n in range(1, self.basis.n_modes + 1):
-            log_d = self.log_abs_scaled_delay_coeff(n)
+            log_d = self.mode_params(n).log_abs_scaled_delay_coeff()
             rows.append({
                 "n": n,
                 "ode_a": float(self.ode_a[n - 1]),
@@ -259,9 +248,6 @@ class ModeSystem:
                 "sup_forcing": float(np.max(np.abs(self.forcing_samples[n - 1]))),
             })
         return rows
-
-
-_PROJECT_BLOCK = 32
 
 
 def build_modes(rp, basis, quad=None, hist_samples=129, path_samples=None):
@@ -275,18 +261,8 @@ def build_modes(rp, basis, quad=None, hist_samples=129, path_samples=None):
     if cached is not None:
         return cached
 
-    pts, wts, sin_table = sine_projection_rule(basis, quad)
-    weight = (2.0 / rp.length) * wts
-
-    def project(spec, times):
-        # Blocks of time columns bound the (points x times) grids held at once.
-        out = np.empty((basis.n_modes, times.size))
-        for lo in range(0, times.size, _PROJECT_BLOCK):
-            cols = times[lo:lo + _PROJECT_BLOCK]
-            grid = np.asarray(spec(pts[:, None], cols[None, :]), float)
-            out[:, lo:lo + cols.size] = sin_table @ (weight[:, None] * grid)
-        return out
-
+    rule = sine_projection_rule(basis, quad)
+    project = lambda spec, times: project_paths(spec, times, rule, rp.length)
     hist_times = np.linspace(-rp.tau, 0.0, hist_samples)
     forcing_times = np.linspace(0.0, rp.horizon, path_samples)
     lam1 = basis.eigenvalues() * rp.a1**2

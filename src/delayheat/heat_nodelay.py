@@ -55,7 +55,8 @@ from .funcspec import (
     fs_sum,
 )
 from .quadrature import QuadratureConfig, composite_gauss, graded_breakpoints
-from .spectral import EigenBasis, sine_projection_rule
+from .spectral import (EigenBasis, fit_paths, mode_path, project_paths,
+                       sine_projection_rule)
 
 
 @dataclass
@@ -149,31 +150,28 @@ def reduce_problem(p):
 
 @dataclass
 class _ModeData:
+    """Phi_n, the decay rates, and one fit of every forcing path F_n."""
+
     initial_coeffs: np.ndarray      # Phi_n
     decay_rates: np.ndarray         # (pi n a / l)^2
-    forcing_splines: list           # per-mode cubic splines of F_n(t) on [0, T]
+    forcing_spline: object          # F_n(t) on [0, T]; see mode_path
 
 
-def _mode_data(rp, basis, quad, path_samples=257):
+def _mode_data(rp, basis, quad, path_samples=None):
+    if path_samples is None:
+        path_samples = 257
     key = (basis, quad, path_samples)
     cached = rp._cache.get(key)
     if cached is not None:
         return cached
-    from scipy.interpolate import CubicSpline
-
-    pts, wts, sin_table = sine_projection_rule(basis, quad)
-    weight = (2.0 / basis.length) * wts
-    phi_vals = np.asarray(rp.shifted_initial(pts, 0.0), dtype=float)
-    initial_coeffs = sin_table @ (weight * phi_vals)
-
+    rule = sine_projection_rule(basis, quad)
     ts = np.linspace(0.0, rp.horizon, path_samples)
-    f_grid = np.asarray(rp.forcing(pts[:, None], ts[None, :]), dtype=float)
-    f_paths = sin_table @ (weight[:, None] * f_grid)  # (N, path_samples)
-    splines = [CubicSpline(ts, f_paths[i]) for i in range(basis.n_modes)]
     data = _ModeData(
-        initial_coeffs=initial_coeffs,
+        initial_coeffs=project_paths(rp.shifted_initial, np.zeros(1), rule,
+                                     basis.length)[:, 0],
         decay_rates=basis.eigenvalues() * rp.a**2,
-        forcing_splines=splines,
+        forcing_spline=fit_paths(ts, project_paths(rp.forcing, ts, rule,
+                                                   basis.length)),
     )
     rp._cache[key] = data
     return data
@@ -217,8 +215,8 @@ def solve_u2(rp, basis, x, t, quad=None):
     _check_point(rp, x, t)
     data = _mode_data(rp, basis, quad)
     coeffs = np.array([
-        _duhamel_decay(data.decay_rates[i], data.forcing_splines[i], float(t), quad)
-        for i in range(basis.n_modes)
+        _duhamel_decay(rate, mode_path(data.forcing_spline, n), float(t), quad)
+        for n, rate in enumerate(data.decay_rates, 1)
     ])
     out = coeffs @ basis.eigenfunctions(x)
     return float(out[0]) if np.ndim(x) == 0 else out
@@ -230,7 +228,7 @@ def solve_u3(rp, x, t):
     return rp.lift(x, t)
 
 
-def solve(p, basis, grid=None, quad=None, path_samples=257):
+def solve(p, basis, grid=None, quad=None, path_samples=None):
     """Solve the full problem on a grid; returns a :class:`SolutionField`.
 
     The field carries both the reduced-frame values u and the original-frame
@@ -254,8 +252,8 @@ def solve(p, basis, grid=None, quad=None, path_samples=257):
     dt = grid.time_step(p.horizon)
     for i in range(basis.n_modes):
         params = DelayOdeParams(a=-float(data.decay_rates[i]), b=0.0, tau=dt)
-        traj[1:, i] += solve_on_grid(params, None, data.forcing_splines[i], 1,
-                                     grid.nt, quad)
+        rho = mode_path(data.forcing_spline, i + 1)
+        traj[1:, i] += solve_on_grid(params, None, rho, 1, grid.nt, quad)
     u = traj @ basis.eigenfunctions(x)
 
     # Boundary lift and return to the original frame.

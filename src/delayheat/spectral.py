@@ -5,6 +5,10 @@ eigenvalues (pi n / l)^2.  Projections use composite Gauss panels whose count
 scales with the highest requested mode (at least max(4, 2N) panels), then a
 panel-doubling check, so oscillatory integrands stay resolved.
 
+Projecting f(x, t) at shared sample times gives one coefficient path per
+mode (``project_paths``).  ``fit_paths`` fits a family of N paths as one
+vector-valued cubic spline; ``mode_path`` views mode n's curve of it.
+
 ``decay_fit`` estimates the algebraic decay rate of a coefficient sequence:
 least squares of log|c_n| against log n over the nonzero tail.  The fitted
 slope is the practical proxy this package uses for membership in the
@@ -65,6 +69,39 @@ def sine_projection_rule(basis, quad=None):
     edges = np.linspace(0.0, basis.length, panels + 1)
     pts, wts = panel_nodes(edges, quad.nodes_per_panel)
     return pts, wts, basis.eigenfunctions(pts)
+
+
+_PROJECT_BLOCK = 32
+
+
+def project_paths(spec, times, rule, length):
+    """Sine coefficients of spec(., t) at every t in ``times``: (N, len(times)).
+
+    ``rule`` is a :func:`sine_projection_rule`.  Blocks of ``_PROJECT_BLOCK``
+    time columns bound the (points x times) grids held at once.
+    """
+    pts, wts, sin_table = rule
+    weight = (2.0 / length) * wts
+    out = np.empty((sin_table.shape[0], times.size))
+    for lo in range(0, times.size, _PROJECT_BLOCK):
+        cols = times[lo:lo + _PROJECT_BLOCK]
+        grid = np.asarray(spec(pts[:, None], cols[None, :]), float)
+        out[:, lo:lo + cols.size] = sin_table @ (weight[:, None] * grid)
+    return out
+
+
+def fit_paths(times, paths):
+    """One cubic spline through every row of ``paths`` (N, len(times))."""
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline(times, paths, axis=1)
+
+
+def mode_path(spline, n):
+    """Mode n's (1-based) curve of a :func:`fit_paths` spline; fits nothing."""
+    from scipy.interpolate import PPoly
+
+    return PPoly(spline.c[..., n - 1], spline.x)
 
 
 def sine_coefficients(f, basis, quad=None):

@@ -247,6 +247,24 @@ def test_compare_projects_a_delay_problem_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_compare_fits_each_path_family_once(tmp_path, monkeypatch):
+    # The gate and the solve share one mode system, which fits each of its
+    # three path families (Phi_n, Phi_n', F_n) once for all 16 modes.
+    from scipy.interpolate import CubicSpline
+
+    init = CubicSpline.__init__
+    calls = []
+    monkeypatch.setattr(CubicSpline, "__init__",
+                        lambda self, *args, **kw: calls.append(args)
+                        or init(self, *args, **kw))
+    cfg = _delay_config(tmp_path,
+                        solver={"modes": 16, "nx": 20, "nt_per_tau": 8})
+    code = main(["compare", "--config", cfg,
+                 "--out-report", str(tmp_path / "cmp.json")])
+    assert code == 0
+    assert len(calls) == 3
+
+
 def test_compare_outputs_are_deterministic(tmp_path):
     cfg = _delay_config(tmp_path)
     paths = {}

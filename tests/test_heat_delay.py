@@ -214,6 +214,31 @@ def test_drift_weight_round_trip():
     np.testing.assert_allclose(field.v, frame * field.u, atol=1e-13)
 
 
+def test_mode_views_match_per_mode_fits_bitwise():
+    # Each path family is one vector-valued fit; mode n's view of it must be
+    # the spline a fit of row n alone gives, for every mode.
+    from scipy.interpolate import CubicSpline
+
+    p = _problem(d2=-0.5, tau=0.5, horizon=1.0,
+                 psi="(1 + t)*x*(l - x) + sin(2*x)*cos(3*t)",
+                 g="x*(l - x)*cos(2*t) + t*sin(5*x)")
+    ms = build_modes(reduce_delay(p), EigenBasis(p.length, 16))
+    rng = np.random.default_rng(5)
+    s_hist = np.sort(rng.uniform(-p.tau, 0.0, 200))
+    s_pos = np.sort(rng.uniform(0.0, p.horizon, 200))
+    assert np.ptp(ms.phi_samples[1]) > 0.1 and np.ptp(ms.forcing_samples[4]) > 0.1
+    second = ms.phi_spline.derivative(2)(s_hist)
+    for n in range(1, 17):
+        phi = CubicSpline(ms.hist_times, ms.phi_samples[n - 1])
+        phi_prime = CubicSpline(ms.hist_times, ms.phi_prime_samples[n - 1])
+        forcing = CubicSpline(ms.forcing_times, ms.forcing_samples[n - 1])
+        history = ms.mode_history(n)
+        assert np.array_equal(history.beta(s_hist), phi(s_hist))
+        assert np.array_equal(history.beta_prime(s_hist), phi_prime(s_hist))
+        assert np.array_equal(ms.mode_forcing(n)(s_pos), forcing(s_pos))
+        assert np.array_equal(second[n - 1], phi.derivative(2)(s_hist))
+
+
 # ---------------------------------------------------------------------------
 # Stiff modes: the scaled delayed parameter overflows, the solve does not
 # ---------------------------------------------------------------------------
