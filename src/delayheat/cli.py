@@ -53,7 +53,6 @@ from .field import GridSpec, field_difference_report
 from .funcspec import parse_function
 from .heat_delay import DelayHeatProblem, solve_delay
 from .heat_nodelay import solve as solve_nodelay
-from .oracle_fd import FdConfig, fd_solve_delay, fd_solve_nodelay
 from .spectral import EigenBasis
 
 EXIT_OK = 0
@@ -193,14 +192,15 @@ def _gate(cfg, override):
 
 
 def _solve_field(cfg, modes=None):
-    s = cfg.solver
-    basis = _basis_for(cfg, modes)
-    grid = _grid_for(cfg)
     solve = solve_delay if isinstance(cfg.problem, DelayHeatProblem) else solve_nodelay
-    return solve(cfg.problem, basis, grid, s.quadrature, path_samples=s.path_samples)
+    return solve(cfg.problem, _basis_for(cfg, modes), _grid_for(cfg),
+                 cfg.solver.quadrature)
 
 
 def _fd_field(cfg):
+    # The oracle, and scipy with it, loads only for compare and sweep.
+    from .oracle_fd import FdConfig, fd_solve_delay, fd_solve_nodelay
+
     s = cfg.solver
     if isinstance(cfg.problem, DelayHeatProblem):
         fd_cfg = FdConfig(nx=s.nx, nt_per_tau=s.nt_per_tau or 16)

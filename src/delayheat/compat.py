@@ -164,14 +164,14 @@ def check_decay_conditions(ms, m=None, delta=0.5, fit_slack=0.25):
     phi_start = _floor_small(np.abs(ms.phi_samples[:, 0]))
     seq1 = n ** (2 * m + 3 + delta) * phi_start
 
-    # Phi_n'' from second differentiation of the fitted Phi paths; evaluated
-    # on a refined grid so interior extremes are caught.
+    # Phi_n'' is the second derivative of the Hermite history paths,
+    # evaluated on a refined grid so interior extremes are caught.
     fine = np.linspace(ms.hist_times[0], ms.hist_times[-1],
                        4 * ms.hist_times.size)
     phi_sup = _floor_small(np.max(np.abs(ms.phi_samples), axis=1))
     phi_prime_sup = _floor_small(np.max(np.abs(ms.phi_prime_samples), axis=1))
-    phi_second_sup = np.max(np.abs(ms.phi_spline.derivative(2)(fine)), axis=1)
-    # Curvature of a spline through data known only to roundoff is noise of
+    phi_second_sup = np.max(np.abs(ms.history_paths(fine, 2)), axis=1)
+    # Curvature of a path through data known only to roundoff is noise of
     # size ~eps/h^2; entries below that (relative to the path scale) are
     # indistinguishable from zero and must not feed the fit.
     h = float(ms.hist_times[1] - ms.hist_times[0])
@@ -310,7 +310,7 @@ def check_problem(p, basis=None, quad=None, m=None, delta=0.5, fit_slack=0.25,
             decay_entry["status"] = "pass" if report.passed else "fail"
             if report.super_polynomial:
                 decay_entry["detail"] = "super-polynomial decay"
-        except Exception:
+        except InsufficientDataError:
             mags = np.abs(coeffs)
             tail = mags[mags.size // 2:]
             if float(tail.max(initial=0.0)) <= _FLOOR_REL * float(mags.max(initial=0.0)):

@@ -21,7 +21,6 @@ A run is described by one JSON object::
       },
       "solver": {
         "modes": 64, "nx": 200, "nt": null, "nt_per_tau": 16,
-        "path_samples": null,
         "quadrature": {"nodes_per_panel": 16, "max_panel_splits": 8,
                        "abs_tol": 1e-10}
       },
@@ -71,7 +70,6 @@ class SolverSettings:
     nx: int = 200
     nt: int = None
     nt_per_tau: int = 16
-    path_samples: int = None
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
 
 
@@ -231,8 +229,8 @@ def solver_from_dict(data):
     if not isinstance(data, dict):
         raise ConfigError("'solver' must be an object")
     where = "solver"
-    _reject_unknown(data, ("modes", "nx", "nt", "nt_per_tau", "path_samples",
-                           "quadrature"), where)
+    _reject_unknown(data, ("modes", "nx", "nt", "nt_per_tau", "quadrature"),
+                    where)
     quad_data = data.get("quadrature")
     if quad_data is None:
         quad = QuadratureConfig()
@@ -256,7 +254,6 @@ def solver_from_dict(data):
         nx=200 if nx is None else nx,
         nt=_int_or_none(data, "nt", None, where),
         nt_per_tau=_int_or_none(data, "nt_per_tau", 16, where),
-        path_samples=_int_or_none(data, "path_samples", None, where),
         quadrature=quad,
     )
     if settings.modes < 1:

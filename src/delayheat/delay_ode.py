@@ -83,8 +83,9 @@ class HistoryFunction:
     """History segment beta on [-tau, 0] with its derivative.
 
     Both callables must accept numpy arrays.  ``beta_prime`` is either
-    supplied directly (the solvers pass a spline of the projected derivative
-    data) or produced by differentiating an expression (:meth:`from_funcspec`).
+    supplied directly (the series solver passes the derivative of the mode's
+    Hermite history path, :meth:`delayheat.heat_delay.ModeSystem.mode_history`)
+    or produced by differentiating an expression (:meth:`from_funcspec`).
     """
 
     beta: object

@@ -61,7 +61,7 @@ from .funcspec import (
     fs_time_shift,
 )
 from .quadrature import QuadratureConfig
-from .spectral import (EigenBasis, fit_paths, mode_path, project_paths,
+from .spectral import (EigenBasis, HermitePaths, project_paths,
                        sine_projection_rule)
 
 
@@ -184,7 +184,7 @@ def reduce_delay(p):
 
 
 # ---------------------------------------------------------------------------
-# Mode system: per-mode delay-ODE coefficients and fitted coefficient paths
+# Mode system: per-mode delay-ODE coefficients and coefficient paths
 # ---------------------------------------------------------------------------
 
 
@@ -193,13 +193,14 @@ class ModeSystem:
     """Per-mode scalar delay ODEs with sampled coefficient paths.
 
     ``ode_a``/``ode_b`` are the instantaneous/lagged rates (L_n, B_n).  The
-    history paths Phi_n and their derivative paths live on ``hist_times``
-    (the derivative comes from projecting the differentiated history data,
-    not from differencing the Phi_n samples); the forcing paths F_n and
-    F_n' live on ``forcing_times``.  Phi_n, Phi_n' and F_n are each fitted
-    once, as one vector-valued cubic spline per family (``phi_spline``,
-    ``phi_prime_spline``, ``forcing_spline``), which :meth:`mode_history`
-    and :meth:`mode_forcing` view one mode at a time; they fit nothing.
+    history paths Phi_n and their slopes Phi_n' live on ``hist_times``; the
+    forcing paths F_n and their slopes F_n' on ``forcing_times``.  Slopes
+    are projections of the t-differentiated data, not differences of the
+    samples.  Each family is one :class:`~delayheat.spectral.HermitePaths`
+    of its samples and slopes (``history_paths``, ``forcing_paths``), which
+    :meth:`mode_history` and :meth:`mode_forcing` view one mode at a time.
+    beta_n' is the derivative of the beta_n path itself, so the two always
+    agree.
     """
 
     basis: EigenBasis
@@ -213,25 +214,25 @@ class ModeSystem:
     forcing_times: np.ndarray
     forcing_samples: np.ndarray     # (N, len(forcing_times))
     forcing_prime_samples: np.ndarray
-    phi_spline: object = field(init=False, repr=False, compare=False)
-    phi_prime_spline: object = field(init=False, repr=False, compare=False)
-    forcing_spline: object = field(init=False, repr=False, compare=False)
+    history_paths: HermitePaths = field(init=False, repr=False, compare=False)
+    forcing_paths: HermitePaths = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.phi_spline = fit_paths(self.hist_times, self.phi_samples)
-        self.phi_prime_spline = fit_paths(self.hist_times, self.phi_prime_samples)
-        self.forcing_spline = fit_paths(self.forcing_times, self.forcing_samples)
+        self.history_paths = HermitePaths(self.hist_times, self.phi_samples,
+                                          self.phi_prime_samples)
+        self.forcing_paths = HermitePaths(self.forcing_times, self.forcing_samples,
+                                          self.forcing_prime_samples)
 
     def mode_params(self, n):
         return DelayOdeParams(a=float(self.ode_a[n - 1]),
                               b=float(self.ode_b[n - 1]), tau=self.tau)
 
     def mode_history(self, n):
-        return HistoryFunction(beta=mode_path(self.phi_spline, n),
-                               beta_prime=mode_path(self.phi_prime_spline, n))
+        beta = self.history_paths.row(n)
+        return HistoryFunction(beta=beta, beta_prime=lambda s: beta(s, 1))
 
     def mode_forcing(self, n):
-        return mode_path(self.forcing_spline, n)
+        return self.forcing_paths.row(n)
 
     def diagnostics(self):
         """Per-mode table: rates, delayed-parameter log magnitude, path sizes."""
@@ -250,20 +251,23 @@ class ModeSystem:
         return rows
 
 
-def build_modes(rp, basis, quad=None, hist_samples=129, path_samples=None):
-    """Project the reduced problem onto the sine basis."""
+def build_modes(rp, basis, quad=None):
+    """Project the reduced problem onto the sine basis.
+
+    Phi_n and Phi_n' are sampled at 129 times on [-tau, 0]; F_n and F_n' at
+    max(257, 64 ceil(T / tau) + 1) times on [0, T].
+    """
     if quad is None:
         quad = QuadratureConfig()
-    if path_samples is None:
-        path_samples = max(257, 64 * int(math.ceil(rp.horizon / rp.tau)) + 1)
-    key = ("modes", basis, quad, hist_samples, path_samples)
+    path_samples = max(257, 64 * int(math.ceil(rp.horizon / rp.tau)) + 1)
+    key = ("modes", basis, quad)
     cached = rp._cache.get(key)
     if cached is not None:
         return cached
 
     rule = sine_projection_rule(basis, quad)
     project = lambda spec, times: project_paths(spec, times, rule, rp.length)
-    hist_times = np.linspace(-rp.tau, 0.0, hist_samples)
+    hist_times = np.linspace(-rp.tau, 0.0, 129)
     forcing_times = np.linspace(0.0, rp.horizon, path_samples)
     lam1 = basis.eigenvalues() * rp.a1**2
     lam2 = basis.eigenvalues() * rp.a2**2
@@ -297,7 +301,7 @@ def mode_solution(ms, n, t, quad=None):
     return superpose(params, history, ms.mode_forcing(n), t, quad)
 
 
-def solve_delay(p, basis, grid=None, quad=None, hist_samples=129, path_samples=None):
+def solve_delay(p, basis, grid=None, quad=None):
     """Solve the delayed problem on a grid; returns a :class:`SolutionField`.
 
     History rows (t <= 0) carry psi directly; rows t > 0 are synthesized from
@@ -313,7 +317,7 @@ def solve_delay(p, basis, grid=None, quad=None, hist_samples=129, path_samples=N
     if not isinstance(basis, EigenBasis):
         raise InputError("basis must be an EigenBasis")
     rp = reduce_delay(p)
-    ms = build_modes(rp, basis, quad, hist_samples, path_samples)
+    ms = build_modes(rp, basis, quad)
     x = grid.x_points(p.length)
     t = grid.t_points(p.horizon, p.tau)
     n_hist = int(np.sum(t <= 0.0))

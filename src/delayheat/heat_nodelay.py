@@ -25,6 +25,11 @@ The solution splits into three parts synthesized over the sine eigenbasis:
     u2: Duhamel forcing term,   u2_n(t) = integral_0^t exp(-(pi n a / l)^2 (t-s)) F_n(s) ds
     u3: the boundary lift itself.
 
+F_n is the cubic Hermite path (:class:`delayheat.spectral.HermitePaths`) of
+F_n and F_n' projected at 257 times on [0, T], so F needs a t-derivative:
+with a trace tabulated linearly in t it has none, and :func:`solve` raises
+:class:`UnsupportedOperationError`.
+
 On the output grid, u1 is the exact exponential.  u2_n is the forced
 solution of the delay ODE x' = -(pi n a / l)^2 x + F_n without lag coupling,
 so :func:`solve` evaluates it at all grid times at once with the same grid
@@ -55,7 +60,7 @@ from .funcspec import (
     fs_sum,
 )
 from .quadrature import QuadratureConfig, composite_gauss, graded_breakpoints
-from .spectral import (EigenBasis, fit_paths, mode_path, project_paths,
+from .spectral import (EigenBasis, HermitePaths, project_paths,
                        sine_projection_rule)
 
 
@@ -150,40 +155,39 @@ def reduce_problem(p):
 
 @dataclass
 class _ModeData:
-    """Phi_n, the decay rates, and one fit of every forcing path F_n."""
+    """Phi_n, the decay rates, and the forcing paths F_n."""
 
     initial_coeffs: np.ndarray      # Phi_n
     decay_rates: np.ndarray         # (pi n a / l)^2
-    forcing_spline: object          # F_n(t) on [0, T]; see mode_path
+    forcing: HermitePaths           # F_n(t) on [0, T]
 
 
-def _mode_data(rp, basis, quad, path_samples=None):
-    if path_samples is None:
-        path_samples = 257
-    key = (basis, quad, path_samples)
+def _mode_data(rp, basis, quad):
+    """Project Phi at t = 0, and F and dF/dt at 257 times on [0, T]."""
+    key = (basis, quad)
     cached = rp._cache.get(key)
     if cached is not None:
         return cached
     rule = sine_projection_rule(basis, quad)
-    ts = np.linspace(0.0, rp.horizon, path_samples)
+    ts = np.linspace(0.0, rp.horizon, 257)
+    project = lambda spec, times: project_paths(spec, times, rule, basis.length)
     data = _ModeData(
-        initial_coeffs=project_paths(rp.shifted_initial, np.zeros(1), rule,
-                                     basis.length)[:, 0],
+        initial_coeffs=project(rp.shifted_initial, np.zeros(1))[:, 0],
         decay_rates=basis.eigenvalues() * rp.a**2,
-        forcing_spline=fit_paths(ts, project_paths(rp.forcing, ts, rule,
-                                                   basis.length)),
+        forcing=HermitePaths(ts, project(rp.forcing, ts),
+                             project(rp.forcing.differentiate("t"), ts)),
     )
     rp._cache[key] = data
     return data
 
 
-def _duhamel_decay(rate, forcing_spline, t, quad):
+def _duhamel_decay(rate, forcing, t, quad):
     """integral_0^t exp(-rate (t - s)) forcing(s) ds with graded panels."""
     if t == 0.0:
         return 0.0
 
     def integrand(s):
-        return np.exp(-rate * (t - s)) * forcing_spline(s)
+        return np.exp(-rate * (t - s)) * forcing(s)
 
     breaks = graded_breakpoints(0.0, t, rate)
     return composite_gauss(integrand, 0.0, t, quad, breaks)
@@ -215,7 +219,7 @@ def solve_u2(rp, basis, x, t, quad=None):
     _check_point(rp, x, t)
     data = _mode_data(rp, basis, quad)
     coeffs = np.array([
-        _duhamel_decay(rate, mode_path(data.forcing_spline, n), float(t), quad)
+        _duhamel_decay(rate, data.forcing.row(n), float(t), quad)
         for n, rate in enumerate(data.decay_rates, 1)
     ])
     out = coeffs @ basis.eigenfunctions(x)
@@ -228,7 +232,7 @@ def solve_u3(rp, x, t):
     return rp.lift(x, t)
 
 
-def solve(p, basis, grid=None, quad=None, path_samples=None):
+def solve(p, basis, grid=None, quad=None):
     """Solve the full problem on a grid; returns a :class:`SolutionField`.
 
     The field carries both the reduced-frame values u and the original-frame
@@ -243,7 +247,7 @@ def solve(p, basis, grid=None, quad=None, path_samples=None):
     rp = reduce_problem(p)
     x = grid.x_points(p.length)
     t = grid.t_points(p.horizon)
-    data = _mode_data(rp, basis, quad, path_samples)
+    data = _mode_data(rp, basis, quad)
 
     # Modal trajectories: the exact free decay plus the Duhamel term, which is
     # the grid engine with a = -rate, no lag coupling and a delay of one time
@@ -252,8 +256,8 @@ def solve(p, basis, grid=None, quad=None, path_samples=None):
     dt = grid.time_step(p.horizon)
     for i in range(basis.n_modes):
         params = DelayOdeParams(a=-float(data.decay_rates[i]), b=0.0, tau=dt)
-        rho = mode_path(data.forcing_spline, i + 1)
-        traj[1:, i] += solve_on_grid(params, None, rho, 1, grid.nt, quad)
+        traj[1:, i] += solve_on_grid(params, None, data.forcing.row(i + 1), 1,
+                                     grid.nt, quad)
     u = traj @ basis.eigenfunctions(x)
 
     # Boundary lift and return to the original frame.

@@ -6,8 +6,10 @@ scales with the highest requested mode (at least max(4, 2N) panels), then a
 panel-doubling check, so oscillatory integrands stay resolved.
 
 Projecting f(x, t) at shared sample times gives one coefficient path per
-mode (``project_paths``).  ``fit_paths`` fits a family of N paths as one
-vector-valued cubic spline; ``mode_path`` views mode n's curve of it.
+mode (``project_paths``).  Projecting its t-derivative as well gives each
+path's exact slopes, and :class:`HermitePaths` joins samples and slopes into
+one piecewise-cubic Hermite interpolant per mode: local, with no linear
+system to solve, and with the same h^4 error order as a cubic spline.
 
 ``decay_fit`` estimates the algebraic decay rate of a coefficient sequence:
 least squares of log|c_n| against log n over the nonzero tail.  The fitted
@@ -17,6 +19,7 @@ smoothness classes that guarantee classical solvability (|c_n| <= C / n^p).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -90,18 +93,49 @@ def project_paths(spec, times, rule, length):
     return out
 
 
-def fit_paths(times, paths):
-    """One cubic spline through every row of ``paths`` (N, len(times))."""
-    from scipy.interpolate import CubicSpline
+class HermitePaths:
+    """Cubic Hermite interpolants of N paths on uniform sample times.
 
-    return CubicSpline(times, paths, axis=1)
+    ``values`` and ``slopes`` have shape (N, len(times)), or (len(times),)
+    for a single path.  On the interval [t_i, t_i + h] each path is
+    c0 + u (c1 + u (c2 + u c3)) in u = (s - t_i) / h, matching the values
+    and slopes at both ends; beyond the sample times the end cubics extend.
+    Calling the family evaluates every path at once, (N, *s.shape); a
+    :meth:`row` evaluates one path with the same arithmetic.
+    """
 
+    def __init__(self, times, values, slopes):
+        times = np.asarray(times, dtype=float)
+        values = np.asarray(values, dtype=float)
+        slopes = np.asarray(slopes, dtype=float)
+        self.start = float(times[0])
+        self.step = float(times[-1] - times[0]) / (times.size - 1)
+        self.last = times.size - 2
+        y0, y1 = values[..., :-1], values[..., 1:]
+        d0, d1 = self.step * slopes[..., :-1], self.step * slopes[..., 1:]
+        rise = y1 - y0
+        self.coeffs = (y0, d0, 3.0 * rise - 2.0 * d0 - d1, d0 + d1 - 2.0 * rise)
 
-def mode_path(spline, n):
-    """Mode n's (1-based) curve of a :func:`fit_paths` spline; fits nothing."""
-    from scipy.interpolate import PPoly
+    def row(self, n):
+        """Mode n's (1-based) path; shares this family's coefficients."""
+        view = copy.copy(self)
+        view.coeffs = tuple(c[n - 1] for c in self.coeffs)
+        return view
 
-    return PPoly(spline.c[..., n - 1], spline.x)
+    def __call__(self, s, nu=0):
+        """The ``nu``-th derivative (0, 1 or 2) of every path at ``s``."""
+        u = np.asarray(s, dtype=float) - self.start
+        u /= self.step
+        i = np.clip(u.astype(np.intp), 0, self.last)
+        u -= i
+        c0, c1, c2, c3 = (c.take(i, axis=-1) for c in self.coeffs)
+        if nu == 0:
+            return c0 + u * (c1 + u * (c2 + u * c3))
+        if nu == 1:
+            return (c1 + u * (2.0 * c2 + u * (3.0 * c3))) / self.step
+        if nu == 2:
+            return (2.0 * c2 + u * (6.0 * c3)) / self.step**2
+        raise InputError(f"derivative order must be 0, 1 or 2, got {nu!r}")
 
 
 def sine_coefficients(f, basis, quad=None):

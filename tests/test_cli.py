@@ -1,7 +1,8 @@
 """End-to-end tests for the command-line interface.
 
-Every test drives ``main(argv)`` in-process and asserts on exit codes, the
-emitted JSON/CSV artifacts, and the stdout/stderr summaries.
+Every test drives ``main(argv)`` and asserts on exit codes, the emitted
+JSON/CSV artifacts, and the stdout/stderr summaries.  All run in-process but
+the import guard, which needs a fresh interpreter.
 
 Exit-code contract: 0 success, 1 configuration/usage error, 2 hard boundary
 rejection, 3 numeric failure (including refusing to solve past failed
@@ -10,6 +11,10 @@ advisory proxies without --override-advisory).
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,21 +253,29 @@ def test_compare_projects_a_delay_problem_once(tmp_path, monkeypatch):
 
 
 def test_compare_fits_each_path_family_once(tmp_path, monkeypatch):
-    # The gate and the solve share one mode system, which fits each of its
-    # three path families (Phi_n, Phi_n', F_n) once for all 16 modes.
+    # The gate and the solve share one mode system, which builds each of its
+    # two path families (Phi_n with Phi_n', F_n with F_n') once for all 16
+    # modes, as Hermite paths: no cubic spline is fitted at all.
     from scipy.interpolate import CubicSpline
 
+    from delayheat import heat_delay
+
+    splines, families = [], []
     init = CubicSpline.__init__
-    calls = []
     monkeypatch.setattr(CubicSpline, "__init__",
-                        lambda self, *args, **kw: calls.append(args)
+                        lambda self, *args, **kw: splines.append(args)
                         or init(self, *args, **kw))
+    family = heat_delay.HermitePaths
+    monkeypatch.setattr(heat_delay, "HermitePaths",
+                        lambda *args: families.append(args) or family(*args))
     cfg = _delay_config(tmp_path,
                         solver={"modes": 16, "nx": 20, "nt_per_tau": 8})
     code = main(["compare", "--config", cfg,
                  "--out-report", str(tmp_path / "cmp.json")])
     assert code == 0
-    assert len(calls) == 3
+    assert len(families) == 2
+    assert all(len(values) == 16 for _, values, _ in families)
+    assert splines == []
 
 
 def test_compare_outputs_are_deterministic(tmp_path):
@@ -386,6 +399,83 @@ def test_bad_flag_values_exit_1(tmp_path):
     assert main(["solve", "--config", cfg, "--modes", "0"]) == 1
     assert main(["solve", "--config", cfg, "--nx", "1"]) == 1
     assert main(["solve", "--config", cfg, "--nt-per-tau", "0"]) == 1
+
+
+def test_path_samples_key_is_rejected_as_unknown(tmp_path, capsys):
+    # The sample counts are fixed; the removed key must not reach the solver.
+    for value in (0, 1, 257):
+        cfg = _delay_config(tmp_path, solver={"modes": 8, "nx": 20,
+                                              "nt_per_tau": 8,
+                                              "path_samples": value})
+        assert main(["solve", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "unknown key(s) ['path_samples'] in solver" in err
+        assert "Traceback" not in err
+
+
+def test_nodelay_forcing_needs_one_t_derivative(tmp_path, capsys):
+    # The forcing paths are Hermite interpolants of F and dF/dt; a trace
+    # tabulated linearly in t has no second t-derivative, so its F has no
+    # slope.  The gate passes, the solve refuses with exit 1.
+    data = json.loads(Path(_nodelay_config(tmp_path)).read_text())
+    data["problem"]["trace_left"] = {
+        "table": "1d", "var": "t", "points": [0.0, 0.25, 0.5],
+        "values": [0.0, 0.1, 0.15], "interp": "linear"}
+    cfg = _write(tmp_path, "linear_trace.json", data)
+    assert main(["check", "--config", cfg,
+                 "--out-report", str(tmp_path / "r.json")]) == 0
+    for command in ("solve", "compare"):
+        assert main([command, "--config", cfg,
+                     "--out-report", str(tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert "error: SummedFunction supports d/dt only up to order 0" in err
+
+
+_IMPORT_GUARD = """
+import contextlib, io, json, sys
+from delayheat.cli import main
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(list(argv))
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+configs, out = sys.argv[1], sys.argv[2]
+codes = []
+for name in ("delay_single_mode", "pure_diffusion"):
+    cfg = f"{configs}/{name}.json"
+    codes.append(run("check", "--config", cfg, "--out-report", f"{out}/c.json"))
+    codes.append(run("solve", "--config", cfg, "--out-report", f"{out}/s.json",
+                     "--out-field", f"{out}/s.csv"))
+solve_scipy = scipy_modules()
+codes.append(run("compare", "--config", f"{configs}/pure_diffusion.json",
+                 "--out-report", f"{out}/m.json"))
+from delayheat import FdConfig
+print(json.dumps({"codes": codes, "solve_scipy": solve_scipy,
+                  "compare_scipy": scipy_modules(), "fd": FdConfig.__name__}))
+"""
+
+
+def test_check_and_solve_import_no_scipy(tmp_path):
+    # scipy serves only the finite-difference oracle and tabulated data; a
+    # fresh interpreter that runs check and solve must not load any of it.
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(repo / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, str(repo / "configs"),
+         str(tmp_path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0, 0]
+    assert result["solve_scipy"] == []
+    # compare still runs the oracle, which loads scipy.linalg on demand.
+    assert "scipy.linalg" in result["compare_scipy"]
+    assert "oracle_meta" in json.loads((tmp_path / "m.json").read_text())
+    assert result["fd"] == "FdConfig"
 
 
 def test_config_outputs_section_is_used(tmp_path):

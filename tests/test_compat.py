@@ -13,6 +13,7 @@ from delayheat import (
     HeatProblem,
     InputError,
     InsufficientDataError,
+    NumericError,
     Sampled2DFunction,
     build_modes,
     check_compatibility,
@@ -208,6 +209,20 @@ def test_nodelay_single_mode_report():
     entry = report.decay[0]
     assert entry["name"] == "initial_coefficient_decay"
     assert entry["status"] == "pass"
+
+
+def test_nodelay_decay_fit_errors_other_than_too_few_entries_propagate(
+        monkeypatch):
+    # Only a sequence too short to fit is reported as 'unverifiable'; any
+    # other failure inside the fit is a fault and must surface.
+    from delayheat import compat
+
+    def broken(*args, **kwargs):
+        raise NumericError("fit blew up")
+
+    monkeypatch.setattr(compat, "decay_fit", broken)
+    with pytest.raises(NumericError, match="fit blew up"):
+        check_problem(_nodelay(psi="x*(1-x)"))
 
 
 def test_nodelay_parabola_fails_smoothness_proxy():

@@ -23,7 +23,9 @@ from delayheat import (
     reduce_delay,
     solve_delay,
     solve_homogeneous,
+    superpose,
 )
+from delayheat.spectral import HermitePaths
 
 
 def _problem(a1=1.0, a2=0.0, b1=0.0, b2=0.0, d1=0.0, d2=0.0, tau=1.0,
@@ -215,10 +217,9 @@ def test_drift_weight_round_trip():
 
 
 def test_mode_views_match_per_mode_fits_bitwise():
-    # Each path family is one vector-valued fit; mode n's view of it must be
-    # the spline a fit of row n alone gives, for every mode.
-    from scipy.interpolate import CubicSpline
-
+    # Each path family is one HermitePaths of the projected samples and
+    # slopes; mode n's view of it must be the path a family of row n alone
+    # gives, for every mode, and beta_n' must be that path's own derivative.
     p = _problem(d2=-0.5, tau=0.5, horizon=1.0,
                  psi="(1 + t)*x*(l - x) + sin(2*x)*cos(3*t)",
                  g="x*(l - x)*cos(2*t) + t*sin(5*x)")
@@ -227,16 +228,38 @@ def test_mode_views_match_per_mode_fits_bitwise():
     s_hist = np.sort(rng.uniform(-p.tau, 0.0, 200))
     s_pos = np.sort(rng.uniform(0.0, p.horizon, 200))
     assert np.ptp(ms.phi_samples[1]) > 0.1 and np.ptp(ms.forcing_samples[4]) > 0.1
-    second = ms.phi_spline.derivative(2)(s_hist)
+    second = ms.history_paths(s_hist, 2)
     for n in range(1, 17):
-        phi = CubicSpline(ms.hist_times, ms.phi_samples[n - 1])
-        phi_prime = CubicSpline(ms.hist_times, ms.phi_prime_samples[n - 1])
-        forcing = CubicSpline(ms.forcing_times, ms.forcing_samples[n - 1])
+        phi = HermitePaths(ms.hist_times, ms.phi_samples[n - 1],
+                           ms.phi_prime_samples[n - 1])
+        forcing = HermitePaths(ms.forcing_times, ms.forcing_samples[n - 1],
+                               ms.forcing_prime_samples[n - 1])
         history = ms.mode_history(n)
         assert np.array_equal(history.beta(s_hist), phi(s_hist))
-        assert np.array_equal(history.beta_prime(s_hist), phi_prime(s_hist))
+        assert np.array_equal(history.beta_prime(s_hist), phi(s_hist, 1))
         assert np.array_equal(ms.mode_forcing(n)(s_pos), forcing(s_pos))
-        assert np.array_equal(second[n - 1], phi.derivative(2)(s_hist))
+        assert np.array_equal(second[n - 1], phi(s_hist, 2))
+
+
+def test_cubic_data_single_mode_matches_expression_reference():
+    # History and forcing cubic in t are reproduced exactly by the Hermite
+    # paths, so the series field equals the per-point closed form fed the
+    # expressions themselves, up to quadrature rounding.
+    psi = "(1 + 0.5*t - 0.3*t^2 + 0.2*t^3)*sin(x)"
+    p = _problem(d2=-0.5, tau=0.5, horizon=1.5, psi=psi,
+                 g="(0.4 - t + 0.7*t^2 - 0.25*t^3)*sin(x)")
+    grid = GridSpec(nx=16, nt_per_tau=8)
+    field = solve_delay(p, EigenBasis(p.length, 4), grid=grid)
+
+    params = DelayOdeParams(a=-1.0, b=-0.5, tau=0.5)  # L_1 = -1, B_1 = d2
+    history = HistoryFunction.from_funcspec(
+        parse_function("1 + 0.5*t - 0.3*t^2 + 0.2*t^3"))
+    rho = parse_function("0.4 - t + 0.7*t^2 - 0.25*t^3")
+    pos = field.t > 0.0
+    expected = np.array([superpose(params, history, lambda s: rho(0.0, s),
+                                   float(tj)) for tj in field.t[pos]])
+    synthesized = np.outer(expected, np.sin(field.x))
+    assert np.max(np.abs(field.v[pos] - synthesized)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from delayheat import (
     sine_coefficients,
     sine_synthesis,
 )
+from delayheat.spectral import HermitePaths
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +131,48 @@ def test_round_trip_property(target):
     target = np.asarray(target)
     recovered = sine_coefficients(lambda x: sine_synthesis(target, basis, x), basis)
     np.testing.assert_allclose(recovered, target, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Hermite coefficient paths
+# ---------------------------------------------------------------------------
+
+
+def test_hermite_paths_reproduce_cubics_and_rows_match_single_fits():
+    # Three cubics in t, sampled with their exact slopes on 9 uniform times:
+    # every interpolant is the cubic itself, for values and both derivatives,
+    # and outside the sample times the end cubics extend it.
+    coef = np.array([[1.0, -2.0, 0.5, 3.0],
+                     [0.0, 0.25, -1.5, 0.75],
+                     [-4.0, 1.0, 2.0, -0.5]])      # c0 + c1 t + c2 t^2 + c3 t^3
+    times = np.linspace(-1.0, 1.0, 9)
+
+    def cubic(t, nu):
+        t = np.asarray(t, dtype=float)[None, :]
+        c0, c1, c2, c3 = (coef[:, k:k + 1] for k in range(4))
+        return [c0 + t * (c1 + t * (c2 + t * c3)),
+                c1 + t * (2.0 * c2 + t * 3.0 * c3),
+                2.0 * c2 + t * 6.0 * c3][nu]
+
+    family = HermitePaths(times, cubic(times, 0), cubic(times, 1))
+    s = np.concatenate([np.linspace(-1.1, 1.1, 301), times])
+    for nu in (0, 1, 2):
+        np.testing.assert_allclose(family(s, nu), cubic(s, nu),
+                                   rtol=0.0, atol=1e-12)
+    assert family(0.3).shape == (3,)
+    assert family(s.reshape(2, -1)).shape == (3, 2, s.size // 2)
+    with pytest.raises(InputError):
+        family(s, 3)
+
+    # Rows of a family of arbitrary data equal families of one row each.
+    values = np.sin(3.0 * times) * coef[:, :1]
+    slopes = np.cos(times) * coef[:, 1:2]
+    family = HermitePaths(times, values, slopes)
+    for n in (1, 2, 3):
+        alone = HermitePaths(times, values[n - 1], slopes[n - 1])
+        for nu in (0, 1, 2):
+            assert np.array_equal(family.row(n)(s, nu), alone(s, nu))
+            assert np.array_equal(family(s, nu)[n - 1], alone(s, nu))
 
 
 # ---------------------------------------------------------------------------
