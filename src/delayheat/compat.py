@@ -194,30 +194,46 @@ def check_decay_conditions(ms, m=None, delta=0.5, fit_slack=0.25):
     ]
 
 
-def _residual_check(name, func, xs, ts, tol):
-    """Max |func(x, t)| over the sample product; 'unverifiable' when the
-    required derivative is not available for this representation, or when
-    evaluating it leaves the function's domain."""
-    try:
-        vals = [np.max(np.abs(np.asarray(func(xv, ts), dtype=float))) for xv in xs]
-        residual = float(max(vals))
-    except (UnsupportedOperationError, DomainError) as exc:
-        return {"name": name, "residual": None, "tol": tol,
-                "status": "unverifiable", "detail": str(exc)}
-    return {"name": name, "residual": residual, "tol": tol,
-            "status": "pass" if residual <= tol else "fail"}
+def _unverifiable(name, tol, exc):
+    return {"name": name, "residual": None, "tol": tol,
+            "status": "unverifiable", "detail": str(exc)}
 
 
-def _derivative_check(name, spec, steps, xs, ts, tol):
-    """:func:`_residual_check` of ``spec`` differentiated by each (var, order)
-    step in turn; 'unverifiable' when a step exceeds the representation."""
-    try:
-        for var, order in steps:
-            spec = spec.differentiate(var, order)
-    except UnsupportedOperationError as exc:
-        return {"name": name, "residual": None, "tol": tol,
-                "status": "unverifiable", "detail": str(exc)}
-    return _residual_check(name, spec, xs, ts, tol)
+def _row_checks(spec, row, xs, ts, tol):
+    """Endpoint checks of one row of partial derivatives of ``spec``.
+
+    ``row`` lists (name, steps) entries by increasing order; an entry is
+    max |d spec| over the sample product after the (var, order) ``steps``.
+    Every entry is read off one jet of the row's top order.  An entry whose
+    steps exceed the representation's derivative budget is 'unverifiable';
+    so is the top entry when the jet leaves the function's domain, and the
+    row then shrinks by that entry and is evaluated again, because a lower
+    order may still stay inside the domain.
+    """
+    checks, live = {}, []
+    for name, steps in row:
+        try:  # differentiate checks the budget one step at a time
+            part = spec
+            for var, order in steps:
+                part = part.differentiate(var, order)
+        except UnsupportedOperationError as exc:
+            checks[name] = _unverifiable(name, tol, exc)
+            continue
+        live.append((name, (sum(k for v, k in steps if v == "x"),
+                            sum(k for v, k in steps if v == "t"))))
+    while live:
+        try:
+            values = spec.partials(xs, ts, [order for _, order in live])
+        except DomainError as exc:
+            name = live.pop()[0]
+            checks[name] = _unverifiable(name, tol, exc)
+            continue
+        for (name, _), value in zip(live, values):
+            residual = float(np.max(np.abs(value)))
+            checks[name] = {"name": name, "residual": residual, "tol": tol,
+                            "status": "pass" if residual <= tol else "fail"}
+        break
+    return [checks[name] for name, _ in row]
 
 
 def check_endpoint_conditions(p, m=None, samples=65, tol=1e-8):
@@ -228,48 +244,46 @@ def check_endpoint_conditions(p, m=None, samples=65, tol=1e-8):
     must vanish at both ends, at decreasing time-derivative depth as the
     spatial order grows.  Conditions needing derivatives beyond a sampled
     representation's budget are reported as unverifiable, not failed.
+    Each row of conditions (one time-derivative depth) is evaluated at both
+    ends at once, from one jet of the row's highest order.
     """
     checks = []
     if isinstance(p, DelayHeatProblem):
         rp = reduce_delay(p)
         if m is None:
             m = steps_covered(p.horizon, p.tau)
-        hist_ts = np.linspace(-p.tau, 0.0, samples)
-        pos_ts = np.linspace(0.0, p.horizon, samples)
-        ends = [0.0, p.length]
+        hist_ts = np.linspace(-p.tau, 0.0, samples)[None, :]
+        pos_ts = np.linspace(0.0, p.horizon, samples)[None, :]
+        ends = np.array([0.0, p.length])[:, None]
 
-        checks.append(_residual_check(
-            "initial_trace", rp.shifted_initial, ends, hist_ts, tol))
+        checks += _row_checks(rp.shifted_initial, [("initial_trace", [])],
+                              ends, hist_ts, tol)
         for k in range(0, 3):
-            for j in range(1, m + 2 - k + 1):
-                checks.append(_derivative_check(
-                    f"initial_x{2 * j}_t{k}", rp.shifted_initial,
-                    [("x", 2)] * j + [("t", 1)] * k, ends, hist_ts, tol))
+            checks += _row_checks(rp.shifted_initial, [
+                (f"initial_x{2 * j}_t{k}", [("x", 2)] * j + [("t", 1)] * k)
+                for j in range(1, m + 2 - k + 1)], ends, hist_ts, tol)
 
         for depth, count in ((0, m + 1), (1, m)):
             t_steps = [("t", 1)] * depth
             budget = rp.forcing.smoothness("t")
             if budget is not None and budget < depth:
                 # Without the t-derivative one entry stands for the whole row.
-                checks.append(_derivative_check(
-                    f"forcing_t{depth}", rp.forcing, t_steps, ends, pos_ts, tol))
-                continue
-            for j in range(count):
-                checks.append(_derivative_check(
-                    f"forcing_x{2 * j}_t{depth}", rp.forcing,
-                    t_steps + [("x", 2)] * j, ends, pos_ts, tol))
+                row = [(f"forcing_t{depth}", t_steps)]
+            else:
+                row = [(f"forcing_x{2 * j}_t{depth}", t_steps + [("x", 2)] * j)
+                       for j in range(count)]
+            checks += _row_checks(rp.forcing, row, ends, pos_ts, tol)
         return checks
 
     if isinstance(p, HeatProblem):
         rp = reduce_problem(p)
-        pos_ts = np.linspace(0.0, p.horizon, samples)
-        ends = [0.0, p.length]
-        checks.append(_residual_check(
-            "initial_trace", rp.shifted_initial, ends, np.array([0.0]), tol))
-        checks.append(_residual_check(
-            "forcing_trace", rp.forcing, ends, pos_ts, tol))
-        checks.append(_derivative_check(
-            "forcing_x2_t0", rp.forcing, [("x", 2)], ends, pos_ts, tol))
+        pos_ts = np.linspace(0.0, p.horizon, samples)[None, :]
+        ends = np.array([0.0, p.length])[:, None]
+        checks += _row_checks(rp.shifted_initial, [("initial_trace", [])],
+                              ends, np.zeros((1, 1)), tol)
+        checks += _row_checks(rp.forcing, [("forcing_trace", []),
+                                           ("forcing_x2_t0", [("x", 2)])],
+                              ends, pos_ts, tol)
         return checks
 
     raise InputError("expected a HeatProblem or DelayHeatProblem")

@@ -13,7 +13,8 @@ enters the solvers as :class:`FunctionSpec` objects.  A spec is either
 
 Every spec evaluates its truncated Taylor expansion in (x, t) to any order
 (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13), and
-``differentiate`` reads partial derivatives off it: expressions through
+``differentiate`` and ``partials`` read partial derivatives off it; one jet
+serves every partial up to its orders.  Expressions evaluate it through
 Taylor recurrences for each operation, sampled grids through their
 interpolants.  Nothing is rewritten symbolically, so the cost of an order-k
 derivative grows like k^2 per expression node and the expression never grows.
@@ -536,6 +537,8 @@ class FunctionSpec:
     remaining trustworthy order (``None`` means unlimited).
     ``smoothness(var, kx, kt)`` is that order for the (kx, kt) partial
     derivative, whose sampled parts may vanish identically.
+    ``partials(x, t, orders)`` evaluates several partial derivatives at once,
+    from one jet.
 
     Subclasses implement ``_jet(x, t, kx, kt)``: the Taylor coefficients at
     (x, t) up to x-order kx and t-order kt, as a jet in x of jets in t, a jet
@@ -543,16 +546,32 @@ class FunctionSpec:
     """
 
     def __call__(self, x, t):
+        return self.partials(x, t, [(0, 0)])[0]
+
+    def partials(self, x, t, orders):
+        """d^(i + j) spec / dx^i dt^j at (x, t) for each (i, j) in ``orders``.
+
+        All of them are read off one jet of the highest orders listed, which
+        holds every lower Taylor coefficient.  Each partial broadcasts and is
+        checked for finiteness as a call is.  Derivative budgets are not
+        checked here; :meth:`differentiate` and :meth:`smoothness` state them.
+        """
         x_arr = np.asarray(x, dtype=float)
         t_arr = np.asarray(t, dtype=float)
         shape = np.broadcast_shapes(x_arr.shape, t_arr.shape)
-        out = self._jet(x_arr, t_arr, 0, 0)
-        out = np.broadcast_to(np.asarray(out, dtype=float), shape)
-        if not np.all(np.isfinite(out)):
-            raise NumericError(f"{type(self).__name__} produced a non-finite value")
-        if shape == ():
-            return float(out)
-        return np.array(out)
+        kx = max(i for i, _ in orders)
+        jet = self._jet(x_arr, t_arr, kx, max(j for _, j in orders))
+        out = []
+        for i, j in orders:
+            c = _coef(jet, i, j, kx)
+            scale = math.factorial(i) * math.factorial(j)
+            if scale != 1:
+                c = _times(c, float(scale))
+            c = np.broadcast_to(np.asarray(c, dtype=float), shape)
+            if not np.all(np.isfinite(c)):
+                raise NumericError(f"{type(self).__name__} produced a non-finite value")
+            out.append(float(c) if shape == () else np.array(c))
+        return out
 
     def _jet(self, x, t, kx, kt):
         raise NotImplementedError

@@ -255,7 +255,9 @@ def build_modes(rp, basis, quad=None):
     """Project the reduced problem onto the sine basis.
 
     Phi_n and Phi_n' are sampled at 129 times on [-tau, 0]; F_n and F_n' at
-    max(257, 64 ceil(T / tau) + 1) times on [0, T].
+    max(257, 64 ceil(T / tau) + 1) times on [0, T].  Each family is one
+    :func:`~delayheat.spectral.project_paths` pass, which reads the values
+    and the t-slopes off one jet.
     """
     if quad is None:
         quad = QuadratureConfig()
@@ -266,9 +268,11 @@ def build_modes(rp, basis, quad=None):
         return cached
 
     rule = sine_projection_rule(basis, quad)
-    project = lambda spec, times: project_paths(spec, times, rule, rp.length)
     hist_times = np.linspace(-rp.tau, 0.0, 129)
     forcing_times = np.linspace(0.0, rp.horizon, path_samples)
+    phi, phi_prime = project_paths(rp.shifted_initial, hist_times, rule, rp.length)
+    forcing, forcing_prime = project_paths(rp.forcing, forcing_times, rule,
+                                           rp.length)
     lam1 = basis.eigenvalues() * rp.a1**2
     lam2 = basis.eigenvalues() * rp.a2**2
     ms = ModeSystem(
@@ -278,11 +282,11 @@ def build_modes(rp, basis, quad=None):
         ode_a=rp.c1 - lam1,
         ode_b=rp.c2 - lam2,
         hist_times=hist_times,
-        phi_samples=project(rp.shifted_initial, hist_times),
-        phi_prime_samples=project(rp.shifted_initial.differentiate("t"), hist_times),
+        phi_samples=phi,
+        phi_prime_samples=phi_prime,
         forcing_times=forcing_times,
-        forcing_samples=project(rp.forcing, forcing_times),
-        forcing_prime_samples=project(rp.forcing.differentiate("t"), forcing_times),
+        forcing_samples=forcing,
+        forcing_prime_samples=forcing_prime,
     )
     rp._cache[key] = ms
     return ms

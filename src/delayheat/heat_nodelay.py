@@ -163,19 +163,24 @@ class _ModeData:
 
 
 def _mode_data(rp, basis, quad):
-    """Project Phi at t = 0, and F and dF/dt at 257 times on [0, T]."""
+    """Project Phi at t = 0, and F and dF/dt at 257 times on [0, T].
+
+    F and dF/dt come from one :func:`~delayheat.spectral.project_paths`
+    pass, read off one jet; Phi needs no t-derivative.
+    """
     key = (basis, quad)
     cached = rp._cache.get(key)
     if cached is not None:
         return cached
     rule = sine_projection_rule(basis, quad)
     ts = np.linspace(0.0, rp.horizon, 257)
-    project = lambda spec, times: project_paths(spec, times, rule, basis.length)
+    (initial,) = project_paths(rp.shifted_initial, np.zeros(1), rule,
+                               basis.length, kt=0)
     data = _ModeData(
-        initial_coeffs=project(rp.shifted_initial, np.zeros(1))[:, 0],
+        initial_coeffs=initial[:, 0],
         decay_rates=basis.eigenvalues() * rp.a**2,
-        forcing=HermitePaths(ts, project(rp.forcing, ts),
-                             project(rp.forcing.differentiate("t"), ts)),
+        forcing=HermitePaths(ts, *project_paths(rp.forcing, ts, rule,
+                                                basis.length)),
     )
     rp._cache[key] = data
     return data

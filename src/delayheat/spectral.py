@@ -6,10 +6,11 @@ scales with the highest requested mode (at least max(4, 2N) panels), then a
 panel-doubling check, so oscillatory integrands stay resolved.
 
 Projecting f(x, t) at shared sample times gives one coefficient path per
-mode (``project_paths``).  Projecting its t-derivative as well gives each
-path's exact slopes, and :class:`HermitePaths` joins samples and slopes into
-one piecewise-cubic Hermite interpolant per mode: local, with no linear
-system to solve, and with the same h^4 error order as a cubic spline.
+mode (``project_paths``).  The same pass projects its t-derivative, read off
+one Taylor jet with the values, which gives each path's exact slopes.
+:class:`HermitePaths` joins samples and slopes into one piecewise-cubic
+Hermite interpolant per mode: local, with no linear system to solve, and
+with the same h^4 error order as a cubic spline.
 
 ``decay_fit`` estimates the algebraic decay rate of a coefficient sequence:
 least squares of log|c_n| against log n over the nonzero tail.  The fitted
@@ -77,20 +78,28 @@ def sine_projection_rule(basis, quad=None):
 _PROJECT_BLOCK = 32
 
 
-def project_paths(spec, times, rule, length):
-    """Sine coefficients of spec(., t) at every t in ``times``: (N, len(times)).
+def project_paths(spec, times, rule, length, kt=1):
+    """Sine coefficients of spec(., t) and of its first ``kt`` t-derivatives
+    at every t in ``times``: a tuple of kt + 1 arrays (N, len(times)).
 
-    ``rule`` is a :func:`sine_projection_rule`.  Blocks of ``_PROJECT_BLOCK``
-    time columns bound the (points x times) grids held at once.
+    ``rule`` is a :func:`sine_projection_rule`.  Each block of
+    ``_PROJECT_BLOCK`` time columns evaluates one jet of t-order ``kt`` on
+    (points x times), which bounds the grids held at once; values and
+    t-derivatives are read off that jet.  A spec without the t-derivative
+    raises :class:`UnsupportedOperationError`, as ``differentiate`` does.
     """
+    if kt:
+        spec.differentiate("t", kt)  # the budget check only
     pts, wts, sin_table = rule
     weight = (2.0 / length) * wts
-    out = np.empty((sin_table.shape[0], times.size))
+    orders = [(0, j) for j in range(kt + 1)]
+    out = np.empty((kt + 1, sin_table.shape[0], times.size))
     for lo in range(0, times.size, _PROJECT_BLOCK):
         cols = times[lo:lo + _PROJECT_BLOCK]
-        grid = np.asarray(spec(pts[:, None], cols[None, :]), float)
-        out[:, lo:lo + cols.size] = sin_table @ (weight[:, None] * grid)
-    return out
+        grids = spec.partials(pts[:, None], cols[None, :], orders)
+        for j, grid in enumerate(grids):
+            out[j, :, lo:lo + cols.size] = sin_table @ (weight[:, None] * grid)
+    return tuple(out)
 
 
 class HermitePaths:

@@ -1,7 +1,9 @@
 """Tests for the admissibility checker: hard boundary compatibility, advisory
 decay proxies on the mode coefficients, and the endpoint identities."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,21 +11,29 @@ import pytest
 from delayheat import (
     CompatReport,
     DelayHeatProblem,
+    DomainError,
     EigenBasis,
     HeatProblem,
     InputError,
     InsufficientDataError,
     NumericError,
+    Sampled1DFunction,
     Sampled2DFunction,
+    UnsupportedOperationError,
     build_modes,
     check_compatibility,
     check_decay_conditions,
     check_endpoint_conditions,
     check_problem,
+    config_from_dict,
+    load_config,
     parse_function,
     reduce_delay,
+    reduce_problem,
     steps_covered,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _delay(a1=1.0, a2=0.0, b1=0.0, b2=0.0, d1=0.0, d2=-0.5, tau=1.0,
@@ -177,13 +187,16 @@ def test_quotient_profile_verifies_its_high_order_identities():
     assert entry["residual"] <= entry["tol"]
 
 
-def test_sampled_history_reports_unverifiable_not_failed():
+def _sampled_history():
     xs = np.linspace(0.0, math.pi, 41)
     ts = np.linspace(-1.0, 0.0, 9)
     values = np.sin(xs)[:, None] * np.ones(ts.size)[None, :]
-    psi = Sampled2DFunction(x_points=xs, t_points=ts, values=values,
-                            kind="linear")
-    report = check_problem(_delay(psi_spec=psi))
+    return Sampled2DFunction(x_points=xs, t_points=ts, values=values,
+                             kind="linear")
+
+
+def test_sampled_history_reports_unverifiable_not_failed():
+    report = check_problem(_delay(psi_spec=_sampled_history()))
     assert report.hard_pass
     # High-order derivatives exceed the linear interpolant's budget: those
     # endpoint identities report unverifiable, never a spurious failure.
@@ -194,6 +207,110 @@ def test_sampled_history_reports_unverifiable_not_failed():
     # piecewise-linear history genuinely lacks the required smoothness.
     assert not report.advisory_pass
     assert report.decay[0]["status"] == "fail"
+
+
+def _reference_endpoint_checks(p, m=None, samples=65, tol=1e-8):
+    """The endpoint checks entry by entry: each entry differentiates the
+    reduced data step by step and evaluates it once per end."""
+    ends = [0.0, p.length]
+
+    def entry(name, spec, steps, ts):
+        try:
+            for var, order in steps:
+                spec = spec.differentiate(var, order)
+            residual = float(max(np.max(np.abs(np.asarray(spec(x, ts))))
+                                 for x in ends))
+        except (UnsupportedOperationError, DomainError) as exc:
+            return {"name": name, "residual": None, "tol": tol,
+                    "status": "unverifiable", "detail": str(exc)}
+        return {"name": name, "residual": residual, "tol": tol,
+                "status": "pass" if residual <= tol else "fail"}
+
+    pos_ts = np.linspace(0.0, p.horizon, samples)
+    if isinstance(p, HeatProblem):
+        rp = reduce_problem(p)
+        return [entry("initial_trace", rp.shifted_initial, [], np.zeros(1)),
+                entry("forcing_trace", rp.forcing, [], pos_ts),
+                entry("forcing_x2_t0", rp.forcing, [("x", 2)], pos_ts)]
+    rp = reduce_delay(p)
+    m = steps_covered(p.horizon, p.tau) if m is None else m
+    hist_ts = np.linspace(-p.tau, 0.0, samples)
+    checks = [entry("initial_trace", rp.shifted_initial, [], hist_ts)]
+    for k in range(3):
+        for j in range(1, m + 3 - k):
+            checks.append(entry(f"initial_x{2 * j}_t{k}", rp.shifted_initial,
+                                [("x", 2)] * j + [("t", 1)] * k, hist_ts))
+    for depth, count in ((0, m + 1), (1, m)):
+        steps = [("t", 1)] * depth
+        budget = rp.forcing.smoothness("t")
+        if budget is not None and budget < depth:
+            checks.append(entry(f"forcing_t{depth}", rp.forcing, steps, pos_ts))
+            continue
+        for j in range(count):
+            checks.append(entry(f"forcing_x{2 * j}_t{depth}", rp.forcing,
+                                steps + [("x", 2)] * j, pos_ts))
+    return checks
+
+
+def _linear_trace_problem():
+    # A left trace tabulated linearly in t: the lift's t-derivative in F has
+    # no t-derivative of its own, so the forcing_t1 row collapses.
+    ts = np.linspace(-1.0, 2.0, 13)
+    theta1 = Sampled1DFunction(var="t", points=ts, values=0.1 * np.maximum(ts, 0.0),
+                               kind="linear")
+    p = _delay(psi="sin(x)")
+    p.theta1 = theta1
+    return p
+
+
+_ENDPOINT_FIXTURES = {
+    **{path.stem: (lambda path=path: load_config(path).problem)
+       for path in sorted(CONFIGS.glob("*.json"))},
+    "sampled_history": lambda: _delay(psi_spec=_sampled_history()),
+    "expression_ops": lambda: _delay(
+        psi="exp(-0.3*x)*sin(x)*log(2 + t) + (1 + t)^2*sin(2*x)*abs(2 - cos(x))",
+        g="exp(-t)*x^3*(l - x)*log(1 + x)*sin(3*t)", horizon=1.5, tau=0.5),
+    "linear_trace": _linear_trace_problem,
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(_ENDPOINT_FIXTURES))
+def test_endpoint_rows_match_the_per_entry_checks(fixture):
+    p = _ENDPOINT_FIXTURES[fixture]()
+    checks = check_endpoint_conditions(p)
+    assert checks == _reference_endpoint_checks(p)
+    if fixture == "linear_trace":
+        assert checks[-1]["name"] == "forcing_t1"
+        assert checks[-1]["status"] == "unverifiable"
+
+
+def test_domain_error_row_still_reports_its_lower_entries():
+    data = json.loads((CONFIGS / "delay_single_mode.json").read_text())
+    data["problem"]["source"] = "sqrt(x)*cos(t)"
+    cfg = config_from_dict(data)
+    checks = check_endpoint_conditions(cfg.problem, m=cfg.check.m)
+    by_name = {c["name"]: c for c in checks}
+    assert by_name["forcing_x0_t0"]["status"] == "fail"
+    assert by_name["forcing_x0_t0"]["residual"] == 1.7724538509055159
+    assert by_name["forcing_x2_t0"]["status"] == "unverifiable"
+    assert by_name["forcing_x2_t0"]["detail"] == "zero raised to a negative power"
+    assert checks == _reference_endpoint_checks(cfg.problem, m=cfg.check.m)
+
+
+def test_endpoint_checks_evaluate_one_jet_per_row(monkeypatch):
+    p = _delay(horizon=1.0)  # m = 1
+    rp = reduce_delay(p)
+    jets = []
+    for which, spec in (("initial", rp.shifted_initial), ("forcing", rp.forcing)):
+        def counted(x, t, kx, kt, which=which, inner=spec._jet):
+            jets.append((which, kx, kt))
+            return inner(x, t, kx, kt)
+        monkeypatch.setattr(spec, "_jet", counted)
+    check_endpoint_conditions(p)
+    # initial_trace, the initial rows k = 0, 1, 2 and the forcing rows at
+    # depth 0 and 1, each at its top order.
+    assert jets == [("initial", 0, 0), ("initial", 6, 0), ("initial", 4, 1),
+                    ("initial", 2, 2), ("forcing", 2, 0), ("forcing", 0, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,23 @@ def test_time_varying_history_paths():
     assert np.max(np.abs(ms.phi_samples[1:])) < 1e-10
 
 
+def test_build_modes_projects_each_family_in_one_pass(monkeypatch):
+    # Phi_n with Phi_n' and F_n with F_n' are read off one jet each; no
+    # t-differentiated spec is projected on its own.
+    from delayheat import heat_delay
+
+    calls, project = [], heat_delay.project_paths
+    monkeypatch.setattr(heat_delay, "project_paths",
+                        lambda spec, *args, **kw: calls.append((spec, kw))
+                        or project(spec, *args, **kw))
+    rp = reduce_delay(_problem(psi="sin(x)*(1+t)", g="x*cos(t)"))
+    ms = build_modes(rp, EigenBasis(rp.length, 4))
+    assert len(calls) == 2
+    assert calls[0][0] is rp.shifted_initial and calls[1][0] is rp.forcing
+    assert all(kw == {} for _, kw in calls)
+    np.testing.assert_allclose(ms.phi_prime_samples[0], 1.0, atol=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # Agreement with the scalar closed-form core
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from delayheat import (
     GridSpec,
     HeatProblem,
     InputError,
+    QuadratureConfig,
     fd_solve_nodelay,
     fs_sum,
     parse_function,
@@ -115,6 +116,22 @@ def test_solution_is_sum_of_three_parts():
                 + solve_u3(rp, field.x[i], field.t[j])
             )
             assert field.u[j, i] == pytest.approx(parts, abs=1e-10)
+
+
+def test_mode_data_projects_the_forcing_family_in_one_pass(monkeypatch):
+    # Phi needs values at t = 0 only; F and dF/dt are read off one jet, and
+    # no t-differentiated spec is projected on its own.
+    from delayheat import heat_nodelay
+
+    calls, project = [], heat_nodelay.project_paths
+    monkeypatch.setattr(heat_nodelay, "project_paths",
+                        lambda spec, *args, **kw: calls.append((spec, kw))
+                        or project(spec, *args, **kw))
+    rp = reduce_problem(_problem(g="sin(x)*cos(t)", theta1="t"))
+    heat_nodelay._mode_data(rp, EigenBasis(rp.length, 4), QuadratureConfig())
+    assert len(calls) == 2
+    assert calls[0][0] is rp.shifted_initial and calls[0][1] == {"kt": 0}
+    assert calls[1][0] is rp.forcing and calls[1][1] == {}
 
 
 def test_boundary_rows_match_traces():

@@ -12,11 +12,14 @@ from delayheat import (
     EigenBasis,
     InputError,
     InsufficientDataError,
+    Sampled1DFunction,
+    UnsupportedOperationError,
     decay_fit,
+    parse_function,
     sine_coefficients,
     sine_synthesis,
 )
-from delayheat.spectral import HermitePaths
+from delayheat.spectral import HermitePaths, project_paths, sine_projection_rule
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +176,26 @@ def test_hermite_paths_reproduce_cubics_and_rows_match_single_fits():
         for nu in (0, 1, 2):
             assert np.array_equal(family.row(n)(s, nu), alone(s, nu))
             assert np.array_equal(family(s, nu)[n - 1], alone(s, nu))
+
+
+def test_project_paths_reads_values_and_slopes_off_one_jet():
+    basis = EigenBasis(length=math.pi, n_modes=8)
+    rule = sine_projection_rule(basis)
+    spec = parse_function("exp(-t)*sin(2*x) + x*(l - x)*cos(3*t)", l=math.pi)
+    times = np.linspace(0.0, 1.0, 40)  # more than one block of columns
+    values, slopes = project_paths(spec, times, rule, math.pi)
+    # The same numbers as projecting the value and the t-derivative apart.
+    (alone,) = project_paths(spec, times, rule, math.pi, kt=0)
+    (rate,) = project_paths(spec.differentiate("t"), times, rule, math.pi, kt=0)
+    assert np.array_equal(values, alone)
+    assert np.array_equal(slopes, rate)
+    np.testing.assert_allclose(values[1], np.exp(-times), atol=1e-12)
+    np.testing.assert_allclose(slopes[1], -np.exp(-times), atol=1e-12)
+    # A spec without a t-derivative has no slopes to project.
+    linear = Sampled1DFunction(var="t", points=times, values=times**2,
+                               kind="linear")
+    with pytest.raises(UnsupportedOperationError):
+        project_paths(linear.differentiate("t"), times, rule, math.pi)
 
 
 # ---------------------------------------------------------------------------
