@@ -47,7 +47,6 @@ from .energy import (
     nodelay_growth_constant,
 )
 from .errors import (
-    AdvisoryError,
     CompatibilityError,
     ConfigError,
     DelayHeatError,
@@ -115,7 +114,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "AdvisoryError",
     "CheckSettings",
     "CompatReport",
     "CompatibilityError",

@@ -37,7 +37,6 @@ from .compat import check_problem
 from .config import load_config
 from .delay_ode import DelayOdeParams, HistoryFunction, solve_homogeneous, superpose
 from .errors import (
-    AdvisoryError,
     CompatibilityError,
     ConfigError,
     DelayHeatError,
@@ -51,7 +50,7 @@ from .errors import (
 )
 from .field import GridSpec, field_difference_report
 from .funcspec import parse_function
-from .heat_delay import DelayHeatProblem, solve_delay
+from .heat_delay import solve_delay
 from .heat_nodelay import solve as solve_nodelay
 from .spectral import EigenBasis
 
@@ -113,6 +112,10 @@ def _check_writable(*paths):
 def _load(args):
     cfg = load_config(args.config)
     s = cfg.solver
+    other_kind = "nt" if cfg.kind == "delay" else "nt_per_tau"
+    if getattr(args, other_kind, None) is not None:
+        flag = "--" + other_kind.replace("_", "-")
+        raise ConfigError(f"{flag} does not apply to {cfg.kind} problems")
     if getattr(args, "modes_n", None) is not None:
         if args.modes_n < 1:
             raise ConfigError("--modes must be at least 1")
@@ -133,16 +136,12 @@ def _load(args):
 
 
 def _resolve_outputs(args, cfg):
-    out_field = getattr(args, "out_field", None) or cfg.outputs.get("field_csv")
-    out_report = getattr(args, "out_report", None) or cfg.outputs.get("report_json")
-    return out_field, out_report
-
-
-def _grid_for(cfg):
-    s = cfg.solver
-    if isinstance(cfg.problem, DelayHeatProblem):
-        return GridSpec(nx=s.nx, nt=None, nt_per_tau=s.nt_per_tau or 16)
-    return GridSpec(nx=s.nx, nt=s.nt or 200, nt_per_tau=None)
+    """(field CSV, report JSON) paths: the flags first, then the config's
+    ``outputs``.  ``check`` and ``sweep`` write no field."""
+    out_report = args.out_report or cfg.outputs.get("report_json")
+    if not hasattr(args, "out_field"):
+        return None, out_report
+    return args.out_field or cfg.outputs.get("field_csv"), out_report
 
 
 def _basis_for(cfg, modes=None):
@@ -192,9 +191,11 @@ def _gate(cfg, override):
 
 
 def _solve_field(cfg, modes=None):
-    solve = solve_delay if isinstance(cfg.problem, DelayHeatProblem) else solve_nodelay
-    return solve(cfg.problem, _basis_for(cfg, modes), _grid_for(cfg),
-                 cfg.solver.quadrature)
+    # The config holds the time step count of its own problem kind only.
+    s = cfg.solver
+    solve = solve_delay if cfg.kind == "delay" else solve_nodelay
+    return solve(cfg.problem, _basis_for(cfg, modes),
+                 GridSpec(nx=s.nx, nt=s.nt, nt_per_tau=s.nt_per_tau), s.quadrature)
 
 
 def _fd_field(cfg):
@@ -202,11 +203,8 @@ def _fd_field(cfg):
     from .oracle_fd import FdConfig, fd_solve_delay, fd_solve_nodelay
 
     s = cfg.solver
-    if isinstance(cfg.problem, DelayHeatProblem):
-        fd_cfg = FdConfig(nx=s.nx, nt_per_tau=s.nt_per_tau or 16)
-        return fd_solve_delay(cfg.problem, fd_cfg)
-    fd_cfg = FdConfig(nx=s.nx, nt=s.nt or 200)
-    return fd_solve_nodelay(cfg.problem, fd_cfg)
+    solve = fd_solve_delay if cfg.kind == "delay" else fd_solve_nodelay
+    return solve(cfg.problem, FdConfig(nx=s.nx, nt=s.nt, nt_per_tau=s.nt_per_tau))
 
 
 def _print_check_summary(report):
@@ -241,51 +239,55 @@ def _cmd_check(args):
     return EXIT_OK
 
 
-def _cmd_solve(args):
+def _run_gated(args):
+    """Shared frame of solve, compare and sweep.
+
+    Loads the config, checks that its outputs are writable and runs the
+    gate.  On refusal the report holds the gate's verdict only.  Otherwise
+    the subcommand's ``args.body(args, cfg, out_field, payload)`` does the
+    work, adds its results to the payload and returns the summary printed
+    after the report.
+    """
     cfg = _load(args)
     out_field, out_report = _resolve_outputs(args, cfg)
     _check_writable(out_field, out_report)
     report, code = _gate(cfg, args.override_advisory)
-    payload = {"command": "solve", "compat": report.to_dict()}
+    payload = {"command": args.command, "compat": report.to_dict()}
     if code != EXIT_OK:
         if out_report:
             _write_json(out_report, payload)
         return code
-    field = _solve_field(cfg)
-    payload["field_meta"] = field.meta
-    if out_field:
-        field.write_csv(out_field)
-        payload["outputs"] = {"field_csv": out_field}
+    summary = args.body(args, cfg, out_field, payload)
     _emit_report(out_report, payload)
-    print(f"solved on {field.x.size} x {field.t.size} grid "
-          f"with {cfg.solver.modes} modes"
-          + (f"; field written to {out_field}" if out_field else ""))
+    print(summary)
     return EXIT_OK
 
 
-def _cmd_compare(args):
-    cfg = _load(args)
-    out_field, out_report = _resolve_outputs(args, cfg)
-    _check_writable(out_field, out_report)
-    report, code = _gate(cfg, args.override_advisory)
-    payload = {"command": "compare", "compat": report.to_dict()}
-    if code != EXIT_OK:
-        if out_report:
-            _write_json(out_report, payload)
-        return code
+def _write_field(field, out_field, payload):
+    if out_field:
+        field.write_csv(out_field)
+        payload["outputs"] = {"field_csv": out_field}
+
+
+def _solve_body(args, cfg, out_field, payload):
+    field = _solve_field(cfg)
+    payload["field_meta"] = field.meta
+    _write_field(field, out_field, payload)
+    return (f"solved on {field.x.size} x {field.t.size} grid "
+            f"with {cfg.solver.modes} modes"
+            + (f"; field written to {out_field}" if out_field else ""))
+
+
+def _compare_body(args, cfg, out_field, payload):
     spectral = _solve_field(cfg)
     oracle = _fd_field(cfg)
     diff = field_difference_report(spectral, oracle)
     payload["difference"] = diff
     payload["spectral_meta"] = spectral.meta
     payload["oracle_meta"] = oracle.meta
-    if out_field:
-        spectral.write_csv(out_field)
-        payload["outputs"] = {"field_csv": out_field}
-    _emit_report(out_report, payload)
-    print(f"sup difference spectral vs finite-difference: {diff['sup']:.6e}")
-    print(f"l2 difference: {diff['l2']:.6e}")
-    return EXIT_OK
+    _write_field(spectral, out_field, payload)
+    return (f"sup difference spectral vs finite-difference: {diff['sup']:.6e}\n"
+            f"l2 difference: {diff['l2']:.6e}")
 
 
 def _parse_mode_list(text):
@@ -298,16 +300,7 @@ def _parse_mode_list(text):
     return values
 
 
-def _cmd_sweep(args):
-    cfg = _load(args)
-    _, out_report = _resolve_outputs(args, cfg)
-    _check_writable(out_report)
-    report, code = _gate(cfg, args.override_advisory)
-    payload = {"command": "sweep", "compat": report.to_dict()}
-    if code != EXIT_OK:
-        if out_report:
-            _write_json(out_report, payload)
-        return code
+def _sweep_body(args, cfg, out_field, payload):
     mode_list = (_parse_mode_list(args.modes_list) if args.modes_list
                  else list(_SWEEP_MODES))
     oracle = _fd_field(cfg)
@@ -327,13 +320,11 @@ def _cmd_sweep(args):
     non_increasing = all(sups[i + 1] <= 1.1 * sups[i] for i in range(len(sups) - 1))
     payload["rows"] = rows
     payload["non_increasing_within_band"] = non_increasing
-    _emit_report(out_report, payload)
-    print(f"{'modes':>6} {'sup_diff':>14} {'l2_diff':>14} {'wall_s':>9}")
-    for row in rows:
-        print(f"{row['modes']:>6} {row['sup_diff']:>14.6e} "
-              f"{row['l2_diff']:>14.6e} {row['wall_time_s']:>9.3f}")
-    print(f"non-increasing within 10% band: {non_increasing}")
-    return EXIT_OK
+    lines = [f"{'modes':>6} {'sup_diff':>14} {'l2_diff':>14} {'wall_s':>9}"]
+    lines += [f"{row['modes']:>6} {row['sup_diff']:>14.6e} "
+              f"{row['l2_diff']:>14.6e} {row['wall_time_s']:>9.3f}" for row in rows]
+    lines.append(f"non-increasing within 10% band: {non_increasing}")
+    return "\n".join(lines)
 
 
 def _cmd_dde_solve(args):
@@ -373,7 +364,7 @@ def _add_common_flags(p, with_field=True, with_override=True):
     p.add_argument("--nt", type=int, default=None,
                    help="override: time steps over [0, T] (no-delay grids)")
     p.add_argument("--nt-per-tau", dest="nt_per_tau", type=int, default=None,
-                   help="override: time steps per delay interval")
+                   help="override: time steps per delay interval (delay grids)")
     if with_field:
         p.add_argument("--out-field", dest="out_field", default=None,
                        help="write the solution field CSV here")
@@ -404,21 +395,21 @@ def build_parser():
     _add_common_flags(p_solve)
     p_solve.add_argument("--modes", dest="modes_n", type=int, default=None,
                          help="number of series modes")
-    p_solve.set_defaults(func=_cmd_solve)
+    p_solve.set_defaults(func=_run_gated, body=_solve_body)
 
     p_cmp = sub.add_parser("compare",
                            help="solve via series and finite differences; report differences")
     _add_common_flags(p_cmp)
     p_cmp.add_argument("--modes", dest="modes_n", type=int, default=None,
                        help="number of series modes")
-    p_cmp.set_defaults(func=_cmd_compare)
+    p_cmp.set_defaults(func=_run_gated, body=_compare_body)
 
     p_sweep = sub.add_parser("sweep",
                              help="accuracy/runtime sweep over mode counts")
     _add_common_flags(p_sweep, with_field=False)
     p_sweep.add_argument("--modes", dest="modes_list", default=None,
                          help="comma-separated mode counts (default 8,16,32,64)")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_run_gated, body=_sweep_body)
 
     p_dde = sub.add_parser("dde", help="scalar delay ODE utilities")
     dde_sub = p_dde.add_subparsers(dest="dde_command", required=True,
@@ -458,7 +449,7 @@ def main(argv=None):
     except CompatibilityError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    except (QuadratureError, NumericError, AdvisoryError) as exc:
+    except (QuadratureError, NumericError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except DelayHeatError as exc:

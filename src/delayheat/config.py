@@ -20,17 +20,18 @@ A run is described by one JSON object::
         "trace_right": 0                 # boundary trace at x = length
       },
       "solver": {
-        "modes": 64, "nx": 200, "nt": null, "nt_per_tau": 16,
+        "modes": 64, "nx": 200, "nt_per_tau": 16,
         "quadrature": {"nodes_per_panel": 16, "max_panel_splits": 8,
                        "abs_tol": 1e-10}
       },
       "check": {"m": null, "delta": 0.5, "fit_slack": 0.25, "tol": 1e-8},
-      "outputs": {"field_csv": "field.csv", "report_json": "report.json"},
-      "mode": "solve"
+      "outputs": {"field_csv": "field.csv", "report_json": "report.json"}
     }
 
-``outputs`` and ``mode`` are optional defaults; command-line flags and the
-chosen subcommand take precedence.
+``outputs`` holds optional default paths; command-line flags take
+precedence.  The time grid is set by ``nt_per_tau`` for delay problems
+(default 16) and by ``nt`` for problems without delay (default 200); the
+setting of the other kind is an error, not ignored.
 
 Each function slot accepts a number (a constant), an expression string over
 ``x`` and ``t`` (with ``pi`` plus the problem's ``l`` and ``tau`` bound as
@@ -68,8 +69,8 @@ class SolverSettings:
 
     modes: int = 64
     nx: int = 200
-    nt: int = None
-    nt_per_tau: int = 16
+    nt: int = None           # resolved per problem kind by config_from_dict
+    nt_per_tau: int = None
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
 
 
@@ -89,7 +90,6 @@ class RunConfig:
     solver: SolverSettings
     check: CheckSettings
     outputs: dict = field(default_factory=dict)
-    mode: str = None
 
     @property
     def kind(self):
@@ -253,7 +253,7 @@ def solver_from_dict(data):
         modes=64 if modes is None else modes,
         nx=200 if nx is None else nx,
         nt=_int_or_none(data, "nt", None, where),
-        nt_per_tau=_int_or_none(data, "nt_per_tau", 16, where),
+        nt_per_tau=_int_or_none(data, "nt_per_tau", None, where),
         quadrature=quad,
     )
     if settings.modes < 1:
@@ -295,20 +295,23 @@ def outputs_from_dict(data):
 def config_from_dict(data):
     if not isinstance(data, dict):
         raise ConfigError("run configuration must be a JSON object")
-    _reject_unknown(data, ("problem", "solver", "check", "outputs", "mode"),
+    _reject_unknown(data, ("problem", "solver", "check", "outputs"),
                     "run configuration")
-    mode = data.get("mode")
-    if mode is not None and mode not in ("check", "solve", "compare", "sweep"):
-        raise ConfigError(
-            f"mode must be one of check/solve/compare/sweep, got {mode!r}")
-    problem = problem_from_dict(_require(data, "problem", "run configuration"))
-    return RunConfig(
-        problem=problem,
+    cfg = RunConfig(
+        problem=problem_from_dict(_require(data, "problem", "run configuration")),
         solver=solver_from_dict(data.get("solver")),
         check=check_from_dict(data.get("check")),
         outputs=outputs_from_dict(data.get("outputs")),
-        mode=mode,
     )
+    key, other, default = (("nt_per_tau", "nt", 16) if cfg.kind == "delay"
+                           else ("nt", "nt_per_tau", 200))
+    if getattr(cfg.solver, other) is not None:
+        raise ConfigError(
+            f"solver.{other} does not apply to {cfg.kind} problems; "
+            f"set solver.{key}")
+    if getattr(cfg.solver, key) is None:
+        setattr(cfg.solver, key, default)
+    return cfg
 
 
 def load_config(path):

@@ -45,13 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericError, QuadratureError
+from .errors import DomainError, InputError, NumericError
 from .funcspec import FunctionSpec
 from .quadrature import (
     QuadratureConfig,
     composite_gauss,
     graded_breakpoints,
-    halve_panels,
+    halve_until_stable,
     panel_nodes,
 )
 
@@ -301,18 +301,8 @@ def solve_on_grid(params, history, rho, steps_per_tau, n_steps, quad=None):
         return x
 
     edges = np.array([0.0, *graded_breakpoints(0.0, 1.0, -a * dt), 1.0])
-    value = level_value(edges)
-    residual = np.inf
-    for _ in range(quad.max_panel_splits):
-        edges = halve_panels(edges)
-        refined = level_value(edges)
-        diff = np.abs(refined - value)
-        residual = float(diff.max())
-        value = refined
-        if np.all(diff <= quad.abs_tol + 1e-14 * np.abs(refined)):
-            return value
-    raise QuadratureError(
+    return halve_until_stable(
+        level_value, edges, quad,
         f"grid quadrature did not converge to {quad.abs_tol:g} "
         f"after {quad.max_panel_splits} panel splits",
-        residual=residual,
     )

@@ -48,11 +48,6 @@ class CompatibilityError(DelayHeatError):
         self.mismatch = mismatch
 
 
-class AdvisoryError(DelayHeatError):
-    """A sufficient-but-not-necessary solvability screen failed and the
-    caller did not ask to proceed anyway."""
-
-
 class QuadratureError(DelayHeatError):
     """Adaptive quadrature failed to reach tolerance.
 

@@ -1,10 +1,11 @@
 """Finite-difference cross-check solver (method of lines + method of steps).
 
 Space: central second-order stencils on a uniform grid, Dirichlet rows pinned.
-Time: Crank-Nicolson (default) or backward Euler, tridiagonal solves via
-banded LU.  The delayed terms are explicit data: with dt = tau / nt_per_tau
-the lagged time level t - tau is exactly a stored row, so each step of the
-delayed problem only solves the instantaneous operator implicitly.
+Time: Crank-Nicolson, tridiagonal solves via banded LU.  The delayed terms
+are explicit data: with dt = tau / nt_per_tau the lagged time level t - tau
+is exactly a stored row, so each step of the delayed problem only solves the
+instantaneous operator implicitly.  Both problem kinds share one march,
+:func:`_crank_nicolson`; the delayed one hands it the lagged term.
 
 This module is deliberately independent of the spectral solver stack
 (delayed_exp / delay_ode / spectral / heat_* are never imported here); the
@@ -22,23 +23,18 @@ from scipy.linalg import solve_banded
 from .errors import InputError
 from .field import SolutionField
 
-_SCHEMES = ("crank_nicolson", "backward_euler")
-
 
 @dataclass(frozen=True)
 class FdConfig:
-    """Grid and scheme for the finite-difference solver."""
+    """Grid for the finite-difference solver."""
 
     nx: int = 200
     nt: int = None           # time steps over [0, T] (problems without delay)
     nt_per_tau: int = None   # time steps per delay (delayed problems)
-    scheme: str = "crank_nicolson"
 
     def __post_init__(self):
         if self.nx < 3:
             raise InputError(f"nx must be at least 3, got {self.nx!r}")
-        if self.scheme not in _SCHEMES:
-            raise InputError(f"scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         if self.nt is not None and self.nt < 1:
             raise InputError(f"nt must be at least 1, got {self.nt!r}")
         if self.nt_per_tau is not None and self.nt_per_tau < 1:
@@ -70,6 +66,28 @@ def _apply_interior(sub, diag, sup, v):
     return out
 
 
+def _crank_nicolson(v, start, op, dt, source, left, right, lagged=None):
+    """March v[i] -> v[i + 1] for i = start, ..., len(v) - 2 in place.
+
+    ``op`` is the (sub, diag, sup) stencil of the implicit operator,
+    ``source[i - start]`` the source row at time row i, and ``left`` /
+    ``right`` the boundary values per time row.  ``lagged(i)``, when given,
+    is the lagged term at time row i; like the source it is explicit data,
+    averaged over both ends of each step.
+    """
+    ab = _implicit_bands(v.shape[1] - 1, *op, 0.5 * dt)
+    lag_next = lagged(start)[1:-1] if lagged is not None else None
+    for i in range(start, v.shape[0] - 1):
+        j = i - start
+        rhs = v[i] + 0.5 * dt * _apply_interior(*op, v[i])
+        if lagged is not None:
+            lag_now, lag_next = lag_next, lagged(i + 1)[1:-1]
+            rhs[1:-1] += 0.5 * dt * (lag_now + lag_next)
+        rhs[1:-1] += 0.5 * dt * (source[j, 1:-1] + source[j + 1, 1:-1])
+        rhs[0], rhs[-1] = left[i + 1], right[i + 1]
+        v[i + 1] = solve_banded((1, 1), ab, rhs)
+
+
 def fd_solve_nodelay(p, cfg):
     """Finite-difference solution of the drift-reaction heat equation."""
     if cfg.nt is None:
@@ -80,7 +98,6 @@ def fd_solve_nodelay(p, cfg):
     dx = x[1] - x[0]
     dt = t[1] - t[0]
 
-    sub, diag, sup = _stencil(nx, dx, p.a**2, p.b, p.c)
     g_rows = np.asarray(p.g(x[None, :], t[:, None]), dtype=float)
     left = np.asarray(p.theta1(0.0, t), dtype=float)
     right = np.asarray(p.theta2(0.0, t), dtype=float)
@@ -88,22 +105,12 @@ def fd_solve_nodelay(p, cfg):
     v = np.empty((nt + 1, nx + 1))
     v[0] = np.asarray(p.psi(x, 0.0), dtype=float)
     v[0, 0], v[0, -1] = left[0], right[0]
-
-    implicit_weight = 0.5 * dt if cfg.scheme == "crank_nicolson" else dt
-    ab = _implicit_bands(nx, sub, diag, sup, implicit_weight)
-    for j in range(nt):
-        if cfg.scheme == "crank_nicolson":
-            rhs = v[j] + 0.5 * dt * _apply_interior(sub, diag, sup, v[j])
-            rhs[1:-1] += 0.5 * dt * (g_rows[j, 1:-1] + g_rows[j + 1, 1:-1])
-        else:
-            rhs = v[j].copy()
-            rhs[1:-1] += dt * g_rows[j + 1, 1:-1]
-        rhs[0], rhs[-1] = left[j + 1], right[j + 1]
-        v[j + 1] = solve_banded((1, 1), ab, rhs)
+    _crank_nicolson(v, 0, _stencil(nx, dx, p.a**2, p.b, p.c), dt, g_rows,
+                    left, right)
 
     meta = {
         "model": "heat_nodelay",
-        "scheme": cfg.scheme,
+        "scheme": "crank_nicolson",
         "nx": nx,
         "nt": nt,
         "dx": float(dx),
@@ -128,8 +135,7 @@ def fd_solve_delay(p, cfg):
     t = dt * np.arange(-m, steps + 1)
     dx = x[1] - x[0]
 
-    sub1, diag1, sup1 = _stencil(nx, dx, p.a1**2, p.b1, p.d1)
-    sub2, diag2, sup2 = _stencil(nx, dx, p.a2**2, p.b2, p.d2)
+    lag_op = _stencil(nx, dx, p.a2**2, p.b2, p.d2)
     left = np.asarray(p.theta1(0.0, t), dtype=float)
     right = np.asarray(p.theta2(0.0, t), dtype=float)
     t_pos = t[m:]
@@ -138,30 +144,13 @@ def fd_solve_delay(p, cfg):
     v = np.empty((t.size, nx + 1))
     v[: m + 1] = np.asarray(p.psi(x[None, :], t[: m + 1, None]), dtype=float)
     v[: m + 1, 0], v[: m + 1, -1] = left[: m + 1], right[: m + 1]
-
-    def lagged_data(row):
-        return _apply_interior(sub2, diag2, sup2, v[row])
-
-    implicit_weight = 0.5 * dt if cfg.scheme == "crank_nicolson" else dt
-    ab = _implicit_bands(nx, sub1, diag1, sup1, implicit_weight)
-    for i in range(m, t.size - 1):
-        j = i - m  # index into g_rows (time t_i = t_pos[j])
-        if cfg.scheme == "crank_nicolson":
-            rhs = v[i] + 0.5 * dt * _apply_interior(sub1, diag1, sup1, v[i])
-            rhs[1:-1] += 0.5 * dt * (
-                lagged_data(i - m)[1:-1] + lagged_data(i + 1 - m)[1:-1]
-            )
-            rhs[1:-1] += 0.5 * dt * (g_rows[j, 1:-1] + g_rows[j + 1, 1:-1])
-        else:
-            rhs = v[i].copy()
-            rhs[1:-1] += dt * lagged_data(i + 1 - m)[1:-1]
-            rhs[1:-1] += dt * g_rows[j + 1, 1:-1]
-        rhs[0], rhs[-1] = left[i + 1], right[i + 1]
-        v[i + 1] = solve_banded((1, 1), ab, rhs)
+    _crank_nicolson(v, m, _stencil(nx, dx, p.a1**2, p.b1, p.d1), dt, g_rows,
+                    left, right,
+                    lagged=lambda i: _apply_interior(*lag_op, v[i - m]))
 
     meta = {
         "model": "heat_delay",
-        "scheme": cfg.scheme,
+        "scheme": "crank_nicolson",
         "nx": nx,
         "nt_per_tau": m,
         "dx": float(dx),

@@ -8,7 +8,9 @@ stiff exponential factor exp(rate * s).  Panels are therefore laid out from
 * a geometric grading toward the end where an exponential factor peaks,
 
 and the result is accepted only after a panel-halving refinement agrees to
-tolerance.
+tolerance.  :func:`halve_until_stable` is that acceptance loop; the adaptive
+:func:`composite_gauss`, the sine projection and the delay-ODE grid engine
+each hand it their own level function.
 """
 
 from __future__ import annotations
@@ -96,6 +98,28 @@ def graded_breakpoints(lo, hi, rate, threshold=8.0):
     return [p for p in pts if lo < p < hi]
 
 
+def halve_until_stable(level, layout, quad, message, halve=halve_panels):
+    """Refine ``layout`` until two successive levels agree; return the last.
+
+    ``level(layout)`` evaluates a scalar or an array.  The panels are halved
+    (``halve(layout)``) and the level evaluated again until every entry
+    agrees with the previous level to ``abs_tol + 1e-14 * |value|``.  After
+    ``quad.max_panel_splits`` halvings without that, raises
+    :class:`QuadratureError` with ``message`` and the largest difference.
+    """
+    value = level(layout)
+    residual = np.inf
+    for _ in range(quad.max_panel_splits):
+        layout = halve(layout)
+        refined = level(layout)
+        diff = np.abs(refined - value)
+        residual = float(np.max(diff))
+        value = refined
+        if np.all(diff <= quad.abs_tol + 1e-14 * np.abs(refined)):
+            return value
+    raise QuadratureError(message, residual=residual)
+
+
 def composite_gauss(f, a, b, quad=None, breakpoints=()):
     """Integrate vectorized ``f`` over [a, b] with adaptive composite Gauss.
 
@@ -120,17 +144,8 @@ def composite_gauss(f, a, b, quad=None, breakpoints=()):
         vals = np.asarray(f(pts), dtype=float)
         return float(np.dot(vals, wts))
 
-    value = level_value(edges)
-    residual = np.inf
-    for _ in range(quad.max_panel_splits):
-        edges = halve_panels(edges)
-        refined = level_value(edges)
-        residual = abs(refined - value)
-        value = refined
-        if residual <= quad.abs_tol + 1e-14 * abs(refined):
-            return value
-    raise QuadratureError(
+    return halve_until_stable(
+        level_value, edges, quad,
         f"quadrature did not converge to {quad.abs_tol:g} "
         f"after {quad.max_panel_splits} panel splits",
-        residual=residual,
     )

@@ -2,8 +2,10 @@
 
 The Dirichlet Laplacian on [0, l] has eigenfunctions sin(pi n x / l) with
 eigenvalues (pi n / l)^2.  Projections use composite Gauss panels whose count
-scales with the highest requested mode (at least max(4, 2N) panels), then a
-panel-doubling check, so oscillatory integrands stay resolved.
+scales with the highest requested mode (max(4, 2N) panels), so oscillatory
+integrands stay resolved.  Only ``sine_coefficients`` then doubles the panel
+count until the coefficients settle; ``project_paths`` uses the fixed
+``sine_projection_rule`` and runs no such check.
 
 Projecting f(x, t) at shared sample times gives one coefficient path per
 mode (``project_paths``).  The same pass projects its t-derivative, read off
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InsufficientDataError, QuadratureError
-from .quadrature import QuadratureConfig, panel_nodes
+from .errors import InputError, InsufficientDataError
+from .quadrature import QuadratureConfig, halve_until_stable, panel_nodes
 
 
 @dataclass(frozen=True)
@@ -150,8 +152,10 @@ class HermitePaths:
 def sine_coefficients(f, basis, quad=None):
     """Coefficients c_n = (2 / l) * integral f(x) sin(pi n x / l) dx, n = 1..N.
 
-    ``f`` must be vectorized over x.  The panel count is doubled until the
-    whole coefficient vector is stable to quadrature tolerance.
+    ``f`` must be vectorized over x.  The panel count is doubled until
+    every coefficient is stable to quadrature tolerance; raises
+    :class:`QuadratureError` otherwise.  Each level lays out its panels with
+    ``np.linspace``, not by halving edges, so its nodes keep their bits.
     """
     if quad is None:
         quad = QuadratureConfig()
@@ -163,18 +167,10 @@ def sine_coefficients(f, basis, quad=None):
         vals = np.asarray(f(pts), dtype=float)
         return (2.0 / basis.length) * (basis.eigenfunctions(pts) @ (wts * vals))
 
-    coeffs = level(panels)
-    residual = np.inf
-    for _ in range(quad.max_panel_splits):
-        panels *= 2
-        refined = level(panels)
-        residual = float(np.max(np.abs(refined - coeffs)))
-        coeffs = refined
-        scale = float(np.max(np.abs(refined))) if refined.size else 0.0
-        if residual <= quad.abs_tol + 1e-14 * scale:
-            return coeffs
-    raise QuadratureError(
-        f"sine projection did not converge to {quad.abs_tol:g}", residual=residual
+    return halve_until_stable(
+        level, panels, quad,
+        f"sine projection did not converge to {quad.abs_tol:g}",
+        halve=lambda panels: 2 * panels,
     )
 
 

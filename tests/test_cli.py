@@ -401,6 +401,21 @@ def test_bad_flag_values_exit_1(tmp_path):
     assert main(["solve", "--config", cfg, "--nt-per-tau", "0"]) == 1
 
 
+def test_grid_setting_of_the_other_problem_kind_exits_1(tmp_path, capsys):
+    # A delay grid is set per delay, a no-delay grid over [0, T]; the
+    # other kind's flag must not be dropped silently (the config keys are
+    # checked in test_config).
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    out = str(tmp_path / "r.json")
+    for name, flag, other in (("delay_single_mode", "--nt", "delay"),
+                              ("pure_diffusion", "--nt-per-tau", "nodelay")):
+        cfg = str(configs / f"{name}.json")
+        assert main(["solve", "--config", cfg, flag, "3", "--out-report", out]) == 1
+        assert f"error: {flag} does not apply to {other} problems" in (
+            capsys.readouterr().err)
+    assert not os.path.exists(out)
+
+
 def test_path_samples_key_is_rejected_as_unknown(tmp_path, capsys):
     # The sample counts are fixed; the removed key must not reach the solver.
     for value in (0, 1, 257):

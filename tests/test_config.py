@@ -37,6 +37,18 @@ def _delay_dict(**overrides):
     return data
 
 
+def _nodelay_dict(**overrides):
+    data = {
+        "problem": {
+            "kind": "nodelay", "diffusion": 1.0, "length": 1.0,
+            "horizon": 0.5, "source": "0", "initial": "sin(pi*x)",
+            "trace_left": 0, "trace_right": 0,
+        },
+    }
+    data.update(overrides)
+    return data
+
+
 # ---------------------------------------------------------------------------
 # Whole-config parsing
 # ---------------------------------------------------------------------------
@@ -52,13 +64,13 @@ def test_minimal_delay_config():
     assert p.psi(math.pi / 2.0, -0.3) == pytest.approx(1.0)
     # Defaults everywhere else.
     assert cfg.solver.modes == 64 and cfg.solver.nx == 200
-    assert cfg.solver.nt_per_tau == 16
+    assert cfg.solver.nt_per_tau == 16 and cfg.solver.nt is None
     assert cfg.check.delta == 0.5 and cfg.check.m is None
-    assert cfg.outputs == {} and cfg.mode is None
+    assert cfg.outputs == {}
 
 
 def test_full_nodelay_config():
-    cfg = config_from_dict({
+    data = {
         "problem": {
             "kind": "nodelay", "diffusion": 2.0, "drift": 0.5, "reaction": 0.1,
             "length": 1.0, "horizon": 0.5, "source": "x*t",
@@ -70,7 +82,12 @@ def test_full_nodelay_config():
         "check": {"m": 3, "delta": 0.25, "fit_slack": 0.1, "tol": 1e-6},
         "outputs": {"field_csv": "out.csv", "report_json": "report.json"},
         "mode": "solve",
-    })
+    }
+    # The subcommand picks what runs; a "mode" key is an unknown key.
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['mode'\]"):
+        config_from_dict(data)
+    del data["mode"]
+    cfg = config_from_dict(data)
     assert cfg.kind == "nodelay"
     p = cfg.problem
     assert isinstance(p, HeatProblem)
@@ -80,7 +97,22 @@ def test_full_nodelay_config():
     assert cfg.solver.quadrature.nodes_per_panel == 8
     assert cfg.check.m == 3 and cfg.check.tol == 1e-6
     assert cfg.outputs == {"field_csv": "out.csv", "report_json": "report.json"}
-    assert cfg.mode == "solve"
+    assert cfg.solver.nt == 20 and cfg.solver.nt_per_tau is None
+
+
+def test_time_grid_defaults_follow_the_problem_kind():
+    cfg = config_from_dict(_nodelay_dict())
+    assert cfg.solver.nt == 200 and cfg.solver.nt_per_tau is None
+    cfg = config_from_dict(_delay_dict(solver={"nt_per_tau": 8, "nt": None}))
+    assert cfg.solver.nt_per_tau == 8 and cfg.solver.nt is None
+
+
+def test_time_grid_setting_of_the_other_kind_is_rejected():
+    with pytest.raises(ConfigError, match="solver.nt does not apply to delay"):
+        config_from_dict(_delay_dict(solver={"nt": 3}))
+    with pytest.raises(ConfigError,
+                       match="solver.nt_per_tau does not apply to nodelay"):
+        config_from_dict(_nodelay_dict(solver={"nt_per_tau": 8}))
 
 
 def test_tau_is_bound_in_delay_expressions():

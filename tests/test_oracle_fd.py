@@ -2,7 +2,7 @@
 
 The point of this solver is independence: it must converge to known closed
 forms on its own, share no code with the spectral stack, and keep second
-order accuracy under Crank-Nicolson (first order under backward Euler).
+order accuracy under Crank-Nicolson.
 """
 
 import math
@@ -66,14 +66,6 @@ def test_crank_nicolson_second_order_in_time():
     assert np.all(orders > 1.8)
 
 
-def test_backward_euler_first_order_in_time():
-    errs = [_nodelay_error(FdConfig(nx=400, nt=nt, scheme="backward_euler"))
-            for nt in (10, 20, 40)]
-    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    assert np.all(orders > 0.8)
-    assert np.all(orders < 1.3)
-
-
 def test_second_order_in_space():
     # Time error made negligible by a fine step; space halving gains 4x.
     errs = [_nodelay_error(FdConfig(nx=nx, nt=800)) for nx in (20, 40, 80)]
@@ -117,6 +109,22 @@ def test_delay_solver_converges_on_single_mode():
     assert np.all(orders > 1.8)
 
 
+def test_delay_march_without_lag_coupling_matches_the_nodelay_march():
+    # a2 = b2 = d2 = 0 leaves no lagged term, so from data constant in t on
+    # [-tau, 0] both problem kinds march the same equation.  dt = 1/32 on
+    # both grids, so the time rows coincide.
+    common = dict(length=math.pi, horizon=1.0, g="x*cos(3*t)",
+                  psi="sin(x) + 0.5 + 0.25*x/l", theta1="0.5*cos(t)",
+                  theta2="0.75*exp(-t)")
+    p_nodelay = _nodelay(a=1.3, b=0.4, c=-0.2, **common)
+    p_delay = _delay(a1=1.3, b1=0.4, d1=-0.2, a2=0.0, b2=0.0, d2=0.0,
+                     tau=0.25, **common)
+    plain = fd_solve_nodelay(p_nodelay, FdConfig(nx=40, nt=32))
+    delayed = fd_solve_delay(p_delay, FdConfig(nx=40, nt_per_tau=8))
+    np.testing.assert_array_equal(delayed.t[8:], plain.t)
+    np.testing.assert_allclose(delayed.v[8:], plain.v, rtol=0.0, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # Grid structure and boundary handling
 # ---------------------------------------------------------------------------
@@ -147,8 +155,6 @@ def test_boundary_rows_are_pinned():
 def test_config_validation():
     with pytest.raises(InputError):
         FdConfig(nx=2, nt=10)
-    with pytest.raises(InputError):
-        FdConfig(nx=10, nt=10, scheme="leapfrog")
     with pytest.raises(InputError):
         fd_solve_nodelay(_nodelay(), FdConfig(nx=10, nt_per_tau=4))
     with pytest.raises(InputError):

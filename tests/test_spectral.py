@@ -12,6 +12,8 @@ from delayheat import (
     EigenBasis,
     InputError,
     InsufficientDataError,
+    QuadratureConfig,
+    QuadratureError,
     Sampled1DFunction,
     UnsupportedOperationError,
     decay_fit,
@@ -76,6 +78,17 @@ def test_parabola_coefficients_match_closed_form():
     n = basis.mode_numbers
     expected = np.where(n % 2 == 1, 8.0 / (np.pi**3 * n.astype(float) ** 3), 0.0)
     np.testing.assert_allclose(coeffs, expected, atol=1e-10)
+
+
+def test_sine_projection_raises_when_splits_run_out():
+    # A jump between panel edges never settles; two halvings are allowed.
+    basis = EigenBasis(length=np.pi, n_modes=4)
+    quad = QuadratureConfig(max_panel_splits=2)
+    with pytest.raises(QuadratureError,
+                       match=r"^sine projection did not converge to 1e-10$") as err:
+        sine_coefficients(lambda x: np.where(x < 1.0, 1.0, 0.0), basis, quad)
+    assert np.isfinite(err.value.residual)
+    assert err.value.residual > quad.abs_tol
 
 
 def test_parabola_coefficients_scale_with_length():
