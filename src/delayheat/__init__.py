@@ -106,7 +106,7 @@ __version__ = "1.0.0"
 def __getattr__(name):
     # The finite-difference oracle needs scipy.linalg; it loads on first use,
     # so importing the package, and the check/solve path, loads no scipy.
-    if name in ("FdConfig", "fd_solve_delay", "fd_solve_nodelay"):
+    if name in ("fd_solve_delay", "fd_solve_nodelay"):
         from . import oracle_fd
 
         return getattr(oracle_fd, name)
@@ -127,7 +127,6 @@ __all__ = [
     "EigenBasis",
     "EnergyReport",
     "ExprFunction",
-    "FdConfig",
     "FunctionSpec",
     "GridSpec",
     "GronwallResult",

@@ -190,21 +190,25 @@ def _gate(cfg, override):
     return report, EXIT_OK
 
 
-def _solve_field(cfg, modes=None):
-    # The config holds the time step count of its own problem kind only.
+def _grid(cfg):
+    """The one grid of a run: the series field and the oracle both use it.
+    The config holds the time step count of its own problem kind only."""
     s = cfg.solver
+    return GridSpec(nx=s.nx, nt=s.nt, nt_per_tau=s.nt_per_tau)
+
+
+def _solve_field(cfg, modes=None):
     solve = solve_delay if cfg.kind == "delay" else solve_nodelay
-    return solve(cfg.problem, _basis_for(cfg, modes),
-                 GridSpec(nx=s.nx, nt=s.nt, nt_per_tau=s.nt_per_tau), s.quadrature)
+    return solve(cfg.problem, _basis_for(cfg, modes), _grid(cfg),
+                 cfg.solver.quadrature)
 
 
 def _fd_field(cfg):
     # The oracle, and scipy with it, loads only for compare and sweep.
-    from .oracle_fd import FdConfig, fd_solve_delay, fd_solve_nodelay
+    from .oracle_fd import fd_solve_delay, fd_solve_nodelay
 
-    s = cfg.solver
     solve = fd_solve_delay if cfg.kind == "delay" else fd_solve_nodelay
-    return solve(cfg.problem, FdConfig(nx=s.nx, nt=s.nt, nt_per_tau=s.nt_per_tau))
+    return solve(cfg.problem, _grid(cfg))
 
 
 def _print_check_summary(report):

@@ -29,9 +29,12 @@ A run is described by one JSON object::
     }
 
 ``outputs`` holds optional default paths; command-line flags take
-precedence.  The time grid is set by ``nt_per_tau`` for delay problems
-(default 16) and by ``nt`` for problems without delay (default 200); the
-setting of the other kind is an error, not ignored.
+precedence.  :func:`load_config` resolves a relative ``outputs`` path
+against the directory of the config file, so a run writes the same files
+from any working directory; a relative path given as a flag stays relative
+to the working directory.  The time grid is set by ``nt_per_tau`` for delay
+problems (default 16) and by ``nt`` for problems without delay (default
+200); the setting of the other kind is an error, not ignored.
 
 Each function slot accepts a number (a constant), an expression string over
 ``x`` and ``t`` (with ``pi`` plus the problem's ``l`` and ``tau`` bound as
@@ -48,6 +51,7 @@ Unknown keys anywhere are rejected so typos cannot silently change a run.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DelayHeatError
@@ -315,7 +319,8 @@ def config_from_dict(data):
 
 
 def load_config(path):
-    """Read a JSON run configuration from ``path``."""
+    """Read a JSON run configuration from ``path``; relative ``outputs``
+    paths name files beside it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -323,4 +328,8 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    cfg = config_from_dict(data)
+    base = os.path.dirname(path)
+    cfg.outputs = {key: os.path.join(base, value)
+                   for key, value in cfg.outputs.items()}
+    return cfg

@@ -98,10 +98,6 @@ class HistoryFunction:
         d = fs.differentiate("t", 1)
         return cls(beta=lambda s: fs(0.0, s), beta_prime=lambda s: d(0.0, s))
 
-    @classmethod
-    def from_callables(cls, beta, beta_prime):
-        return cls(beta=beta, beta_prime=beta_prime)
-
 
 _MAX_EXP_ARG = 700.0  # below the float64 overflow threshold of exp
 

@@ -26,8 +26,10 @@ _CSV_BLOCK_CELLS = 1 << 14
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform output grid: nx space intervals; time resolution either as a
-    step count ``nt`` over [0, T] or as ``nt_per_tau`` steps per delay."""
+    """Uniform solution grid: nx space intervals; time resolution either as
+    a step count ``nt`` over [0, T] or as ``nt_per_tau`` steps per delay.
+    The series solvers and the finite-difference oracle all read x and t
+    here."""
 
     nx: int = 200
     nt: int = None
@@ -47,11 +49,15 @@ class GridSpec:
         return np.linspace(0.0, length, self.nx + 1)
 
     def time_step(self, horizon, tau=None):
-        if self.nt_per_tau is not None:
-            if tau is None:
+        """T / nt without a delay, tau / nt_per_tau with one; a grid of the
+        other problem kind raises :class:`InputError`."""
+        if tau is None:
+            if self.nt_per_tau is not None:
                 raise InputError("nt_per_tau given but the problem has no delay")
-            return tau / self.nt_per_tau
-        return horizon / self.nt
+            return horizon / self.nt
+        if self.nt_per_tau is None:
+            raise InputError("delay problems need a grid specified via nt_per_tau")
+        return tau / self.nt_per_tau
 
     def t_points(self, horizon, tau=None):
         """Time rows: [0, T] for non-delay grids, [-tau, T_eff] for delay grids.
@@ -59,11 +65,9 @@ class GridSpec:
         Delay grids use dt = tau / nt_per_tau so steps divide the delay
         exactly; T_eff is the smallest grid multiple >= T.
         """
-        if self.nt_per_tau is None:
-            return np.linspace(0.0, horizon, self.nt + 1)
+        dt = self.time_step(horizon, tau)
         if tau is None:
-            raise InputError("nt_per_tau given but the problem has no delay")
-        dt = tau / self.nt_per_tau
+            return np.linspace(0.0, horizon, self.nt + 1)
         steps = int(math.ceil(horizon / dt - 1e-9))
         return dt * np.arange(-self.nt_per_tau, steps + 1)
 

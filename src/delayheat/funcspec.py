@@ -666,6 +666,10 @@ def _clip(u, pts, name):
     return np.clip(u, lo, hi)
 
 
+# Derivatives a sampled table supports per variable, by interpolation kind.
+_TABLE_SMOOTHNESS = {"linear": 1, "cubic": 2}
+
+
 @dataclass
 class Sampled1DFunction(FunctionSpec):
     """Values sampled on a strictly increasing 1D grid in ``x`` or ``t``.
@@ -678,7 +682,6 @@ class Sampled1DFunction(FunctionSpec):
     points: np.ndarray
     values: np.ndarray
     kind: str = "cubic"
-    budget: int = None
 
     def __post_init__(self):
         if self.var not in VARIABLES:
@@ -696,8 +699,6 @@ class Sampled1DFunction(FunctionSpec):
         min_pts = 4 if self.kind == "cubic" else 2
         if self.points.size < min_pts:
             raise InputError(f"{self.kind} interpolation needs at least {min_pts} points")
-        if self.budget is None:
-            self.budget = 2 if self.kind == "cubic" else 1
         self._spline = None
 
     def _derivative(self, u, order):
@@ -724,7 +725,7 @@ class Sampled1DFunction(FunctionSpec):
         own, other = (kx, kt) if self.var == "x" else (kt, kx)
         if var != self.var or other:  # partials in the other variable are 0
             return None
-        return self.budget - own
+        return _TABLE_SMOOTHNESS[self.kind] - own
 
 
 @dataclass
@@ -735,7 +736,6 @@ class Sampled2DFunction(FunctionSpec):
     t_points: np.ndarray
     values: np.ndarray  # shape (len(x_points), len(t_points))
     kind: str = "cubic"
-    budgets: dict = None
 
     def __post_init__(self):
         if self.kind not in ("linear", "cubic"):
@@ -753,9 +753,6 @@ class Sampled2DFunction(FunctionSpec):
         min_pts = 4 if self.kind == "cubic" else 2
         if self.x_points.size < min_pts or self.t_points.size < min_pts:
             raise InputError(f"{self.kind} interpolation needs at least {min_pts} points per axis")
-        if self.budgets is None:
-            b = 2 if self.kind == "cubic" else 1
-            self.budgets = {"x": b, "t": b}
         self._spline = None
 
     def _derivative(self, xc, tc, dx, dt):
@@ -789,7 +786,7 @@ class Sampled2DFunction(FunctionSpec):
                        / (math.factorial(i) * math.factorial(j)), kx, kt)
 
     def smoothness(self, var, kx=0, kt=0):
-        return self.budgets[var] - (kx if var == "x" else kt)
+        return _TABLE_SMOOTHNESS[self.kind] - (kx if var == "x" else kt)
 
 
 # ---------------------------------------------------------------------------
@@ -839,8 +836,8 @@ class ExpWeightedFunction(FunctionSpec):
     offset: float = 0.0
 
     def _jet(self, x, t, kx, kt):
-        # Terms with a zero coefficient are left out, so that a constant
-        # weight stays a scalar instead of a full (x, t) grid.
+        # Terms with a zero coefficient (of either sign) are left out, so
+        # that a constant weight stays a scalar instead of a full (x, t) grid.
         arg = self.offset
         for coef, var in zip((self.coef_x, self.coef_t), _variables(x, t, kx, kt)):
             if coef != 0.0:

@@ -114,14 +114,29 @@ class ReducedDelayProblem:
     tau: float
     length: float
     horizon: float
-    f: FunctionSpec
-    phi: FunctionSpec
-    mu1: FunctionSpec
-    mu2: FunctionSpec
+    phi: FunctionSpec              # exp(-mu x) psi on [-tau, 0]
     lift: FunctionSpec
     shifted_initial: FunctionSpec  # Phi on [-tau, 0]
     forcing: FunctionSpec          # F on [0, T]
     _cache: dict = field(default_factory=dict, repr=False)
+
+
+def weighted_frame(p, mu, gamma=0.0):
+    """Data of ``p`` in the frame v = exp(mu x + gamma t) u.
+
+    Returns (f, phi, mu1, mu2, lift): f = exp(-mu x - gamma t) g, the
+    initial data phi = exp(-mu x) psi, the traces mu1 = exp(-gamma t) theta1
+    and mu2 = exp(-mu l - gamma t) theta2, and the linear boundary lift
+    mu1 + (x / l)(mu2 - mu1).  Both reductions build their frame here; the
+    delayed one passes gamma = 0, and a weight whose coefficients are all
+    zero is the spec itself.
+    """
+    f = fs_exp_weight(p.g, coef_x=-mu, coef_t=-gamma)
+    phi = fs_exp_weight(p.psi, coef_x=-mu)
+    mu1 = fs_exp_weight(p.theta1, coef_t=-gamma)
+    mu2 = fs_exp_weight(p.theta2, coef_t=-gamma, offset=-mu * p.length)
+    slope = fs_scale(fs_sum(mu2, fs_scale(mu1, -1.0)), 1.0 / p.length)
+    return f, phi, mu1, mu2, fs_sum(mu1, fs_ramp_x(slope))
 
 
 def reduce_delay(p):
@@ -149,12 +164,7 @@ def reduce_delay(p):
     c1 = p.a1**2 * mu**2 + p.b1 * mu + p.d1
     c2 = p.a2**2 * mu**2 + p.b2 * mu + p.d2
 
-    f = fs_exp_weight(p.g, coef_x=-mu)
-    phi = fs_exp_weight(p.psi, coef_x=-mu)
-    mu1 = p.theta1
-    mu2 = fs_exp_weight(p.theta2, offset=-mu * p.length)
-    slope = fs_scale(fs_sum(mu2, fs_scale(mu1, -1.0)), 1.0 / p.length)
-    lift = fs_sum(mu1, fs_ramp_x(slope))
+    f, phi, _, _, lift = weighted_frame(p, mu)
     shifted_initial = fs_sum(phi, fs_scale(lift, -1.0))
     forcing = fs_sum(
         f,
@@ -171,10 +181,7 @@ def reduce_delay(p):
         tau=p.tau,
         length=p.length,
         horizon=p.horizon,
-        f=f,
         phi=phi,
-        mu1=mu1,
-        mu2=mu2,
         lift=lift,
         shifted_initial=shifted_initial,
         forcing=forcing,
@@ -316,14 +323,12 @@ def solve_delay(p, basis, grid=None, quad=None):
         quad = QuadratureConfig()
     if grid is None:
         grid = GridSpec(nx=200, nt_per_tau=64)
-    if grid.nt_per_tau is None:
-        raise InputError("delay problems need a grid specified via nt_per_tau")
+    t = grid.t_points(p.horizon, p.tau)
     if not isinstance(basis, EigenBasis):
         raise InputError("basis must be an EigenBasis")
     rp = reduce_delay(p)
     ms = build_modes(rp, basis, quad)
     x = grid.x_points(p.length)
-    t = grid.t_points(p.horizon, p.tau)
     n_hist = int(np.sum(t <= 0.0))
     t_pos = t[n_hist:]
 

@@ -14,7 +14,9 @@ v = exp(mu x + gamma t) u removes drift and reaction:
     u(x, 0) = phi(x) = exp(-mu x) psi(x).
 
 Writing u = w + lift with the linear boundary lift
-lift(x, t) = mu1(t) + (x / l)(mu2(t) - mu1(t)) gives a homogeneous Dirichlet
+lift(x, t) = mu1(t) + (x / l)(mu2(t) - mu1(t)) (f, phi, mu1, mu2 and the lift
+come from :func:`delayheat.heat_delay.weighted_frame`, which the delayed
+reduction shares with gamma = 0) gives a homogeneous Dirichlet
 problem for w with initial value Phi = phi - lift(., 0) and forcing
 F = f - d/dt lift (the lift is spatially linear, so it drops out of the
 diffusion term; no zeroth-order term survives the substitution).
@@ -44,21 +46,15 @@ same integral, evaluable at any t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .delay_ode import DelayOdeParams, solve_on_grid
 from .errors import DomainError, InputError
 from .field import GridSpec, SolutionField
-from .funcspec import (
-    FunctionSpec,
-    fs_const,
-    fs_exp_weight,
-    fs_ramp_x,
-    fs_scale,
-    fs_sum,
-)
+from .funcspec import FunctionSpec, fs_const, fs_ramp_x, fs_scale, fs_sum
+from .heat_delay import weighted_frame
 from .quadrature import QuadratureConfig, composite_gauss, graded_breakpoints
 from .spectral import (EigenBasis, HermitePaths, project_paths,
                        sine_projection_rule)
@@ -103,27 +99,16 @@ class ReducedProblem:
     horizon: float
     mu: float
     gamma: float
-    f: FunctionSpec
-    phi: FunctionSpec
-    mu1: FunctionSpec
-    mu2: FunctionSpec
     lift: FunctionSpec
     shifted_initial: FunctionSpec  # Phi = phi - lift(., 0)
     forcing: FunctionSpec          # F = f - d/dt lift
-    _cache: dict = field(default_factory=dict, repr=False)
 
 
 def reduce_problem(p):
     """Apply the drift/reaction-removing change of variables."""
     mu = -p.b / (2.0 * p.a**2)
     gamma = p.c - (p.b / (2.0 * p.a)) ** 2
-    f = fs_exp_weight(p.g, coef_x=-mu, coef_t=-gamma)
-    phi = fs_exp_weight(p.psi, coef_x=-mu)
-    mu1 = fs_exp_weight(p.theta1, coef_t=-gamma)
-    mu2 = fs_exp_weight(p.theta2, coef_t=-gamma, offset=-mu * p.length)
-    slope = fs_scale(fs_sum(mu2, fs_scale(mu1, -1.0)), 1.0 / p.length)
-    lift = fs_sum(mu1, fs_ramp_x(slope))
-
+    f, phi, mu1, mu2, lift = weighted_frame(p, mu, gamma)
     mu1_0 = mu1(0.0, 0.0)
     mu2_0 = mu2(0.0, 0.0)
     shifted_initial = fs_sum(
@@ -138,10 +123,6 @@ def reduce_problem(p):
         horizon=p.horizon,
         mu=mu,
         gamma=gamma,
-        f=f,
-        phi=phi,
-        mu1=mu1,
-        mu2=mu2,
         lift=lift,
         shifted_initial=shifted_initial,
         forcing=forcing,
@@ -149,7 +130,7 @@ def reduce_problem(p):
 
 
 # ---------------------------------------------------------------------------
-# Mode data (projected coefficient paths), cached per (basis, quad)
+# Mode data (projected coefficient paths)
 # ---------------------------------------------------------------------------
 
 
@@ -168,22 +149,16 @@ def _mode_data(rp, basis, quad):
     F and dF/dt come from one :func:`~delayheat.spectral.project_paths`
     pass, read off one jet; Phi needs no t-derivative.
     """
-    key = (basis, quad)
-    cached = rp._cache.get(key)
-    if cached is not None:
-        return cached
     rule = sine_projection_rule(basis, quad)
     ts = np.linspace(0.0, rp.horizon, 257)
     (initial,) = project_paths(rp.shifted_initial, np.zeros(1), rule,
                                basis.length, kt=0)
-    data = _ModeData(
+    return _ModeData(
         initial_coeffs=initial[:, 0],
         decay_rates=basis.eigenvalues() * rp.a**2,
         forcing=HermitePaths(ts, *project_paths(rp.forcing, ts, rule,
                                                 basis.length)),
     )
-    rp._cache[key] = data
-    return data
 
 
 def _duhamel_decay(rate, forcing, t, quad):

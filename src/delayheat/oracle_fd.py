@@ -7,38 +7,33 @@ is exactly a stored row, so each step of the delayed problem only solves the
 instantaneous operator implicitly.  Both problem kinds share one march,
 :func:`_crank_nicolson`; the delayed one hands it the lagged term.
 
+Both solvers take the series solvers' :class:`~delayheat.field.GridSpec` and
+read x and t from it, so an oracle field lies on exactly the grid of the
+series field it checks.  ``FdConfig`` is an alias of ``GridSpec`` kept for
+the benchmark harness only.
+
 This module is deliberately independent of the spectral solver stack
 (delayed_exp / delay_ode / spectral / heat_* are never imported here); the
-two solution paths share nothing but problem data and the field container.
+two solution paths share nothing but problem data, the grid and the field
+container.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import InputError
-from .field import SolutionField
+from .field import GridSpec, SolutionField
+
+FdConfig = GridSpec  # the benchmark harness imports the grid under this name
 
 
-@dataclass(frozen=True)
-class FdConfig:
-    """Grid for the finite-difference solver."""
-
-    nx: int = 200
-    nt: int = None           # time steps over [0, T] (problems without delay)
-    nt_per_tau: int = None   # time steps per delay (delayed problems)
-
-    def __post_init__(self):
-        if self.nx < 3:
-            raise InputError(f"nx must be at least 3, got {self.nx!r}")
-        if self.nt is not None and self.nt < 1:
-            raise InputError(f"nt must be at least 1, got {self.nt!r}")
-        if self.nt_per_tau is not None and self.nt_per_tau < 1:
-            raise InputError(f"nt_per_tau must be at least 1, got {self.nt_per_tau!r}")
+def _points(p, grid, tau=None):
+    """x and t of the series grid; the central stencils need nx >= 3."""
+    if grid.nx < 3:
+        raise InputError(f"nx must be at least 3, got {grid.nx!r}")
+    return grid.x_points(p.length), grid.t_points(p.horizon, tau)
 
 
 def _stencil(nx, dx, diff2, drift, react):
@@ -88,15 +83,13 @@ def _crank_nicolson(v, start, op, dt, source, left, right, lagged=None):
         v[i + 1] = solve_banded((1, 1), ab, rhs)
 
 
-def fd_solve_nodelay(p, cfg):
-    """Finite-difference solution of the drift-reaction heat equation."""
-    if cfg.nt is None:
-        raise InputError("FdConfig.nt is required for problems without delay")
-    nx, nt = cfg.nx, cfg.nt
-    x = np.linspace(0.0, p.length, nx + 1)
-    t = np.linspace(0.0, p.horizon, nt + 1)
+def fd_solve_nodelay(p, grid):
+    """Finite-difference solution of the drift-reaction heat equation on
+    ``grid``, a :class:`~delayheat.field.GridSpec` with ``nt``."""
+    x, t = _points(p, grid)
+    nx, nt = grid.nx, grid.nt
     dx = x[1] - x[0]
-    dt = t[1] - t[0]
+    dt = t[1] - t[0]  # not grid.time_step: horizon / nt can differ in the last bit
 
     g_rows = np.asarray(p.g(x[None, :], t[:, None]), dtype=float)
     left = np.asarray(p.theta1(0.0, t), dtype=float)
@@ -119,20 +112,17 @@ def fd_solve_nodelay(p, cfg):
     return SolutionField(x=x, t=t, v=v, source="fd", meta=meta)
 
 
-def fd_solve_delay(p, cfg):
-    """Method-of-steps finite-difference solution of the delayed heat equation.
+def fd_solve_delay(p, grid):
+    """Method-of-steps finite-difference solution of the delayed heat equation
+    on ``grid``, a :class:`~delayheat.field.GridSpec` with ``nt_per_tau``.
 
     The time step divides tau exactly, so v(., t - tau) is a stored row; its
     spatial derivatives are taken with the same central stencils and fed to
     the implicit step as data.
     """
-    if cfg.nt_per_tau is None:
-        raise InputError("FdConfig.nt_per_tau is required for delayed problems")
-    nx, m = cfg.nx, cfg.nt_per_tau
-    dt = p.tau / m
-    steps = int(math.ceil(p.horizon / dt - 1e-9))
-    x = np.linspace(0.0, p.length, nx + 1)
-    t = dt * np.arange(-m, steps + 1)
+    x, t = _points(p, grid, p.tau)
+    nx, m = grid.nx, grid.nt_per_tau
+    dt = grid.time_step(p.horizon, p.tau)
     dx = x[1] - x[0]
 
     lag_op = _stencil(nx, dx, p.a2**2, p.b2, p.d2)

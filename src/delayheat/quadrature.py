@@ -78,18 +78,22 @@ def halve_panels(edges):
     return out
 
 
-def graded_breakpoints(lo, hi, rate, threshold=8.0):
+# |rate| * width up to which an exponential needs no graded panels.
+_GRADING_THRESHOLD = 8.0
+
+
+def graded_breakpoints(lo, hi, rate):
     """Geometric grading for an integrand carrying exp(rate * s) on [lo, hi].
 
     Returns interior points clustered toward the end where the exponential
     peaks (hi for rate > 0, lo for rate < 0); empty when |rate|*(hi-lo) is
-    below ``threshold``.
+    at most ``_GRADING_THRESHOLD``.
     """
     width = hi - lo
     scale = abs(rate) * width
-    if not np.isfinite(scale) or scale <= threshold:
+    if not np.isfinite(scale) or scale <= _GRADING_THRESHOLD:
         return []
-    levels = int(np.ceil(np.log2(scale / (threshold / 2.0))))
+    levels = int(np.ceil(np.log2(scale / (_GRADING_THRESHOLD / 2.0))))
     dists = width * 0.5 ** np.arange(1, levels + 1)
     if rate > 0:
         pts = hi - dists

@@ -22,7 +22,6 @@ from delayheat import (
     DelayOdeParams,
     DelayedExpParams,
     EigenBasis,
-    FdConfig,
     GridSpec,
     HeatProblem,
     HistoryFunction,
@@ -149,7 +148,7 @@ def test_delay_ode_closed_form_matches_method_of_steps_oracle():
         params = DelayOdeParams(a=a, b=b, tau=tau)
         t = np.linspace(0.0, 4.0 * tau, 81)
         closed = solve_homogeneous(
-            params, HistoryFunction.from_callables(beta, beta_prime), t)
+            params, HistoryFunction(beta, beta_prime), t)
         if rho is not None:
             closed = closed + solve_forced(params, rho, t)
         oracle = dde_steps(a, b, tau, beta, t, rho=rho)
@@ -206,8 +205,8 @@ def test_manufactured_drift_reaction_solution_and_fd_cross_check():
     # Independent route: Crank-Nicolson on the same 201 x 401 grid, its
     # truncation error estimated by Richardson extrapolation against a
     # doubled grid (second-order scheme: error ~ (4/3) |coarse - fine|).
-    fd = fd_solve_nodelay(p, FdConfig(nx=200, nt=400))
-    fd_fine = fd_solve_nodelay(p, FdConfig(nx=400, nt=800))
+    fd = fd_solve_nodelay(p, GridSpec(nx=200, nt=400))
+    fd_fine = fd_solve_nodelay(p, GridSpec(nx=400, nt=800))
     np.testing.assert_allclose(fd_fine.x[::2], fd.x, atol=1e-14)
     np.testing.assert_allclose(fd_fine.t[::2], fd.t, atol=1e-14)
     trunc_est = (4.0 / 3.0) * np.max(np.abs(fd.v - fd_fine.v[::2, ::2]))
@@ -242,7 +241,7 @@ def test_single_mode_delay_field_matches_scalar_solver_and_fd_order():
     pos = field.t >= 0.0
     scalar = solve_homogeneous(
         DelayOdeParams(a=-1.0, b=-0.5, tau=tau),
-        HistoryFunction.from_callables(lambda s: 1.0, lambda s: 0.0),
+        HistoryFunction(lambda s: 1.0, lambda s: 0.0),
         field.t[pos],
     )
     exact = scalar[:, None] * np.sin(field.x)[None, :]
@@ -255,7 +254,7 @@ def test_single_mode_delay_field_matches_scalar_solver_and_fd_order():
     errs = []
     for nx, npt in ((100, 40), (200, 80)):
         spec = solve_delay(p, basis, GridSpec(nx=nx, nt_per_tau=npt))
-        fd = fd_solve_delay(p, FdConfig(nx=nx, nt_per_tau=npt))
+        fd = fd_solve_delay(p, GridSpec(nx=nx, nt_per_tau=npt))
         np.testing.assert_allclose(fd.x, spec.x, atol=1e-14)
         np.testing.assert_allclose(fd.t, spec.t, atol=1e-14)
         errs.append(np.max(np.abs(fd.v - spec.v)))

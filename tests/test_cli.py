@@ -467,9 +467,9 @@ for name in ("delay_single_mode", "pure_diffusion"):
 solve_scipy = scipy_modules()
 codes.append(run("compare", "--config", f"{configs}/pure_diffusion.json",
                  "--out-report", f"{out}/m.json"))
-from delayheat import FdConfig
+from delayheat import fd_solve_delay
 print(json.dumps({"codes": codes, "solve_scipy": solve_scipy,
-                  "compare_scipy": scipy_modules(), "fd": FdConfig.__name__}))
+                  "compare_scipy": scipy_modules(), "fd": fd_solve_delay.__name__}))
 """
 
 
@@ -490,7 +490,33 @@ def test_check_and_solve_import_no_scipy(tmp_path):
     # compare still runs the oracle, which loads scipy.linalg on demand.
     assert "scipy.linalg" in result["compare_scipy"]
     assert "oracle_meta" in json.loads((tmp_path / "m.json").read_text())
-    assert result["fd"] == "FdConfig"
+    assert result["fd"] == "fd_solve_delay"
+
+
+def test_relative_config_outputs_land_beside_the_config(tmp_path, monkeypatch):
+    # Run from another directory: the config's relative report path resolves
+    # against the config's directory, a relative flag against the working one.
+    config_dir, work_dir = tmp_path / "configs", tmp_path / "work"
+    config_dir.mkdir()
+    work_dir.mkdir()
+    cfg = _delay_config(config_dir, outputs={"report_json": "report.json"})
+    monkeypatch.chdir(work_dir)
+    assert main(["check", "--config", cfg]) == 0
+    assert (config_dir / "report.json").exists()
+    assert not (work_dir / "report.json").exists()
+    assert main(["check", "--config", cfg, "--out-report", "flag.json"]) == 0
+    assert (work_dir / "flag.json").exists()
+
+
+def test_series_and_oracle_fields_share_the_grid_on_every_config():
+    from delayheat.cli import _fd_field, _solve_field
+    from delayheat.config import load_config
+
+    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")):
+        cfg = load_config(path)
+        series, oracle = _solve_field(cfg, modes=2), _fd_field(cfg)
+        assert np.array_equal(series.x, oracle.x), path.name
+        assert np.array_equal(series.t, oracle.t), path.name
 
 
 def test_config_outputs_section_is_used(tmp_path):

@@ -24,7 +24,7 @@ from delayheat.funcspec import parse_function
 
 
 def _const_history(value=1.0):
-    return HistoryFunction.from_callables(
+    return HistoryFunction(
         lambda s: np.full_like(np.asarray(s, dtype=float), value),
         lambda s: np.zeros_like(np.asarray(s, dtype=float)),
     )
@@ -50,7 +50,7 @@ def test_kernel_pure_exponential_when_lag_coupling_zero():
 def test_exponential_solution_reproduced_exactly():
     # x' = x with lag coupling 0 and history e^s: solution e^t.
     params = DelayOdeParams(a=1.0, b=0.0, tau=1.0)
-    history = HistoryFunction.from_callables(
+    history = HistoryFunction(
         lambda s: np.exp(np.asarray(s, dtype=float)),
         lambda s: np.exp(np.asarray(s, dtype=float)),
     )
@@ -130,7 +130,7 @@ def test_grid_engine_on_stiff_mode_matches_exact_method_of_steps(b):
     # |a| tau = 662: a high sine mode of the delayed heat equation.
     a, tau = -1325.0, 0.5
     params = DelayOdeParams(a=a, b=b, tau=tau)
-    history = HistoryFunction.from_callables(
+    history = HistoryFunction(
         lambda s: 1.0 + s + s**2, lambda s: 1.0 + 2.0 * s)
     rho = lambda s: 0.5 - np.asarray(s, dtype=float)
     t = tau / 16 * np.arange(1, 49)
@@ -244,7 +244,7 @@ def test_property_linearity_in_history(c1, c2):
     params = DelayOdeParams(a=-0.6, b=0.7, tau=0.9)
     h1 = HistoryFunction.from_funcspec(parse_function("1 + t"))
     h2 = HistoryFunction.from_funcspec(parse_function("cos(t)"))
-    combo = HistoryFunction.from_callables(
+    combo = HistoryFunction(
         lambda s: c1 * (1.0 + np.asarray(s, float)) + c2 * np.cos(np.asarray(s, float)),
         lambda s: c1 * np.ones_like(np.asarray(s, float)) - c2 * np.sin(np.asarray(s, float)),
     )

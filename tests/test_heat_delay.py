@@ -11,7 +11,6 @@ from delayheat import (
     DelayHeatProblem,
     DelayOdeParams,
     EigenBasis,
-    FdConfig,
     GridSpec,
     HistoryFunction,
     InputError,
@@ -149,7 +148,7 @@ def test_single_mode_field_matches_scalar_delay_ode():
     field = solve_delay(p, basis, grid=grid)
 
     params = DelayOdeParams(a=-1.0, b=d2, tau=1.0)  # L_1 = -lambda_1 = -1 on (0, pi)
-    history = HistoryFunction.from_callables(
+    history = HistoryFunction(
         beta=lambda s: np.ones_like(np.asarray(s, dtype=float)),
         beta_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
     )
@@ -166,7 +165,7 @@ def test_mode_solution_matches_direct_scalar_solve():
     rp = reduce_delay(p)
     ms = build_modes(rp, EigenBasis(p.length, 4))
     params = DelayOdeParams(a=0.3 - 4.0, b=-0.2 - 0.25 * 4.0, tau=0.5)
-    history = HistoryFunction.from_callables(
+    history = HistoryFunction(
         beta=lambda s: np.ones_like(np.asarray(s, dtype=float)),
         beta_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
     )
@@ -312,8 +311,8 @@ def test_data_starting_at_mode_six_matches_fd_oracle():
     p = _problem(d2=-0.5, tau=0.5, horizon=1.0, psi="sin(6*x)")
     field = solve_delay(p, EigenBasis(p.length, 16),
                         grid=GridSpec(nx=60, nt_per_tau=16))
-    coarse = fd_solve_delay(p, FdConfig(nx=60, nt_per_tau=16)).v
-    fine = fd_solve_delay(p, FdConfig(nx=120, nt_per_tau=32)).v
+    coarse = fd_solve_delay(p, GridSpec(nx=60, nt_per_tau=16)).v
+    fine = fd_solve_delay(p, GridSpec(nx=120, nt_per_tau=32)).v
     # CN's own error is about 4/3 of the refinement difference.
     tol = 4.0 * np.max(np.abs(coarse - fine[::2, ::2]))
     assert np.max(np.abs(field.v[field.t > 0.0])) > 0.2

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from delayheat import (
+    DelayHeatProblem,
     DomainError,
     EigenBasis,
-    FdConfig,
     GridSpec,
     HeatProblem,
     InputError,
@@ -21,6 +21,7 @@ from delayheat import (
     fd_solve_nodelay,
     fs_sum,
     parse_function,
+    reduce_delay,
     reduce_problem,
     solve,
     solve_u1,
@@ -92,6 +93,25 @@ def test_reduction_constants_and_frames():
     field = solve(p, EigenBasis(p.length, 4), grid=GridSpec(nx=10, nt=4))
     frame = np.exp(rp.mu * field.x)[None, :] * np.exp(rp.gamma * field.t)[:, None]
     np.testing.assert_allclose(field.v, frame * field.u, atol=1e-13)
+
+
+def test_lift_matches_the_delay_reduction_when_gamma_is_zero():
+    # Both reductions build the lift with one change of variables; with
+    # gamma = 0 and no lagged terms the two lifts agree bit for bit.
+    a, b, length = 1.5, 0.6, 2.0
+    c = (b / (2.0 * a)) ** 2
+    data = dict(g="sin(x)*t", psi="x*(2-x) + 0.1", theta1="0.1 + t",
+                theta2="0.2*exp(-t)")
+    rp = reduce_problem(_problem(a=a, b=b, c=c, length=length, **data))
+    assert rp.gamma == 0.0
+    delayed = DelayHeatProblem(
+        a1=a, a2=0.0, b1=b, b2=0.0, d1=c, d2=0.0, tau=0.5, length=length,
+        horizon=1.0,
+        **{key: parse_function(expr, l=length, tau=0.5) for key, expr in data.items()})
+    x = np.linspace(0.0, length, 17)[None, :]
+    t = np.linspace(0.0, 1.0, 9)[:, None]
+    assert np.array_equal(np.asarray(rp.lift(x, t)),
+                          np.asarray(reduce_delay(delayed).lift(x, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +230,8 @@ def test_forcing_starting_at_mode_six_matches_fd_oracle():
     # Modes 1-5 carry no data at all; every mode must still be solved.
     p = _problem(g="sin(6*x)", psi="0")
     field = solve(p, EigenBasis(p.length, 16), grid=GridSpec(nx=60, nt=40))
-    coarse = fd_solve_nodelay(p, FdConfig(nx=60, nt=40)).v
-    fine = fd_solve_nodelay(p, FdConfig(nx=120, nt=80)).v
+    coarse = fd_solve_nodelay(p, GridSpec(nx=60, nt=40)).v
+    fine = fd_solve_nodelay(p, GridSpec(nx=120, nt=80)).v
     # CN's own error is about 4/3 of the refinement difference.
     tol = 4.0 * np.max(np.abs(coarse - fine[::2, ::2]))
     assert np.max(np.abs(field.v)) > 0.02

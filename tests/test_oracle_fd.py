@@ -14,7 +14,7 @@ import pytest
 
 from delayheat import (
     DelayHeatProblem,
-    FdConfig,
+    GridSpec,
     HeatProblem,
     InputError,
     fd_solve_delay,
@@ -61,14 +61,14 @@ def _nodelay_error(cfg):
 
 
 def test_crank_nicolson_second_order_in_time():
-    errs = [_nodelay_error(FdConfig(nx=400, nt=nt)) for nt in (10, 20, 40)]
+    errs = [_nodelay_error(GridSpec(nx=400, nt=nt)) for nt in (10, 20, 40)]
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders > 1.8)
 
 
 def test_second_order_in_space():
     # Time error made negligible by a fine step; space halving gains 4x.
-    errs = [_nodelay_error(FdConfig(nx=nx, nt=800)) for nx in (20, 40, 80)]
+    errs = [_nodelay_error(GridSpec(nx=nx, nt=800)) for nx in (20, 40, 80)]
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders > 1.8)
 
@@ -81,7 +81,7 @@ def test_drift_reaction_manufactured_solution():
         g="exp(-0.2*x + 0.26*t) * (1 + pi^2 + pi^2*t) * sin(pi*x)",
         psi="exp(-0.2*x) * sin(pi*x)",
     )
-    field = fd_solve_nodelay(p, FdConfig(nx=200, nt=400))
+    field = fd_solve_nodelay(p, GridSpec(nx=200, nt=400))
     exact = (
         np.exp(-0.2 * field.x)[None, :]
         * np.exp(0.26 * field.t)[:, None]
@@ -98,7 +98,7 @@ def test_delay_solver_converges_on_single_mode():
     p = _delay(horizon=1.0)
     errs = []
     for k in (1, 2, 4):
-        cfg = FdConfig(nx=200 * k, nt_per_tau=25 * k)
+        cfg = GridSpec(nx=200 * k, nt_per_tau=25 * k)
         field = fd_solve_delay(p, cfg)
         pos = field.t >= 0.0
         xt = np.exp(-field.t[pos]) - 0.5 * (1.0 - np.exp(-field.t[pos]))
@@ -119,8 +119,8 @@ def test_delay_march_without_lag_coupling_matches_the_nodelay_march():
     p_nodelay = _nodelay(a=1.3, b=0.4, c=-0.2, **common)
     p_delay = _delay(a1=1.3, b1=0.4, d1=-0.2, a2=0.0, b2=0.0, d2=0.0,
                      tau=0.25, **common)
-    plain = fd_solve_nodelay(p_nodelay, FdConfig(nx=40, nt=32))
-    delayed = fd_solve_delay(p_delay, FdConfig(nx=40, nt_per_tau=8))
+    plain = fd_solve_nodelay(p_nodelay, GridSpec(nx=40, nt=32))
+    delayed = fd_solve_delay(p_delay, GridSpec(nx=40, nt_per_tau=8))
     np.testing.assert_array_equal(delayed.t[8:], plain.t)
     np.testing.assert_allclose(delayed.v[8:], plain.v, rtol=0.0, atol=1e-13)
 
@@ -132,7 +132,7 @@ def test_delay_march_without_lag_coupling_matches_the_nodelay_march():
 
 def test_delay_grid_includes_history_rows():
     p = _delay(tau=0.5, horizon=1.2)
-    field = fd_solve_delay(p, FdConfig(nx=10, nt_per_tau=4))
+    field = fd_solve_delay(p, GridSpec(nx=10, nt_per_tau=4))
     assert field.t[0] == pytest.approx(-0.5)
     # dt = 0.125; 1.2 / 0.125 = 9.6 rounds up to 10 steps.
     assert field.t[-1] == pytest.approx(1.25)
@@ -147,26 +147,27 @@ def test_boundary_rows_are_pinned():
     # psi(0) = 0.5 and psi(l) = 0.25 match the traces at t = 0.
     p = _nodelay(theta1="0.5", theta2="0.25*cos(t)",
                  psi="0.5 + sin(x) - 0.25*x/l")
-    field = fd_solve_nodelay(p, FdConfig(nx=20, nt=10))
+    field = fd_solve_nodelay(p, GridSpec(nx=20, nt=10))
     np.testing.assert_allclose(field.v[:, 0], 0.5, atol=1e-14)
     np.testing.assert_allclose(field.v[:, -1], 0.25 * np.cos(field.t), atol=1e-14)
 
 
 def test_config_validation():
+    # The series grid allows nx = 2; the oracle's stencils need three points.
+    with pytest.raises(InputError, match="nx must be at least 3, got 2"):
+        fd_solve_nodelay(_nodelay(), GridSpec(nx=2, nt=10))
     with pytest.raises(InputError):
-        FdConfig(nx=2, nt=10)
+        fd_solve_nodelay(_nodelay(), GridSpec(nx=10, nt_per_tau=4))
     with pytest.raises(InputError):
-        fd_solve_nodelay(_nodelay(), FdConfig(nx=10, nt_per_tau=4))
-    with pytest.raises(InputError):
-        fd_solve_delay(_delay(), FdConfig(nx=10, nt=4))
+        fd_solve_delay(_delay(), GridSpec(nx=10, nt=4))
 
 
 def test_meta_and_source_labels():
-    f1 = fd_solve_nodelay(_nodelay(), FdConfig(nx=10, nt=4))
+    f1 = fd_solve_nodelay(_nodelay(), GridSpec(nx=10, nt=4))
     assert f1.source == "fd"
     assert f1.meta["scheme"] == "crank_nicolson"
     assert f1.meta["nt"] == 4
-    f2 = fd_solve_delay(_delay(), FdConfig(nx=10, nt_per_tau=4))
+    f2 = fd_solve_delay(_delay(), GridSpec(nx=10, nt_per_tau=4))
     assert f2.source == "fd"
     assert f2.meta["nt_per_tau"] == 4
 
