@@ -28,14 +28,19 @@ Two evaluators share these formulas:
 * :func:`solve_homogeneous`, :func:`solve_forced` and :func:`superpose`
   evaluate x at any t, one adaptive quadrature per point, with panels split
   at the kinks and graded toward the end where exp(-a s) peaks.
-* :func:`solve_on_grid` returns the whole trajectory on the grid
-  dt = tau / m (the method of steps).  There every kink falls on a multiple
-  of dt, so one fixed set of dt-wide panels serves all output times, and
-  both integrals become Toeplitz sums over one table of K per trajectory.
-  Without lag coupling (b = 0) K is a pure exponential, and the sum is a
-  one-term recursion over the panels instead, O(n) per trajectory rather
-  than O(n^2).  The field solvers use this path; the per-point functions
-  remain the reference it is tested against and serve ``dde solve``.
+* :func:`solve_modes` returns the whole trajectories of many modes (one
+  delay, per-mode a and b) on the grid dt = tau / m (the method of steps).
+  There every kink falls on a multiple of dt, so one fixed set of dt-wide
+  panels serves all output times, and both integrals become Toeplitz sums
+  over a table of K.  Modes whose graded panels coincide share one table
+  (modes x lags x offsets) and one contraction per refinement level, and
+  each mode is accepted on its own.  Without lag coupling (b = 0) K is a
+  pure exponential, and the sum is a one-term recursion over the panels
+  instead, O(n) per trajectory rather than O(n^2), run for all such modes
+  of a group at once.  :func:`solve_on_grid` is its one-mode call, for data
+  given as plain callables.  The field solvers use this path; the per-point
+  functions remain the reference it is tested against and serve
+  ``dde solve``.
 """
 
 from __future__ import annotations
@@ -58,7 +63,11 @@ from .quadrature import (
 
 @dataclass(frozen=True)
 class DelayOdeParams:
-    """Coefficients of x'(t) = a x(t) + b x(t - tau)."""
+    """Coefficients of x'(t) = a x(t) + b x(t - tau).
+
+    ``a`` and ``b`` may also be arrays of one shape, the rates of several
+    modes with the one delay ``tau`` (:func:`kernel` evaluates them at once).
+    """
 
     a: float
     b: float
@@ -66,7 +75,7 @@ class DelayOdeParams:
 
     def __post_init__(self):
         for name in ("a", "b", "tau"):
-            if not math.isfinite(getattr(self, name)):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise InputError(f"{name} must be finite")
         if self.tau <= 0.0:
             raise InputError(f"tau must be positive, got {self.tau!r}")
@@ -100,50 +109,67 @@ class HistoryFunction:
 
 
 _MAX_EXP_ARG = 700.0  # below the float64 overflow threshold of exp
+_MIN_EXP_ARG = -746.0  # exp underflows to exactly 0.0 below this
 
 
 def kernel(params, xi):
-    """Evaluate K(xi) (see module docstring), vectorized over xi."""
+    """Evaluate K(xi) (see module docstring), vectorized over xi.
+
+    ``params.a`` and ``params.b`` may be arrays of one shape M, the rates of
+    several modes with one delay; K then has shape M + xi.shape, every mode
+    at every xi.
+    """
     xi = np.asarray(xi, dtype=float)
-    scalar = xi.ndim == 0
-    xi = np.atleast_1d(xi)
-    out = np.zeros_like(xi)
-    alive = xi >= -params.tau
-    if not np.any(alive):
-        return float(out[0]) if scalar else out
-    seg = np.zeros(xi.shape, dtype=int)
-    seg[alive] = np.floor(xi[alive] / params.tau).astype(int) + 1
-    a, b, tau = params.a, params.b, params.tau
-    # Terms j >= 1 carry the factor b^j, so without lag coupling only the
-    # pure exponential is left.
-    kmax = int(seg[alive].max()) if b != 0.0 else 0
+    a = np.asarray(params.a, dtype=float)
+    b = np.asarray(params.b, dtype=float)
+    tau = params.tau
+    shape = a.shape + xi.shape
+    # Modes along the rows, points along the columns.
+    a, b = a.reshape(-1, 1), b.reshape(-1, 1)
+    pts = xi.ravel()
+    out = np.zeros((a.shape[0], pts.size))
+    alive = np.flatnonzero(pts >= -tau)
+    seg = np.floor(pts[alive] / tau).astype(int) + 1
+    kmax = int(seg.max(initial=-1))
+    if not np.any(b):
+        # Terms j >= 1 carry the factor b^j, so without lag coupling only
+        # the pure exponential is left.
+        kmax = min(kmax, 0)
     for j in range(kmax + 1):
-        mask = alive & (seg >= j)
-        if not np.any(mask):
-            continue
-        psi = xi[mask] - (j - 1) * tau
+        cols = alive[seg >= j]
+        psi = pts[cols] - (j - 1) * tau
         if j == 0:
-            arg = a * psi
-            if np.any(arg > _MAX_EXP_ARG):
+            logmag = a * psi
+            if np.any(logmag > _MAX_EXP_ARG):
                 raise NumericError("delay kernel overflow (a * xi too large)")
-            term = np.exp(arg)
         else:
             base = b * psi  # psi >= 0 whenever term j is present
-            term = np.zeros_like(psi)
-            nz = base != 0.0
-            if np.any(nz):
-                logmag = (j * np.log(np.abs(base[nz])) + a * psi[nz]
-                          - math.lgamma(j + 1))
-                if np.any(logmag > _MAX_EXP_ARG):
-                    raise NumericError(
-                        "delay kernel overflow: term magnitude exceeds float range"
-                    )
-                sign = np.where(base[nz] < 0.0, (-1.0) ** j, 1.0)
-                term[nz] = sign * np.exp(logmag)
-        out[mask] += term
+            # log(0) = -inf makes a vanishing base an exact zero term.
+            with np.errstate(divide="ignore"):
+                logmag = np.log(np.abs(base))
+            logmag *= j
+            logmag += a * psi
+            logmag -= math.lgamma(j + 1)
+            if np.any(logmag > _MAX_EXP_ARG):
+                raise NumericError(
+                    "delay kernel overflow: term magnitude exceeds float range"
+                )
+        # Terms that underflow are exact zeros; exp is slow on them (stiff
+        # modes underflow over most of a table), so they are left out.
+        live = logmag > _MIN_EXP_ARG
+        if live.all():
+            at, dest = np.s_[:, :], np.s_[:, cols]
+        else:
+            mode, col = np.nonzero(live)
+            at, dest = (mode, col), (mode, cols[col])
+        term = np.exp(logmag[at])
+        if j % 2:
+            term[base[at] < 0.0] *= -1.0
+        out[dest] += term
     if not np.all(np.isfinite(out)):
         raise NumericError("delay kernel produced a non-finite value")
-    return float(out[0]) if scalar else out
+    out = out.reshape(shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def _knot_crossings(t, tau, lo, hi):
@@ -223,11 +249,51 @@ def _sample(f, s):
     return np.asarray(f(s.ravel()), dtype=float).reshape(s.shape)
 
 
+class _Callables:
+    """A one-mode path family over plain vectorized callables: ``fns[nu]``
+    is the nu-th derivative.  It answers :func:`solve_modes` as a
+    :class:`~delayheat.spectral.HermitePaths` family of one row does."""
+
+    def __init__(self, *fns):
+        self.fns = fns
+
+    def rows(self, index):
+        return self
+
+    def __call__(self, s, nu=0):
+        return _sample(self.fns[nu], s)[None]
+
+
 def solve_on_grid(params, history, rho, steps_per_tau, n_steps, quad=None):
     """x(j dt) for j = 1..n_steps on the grid dt = tau / steps_per_tau.
 
     ``history`` (a :class:`HistoryFunction`) or ``rho`` may be None for zero
-    history or no forcing.  Returns an array of length ``n_steps``.
+    history or no forcing.  Returns an array of length ``n_steps``.  This is
+    :func:`solve_modes` for one mode whose data are plain callables.
+    """
+    paths = (None if history is None
+             else _Callables(history.beta, history.beta_prime))
+    forcing = None if rho is None else _Callables(rho)
+    return solve_modes([params.a], [params.b], params.tau, paths, forcing,
+                       steps_per_tau, n_steps, quad)[0]
+
+
+# Kernel-table and data entries one chunk of modes holds at once; a group of
+# modes is contracted in chunks of at most this many (at least one mode).
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
+                quad=None):
+    """Trajectories x_i(j dt), j = 1..n_steps, of the modes
+    x_i' = a_i x_i + b_i x_i(t - tau) + rho_i, on the grid dt = tau / m with
+    m = ``steps_per_tau``; ``a`` and ``b`` are 1-D, and the result is an
+    array (len(a), n_steps).
+
+    ``history`` is a path family of the beta_i (a
+    :class:`~delayheat.spectral.HermitePaths`: ``history(s, nu)`` gives the
+    nu-th derivative of every row, ``history.rows(index)`` the family of some
+    rows), ``forcing`` one of the rho_i; either may be None for zero data.
 
     Both integrals of the module docstring are taken over the same dt-wide
     panels of [-tau, t_n]; panel p (p = 0, 1, ...) starts at s = -tau + p dt.
@@ -236,13 +302,22 @@ def solve_on_grid(params, history, rho, steps_per_tau, n_steps, quad=None):
     of K at (k - c) dt, k = 1-m..n_steps, therefore serves every output time,
     and x(t_j) is a Toeplitz contraction of that table with the weighted data
     samples.  Each panel carries Gauss nodes on sub-panels graded toward the
-    end where exp(-a dt c) peaks; the whole trajectory is accepted once all
-    sub-panels halved agree with the previous level to
-    ``abs_tol + 1e-14 * |x|`` at every output time.  Raises
-    :class:`QuadratureError` after ``max_panel_splits`` halvings otherwise.
-    When b == 0, K((k - c) dt) = exp(a dt)^(k - 1 + m) K((1 - m - c) dt), so
-    each output is the previous one times exp(a dt) plus its newest panel,
-    and only the first row of the table is needed.
+    end where exp(-a dt c) peaks.  Modes whose graded sub-panels coincide
+    form a group, which builds one table (modes x lags x offsets) per level
+    and contracts it one lag row at a time, every mode of the group at once
+    (one batched matrix-vector product per row); lag rows that underflowed
+    to zero in every mode (stiff modes: the table's tail, and the stretches
+    between delay multiples) are skipped.  A group holds at most
+    ``_CHUNK_ELEMENTS`` table and data entries at once and is evaluated in
+    chunks of modes otherwise.
+
+    A mode is accepted, and not refined further, once all its sub-panels
+    halved agree with the previous level to ``abs_tol + 1e-14 * |x|`` at
+    every output time.  Raises :class:`QuadratureError` after
+    ``max_panel_splits`` halvings otherwise.  When b_i == 0,
+    K((k - c) dt) = exp(a dt)^(k - 1 + m) K((1 - m - c) dt), so each output
+    is the previous one times exp(a dt) plus its newest panel, and only the
+    first row of the table is needed.
     """
     if quad is None:
         quad = QuadratureConfig()
@@ -251,54 +326,87 @@ def solve_on_grid(params, history, rho, steps_per_tau, n_steps, quad=None):
         raise InputError(f"steps_per_tau must be at least 1, got {steps_per_tau!r}")
     if n_steps < 0:
         raise InputError(f"n_steps must be non-negative, got {n_steps!r}")
-    a, tau = params.a, params.tau
+    params = DelayOdeParams(a=np.asarray(a, dtype=float),
+                            b=np.asarray(b, dtype=float), tau=tau)
     dt = tau / m
-    head = np.zeros(n_steps)
+    out = np.zeros((params.a.size, n_steps))
     if n_steps == 0:
-        return head
+        return out
+    groups = {}
+    for i, (ai, bi) in enumerate(zip(params.a, params.b)):
+        key = (bi == 0.0, tuple(graded_breakpoints(0.0, 1.0, -ai * dt)))
+        groups.setdefault(key, []).append(i)
+    for (_, interior), rows in groups.items():
+        rows = np.array(rows)
+        out[rows] = _solve_group(
+            DelayOdeParams(a=params.a[rows], b=params.b[rows], tau=tau),
+            None if history is None else history.rows(rows),
+            None if forcing is None else forcing.rows(rows),
+            m, n_steps, np.array([0.0, *interior, 1.0]), quad)
+    return out
+
+
+def _solve_group(params, history, forcing, m, n_steps, edges, quad):
+    """:func:`solve_modes` for one group: modes that all have b == 0 or all
+    have b != 0, and whose panels start from the same ``edges``."""
+    a, b, tau = params.a, params.b, params.tau
+    dt = tau / m
+    head = np.zeros((a.size, n_steps))
     if history is not None:
-        beta_start = float(np.asarray(history.beta(-tau), dtype=float))
-        head = kernel(params, dt * np.arange(1, n_steps + 1)) * beta_start
+        head = kernel(params, dt * np.arange(1, n_steps + 1)) * history(
+            np.array(-tau))[:, None]
     lags = np.arange(1 - m, n_steps + 1)
-    if params.b == 0.0:
+    recursive = not np.any(b)
+    if recursive:
         # Only K's leading exponential is left.  The kernel's overflow check,
         # applied to the trajectory's largest argument, keeps the recursion
         # from overflowing silently.
         lags = lags[:1]
-        if a * (tau + n_steps * dt) > _MAX_EXP_ARG:
+        if np.any(a * (tau + n_steps * dt) > _MAX_EXP_ARG):
             raise NumericError("delay kernel overflow (a * xi too large)")
-        decay = math.exp(a * dt)
+        decay = np.exp(a * dt)
 
-    def level_value(edges):
-        offsets, weights = panel_nodes(edges, quad.nodes_per_panel)
-        table = kernel(params, dt * (lags[:, None] - offsets[None, :]))
-        data = np.zeros((m + n_steps, offsets.size))
+    def contract(rows, offsets, weights):
+        """Trajectories of the group's ``rows`` at one level."""
+        table = kernel(DelayOdeParams(a=a[rows], b=b[rows], tau=tau),
+                       dt * (lags[:, None] - offsets[None, :]))
+        data = np.zeros((rows.size, m + n_steps, offsets.size))
         if history is not None:
+            paths = history.rows(rows)
             s = dt * (np.arange(m)[:, None] + offsets[None, :]) - tau
-            data[:m] = _sample(history.beta_prime, s) - a * _sample(history.beta, s)
-        if rho is not None:
+            data[:, :m] = paths(s, 1) - a[rows, None, None] * paths(s)
+        if forcing is not None:
             s = dt * (np.arange(n_steps)[:, None] + offsets[None, :])
-            data[m:] = _sample(rho, s)
+            data[:, m:] = forcing.rows(rows)(s)
         data *= dt * weights
-        if params.b == 0.0:
+        if recursive:
             # z_r sums panels p <= r: z_r = exp(a dt) z_(r-1) + panel r, and
             # x(t_j) = z_(j + m - 1).
-            z, acc = [], 0.0
-            for contribution in (data @ table[0]).tolist():
-                acc = decay * acc + contribution
-                z.append(acc)
-            return head + np.array(z[m:])
-        x = head.copy()
+            panels = np.matmul(data, table[:, 0, :, None])[..., 0]
+            z, acc, step = np.empty_like(panels), 0.0, decay[rows]
+            for r in range(panels.shape[1]):
+                acc = step * acc + panels[:, r]
+                z[:, r] = acc
+            return head[rows] + z[:, m:]
+        x = head[rows]
         # Row i holds k = i + 1 - m and links panel p = j - k to output j >= 1.
-        # Rows that underflowed to exact zeros (stiff modes) add nothing.
-        for i in np.flatnonzero(table.any(axis=1)):
+        for i in np.flatnonzero(table.any(axis=(0, 2))):
             j0 = max(1, i - m + 1)
-            x[j0 - 1:] += data[j0 - i + m - 1:n_steps - i + m] @ table[i]
+            x[:, j0 - 1:] += np.matmul(data[:, j0 - i + m - 1:n_steps - i + m],
+                                       table[:, i, :, None])[..., 0]
         return x
 
-    edges = np.array([0.0, *graded_breakpoints(0.0, 1.0, -a * dt), 1.0])
+    def level_value(edges, pending):
+        offsets, weights = panel_nodes(edges, quad.nodes_per_panel)
+        chunk = max(1, _CHUNK_ELEMENTS
+                    // ((lags.size + m + n_steps) * offsets.size))
+        return np.concatenate([
+            contract(pending[lo:lo + chunk], offsets, weights)
+            for lo in range(0, pending.size, chunk)])
+
     return halve_until_stable(
         level_value, edges, quad,
         f"grid quadrature did not converge to {quad.abs_tol:g} "
         f"after {quad.max_panel_splits} panel splits",
+        rows=a.size,
     )

@@ -8,8 +8,8 @@ enters the solvers as :class:`FunctionSpec` objects.  A spec is either
 * a sampled grid (1D in ``x`` or ``t``, or a 2D rectangle) interpolated
   linearly or with cubic splines, or
 * an algebraic combination of other specs (sums, scalings, exponential
-  weights, time shifts) built with the ``fs_*`` helpers, so solver-side
-  changes of variables keep exact derivatives.
+  weights, time shifts, restriction to one x) built with the ``fs_*``
+  helpers, so solver-side changes of variables keep exact derivatives.
 
 Every spec evaluates its truncated Taylor expansion in (x, t) to any order
 (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13), and
@@ -879,6 +879,22 @@ class RampInXFunction(FunctionSpec):
                             for i in range(max(kx - 1, 0), kx + 1)])
 
 
+@dataclass
+class FixedXFunction(FunctionSpec):
+    """base(x0, t): the base read at one x, constant in x."""
+
+    base: FunctionSpec
+    x0: float
+
+    def _jet(self, x, t, kx, kt):
+        trace = self.base._jet(np.asarray(self.x0), t, 0, kt)
+        return trace if kx == 0 else _Jet([trace] + [0.0] * kx)
+
+    def smoothness(self, var, kx=0, kt=0):
+        # Every x-derivative vanishes identically.
+        return self.base.smoothness(var, 0, kt) if var == "t" and kx == 0 else None
+
+
 def fs_sum(*parts):
     flat = []
     for p in parts:
@@ -912,3 +928,7 @@ def fs_time_shift(f, shift):
 
 def fs_ramp_x(slope):
     return RampInXFunction(slope)
+
+
+def fs_at_x(f, x0):
+    return FixedXFunction(f, float(x0))

@@ -31,9 +31,14 @@ solved in closed form by :mod:`delayheat.delay_ode`.  The delayed-exponential
 parameter B_n * exp(-L_n tau) overflows for large n, so only (L_n, B_n) are
 ever passed around; the kernel combines the factors in log space.
 
+The lift is A(t) + x B(t) with theta1 read at x = 0 and theta2 at x = l,
+so its sine coefficients are known in closed form: :func:`build_modes`
+projects only phi and f on the quadrature grid and adds the lift's share.
+
 :func:`solve_delay` evaluates every mode, whether or not its data vanish, on
-the output grid at once with :func:`delayheat.delay_ode.solve_on_grid`;
-:func:`mode_solution` evaluates one mode at any t.
+the output grid with one call of :func:`delayheat.delay_ode.solve_modes`,
+which batches modes into groups; :func:`mode_solution` evaluates one mode at
+any t.
 """
 
 from __future__ import annotations
@@ -47,13 +52,14 @@ from .delay_ode import (
     DelayOdeParams,
     HistoryFunction,
     solve_homogeneous,
-    solve_on_grid,
+    solve_modes,
     superpose,
 )
 from .errors import CompatibilityError, InputError
 from .field import GridSpec, SolutionField
 from .funcspec import (
     FunctionSpec,
+    fs_at_x,
     fs_exp_weight,
     fs_ramp_x,
     fs_scale,
@@ -115,8 +121,10 @@ class ReducedDelayProblem:
     length: float
     horizon: float
     phi: FunctionSpec              # exp(-mu x) psi on [-tau, 0]
+    source: FunctionSpec           # f = exp(-mu x) g
     lift: FunctionSpec
-    shifted_initial: FunctionSpec  # Phi on [-tau, 0]
+    lift_forcing: FunctionSpec     # F - f: the lift's share, linear in x
+    shifted_initial: FunctionSpec  # Phi = phi - lift on [-tau, 0]
     forcing: FunctionSpec          # F on [0, T]
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -125,16 +133,19 @@ def weighted_frame(p, mu, gamma=0.0):
     """Data of ``p`` in the frame v = exp(mu x + gamma t) u.
 
     Returns (f, phi, mu1, mu2, lift): f = exp(-mu x - gamma t) g, the
-    initial data phi = exp(-mu x) psi, the traces mu1 = exp(-gamma t) theta1
-    and mu2 = exp(-mu l - gamma t) theta2, and the linear boundary lift
-    mu1 + (x / l)(mu2 - mu1).  Both reductions build their frame here; the
-    delayed one passes gamma = 0, and a weight whose coefficients are all
-    zero is the spec itself.
+    initial data phi = exp(-mu x) psi, the traces
+    mu1 = exp(-gamma t) theta1(0, t) and mu2 = exp(-mu l - gamma t) theta2(l, t),
+    each read at its own boundary, and the boundary lift
+    mu1 + (x / l)(mu2 - mu1), linear in x whatever x the traces' expressions
+    mention.  Both reductions build their frame here; the delayed one passes
+    gamma = 0, and a weight whose coefficients are all zero is the spec
+    itself.
     """
     f = fs_exp_weight(p.g, coef_x=-mu, coef_t=-gamma)
     phi = fs_exp_weight(p.psi, coef_x=-mu)
-    mu1 = fs_exp_weight(p.theta1, coef_t=-gamma)
-    mu2 = fs_exp_weight(p.theta2, coef_t=-gamma, offset=-mu * p.length)
+    mu1 = fs_exp_weight(fs_at_x(p.theta1, 0.0), coef_t=-gamma)
+    mu2 = fs_exp_weight(fs_at_x(p.theta2, p.length), coef_t=-gamma,
+                        offset=-mu * p.length)
     slope = fs_scale(fs_sum(mu2, fs_scale(mu1, -1.0)), 1.0 / p.length)
     return f, phi, mu1, mu2, fs_sum(mu1, fs_ramp_x(slope))
 
@@ -166,8 +177,7 @@ def reduce_delay(p):
 
     f, phi, _, _, lift = weighted_frame(p, mu)
     shifted_initial = fs_sum(phi, fs_scale(lift, -1.0))
-    forcing = fs_sum(
-        f,
+    lift_forcing = fs_sum(
         fs_scale(lift.differentiate("t"), -1.0),
         fs_scale(lift, c1),
         fs_scale(fs_time_shift(lift, p.tau), c2),
@@ -182,9 +192,11 @@ def reduce_delay(p):
         length=p.length,
         horizon=p.horizon,
         phi=phi,
+        source=f,
         lift=lift,
+        lift_forcing=lift_forcing,
         shifted_initial=shifted_initial,
-        forcing=forcing,
+        forcing=fs_sum(f, lift_forcing),
     )
     p._reduced = (inputs, rp)
     return rp
@@ -264,7 +276,9 @@ def build_modes(rp, basis, quad=None):
     Phi_n and Phi_n' are sampled at 129 times on [-tau, 0]; F_n and F_n' at
     max(257, 64 ceil(T / tau) + 1) times on [0, T].  Each family is one
     :func:`~delayheat.spectral.project_paths` pass, which reads the values
-    and the t-slopes off one jet.
+    and the t-slopes off one jet.  Only phi and f are evaluated on the
+    quadrature grid; the lift's share of Phi and F is linear in x and is
+    added in closed form.
     """
     if quad is None:
         quad = QuadratureConfig()
@@ -277,9 +291,15 @@ def build_modes(rp, basis, quad=None):
     rule = sine_projection_rule(basis, quad)
     hist_times = np.linspace(-rp.tau, 0.0, 129)
     forcing_times = np.linspace(0.0, rp.horizon, path_samples)
-    phi, phi_prime = project_paths(rp.shifted_initial, hist_times, rule, rp.length)
-    forcing, forcing_prime = project_paths(rp.forcing, forcing_times, rule,
-                                           rp.length)
+    # The lift's share of Phi and F is linear in x and projected in closed
+    # form.  The t-derivative budget is checked on the full data, so that
+    # data without the derivative raise the error they name.
+    rp.shifted_initial.differentiate("t")
+    rp.forcing.differentiate("t")
+    phi, phi_prime = project_paths(rp.phi, hist_times, rule, rp.length,
+                                   linear=fs_scale(rp.lift, -1.0))
+    forcing, forcing_prime = project_paths(rp.source, forcing_times, rule,
+                                           rp.length, linear=rp.lift_forcing)
     lam1 = basis.eigenvalues() * rp.a1**2
     lam2 = basis.eigenvalues() * rp.a2**2
     ms = ModeSystem(
@@ -336,12 +356,9 @@ def solve_delay(p, basis, grid=None, quad=None):
     # History segment: the data itself, in the reduced frame.
     u[:n_hist] = np.asarray(rp.phi(x[None, :], t[:n_hist, None]), float)
 
-    traj = np.empty((t_pos.size, basis.n_modes))
-    for i in range(basis.n_modes):
-        traj[:, i] = solve_on_grid(ms.mode_params(i + 1), ms.mode_history(i + 1),
-                                   ms.mode_forcing(i + 1), grid.nt_per_tau,
-                                   t_pos.size, quad)
-    u[n_hist:] = traj @ basis.eigenfunctions(x)
+    traj = solve_modes(ms.ode_a, ms.ode_b, p.tau, ms.history_paths,
+                       ms.forcing_paths, grid.nt_per_tau, t_pos.size, quad)
+    u[n_hist:] = traj.T @ basis.eigenfunctions(x)
     u[n_hist:] += np.asarray(rp.lift(x[None, :], t_pos[:, None]), float)
 
     v = u * np.exp(rp.mu * x)[None, :]

@@ -16,10 +16,13 @@ v = exp(mu x + gamma t) u removes drift and reaction:
 Writing u = w + lift with the linear boundary lift
 lift(x, t) = mu1(t) + (x / l)(mu2(t) - mu1(t)) (f, phi, mu1, mu2 and the lift
 come from :func:`delayheat.heat_delay.weighted_frame`, which the delayed
-reduction shares with gamma = 0) gives a homogeneous Dirichlet
-problem for w with initial value Phi = phi - lift(., 0) and forcing
-F = f - d/dt lift (the lift is spatially linear, so it drops out of the
-diffusion term; no zeroth-order term survives the substitution).
+reduction shares with gamma = 0; each trace is read at its own boundary, so
+the lift is linear in x whatever x a trace's expression mentions) gives a
+homogeneous Dirichlet problem for w with initial value Phi = phi - lift(., 0)
+and forcing F = f - d/dt lift (the lift is spatially linear, so it drops out
+of the diffusion term; no zeroth-order term survives the substitution).  The
+lift's share of Phi_n and F_n is projected in closed form; only phi and f
+are evaluated on the quadrature grid.
 
 The solution splits into three parts synthesized over the sine eigenbasis:
 
@@ -34,13 +37,13 @@ with a trace tabulated linearly in t it has none, and :func:`solve` raises
 
 On the output grid, u1 is the exact exponential.  u2_n is the forced
 solution of the delay ODE x' = -(pi n a / l)^2 x + F_n without lag coupling,
-so :func:`solve` evaluates it at all grid times at once with the same grid
-engine as the delay solver (:func:`delayheat.delay_ode.solve_on_grid`, with
-a delay of one time step).  With b = 0 the engine's kernel is the pure
-exponential exp(-(pi n a / l)^2 (t - s)), so it advances each trajectory by
+so :func:`solve` evaluates every mode at all grid times with one call of the
+delay solver's grid engine (:func:`delayheat.delay_ode.solve_modes`, with a
+delay of one time step).  With b = 0 the engine's kernel is the pure
+exponential exp(-(pi n a / l)^2 (t - s)), so it advances the trajectories by
 a one-term recursion, one step of decay plus the newest panel, in O(nt)
-rather than O(nt^2).  :func:`solve_u2` keeps a per-point quadrature of the
-same integral, evaluable at any t.
+rather than O(nt^2), all modes of a group at once.  :func:`solve_u2` keeps a
+per-point quadrature of the same integral, evaluable at any t.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay_ode import DelayOdeParams, solve_on_grid
+from .delay_ode import solve_modes
 from .errors import DomainError, InputError
 from .field import GridSpec, SolutionField
 from .funcspec import FunctionSpec, fs_const, fs_ramp_x, fs_scale, fs_sum
@@ -99,7 +102,10 @@ class ReducedProblem:
     horizon: float
     mu: float
     gamma: float
+    phi: FunctionSpec              # exp(-mu x) psi
+    source: FunctionSpec           # f = exp(-mu x - gamma t) g
     lift: FunctionSpec
+    lift_forcing: FunctionSpec     # F - f = -d/dt lift, linear in x
     shifted_initial: FunctionSpec  # Phi = phi - lift(., 0)
     forcing: FunctionSpec          # F = f - d/dt lift
 
@@ -116,16 +122,19 @@ def reduce_problem(p):
         fs_const(-mu1_0),
         fs_ramp_x(fs_const(-(mu2_0 - mu1_0) / p.length)),
     )
-    forcing = fs_sum(f, fs_scale(lift.differentiate("t"), -1.0))
+    lift_forcing = fs_scale(lift.differentiate("t"), -1.0)
     return ReducedProblem(
         a=p.a,
         length=p.length,
         horizon=p.horizon,
         mu=mu,
         gamma=gamma,
+        phi=phi,
+        source=f,
         lift=lift,
+        lift_forcing=lift_forcing,
         shifted_initial=shifted_initial,
-        forcing=forcing,
+        forcing=fs_sum(f, lift_forcing),
     )
 
 
@@ -147,17 +156,22 @@ def _mode_data(rp, basis, quad):
     """Project Phi at t = 0, and F and dF/dt at 257 times on [0, T].
 
     F and dF/dt come from one :func:`~delayheat.spectral.project_paths`
-    pass, read off one jet; Phi needs no t-derivative.
+    pass, read off one jet; Phi needs no t-derivative.  The lift's share of
+    both is linear in x and projected in closed form; the t-derivative
+    budget is checked on the full F, so that data without the derivative
+    raise the error they name.
     """
     rule = sine_projection_rule(basis, quad)
     ts = np.linspace(0.0, rp.horizon, 257)
-    (initial,) = project_paths(rp.shifted_initial, np.zeros(1), rule,
-                               basis.length, kt=0)
+    (initial,) = project_paths(rp.phi, np.zeros(1), rule, basis.length, kt=0,
+                               linear=fs_scale(rp.lift, -1.0))
+    rp.forcing.differentiate("t")
     return _ModeData(
         initial_coeffs=initial[:, 0],
         decay_rates=basis.eigenvalues() * rp.a**2,
-        forcing=HermitePaths(ts, *project_paths(rp.forcing, ts, rule,
-                                                basis.length)),
+        forcing=HermitePaths(ts, *project_paths(rp.source, ts, rule,
+                                                basis.length,
+                                                linear=rp.lift_forcing)),
     )
 
 
@@ -233,11 +247,9 @@ def solve(p, basis, grid=None, quad=None):
     # the grid engine with a = -rate, no lag coupling and a delay of one time
     # step, so that its kernel is exp(-rate (t - s)).
     traj = np.exp(-np.outer(t, data.decay_rates)) * data.initial_coeffs  # (nt+1, N)
-    dt = grid.time_step(p.horizon)
-    for i in range(basis.n_modes):
-        params = DelayOdeParams(a=-float(data.decay_rates[i]), b=0.0, tau=dt)
-        traj[1:, i] += solve_on_grid(params, None, data.forcing.row(i + 1), 1,
-                                     grid.nt, quad)
+    traj[1:] += solve_modes(-data.decay_rates, np.zeros(basis.n_modes),
+                            grid.time_step(p.horizon), None, data.forcing, 1,
+                            grid.nt, quad).T
     u = traj @ basis.eigenfunctions(x)
 
     # Boundary lift and return to the original frame.

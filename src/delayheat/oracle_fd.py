@@ -93,7 +93,7 @@ def fd_solve_nodelay(p, grid):
 
     g_rows = np.asarray(p.g(x[None, :], t[:, None]), dtype=float)
     left = np.asarray(p.theta1(0.0, t), dtype=float)
-    right = np.asarray(p.theta2(0.0, t), dtype=float)
+    right = np.asarray(p.theta2(p.length, t), dtype=float)
 
     v = np.empty((nt + 1, nx + 1))
     v[0] = np.asarray(p.psi(x, 0.0), dtype=float)
@@ -127,7 +127,7 @@ def fd_solve_delay(p, grid):
 
     lag_op = _stencil(nx, dx, p.a2**2, p.b2, p.d2)
     left = np.asarray(p.theta1(0.0, t), dtype=float)
-    right = np.asarray(p.theta2(0.0, t), dtype=float)
+    right = np.asarray(p.theta2(p.length, t), dtype=float)
     t_pos = t[m:]
     g_rows = np.asarray(p.g(x[None, :], t_pos[:, None]), dtype=float)
 

@@ -80,15 +80,21 @@ def sine_projection_rule(basis, quad=None):
 _PROJECT_BLOCK = 32
 
 
-def project_paths(spec, times, rule, length, kt=1):
-    """Sine coefficients of spec(., t) and of its first ``kt`` t-derivatives
-    at every t in ``times``: a tuple of kt + 1 arrays (N, len(times)).
+def project_paths(spec, times, rule, length, kt=1, linear=None):
+    """Sine coefficients of spec(., t) + linear(., t) and of their first
+    ``kt`` t-derivatives at every t in ``times``: a tuple of kt + 1 arrays
+    (N, len(times)).
 
     ``rule`` is a :func:`sine_projection_rule`.  Each block of
     ``_PROJECT_BLOCK`` time columns evaluates one jet of t-order ``kt`` on
     (points x times), which bounds the grids held at once; values and
     t-derivatives are read off that jet.  A spec without the t-derivative
     raises :class:`UnsupportedOperationError`, as ``differentiate`` does.
+
+    ``linear`` (or None) is a spec A(t) + x B(t), projected in closed form:
+    its coefficients are s1 A + sx B, where s1 and sx are the projections of
+    1 and x under the same rule, and A, B and their t-derivatives are read
+    off one jet at x = 0.  Its derivative budget is not checked.
     """
     if kt:
         spec.differentiate("t", kt)  # the budget check only
@@ -101,6 +107,11 @@ def project_paths(spec, times, rule, length, kt=1):
         grids = spec.partials(pts[:, None], cols[None, :], orders)
         for j, grid in enumerate(grids):
             out[j, :, lo:lo + cols.size] = sin_table @ (weight[:, None] * grid)
+    if linear is not None:
+        s1, sx = sin_table @ weight, sin_table @ (weight * pts)
+        parts = linear.partials(0.0, times, orders + [(1, j) for _, j in orders])
+        for j in range(kt + 1):
+            out[j] += np.outer(s1, parts[j]) + np.outer(sx, parts[kt + 1 + j])
     return tuple(out)
 
 
@@ -129,8 +140,15 @@ class HermitePaths:
 
     def row(self, n):
         """Mode n's (1-based) path; shares this family's coefficients."""
+        return self._select(n - 1)
+
+    def rows(self, index):
+        """The family of the paths at the 0-based ``index`` array."""
+        return self._select(index)
+
+    def _select(self, key):
         view = copy.copy(self)
-        view.coeffs = tuple(c[n - 1] for c in self.coeffs)
+        view.coeffs = tuple(c[key] for c in self.coeffs)
         return view
 
     def __call__(self, s, nu=0):
@@ -139,14 +157,23 @@ class HermitePaths:
         u /= self.step
         i = np.clip(u.astype(np.intp), 0, self.last)
         u -= i
-        c0, c1, c2, c3 = (c.take(i, axis=-1) for c in self.coeffs)
-        if nu == 0:
-            return c0 + u * (c1 + u * (c2 + u * c3))
-        if nu == 1:
-            return (c1 + u * (2.0 * c2 + u * (3.0 * c3))) / self.step
-        if nu == 2:
-            return (2.0 * c2 + u * (6.0 * c3)) / self.step**2
-        raise InputError(f"derivative order must be 0, 1 or 2, got {nu!r}")
+        if nu not in (0, 1, 2):
+            raise InputError(f"derivative order must be 0, 1 or 2, got {nu!r}")
+        # Horner's rule on d^nu/du^nu of c0 + u (c1 + u (c2 + u c3)), in
+        # place and one gathered coefficient at a time, so that a whole
+        # family holds two arrays of the result's size, not six.
+        out = None
+        for k in range(3, nu - 1, -1):
+            term = self.coeffs[k].take(i, axis=-1)
+            weight = math.perm(k, nu)
+            if weight != 1:
+                term *= float(weight)
+            if out is None:
+                out = term
+            else:
+                out *= u
+                out += term
+        return out / self.step**nu if nu else out
 
 
 def sine_coefficients(f, basis, quad=None):

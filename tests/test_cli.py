@@ -519,6 +519,43 @@ def test_series_and_oracle_fields_share_the_grid_on_every_config():
         assert np.array_equal(series.t, oracle.t), path.name
 
 
+_TRACE_TWINS = [
+    ("pure_diffusion.json", {"trace_left": "x*(l - x)"}, {"trace_left": "0"}),
+    ("pure_diffusion.json", {"trace_right": "x - l"}, {"trace_right": "0"}),
+    ("nodelay_manufactured.json", {"trace_right": "x*(x - l)*t"},
+     {"trace_right": "0"}),
+    ("delay_single_mode.json", {"trace_left": "x*(l - x)"}, {"trace_left": "0"}),
+    ("delay_single_mode.json",
+     {"initial": "sin(x) + t*(1 - x/l)", "trace_left": "t + x*(l - x)"},
+     {"initial": "sin(x) + t*(1 - x/l)", "trace_left": "t"}),
+]
+
+
+@pytest.mark.parametrize("name, traces, twin", _TRACE_TWINS)
+def test_traces_are_read_at_their_own_boundary(tmp_path, name, traces, twin):
+    # theta1 is read at x = 0 and theta2 at x = l, whatever x its expression
+    # mentions, by the series solvers and the oracle alike: the config gives
+    # the field and the compare difference of its x-free twin.
+    from delayheat.cli import _solve_field
+    from delayheat.config import load_config
+
+    fields, sups = [], []
+    for tag, changes in (("x", traces), ("twin", twin)):
+        data = json.loads((Path(__file__).resolve().parents[1] / "configs"
+                           / name).read_text())
+        data.pop("outputs", None)
+        data["problem"].update(changes)
+        cfg = _write(tmp_path, f"{tag}.json", data)
+        report = tmp_path / f"{tag}_report.json"
+        assert main(["compare", "--config", cfg, "--out-report", str(report),
+                     "--override-advisory"]) == 0
+        sups.append(json.loads(report.read_text())["difference"]["sup"])
+        fields.append(_solve_field(load_config(cfg)).v)
+    scale = np.max(np.abs(fields[1]))
+    assert np.max(np.abs(fields[0] - fields[1])) <= 1e-15 * scale
+    assert abs(sups[0] - sups[1]) <= 1e-12
+
+
 def test_config_outputs_section_is_used(tmp_path):
     report_path = tmp_path / "from_config.json"
     cfg = _delay_config(tmp_path,

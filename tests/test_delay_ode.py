@@ -14,6 +14,7 @@ from delayheat.delay_ode import (
     kernel,
     solve_forced,
     solve_homogeneous,
+    solve_modes,
     solve_on_grid,
     superpose,
 )
@@ -21,6 +22,7 @@ from delayheat.delayed_exp import DelayedExpParams, delayed_exp_eval
 from delayheat.errors import DomainError, InputError, NumericError, QuadratureError
 from delayheat.quadrature import QuadratureConfig
 from delayheat.funcspec import parse_function
+from delayheat.spectral import HermitePaths
 
 
 def _const_history(value=1.0):
@@ -167,6 +169,35 @@ def test_grid_engine_raises_on_kernel_overflow(b):
     params = DelayOdeParams(a=100.0, b=b, tau=1.0)
     with pytest.raises(NumericError):
         solve_on_grid(params, None, lambda s: np.ones_like(s), 2, 20)
+
+
+def test_engine_group_with_one_starved_mode_raises():
+    # One group (same a): a quiet mode that settles at the first halving
+    # and one whose history the starved budget cannot resolve.
+    tau = 1.0
+    s = np.linspace(-tau, 0.0, 129)
+    history = HermitePaths(s, np.array([np.zeros_like(s), np.cos(5.0 * s)]),
+                           np.array([np.zeros_like(s), -5.0 * np.sin(5.0 * s)]))
+    starved = QuadratureConfig(nodes_per_panel=2, max_panel_splits=1, abs_tol=1e-16)
+    with pytest.raises(QuadratureError, match="grid quadrature did not converge "
+                       "to 1e-16 after 1 panel splits") as err:
+        solve_modes([-40.0, -40.0], [0.5, 0.5], tau, history, None, 2, 6, starved)
+    assert err.value.residual > 0.0
+    quiet = solve_modes([-40.0], [0.5], tau, history.rows(np.array([0])), None,
+                        2, 6, starved)
+    np.testing.assert_array_equal(quiet, 0.0)
+
+
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_engine_overflow_in_one_mode_of_a_group_raises(b):
+    # a dt = 35 and 50 grade their panels alike, so both modes form one
+    # group; a (tau + t_n) = 525 stays in range, 750 does not.
+    forcing = HermitePaths(np.linspace(0.0, 6.5, 14), np.ones((2, 14)),
+                           np.zeros((2, 14)))
+    with pytest.raises(NumericError):
+        solve_modes([70.0, 100.0], [b, b], 1.0, None, forcing, 2, 13)
+    assert np.all(np.isfinite(solve_modes([70.0], [b], 1.0, None,
+                                          forcing.rows(np.array([0])), 2, 13)))
 
 
 def test_forced_matches_stepping_oracle():

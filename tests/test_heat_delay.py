@@ -2,6 +2,8 @@
 agreement with the scalar delay-ODE core, and grid-level structure."""
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,12 @@ from delayheat import (
     solve_homogeneous,
     superpose,
 )
+from delayheat.config import load_config
+from delayheat.delay_ode import solve_modes, solve_on_grid
+from delayheat.quadrature import QuadratureConfig
 from delayheat.spectral import HermitePaths
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _problem(a1=1.0, a2=0.0, b1=0.0, b2=0.0, d1=0.0, d2=0.0, tau=1.0,
@@ -120,7 +127,9 @@ def test_time_varying_history_paths():
 
 def test_build_modes_projects_each_family_in_one_pass(monkeypatch):
     # Phi_n with Phi_n' and F_n with F_n' are read off one jet each; no
-    # t-differentiated spec is projected on its own.
+    # t-differentiated spec is projected on its own.  Only phi and f are
+    # projected on the grid; the lift's share (-lift in Phi, F - f in F) is
+    # handed over as the linear part.
     from delayheat import heat_delay
 
     calls, project = [], heat_delay.project_paths
@@ -130,8 +139,11 @@ def test_build_modes_projects_each_family_in_one_pass(monkeypatch):
     rp = reduce_delay(_problem(psi="sin(x)*(1+t)", g="x*cos(t)"))
     ms = build_modes(rp, EigenBasis(rp.length, 4))
     assert len(calls) == 2
-    assert calls[0][0] is rp.shifted_initial and calls[1][0] is rp.forcing
-    assert all(kw == {} for _, kw in calls)
+    assert calls[0][0] is rp.phi and calls[1][0] is rp.source
+    assert list(calls[0][1]) == ["linear"]
+    assert calls[0][1]["linear"].base is rp.lift
+    assert calls[0][1]["linear"].factor == -1.0
+    assert calls[1][1] == {"linear": rp.lift_forcing}
     np.testing.assert_allclose(ms.phi_prime_samples[0], 1.0, atol=1e-10)
 
 
@@ -299,6 +311,77 @@ def test_stiff_mode_diagnostics_and_finite_solve():
     field = solve_delay(p, basis, grid=GridSpec(nx=10, nt_per_tau=4))
     assert np.all(np.isfinite(field.v))
     assert np.max(np.abs(field.v)) < 50.0
+
+
+# ---------------------------------------------------------------------------
+# The batched modal engine: one call evaluates every mode of a problem
+# ---------------------------------------------------------------------------
+
+
+def _engine_cases():
+    cases = [pytest.param(cfg.problem, cfg.solver.modes, cfg.solver.nt_per_tau,
+                          id=path.name)
+             for path in sorted(_CONFIGS.glob("*.json"))
+             for cfg in [load_config(path)] if cfg.kind == "delay"]
+    # Lagged diffusion makes B_n grow like n^2 too; the 128 modes spread
+    # over seven groups of graded panels, |L_n| dt up to 512.
+    stiff = _problem(a2=0.5, d2=-0.3, tau=0.5, horizon=1.0,
+                     psi="x*(l-x)*(1+t)", g="x*cos(3*t)")
+    return cases + [pytest.param(stiff, 128, 16, id="stiff_128_modes")]
+
+
+@pytest.mark.parametrize("p, modes, m", _engine_cases())
+def test_batched_engine_matches_one_mode_calls(p, modes, m):
+    quad = QuadratureConfig()
+    ms = build_modes(reduce_delay(p), EigenBasis(p.length, modes), quad)
+    t = GridSpec(nx=4, nt_per_tau=m).t_points(p.horizon, p.tau)
+    n_steps = int(np.sum(t > 0.0))
+    batched = solve_modes(ms.ode_a, ms.ode_b, p.tau, ms.history_paths,
+                          ms.forcing_paths, m, n_steps, quad)
+    assert batched.shape == (modes, n_steps)
+    for n in range(1, modes + 1):
+        alone = solve_on_grid(ms.mode_params(n), ms.mode_history(n),
+                              ms.mode_forcing(n), m, n_steps, quad)
+        scale = np.max(np.abs(alone))
+        assert np.max(np.abs(batched[n - 1] - alone)) <= 1e-14 * scale, n
+
+
+def test_delay_problem_without_lag_coupling_takes_the_recursion(monkeypatch):
+    # a2 = c2 = 0: every B_n vanishes, so each group builds only the first
+    # lag row of its kernel table and sums the panels by recursion.
+    from delayheat import delay_ode
+
+    shapes, kernel = [], delay_ode.kernel
+    monkeypatch.setattr(delay_ode, "kernel", lambda params, xi: shapes.append(
+        np.shape(xi)) or kernel(params, xi))
+    p = _problem(d1=-0.2, tau=0.5, horizon=1.0, psi="sin(x)*(1 + t)",
+                 g="x*cos(t)")
+    assert reduce_delay(p).c2 == 0.0
+    grid = GridSpec(nx=40, nt_per_tau=8)
+    field = solve_delay(p, EigenBasis(p.length, 16), grid=grid)
+    tables = [shape for shape in shapes if len(shape) == 2]
+    assert tables and all(shape[0] == 1 for shape in tables)
+    coarse = fd_solve_delay(p, grid).v
+    fine = fd_solve_delay(p, GridSpec(nx=80, nt_per_tau=16)).v
+    tol = 4.0 * np.max(np.abs(coarse - fine[::2, ::2]))
+    assert np.max(np.abs(field.v - coarse)) <= tol
+
+
+def test_sweep_solve_holds_little_memory():
+    # The kernel tables of a group are built in chunks of modes, so the
+    # 128-mode sweep fixture never holds a full (modes x lags x offsets)
+    # table.
+    cfg = load_config(_CONFIGS / "delay_smooth_sweep.json")
+    p = cfg.problem
+    basis = EigenBasis(p.length, cfg.solver.modes)
+    grid = GridSpec(nx=cfg.solver.nx, nt_per_tau=cfg.solver.nt_per_tau)
+    tracemalloc.start()
+    try:
+        solve_delay(p, basis, grid=grid, quad=cfg.solver.quadrature)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ---------------------------------------------------------------------------

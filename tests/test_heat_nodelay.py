@@ -150,8 +150,13 @@ def test_mode_data_projects_the_forcing_family_in_one_pass(monkeypatch):
     rp = reduce_problem(_problem(g="sin(x)*cos(t)", theta1="t"))
     heat_nodelay._mode_data(rp, EigenBasis(rp.length, 4), QuadratureConfig())
     assert len(calls) == 2
-    assert calls[0][0] is rp.shifted_initial and calls[0][1] == {"kt": 0}
-    assert calls[1][0] is rp.forcing and calls[1][1] == {}
+    # Only phi and f are projected on the grid; the lift's share is handed
+    # over as the linear part.
+    assert calls[0][0] is rp.phi and list(calls[0][1]) == ["kt", "linear"]
+    assert calls[0][1]["kt"] == 0 and calls[0][1]["linear"].base is rp.lift
+    assert calls[0][1]["linear"].factor == -1.0
+    assert calls[1][0] is rp.source
+    assert calls[1][1] == {"linear": rp.lift_forcing}
 
 
 def test_boundary_rows_match_traces():

@@ -17,6 +17,7 @@ from delayheat import (
     Sampled1DFunction,
     UnsupportedOperationError,
     decay_fit,
+    fs_sum,
     parse_function,
     sine_coefficients,
     sine_synthesis,
@@ -214,6 +215,23 @@ def test_project_paths_reads_values_and_slopes_off_one_jet():
 # ---------------------------------------------------------------------------
 # Decay fitting
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kt", [0, 1])
+def test_project_paths_adds_a_linear_part_in_closed_form(kt):
+    # spec + (A(t) + x B(t)) projected on the grid, against spec projected
+    # with the linear part added from its projections of 1 and x.
+    spec = parse_function("sin(2*x)*cos(t) + x^2*t")
+    linear = parse_function("(1 + t^2) + x*exp(t)")
+    basis = EigenBasis(2.0, 12)
+    rule = sine_projection_rule(basis)
+    times = np.linspace(0.0, 1.0, 40)
+    full = project_paths(fs_sum(spec, linear), times, rule, 2.0, kt=kt)
+    split = project_paths(spec, times, rule, 2.0, kt=kt, linear=linear)
+    assert len(split) == kt + 1
+    for whole, part in zip(full, split):
+        np.testing.assert_allclose(part, whole, rtol=0,
+                                   atol=1e-14 * np.max(np.abs(whole)))
 
 
 def test_decay_fit_recovers_cubic_rate():
