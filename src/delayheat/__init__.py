@@ -29,14 +29,7 @@ from .config import (
     config_from_dict,
     load_config,
 )
-from .delay_ode import (
-    DelayOdeParams,
-    HistoryFunction,
-    kernel,
-    solve_forced,
-    solve_homogeneous,
-    superpose,
-)
+from .delay_ode import DelayOdeParams, kernel, solve_at
 from .delayed_exp import DelayedExpParams, delayed_exp_eval, delayed_exp_segment_index
 from .energy import (
     EnergyReport,
@@ -131,7 +124,6 @@ __all__ = [
     "GridSpec",
     "GronwallResult",
     "HeatProblem",
-    "HistoryFunction",
     "InputError",
     "InsufficientDataError",
     "ModeSystem",
@@ -184,11 +176,9 @@ __all__ = [
     "sine_synthesis",
     "solve",
     "solve_delay",
-    "solve_forced",
-    "solve_homogeneous",
+    "solve_at",
     "solve_u1",
     "solve_u2",
     "solve_u3",
     "steps_covered",
-    "superpose",
 ]

@@ -35,7 +35,7 @@ import numpy as np
 
 from .compat import check_problem
 from .config import load_config
-from .delay_ode import DelayOdeParams, HistoryFunction, solve_homogeneous, superpose
+from .delay_ode import DelayOdeParams, solve_at
 from .errors import (
     CompatibilityError,
     ConfigError,
@@ -70,30 +70,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _jsonable(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize."""
-    if isinstance(obj, dict):
-        return {key: _jsonable(val) for key, val in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(val) for val in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(val) for val in obj.tolist()]
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
+def _numpy_value(obj):
+    """``json.dumps`` hook: numpy arrays and scalars as plain Python values."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _report_text(payload):
+    return json.dumps(payload, indent=2, sort_keys=True, default=_numpy_value)
 
 
 def _write_json(path, payload):
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        handle.write(_report_text(payload) + "\n")
 
 
 def _emit_report(path, payload):
     if path:
         _write_json(path, payload)
     else:
-        print(json.dumps(_jsonable(payload), indent=2, sort_keys=True))
+        print(_report_text(payload))
 
 
 def _check_writable(*paths):
@@ -341,14 +338,13 @@ def _cmd_dde_solve(args):
     _check_writable(args.out)
     params = DelayOdeParams(a=args.rate, b=args.lagged_rate, tau=args.delay)
     history_fs = parse_function(args.history, tau=args.delay)
-    history = HistoryFunction.from_funcspec(history_fs)
-    t = np.linspace(0.0, args.horizon, args.samples)
-    if args.forcing is None:
-        values = solve_homogeneous(params, history, t)
-    else:
+    history = lambda s, nu=0: history_fs.partials(0.0, s, [(0, nu)])[0]
+    forcing = None
+    if args.forcing is not None:
         forcing_fs = parse_function(args.forcing, tau=args.delay)
-        rho = lambda s: forcing_fs(0.0, s)
-        values = superpose(params, history, rho, t)
+        forcing = lambda s: forcing_fs(0.0, s)
+    t = np.linspace(0.0, args.horizon, args.samples)
+    values = solve_at(params, history, forcing, t)
     lines = ["t,value"]
     lines += [f"{ti:.17g},{vi:.17g}" for ti, vi in zip(t, values)]
     text = "\n".join(lines) + "\n"

@@ -110,7 +110,6 @@ def check_compatibility(p, samples=65, tol=1e-8):
 def _fit_sequence(name, exponent, seq, fit_slack):
     """Fitted log-slope proxy: pass when the tail decays (slope < -fit_slack)."""
     seq = np.asarray(seq, dtype=float)
-    n = np.arange(1, seq.size + 1, dtype=float)
     top = float(seq.max(initial=0.0))
     entry = {"name": name, "exponent": exponent, "slope": None,
              "window": None, "status": None}
@@ -129,12 +128,10 @@ def _fit_sequence(name, exponent, seq, fit_slack):
         entry["status"] = "unverifiable"
         entry["detail"] = f"only {usable.size} usable entries; need 8 for a fit"
         return entry
-    logn = np.log(n[usable])
-    logs = np.log(seq[usable])
-    slope = float(np.polyfit(logn, logs, 1)[0])
-    entry["slope"] = slope
-    entry["window"] = [int(n[usable][0]), int(n[usable][-1])]
-    entry["status"] = "pass" if slope <= -abs(fit_slack) else "fail"
+    report = decay_fit(seq)
+    entry["slope"] = -report.slope
+    entry["window"] = list(report.window)
+    entry["status"] = "pass" if entry["slope"] <= -abs(fit_slack) else "fail"
     return entry
 
 

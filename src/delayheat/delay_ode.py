@@ -23,11 +23,11 @@ Solution formulas:
 and the full solution is their sum.  Integrands are piecewise smooth with
 kinks where t - tau - s crosses a multiple of tau.
 
-Two evaluators share these formulas:
+Two evaluators share these formulas and take the data the same way:
+``history(s, nu)`` gives the nu-th derivative (nu = 0, 1) of beta, as a
+:class:`~delayheat.spectral.HermitePaths` family does, and ``forcing(s)``
+gives rho; either may be None for zero data.
 
-* :func:`solve_homogeneous`, :func:`solve_forced` and :func:`superpose`
-  evaluate x at any t, one adaptive quadrature per point, with panels split
-  at the kinks and graded toward the end where exp(-a s) peaks.
 * :func:`solve_modes` returns the whole trajectories of many modes (one
   delay, per-mode a and b) on the grid dt = tau / m (the method of steps).
   There every kink falls on a multiple of dt, so one fixed set of dt-wide
@@ -38,9 +38,11 @@ Two evaluators share these formulas:
   pure exponential, and the sum is a one-term recursion over the panels
   instead, O(n) per trajectory rather than O(n^2), run for all such modes
   of a group at once.  :func:`solve_on_grid` is its one-mode call, for data
-  given as plain callables.  The field solvers use this path; the per-point
-  functions remain the reference it is tested against and serve
-  ``dde solve``.
+  given as plain callables.  The field solvers use this path.
+* :func:`solve_at` evaluates one mode at any t, one adaptive quadrature per
+  point, with panels split at the kinks and graded toward the end where
+  exp(-a s) peaks.  It is the reference the grid engine is tested against,
+  and it serves ``dde solve``.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InputError, NumericError
-from .funcspec import FunctionSpec
 from .quadrature import (
     QuadratureConfig,
     composite_gauss,
@@ -87,27 +88,6 @@ class DelayOdeParams:
         return math.log(abs(self.b)) - self.a * self.tau
 
 
-@dataclass
-class HistoryFunction:
-    """History segment beta on [-tau, 0] with its derivative.
-
-    Both callables must accept numpy arrays.  ``beta_prime`` is either
-    supplied directly (the series solver passes the derivative of the mode's
-    Hermite history path, :meth:`delayheat.heat_delay.ModeSystem.mode_history`)
-    or produced by differentiating an expression (:meth:`from_funcspec`).
-    """
-
-    beta: object
-    beta_prime: object
-
-    @classmethod
-    def from_funcspec(cls, fs):
-        if not isinstance(fs, FunctionSpec):
-            raise InputError("from_funcspec expects a FunctionSpec")
-        d = fs.differentiate("t", 1)
-        return cls(beta=lambda s: fs(0.0, s), beta_prime=lambda s: d(0.0, s))
-
-
 _MAX_EXP_ARG = 700.0  # below the float64 overflow threshold of exp
 _MIN_EXP_ARG = -746.0  # exp underflows to exactly 0.0 below this
 
@@ -131,10 +111,6 @@ def kernel(params, xi):
     alive = np.flatnonzero(pts >= -tau)
     seg = np.floor(pts[alive] / tau).astype(int) + 1
     kmax = int(seg.max(initial=-1))
-    if not np.any(b):
-        # Terms j >= 1 carry the factor b^j, so without lag coupling only
-        # the pure exponential is left.
-        kmax = min(kmax, 0)
     for j in range(kmax + 1):
         cols = alive[seg >= j]
         psi = pts[cols] - (j - 1) * tau
@@ -179,102 +155,74 @@ def _knot_crossings(t, tau, lo, hi):
     return [t - m * tau for m in range(m_lo, m_hi + 1) if lo < t - m * tau < hi]
 
 
-def solve_homogeneous(params, history, t, quad=None):
-    """x(t) for the homogeneous problem (rho = 0) with history ``history``.
+def solve_at(params, history, forcing, t, quad=None):
+    """x(t) at any t >= -tau: the per-point twin of :func:`solve_on_grid`.
 
-    ``t`` may be a scalar or an array (evaluated pointwise)."""
+    ``history(s, nu)`` gives the nu-th derivative (nu = 0, 1) of beta and
+    ``forcing(s)`` gives rho; either may be None for zero data.  ``t`` may be
+    a scalar or an array (evaluated pointwise).
+    """
     if quad is None:
         quad = QuadratureConfig()
     t_arr = np.asarray(t, dtype=float)
     if t_arr.ndim > 0:
-        return np.array(
-            [solve_homogeneous(params, history, tv, quad) for tv in t_arr])
+        return np.array([solve_at(params, history, forcing, tv, quad)
+                         for tv in t_arr])
     t = float(t_arr)
     if not math.isfinite(t):
         raise InputError(f"t must be finite, got {t!r}")
-    if t < -params.tau:
-        raise DomainError(f"t={t!r} is below -tau={-params.tau!r}")
+    a, tau = params.a, params.tau
+    if t < -tau:
+        raise DomainError(f"t={t!r} is below -tau={-tau!r}")
     if t <= 0.0:
-        return float(np.asarray(history.beta(t), dtype=float))
-    a = params.a
-    beta_start = float(np.asarray(history.beta(-params.tau), dtype=float))
-    head = kernel(params, t) * beta_start
+        return 0.0 if history is None else float(np.asarray(history(t), dtype=float))
 
-    def integrand(s):
-        return kernel(params, t - params.tau - s) * (
-            np.asarray(history.beta_prime(s), dtype=float)
-            - a * np.asarray(history.beta(s), dtype=float)
-        )
+    def integral(data, lo, hi):
+        """integral_lo^hi K(t - tau - s) data(s) ds."""
+        def integrand(s):
+            return kernel(params, t - tau - s) * data(s)
 
-    breaks = _knot_crossings(t, params.tau, -params.tau, 0.0)
-    breaks += graded_breakpoints(-params.tau, 0.0, -a)
-    tail = composite_gauss(integrand, -params.tau, 0.0, quad, breaks)
-    return head + tail
+        breaks = _knot_crossings(t, tau, lo, hi) + graded_breakpoints(lo, hi, -a)
+        return composite_gauss(integrand, lo, hi, quad, breaks)
 
-
-def solve_forced(params, rho, t, quad=None):
-    """x(t) for zero history and forcing rho (Duhamel form).
-
-    ``t`` may be a scalar or an array (evaluated pointwise)."""
-    if quad is None:
-        quad = QuadratureConfig()
-    t_arr = np.asarray(t, dtype=float)
-    if t_arr.ndim > 0:
-        return np.array([solve_forced(params, rho, tv, quad) for tv in t_arr])
-    t = float(t_arr)
-    if not math.isfinite(t):
-        raise InputError(f"t must be finite, got {t!r}")
-    if t < -params.tau:
-        raise DomainError(f"t={t!r} is below -tau={-params.tau!r}")
-    if t <= 0.0:
-        return 0.0
-
-    def integrand(s):
-        return kernel(params, t - params.tau - s) * np.asarray(rho(s), dtype=float)
-
-    breaks = _knot_crossings(t, params.tau, 0.0, t)
-    breaks += graded_breakpoints(0.0, t, -params.a)
-    return composite_gauss(integrand, 0.0, t, quad, breaks)
-
-
-def superpose(params, history, rho, t, quad=None):
-    """Full solution: homogeneous part plus forced part."""
-    return solve_homogeneous(params, history, t, quad) + solve_forced(
-        params, rho, t, quad
-    )
-
-
-def _sample(f, s):
-    """Evaluate a vectorized callable on an array of any shape."""
-    return np.asarray(f(s.ravel()), dtype=float).reshape(s.shape)
+    x = 0.0
+    if history is not None:
+        x = kernel(params, t) * float(np.asarray(history(-tau), dtype=float))
+        x += integral(lambda s: np.asarray(history(s, 1), dtype=float)
+                      - a * np.asarray(history(s), dtype=float), -tau, 0.0)
+    if forcing is not None:
+        x += integral(lambda s: np.asarray(forcing(s), dtype=float), 0.0, t)
+    return x
 
 
 class _Callables:
-    """A one-mode path family over plain vectorized callables: ``fns[nu]``
-    is the nu-th derivative.  It answers :func:`solve_modes` as a
+    """A one-mode path family over a vectorized callable taken as
+    :func:`solve_at` takes its data (``fn(s, nu)``, or ``fn(s)`` for the
+    value, all a forcing answers).  It answers :func:`solve_modes` as a
     :class:`~delayheat.spectral.HermitePaths` family of one row does."""
 
-    def __init__(self, *fns):
-        self.fns = fns
+    def __init__(self, fn):
+        self.fn = fn
 
     def rows(self, index):
         return self
 
     def __call__(self, s, nu=0):
-        return _sample(self.fns[nu], s)[None]
+        value = self.fn(s.ravel(), nu) if nu else self.fn(s.ravel())
+        return np.asarray(value, dtype=float).reshape(s.shape)[None]
 
 
-def solve_on_grid(params, history, rho, steps_per_tau, n_steps, quad=None):
+def solve_on_grid(params, history, forcing, steps_per_tau, n_steps, quad=None):
     """x(j dt) for j = 1..n_steps on the grid dt = tau / steps_per_tau.
 
-    ``history`` (a :class:`HistoryFunction`) or ``rho`` may be None for zero
-    history or no forcing.  Returns an array of length ``n_steps``.  This is
-    :func:`solve_modes` for one mode whose data are plain callables.
+    ``history`` and ``forcing`` are taken as :func:`solve_at` takes them
+    (``history(s, nu)``, ``forcing(s)``, either may be None).  Returns an
+    array of length ``n_steps``.  This is :func:`solve_modes` for one mode
+    whose data are plain callables.
     """
-    paths = (None if history is None
-             else _Callables(history.beta, history.beta_prime))
-    forcing = None if rho is None else _Callables(rho)
-    return solve_modes([params.a], [params.b], params.tau, paths, forcing,
+    return solve_modes([params.a], [params.b], params.tau,
+                       None if history is None else _Callables(history),
+                       None if forcing is None else _Callables(forcing),
                        steps_per_tau, n_steps, quad)[0]
 
 

@@ -133,7 +133,7 @@ class SolutionField:
 
 
 def read_field_csv(path):
-    """Inverse of :meth:`SolutionField.write_csv` (used by tests and compare)."""
+    """Inverse of :meth:`SolutionField.write_csv`: reads a field CSV back."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)

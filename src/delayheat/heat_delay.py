@@ -48,13 +48,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .delay_ode import (
-    DelayOdeParams,
-    HistoryFunction,
-    solve_homogeneous,
-    solve_modes,
-    superpose,
-)
+from .delay_ode import DelayOdeParams, solve_at, solve_modes
 from .errors import CompatibilityError, InputError
 from .field import GridSpec, SolutionField
 from .funcspec import (
@@ -216,8 +210,8 @@ class ModeSystem:
     forcing paths F_n and their slopes F_n' on ``forcing_times``.  Slopes
     are projections of the t-differentiated data, not differences of the
     samples.  Each family is one :class:`~delayheat.spectral.HermitePaths`
-    of its samples and slopes (``history_paths``, ``forcing_paths``), which
-    :meth:`mode_history` and :meth:`mode_forcing` view one mode at a time.
+    of its samples and slopes (``history_paths``, ``forcing_paths``); its
+    ``row(n)`` is mode n's data in the form the delay-ODE solvers take.
     beta_n' is the derivative of the beta_n path itself, so the two always
     agree.
     """
@@ -246,24 +240,16 @@ class ModeSystem:
         return DelayOdeParams(a=float(self.ode_a[n - 1]),
                               b=float(self.ode_b[n - 1]), tau=self.tau)
 
-    def mode_history(self, n):
-        beta = self.history_paths.row(n)
-        return HistoryFunction(beta=beta, beta_prime=lambda s: beta(s, 1))
-
-    def mode_forcing(self, n):
-        return self.forcing_paths.row(n)
-
     def diagnostics(self):
         """Per-mode table: rates, delayed-parameter log magnitude, path sizes."""
         rows = []
         for n in range(1, self.basis.n_modes + 1):
-            log_d = self.mode_params(n).log_abs_scaled_delay_coeff()
             rows.append({
                 "n": n,
                 "ode_a": float(self.ode_a[n - 1]),
                 "ode_b": float(self.ode_b[n - 1]),
-                "log_abs_scaled_delay_coeff": log_d,
-                "scaled_delay_overflows": bool(log_d > 700.0),
+                "log_abs_scaled_delay_coeff":
+                    self.mode_params(n).log_abs_scaled_delay_coeff(),
                 "sup_phi": float(np.max(np.abs(self.phi_samples[n - 1]))),
                 "sup_forcing": float(np.max(np.abs(self.forcing_samples[n - 1]))),
             })
@@ -323,13 +309,8 @@ def mode_solution(ms, n, t, quad=None):
     """X_n(t): the n-th modal trajectory via the closed-form delay ODE."""
     if not 1 <= n <= ms.basis.n_modes:
         raise InputError(f"mode number {n} outside 1..{ms.basis.n_modes}")
-    if quad is None:
-        quad = QuadratureConfig()
-    params = ms.mode_params(n)
-    history = ms.mode_history(n)
-    if float(np.max(np.abs(ms.forcing_samples[n - 1]))) == 0.0:
-        return solve_homogeneous(params, history, t, quad)
-    return superpose(params, history, ms.mode_forcing(n), t, quad)
+    return solve_at(ms.mode_params(n), ms.history_paths.row(n),
+                    ms.forcing_paths.row(n), t, quad)
 
 
 def solve_delay(p, basis, grid=None, quad=None):

@@ -42,8 +42,9 @@ delay solver's grid engine (:func:`delayheat.delay_ode.solve_modes`, with a
 delay of one time step).  With b = 0 the engine's kernel is the pure
 exponential exp(-(pi n a / l)^2 (t - s)), so it advances the trajectories by
 a one-term recursion, one step of decay plus the newest panel, in O(nt)
-rather than O(nt^2), all modes of a group at once.  :func:`solve_u2` keeps a
-per-point quadrature of the same integral, evaluable at any t.
+rather than O(nt^2), all modes of a group at once.  :func:`solve_u2` takes
+the same integral at any t through the per-point evaluator
+:func:`delayheat.delay_ode.solve_at`.
 """
 
 from __future__ import annotations
@@ -53,12 +54,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .delay_ode import solve_modes
+from .delay_ode import DelayOdeParams, solve_at, solve_modes
 from .errors import DomainError, InputError
 from .field import GridSpec, SolutionField
 from .funcspec import FunctionSpec, fs_const, fs_ramp_x, fs_scale, fs_sum
 from .heat_delay import weighted_frame
-from .quadrature import QuadratureConfig, composite_gauss, graded_breakpoints
+from .quadrature import QuadratureConfig
 from .spectral import (EigenBasis, HermitePaths, project_paths,
                        sine_projection_rule)
 
@@ -176,15 +177,12 @@ def _mode_data(rp, basis, quad):
 
 
 def _duhamel_decay(rate, forcing, t, quad):
-    """integral_0^t exp(-rate (t - s)) forcing(s) ds with graded panels."""
+    """integral_0^t exp(-rate (t - s)) forcing(s) ds: the forced solution of
+    x' = -rate x + forcing at t, with the delay set to t so that the kernel
+    is exp(-rate (t - s)) over the whole interval."""
     if t == 0.0:
         return 0.0
-
-    def integrand(s):
-        return np.exp(-rate * (t - s)) * forcing(s)
-
-    breaks = graded_breakpoints(0.0, t, rate)
-    return composite_gauss(integrand, 0.0, t, quad, breaks)
+    return solve_at(DelayOdeParams(-rate, 0.0, tau=t), None, forcing, t, quad)
 
 
 def _check_point(rp, x, t):

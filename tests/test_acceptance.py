@@ -24,7 +24,6 @@ from delayheat import (
     EigenBasis,
     GridSpec,
     HeatProblem,
-    HistoryFunction,
     SolutionField,
     build_modes,
     check_decay_conditions,
@@ -41,8 +40,7 @@ from delayheat import (
     sine_coefficients,
     solve,
     solve_delay,
-    solve_forced,
-    solve_homogeneous,
+    solve_at,
 )
 
 
@@ -147,10 +145,10 @@ def test_delay_ode_closed_form_matches_method_of_steps_oracle():
         (beta, beta_prime), rho = data_cycle[i % len(data_cycle)]
         params = DelayOdeParams(a=a, b=b, tau=tau)
         t = np.linspace(0.0, 4.0 * tau, 81)
-        closed = solve_homogeneous(
-            params, HistoryFunction(beta, beta_prime), t)
+        history = lambda s, nu=0: beta_prime(s) if nu else beta(s)
+        closed = solve_at(params, history, None, t)
         if rho is not None:
-            closed = closed + solve_forced(params, rho, t)
+            closed = closed + solve_at(params, None, rho, t)
         oracle = dde_steps(a, b, tau, beta, t, rho=rho)
         err = np.max(np.abs(closed - oracle))
         assert err <= 1e-7, f"(a={a}, b={b}, tau={tau}): max err {err:.3e}"
@@ -239,9 +237,10 @@ def test_single_mode_delay_field_matches_scalar_solver_and_fd_order():
 
     field = solve_delay(p, basis, GridSpec(nx=200, nt_per_tau=48))
     pos = field.t >= 0.0
-    scalar = solve_homogeneous(
+    scalar = solve_at(
         DelayOdeParams(a=-1.0, b=-0.5, tau=tau),
-        HistoryFunction(lambda s: 1.0, lambda s: 0.0),
+        lambda s, nu=0: 0.0 if nu else 1.0,
+        None,
         field.t[pos],
     )
     exact = scalar[:, None] * np.sin(field.x)[None, :]

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dde_steps import dde_steps_exact
 from delayheat import read_field_csv
 from delayheat.cli import main
 
@@ -348,6 +349,19 @@ def test_dde_solve_with_forcing(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     values = [float(line.split(",")[1]) for line in lines[1:6]]
     np.testing.assert_allclose(values, np.linspace(0.0, 1.0, 5), atol=1e-10)
+
+
+def test_dde_solve_history_slope_matches_exact_steps(capsys):
+    # History 1 + t has beta' = 1, which dde solve reads off the history's
+    # jet; the exact method of steps takes it from the polynomial.
+    code = main(["dde", "solve", "--rate", "-1", "--lagged-rate", "-0.5",
+                 "--delay", "0.5", "--horizon", "2", "--history", "1 + t",
+                 "--forcing", "t"])
+    assert code == 0
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in capsys.readouterr().out.splitlines()[1:]])
+    exact = dde_steps_exact(-1.0, -0.5, 0.5, (1, 1), rows[:, 0], rho_poly=(0, 1))
+    np.testing.assert_allclose(rows[:, 1], exact, rtol=0, atol=1e-12)
 
 
 def test_dde_solve_validation():

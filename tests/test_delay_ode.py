@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 from dde_steps import dde_steps, dde_steps_exact
 from delayheat.delay_ode import (
     DelayOdeParams,
-    HistoryFunction,
     kernel,
-    solve_forced,
-    solve_homogeneous,
+    solve_at,
     solve_modes,
     solve_on_grid,
-    superpose,
 )
 from delayheat.delayed_exp import DelayedExpParams, delayed_exp_eval
 from delayheat.errors import DomainError, InputError, NumericError, QuadratureError
@@ -25,8 +22,19 @@ from delayheat.funcspec import parse_function
 from delayheat.spectral import HermitePaths
 
 
+def _history(beta, beta_prime):
+    """beta and beta' in the form the solvers take: history(s, nu)."""
+    return lambda s, nu=0: beta_prime(s) if nu else beta(s)
+
+
+def _spec_history(text):
+    """The history of an expression in t, its derivative read off its jet."""
+    fs = parse_function(text)
+    return lambda s, nu=0: fs.partials(0.0, s, [(0, nu)])[0]
+
+
 def _const_history(value=1.0):
-    return HistoryFunction(
+    return _history(
         lambda s: np.full_like(np.asarray(s, dtype=float), value),
         lambda s: np.zeros_like(np.asarray(s, dtype=float)),
     )
@@ -52,12 +60,12 @@ def test_kernel_pure_exponential_when_lag_coupling_zero():
 def test_exponential_solution_reproduced_exactly():
     # x' = x with lag coupling 0 and history e^s: solution e^t.
     params = DelayOdeParams(a=1.0, b=0.0, tau=1.0)
-    history = HistoryFunction(
+    history = _history(
         lambda s: np.exp(np.asarray(s, dtype=float)),
         lambda s: np.exp(np.asarray(s, dtype=float)),
     )
     t = np.linspace(0.0, 3.0, 13)
-    np.testing.assert_allclose(solve_homogeneous(params, history, t), np.exp(t),
+    np.testing.assert_allclose(solve_at(params, history, None, t), np.exp(t),
                                rtol=1e-11)
 
 
@@ -65,25 +73,25 @@ def test_pure_lag_with_unit_history_is_delayed_exponential():
     params = DelayOdeParams(a=0.0, b=1.0, tau=1.0)
     dep = DelayedExpParams(rate=1.0, delay=1.0)
     t = np.linspace(0.0, 4.0, 17)
-    got = solve_homogeneous(params, _const_history(), t)
+    got = solve_at(params, _const_history(), None, t)
     want = np.array([delayed_exp_eval(dep, v) for v in t])
     np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
-    assert solve_homogeneous(params, _const_history(), 1.5) == pytest.approx(2.625)
+    assert solve_at(params, _const_history(), None, 1.5) == pytest.approx(2.625)
 
 
 def test_forced_constant_rate_free_grows_linearly():
     params = DelayOdeParams(a=0.0, b=0.0, tau=1.0)
     t = np.linspace(0.0, 2.5, 11)
-    got = solve_forced(params, lambda s: np.ones_like(np.asarray(s, float)), t)
+    got = solve_at(params, None, lambda s: np.ones_like(np.asarray(s, float)), t)
     np.testing.assert_allclose(got, t, rtol=1e-12, atol=1e-13)
 
 
 def test_history_returned_below_zero():
     params = DelayOdeParams(a=0.3, b=-0.4, tau=1.0)
-    history = HistoryFunction.from_funcspec(parse_function("cos(t)"))
-    assert solve_homogeneous(params, history, -0.5) == pytest.approx(math.cos(-0.5))
+    history = _spec_history("cos(t)")
+    assert solve_at(params, history, None, -0.5) == pytest.approx(math.cos(-0.5))
     with pytest.raises(DomainError):
-        solve_homogeneous(params, history, -1.5)
+        solve_at(params, history, None, -1.5)
 
 
 def test_validation():
@@ -104,9 +112,9 @@ _NONSTIFF = [
 @pytest.mark.parametrize("a, b, tau", _NONSTIFF)
 def test_homogeneous_matches_stepping_oracle(a, b, tau):
     params = DelayOdeParams(a=a, b=b, tau=tau)
-    history = HistoryFunction.from_funcspec(parse_function("1 + t"))
+    history = _spec_history("1 + t")
     t = np.linspace(0.0, 4 * tau, 21)
-    mine = solve_homogeneous(params, history, t)
+    mine = solve_at(params, history, None, t)
     ref = dde_steps(a, b, tau, lambda s: 1.0 + s, t)
     np.testing.assert_allclose(mine, ref, rtol=0, atol=5e-10)
 
@@ -115,15 +123,15 @@ def test_homogeneous_matches_stepping_oracle(a, b, tau):
 @pytest.mark.parametrize("a, b, tau", _NONSTIFF)
 def test_grid_engine_matches_per_time_solution(a, b, tau, forced):
     params = DelayOdeParams(a=a, b=b, tau=tau)
-    history = HistoryFunction.from_funcspec(parse_function("cos(3*t)"))
+    history = _spec_history("cos(3*t)")
     rho = (lambda s: np.sin(2.0 * np.asarray(s, dtype=float))) if forced else None
     steps_per_tau, n_steps = 8, 30
     t = tau / steps_per_tau * np.arange(1, n_steps + 1)
     mine = solve_on_grid(params, history, rho, steps_per_tau, n_steps)
     if forced:
-        ref = superpose(params, history, rho, t)
+        ref = solve_at(params, history, rho, t)
     else:
-        ref = solve_homogeneous(params, history, t)
+        ref = solve_at(params, history, None, t)
     np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-10)
 
 
@@ -132,7 +140,7 @@ def test_grid_engine_on_stiff_mode_matches_exact_method_of_steps(b):
     # |a| tau = 662: a high sine mode of the delayed heat equation.
     a, tau = -1325.0, 0.5
     params = DelayOdeParams(a=a, b=b, tau=tau)
-    history = HistoryFunction(
+    history = _history(
         lambda s: 1.0 + s + s**2, lambda s: 1.0 + 2.0 * s)
     rho = lambda s: 0.5 - np.asarray(s, dtype=float)
     t = tau / 16 * np.arange(1, 49)
@@ -153,7 +161,7 @@ def test_grid_engine_without_data_is_zero_and_checks_arguments():
 
 def test_grid_engine_raises_when_refinement_budget_is_exhausted():
     params = DelayOdeParams(a=-40.0, b=0.5, tau=1.0)
-    history = HistoryFunction.from_funcspec(parse_function("cos(5*t)"))
+    history = _spec_history("cos(5*t)")
     starved = QuadratureConfig(nodes_per_panel=2, max_panel_splits=1, abs_tol=1e-16)
     with pytest.raises(QuadratureError):
         solve_on_grid(params, history, None, 2, 6, starved)
@@ -203,10 +211,10 @@ def test_engine_overflow_in_one_mode_of_a_group_raises(b):
 def test_forced_matches_stepping_oracle():
     a, b, tau = -0.5, 0.6, 0.8
     params = DelayOdeParams(a=a, b=b, tau=tau)
-    history = HistoryFunction.from_funcspec(parse_function("cos(t)"))
+    history = _spec_history("cos(t)")
     rho = lambda s: np.sin(np.asarray(s, dtype=float))
     t = np.linspace(0.0, 4 * tau, 17)
-    mine = superpose(params, history, rho, t)
+    mine = solve_at(params, history, rho, t)
     ref = dde_steps(a, b, tau, lambda s: math.cos(s), t, rho=lambda s: math.sin(s))
     np.testing.assert_allclose(mine, ref, rtol=0, atol=5e-10)
 
@@ -220,7 +228,7 @@ def test_stiff_mode_stays_finite_and_accurate():
     vals = kernel(params, xi)
     assert np.all(np.isfinite(vals))
     t = np.linspace(0.0, 2.5, 11)
-    mine = solve_homogeneous(params, _const_history(), t)
+    mine = solve_at(params, _const_history(), None, t)
     ref = dde_steps(a, b, tau, lambda s: 1.0, t, method="Radau", rtol=1e-11,
                     atol=1e-14)
     np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-8)
@@ -232,7 +240,7 @@ def test_extreme_decay_rate_no_overflow():
     vals = kernel(params, xi)
     assert np.all(np.isfinite(vals))
     t = np.linspace(0.0, 2.0, 9)
-    sol = solve_homogeneous(params, _const_history(), t)
+    sol = solve_at(params, _const_history(), None, t)
     assert np.all(np.isfinite(sol))
     # after one delay interval the solution is quasi-static: x ~ -(b/a) x(t-tau)
     assert abs(sol[-1]) < 1e-3
@@ -240,28 +248,28 @@ def test_extreme_decay_rate_no_overflow():
 
 def test_solution_continuous_at_zero_and_knots():
     params = DelayOdeParams(a=-0.7, b=0.9, tau=0.6)
-    history = HistoryFunction.from_funcspec(parse_function("1 + t^2"))
+    history = _spec_history("1 + t^2")
     eps = 1e-10
-    left = solve_homogeneous(params, history, -eps)
-    right = solve_homogeneous(params, history, eps)
+    left = solve_at(params, history, None, -eps)
+    right = solve_at(params, history, None, eps)
     assert right == pytest.approx(left, abs=1e-8)
     for knot in (0.6, 1.2, 1.8):
-        lo = solve_homogeneous(params, history, knot - eps)
-        hi = solve_homogeneous(params, history, knot + eps)
+        lo = solve_at(params, history, None, knot - eps)
+        hi = solve_at(params, history, None, knot + eps)
         assert hi == pytest.approx(lo, abs=1e-8)
 
 
 def test_residual_satisfies_equation():
     a, b, tau = -0.4, 0.5, 1.0
     params = DelayOdeParams(a=a, b=b, tau=tau)
-    history = HistoryFunction.from_funcspec(parse_function("cos(t)"))
+    history = _spec_history("cos(t)")
     rho = lambda s: 0.3 * np.asarray(s, dtype=float)
     h = 1e-5
     for t in (0.37, 0.81, 1.43, 2.21):  # away from knots
-        xp = superpose(params, history, rho, t + h)
-        xm = superpose(params, history, rho, t - h)
-        x = superpose(params, history, rho, t)
-        x_lag = superpose(params, history, rho, t - tau)
+        xp = solve_at(params, history, rho, t + h)
+        xm = solve_at(params, history, rho, t - h)
+        x = solve_at(params, history, rho, t)
+        x_lag = solve_at(params, history, rho, t - tau)
         resid = (xp - xm) / (2 * h) - (a * x + b * x_lag + rho(t))
         assert abs(resid) < 1e-7
 
@@ -273,14 +281,14 @@ def test_residual_satisfies_equation():
 )
 def test_property_linearity_in_history(c1, c2):
     params = DelayOdeParams(a=-0.6, b=0.7, tau=0.9)
-    h1 = HistoryFunction.from_funcspec(parse_function("1 + t"))
-    h2 = HistoryFunction.from_funcspec(parse_function("cos(t)"))
-    combo = HistoryFunction(
+    h1 = _spec_history("1 + t")
+    h2 = _spec_history("cos(t)")
+    combo = _history(
         lambda s: c1 * (1.0 + np.asarray(s, float)) + c2 * np.cos(np.asarray(s, float)),
         lambda s: c1 * np.ones_like(np.asarray(s, float)) - c2 * np.sin(np.asarray(s, float)),
     )
     t = 1.7
-    lhs = solve_homogeneous(params, combo, t)
-    rhs = (c1 * solve_homogeneous(params, h1, t)
-           + c2 * solve_homogeneous(params, h2, t))
+    lhs = solve_at(params, combo, None, t)
+    rhs = (c1 * solve_at(params, h1, None, t)
+           + c2 * solve_at(params, h2, None, t))
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-10)

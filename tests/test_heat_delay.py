@@ -14,7 +14,6 @@ from delayheat import (
     DelayOdeParams,
     EigenBasis,
     GridSpec,
-    HistoryFunction,
     InputError,
     build_modes,
     fd_solve_delay,
@@ -23,8 +22,7 @@ from delayheat import (
     parse_function,
     reduce_delay,
     solve_delay,
-    solve_homogeneous,
-    superpose,
+    solve_at,
 )
 from delayheat.config import load_config
 from delayheat.delay_ode import solve_modes, solve_on_grid
@@ -160,13 +158,11 @@ def test_single_mode_field_matches_scalar_delay_ode():
     field = solve_delay(p, basis, grid=grid)
 
     params = DelayOdeParams(a=-1.0, b=d2, tau=1.0)  # L_1 = -lambda_1 = -1 on (0, pi)
-    history = HistoryFunction(
-        beta=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        beta_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-    )
+    history = lambda s, nu=0: np.full_like(np.asarray(s, dtype=float),
+                                           0.0 if nu else 1.0)
     pos = field.t > 0.0
     expected = np.array(
-        [solve_homogeneous(params, history, float(tj)) for tj in field.t[pos]]
+        [solve_at(params, history, None, float(tj)) for tj in field.t[pos]]
     )
     synthesized = np.outer(expected, np.sin(field.x))
     assert np.max(np.abs(field.v[pos] - synthesized)) < 1e-9
@@ -177,13 +173,11 @@ def test_mode_solution_matches_direct_scalar_solve():
     rp = reduce_delay(p)
     ms = build_modes(rp, EigenBasis(p.length, 4))
     params = DelayOdeParams(a=0.3 - 4.0, b=-0.2 - 0.25 * 4.0, tau=0.5)
-    history = HistoryFunction(
-        beta=lambda s: np.ones_like(np.asarray(s, dtype=float)),
-        beta_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-    )
+    history = lambda s, nu=0: np.full_like(np.asarray(s, dtype=float),
+                                           0.0 if nu else 1.0)
     for t in (0.25, 0.5, 0.9, 1.5):
         assert mode_solution(ms, 2, t) == pytest.approx(
-            solve_homogeneous(params, history, t), abs=1e-9
+            solve_at(params, history, None, t), abs=1e-9
         )
     # Other modes carry no data at all.
     assert mode_solution(ms, 1, 0.7) == pytest.approx(0.0, abs=1e-10)
@@ -262,10 +256,10 @@ def test_mode_views_match_per_mode_fits_bitwise():
                            ms.phi_prime_samples[n - 1])
         forcing = HermitePaths(ms.forcing_times, ms.forcing_samples[n - 1],
                                ms.forcing_prime_samples[n - 1])
-        history = ms.mode_history(n)
-        assert np.array_equal(history.beta(s_hist), phi(s_hist))
-        assert np.array_equal(history.beta_prime(s_hist), phi(s_hist, 1))
-        assert np.array_equal(ms.mode_forcing(n)(s_pos), forcing(s_pos))
+        history = ms.history_paths.row(n)
+        assert np.array_equal(history(s_hist), phi(s_hist))
+        assert np.array_equal(history(s_hist, 1), phi(s_hist, 1))
+        assert np.array_equal(ms.forcing_paths.row(n)(s_pos), forcing(s_pos))
         assert np.array_equal(second[n - 1], phi(s_hist, 2))
 
 
@@ -280,12 +274,12 @@ def test_cubic_data_single_mode_matches_expression_reference():
     field = solve_delay(p, EigenBasis(p.length, 4), grid=grid)
 
     params = DelayOdeParams(a=-1.0, b=-0.5, tau=0.5)  # L_1 = -1, B_1 = d2
-    history = HistoryFunction.from_funcspec(
-        parse_function("1 + 0.5*t - 0.3*t^2 + 0.2*t^3"))
+    beta = parse_function("1 + 0.5*t - 0.3*t^2 + 0.2*t^3")
+    history = lambda s, nu=0: beta.partials(0.0, s, [(0, nu)])[0]
     rho = parse_function("0.4 - t + 0.7*t^2 - 0.25*t^3")
     pos = field.t > 0.0
-    expected = np.array([superpose(params, history, lambda s: rho(0.0, s),
-                                   float(tj)) for tj in field.t[pos]])
+    expected = np.array([solve_at(params, history, lambda s: rho(0.0, s),
+                                  float(tj)) for tj in field.t[pos]])
     synthesized = np.outer(expected, np.sin(field.x))
     assert np.max(np.abs(field.v[pos] - synthesized)) < 1e-12
 
@@ -304,8 +298,6 @@ def test_stiff_mode_diagnostics_and_finite_solve():
     basis = EigenBasis(p.length, 32)
     ms = build_modes(reduce_delay(p), basis)
     rows = ms.diagnostics()
-    assert rows[0]["scaled_delay_overflows"] is False
-    assert rows[-1]["scaled_delay_overflows"] is True
     assert rows[-1]["log_abs_scaled_delay_coeff"] > 700.0
     # The solver never forms the overflowing product, so the field is finite.
     field = solve_delay(p, basis, grid=GridSpec(nx=10, nt_per_tau=4))
@@ -340,8 +332,8 @@ def test_batched_engine_matches_one_mode_calls(p, modes, m):
                           ms.forcing_paths, m, n_steps, quad)
     assert batched.shape == (modes, n_steps)
     for n in range(1, modes + 1):
-        alone = solve_on_grid(ms.mode_params(n), ms.mode_history(n),
-                              ms.mode_forcing(n), m, n_steps, quad)
+        alone = solve_on_grid(ms.mode_params(n), ms.history_paths.row(n),
+                              ms.forcing_paths.row(n), m, n_steps, quad)
         scale = np.max(np.abs(alone))
         assert np.max(np.abs(batched[n - 1] - alone)) <= 1e-14 * scale, n
 
