@@ -40,13 +40,8 @@ from .errors import (
     CompatibilityError,
     ConfigError,
     DelayHeatError,
-    DomainError,
-    InputError,
-    InsufficientDataError,
     NumericError,
-    ParseError,
     QuadratureError,
-    UnsupportedOperationError,
 )
 from .field import GridSpec, field_difference_report
 from .funcspec import parse_function
@@ -442,10 +437,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, InputError, ParseError, UnsupportedOperationError,
-            InsufficientDataError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except CompatibilityError as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED

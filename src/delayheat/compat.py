@@ -43,6 +43,8 @@ from .quadrature import QuadratureConfig
 from .spectral import EigenBasis, decay_fit, sine_coefficients
 
 _FLOOR_REL = 1e-13
+# Sample times per time window of the boundary and endpoint checks.
+SAMPLES = 65
 
 
 @dataclass
@@ -82,23 +84,21 @@ def steps_covered(horizon, tau):
     return int(math.ceil(horizon / tau - 1e-9))
 
 
-def check_compatibility(p, samples=65, tol=1e-8):
+def check_compatibility(p, tol=1e-8):
     """Hard corner/trace compatibility of the initial value with the traces.
 
     Delay problems compare psi with the traces on all of [-tau, 0]; problems
     without delay compare at t = 0 only.
     """
     if isinstance(p, DelayHeatProblem):
-        ts = np.linspace(-p.tau, 0.0, samples)
-        left = float(np.max(np.abs(
-            np.asarray(p.psi(0.0, ts)) - np.asarray(p.theta1(0.0, ts)))))
-        right = float(np.max(np.abs(
-            np.asarray(p.psi(p.length, ts)) - np.asarray(p.theta2(p.length, ts)))))
+        ts = np.linspace(-p.tau, 0.0, SAMPLES)
     elif isinstance(p, HeatProblem):
-        left = abs(float(p.psi(0.0, 0.0)) - float(p.theta1(0.0, 0.0)))
-        right = abs(float(p.psi(p.length, 0.0)) - float(p.theta2(p.length, 0.0)))
+        ts = np.zeros(1)
     else:
         raise InputError("expected a HeatProblem or DelayHeatProblem")
+    left, right = (float(np.max(np.abs(np.asarray(p.psi(x, ts))
+                                       - np.asarray(trace(x, ts)))))
+                   for x, trace in ((0.0, p.theta1), (p.length, p.theta2)))
     return {
         "at_x0": left,
         "at_xl": right,
@@ -233,7 +233,7 @@ def _row_checks(spec, row, xs, ts, tol):
     return [checks[name] for name, _ in row]
 
 
-def check_endpoint_conditions(p, m=None, samples=65, tol=1e-8):
+def check_endpoint_conditions(p, m=None, tol=1e-8):
     """Endpoint identities behind the classical-solvability statement.
 
     All conditions are phrased on the reduced homogeneous-boundary data
@@ -249,8 +249,8 @@ def check_endpoint_conditions(p, m=None, samples=65, tol=1e-8):
         rp = reduce_delay(p)
         if m is None:
             m = steps_covered(p.horizon, p.tau)
-        hist_ts = np.linspace(-p.tau, 0.0, samples)[None, :]
-        pos_ts = np.linspace(0.0, p.horizon, samples)[None, :]
+        hist_ts = np.linspace(-p.tau, 0.0, SAMPLES)[None, :]
+        pos_ts = np.linspace(0.0, p.horizon, SAMPLES)[None, :]
         ends = np.array([0.0, p.length])[:, None]
 
         checks += _row_checks(rp.shifted_initial, [("initial_trace", [])],
@@ -274,7 +274,7 @@ def check_endpoint_conditions(p, m=None, samples=65, tol=1e-8):
 
     if isinstance(p, HeatProblem):
         rp = reduce_problem(p)
-        pos_ts = np.linspace(0.0, p.horizon, samples)[None, :]
+        pos_ts = np.linspace(0.0, p.horizon, SAMPLES)[None, :]
         ends = np.array([0.0, p.length])[:, None]
         checks += _row_checks(rp.shifted_initial, [("initial_trace", [])],
                               ends, np.zeros((1, 1)), tol)

@@ -45,7 +45,10 @@ constants), or a sampled table::
     {"table": "2d", "x": [...], "t": [...], "values": [[...]],
      "interp": "cubic"}        # values[i][j] = f(x[i], t[j])
 
-Unknown keys anywhere are rejected so typos cannot silently change a run.
+The problem keys of each kind, and the problem fields they fill, are one
+table per kind (``_PROBLEM_KINDS``) plus one table of the four function
+slots (``_FUNCTION_KEYS``) that both kinds share.  Unknown keys anywhere are
+rejected so typos cannot silently change a run.
 """
 
 from __future__ import annotations
@@ -169,11 +172,19 @@ def build_function(value, length, tau=None, slot="function"):
     raise ConfigError(f"{slot}: expected number, expression string, or table object")
 
 
-_NODELAY_KEYS = ("kind", "diffusion", "drift", "reaction", "length", "horizon",
-                 "source", "initial", "trace_left", "trace_right")
-_DELAY_KEYS = ("kind", "diffusion", "diffusion_lag", "drift", "drift_lag",
-               "reaction", "reaction_lag", "delay", "length", "horizon",
-               "source", "initial", "trace_left", "trace_right")
+# Per problem kind: its class, and its coefficient keys mapped to the fields
+# they fill, in the order they are read.  Of these, only "delay" and
+# "diffusion" are required; the others default to 0.
+_PROBLEM_KINDS = {
+    "nodelay": (HeatProblem, {"diffusion": "a", "drift": "b", "reaction": "c"}),
+    "delay": (DelayHeatProblem, {
+        "delay": "tau", "diffusion": "a1", "diffusion_lag": "a2", "drift": "b1",
+        "drift_lag": "b2", "reaction": "d1", "reaction_lag": "d2"}),
+}
+_REQUIRED = ("delay", "diffusion")
+# The function slots of both kinds, mapped to the fields they fill.
+_FUNCTION_KEYS = {"source": "g", "initial": "psi", "trace_left": "theta1",
+                  "trace_right": "theta2"}
 
 
 def problem_from_dict(data):
@@ -186,41 +197,19 @@ def problem_from_dict(data):
     where = "problem"
     length = _number(_require(data, "length", where), "length")
     horizon = _number(_require(data, "horizon", where), "horizon")
+    problem_cls, coefficient_keys = _PROBLEM_KINDS[kind]
     try:
-        if kind == "nodelay":
-            _reject_unknown(data, _NODELAY_KEYS, where)
-            fn = lambda key: build_function(
-                _require(data, key, where), length, None, f"problem.{key}")
-            return HeatProblem(
-                a=_number(_require(data, "diffusion", where), "diffusion"),
-                b=_number(data.get("drift", 0.0), "drift"),
-                c=_number(data.get("reaction", 0.0), "reaction"),
-                length=length,
-                horizon=horizon,
-                g=fn("source"),
-                psi=fn("initial"),
-                theta1=fn("trace_left"),
-                theta2=fn("trace_right"),
-            )
-        _reject_unknown(data, _DELAY_KEYS, where)
-        tau = _number(_require(data, "delay", where), "delay")
-        fn = lambda key: build_function(
-            _require(data, key, where), length, tau, f"problem.{key}")
-        return DelayHeatProblem(
-            a1=_number(_require(data, "diffusion", where), "diffusion"),
-            a2=_number(data.get("diffusion_lag", 0.0), "diffusion_lag"),
-            b1=_number(data.get("drift", 0.0), "drift"),
-            b2=_number(data.get("drift_lag", 0.0), "drift_lag"),
-            d1=_number(data.get("reaction", 0.0), "reaction"),
-            d2=_number(data.get("reaction_lag", 0.0), "reaction_lag"),
-            tau=tau,
-            length=length,
-            horizon=horizon,
-            g=fn("source"),
-            psi=fn("initial"),
-            theta1=fn("trace_left"),
-            theta2=fn("trace_right"),
-        )
+        _reject_unknown(data, ("kind", "length", "horizon", *coefficient_keys,
+                               *_FUNCTION_KEYS), where)
+        values = {
+            name: _number(_require(data, key, where) if key in _REQUIRED
+                          else data.get(key, 0.0), key)
+            for key, name in coefficient_keys.items()}
+        values.update(
+            (name, build_function(_require(data, key, where), length,
+                                  values.get("tau"), f"problem.{key}"))
+            for key, name in _FUNCTION_KEYS.items())
+        return problem_cls(length=length, horizon=horizon, **values)
     except ConfigError:
         raise
     except DelayHeatError as exc:

@@ -11,7 +11,6 @@ produces byte-identical output.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -116,20 +115,6 @@ class SolutionField:
                 for col, plane in enumerate(planes, 1):
                     args[col::width] = plane[j0:j0 + len(rows)].ravel().tolist()
                 fh.write("".join(tpl * nx for tpl in rows) % tuple(args))
-
-    def write_meta(self, path):
-        payload = dict(self.meta)
-        payload.update(
-            source=self.source,
-            nx=int(self.x.size - 1),
-            n_times=int(self.t.size),
-            t_first=float(self.t[0]),
-            t_last=float(self.t[-1]),
-            has_reduced_frame=self.u is not None,
-        )
-        with open(path, "w", newline="\n") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def read_field_csv(path):

@@ -44,7 +44,7 @@ any t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -63,6 +63,22 @@ from .funcspec import (
 from .quadrature import QuadratureConfig
 from .spectral import (EigenBasis, HermitePaths, project_paths,
                        sine_projection_rule)
+
+
+def check_data(p, coefficients):
+    """Check the rules both problem kinds share: the fields named in
+    ``coefficients``, the length and the horizon are finite, the length and
+    the horizon are positive, and g, psi, theta1 and theta2 are
+    FunctionSpecs.  Each problem class adds its own rules after these."""
+    for name in (*coefficients, "length", "horizon"):
+        if not math.isfinite(getattr(p, name)):
+            raise InputError(f"{name} must be finite")
+    for name in ("length", "horizon"):
+        if getattr(p, name) <= 0.0:
+            raise InputError(f"{name} must be positive, got {getattr(p, name)!r}")
+    for name in ("g", "psi", "theta1", "theta2"):
+        if not isinstance(getattr(p, name), FunctionSpec):
+            raise InputError(f"{name} must be a FunctionSpec")
 
 
 @dataclass
@@ -86,20 +102,11 @@ class DelayHeatProblem:
     _reduced: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("a1", "a2", "b1", "b2", "d1", "d2", "tau", "length", "horizon"):
-            if not math.isfinite(getattr(self, name)):
-                raise InputError(f"{name} must be finite")
+        check_data(self, ("a1", "a2", "b1", "b2", "d1", "d2", "tau"))
         if self.a1 == 0.0:
             raise InputError("instantaneous diffusion coefficient a1 must be nonzero")
         if self.tau <= 0.0:
             raise InputError(f"tau must be positive, got {self.tau!r}")
-        if self.length <= 0.0:
-            raise InputError(f"length must be positive, got {self.length!r}")
-        if self.horizon <= 0.0:
-            raise InputError(f"horizon must be positive, got {self.horizon!r}")
-        for name in ("g", "psi", "theta1", "theta2"):
-            if not isinstance(getattr(self, name), FunctionSpec):
-                raise InputError(f"{name} must be a FunctionSpec")
 
 
 @dataclass
@@ -354,10 +361,6 @@ def solve_delay(p, basis, grid=None, quad=None):
         "mu": rp.mu,
         "c1": rp.c1,
         "c2": rp.c2,
-        "quad": {
-            "nodes_per_panel": quad.nodes_per_panel,
-            "max_panel_splits": quad.max_panel_splits,
-            "abs_tol": quad.abs_tol,
-        },
+        "quad": asdict(quad),
     }
     return SolutionField(x=x, t=t, v=v, u=u, source="spectral", meta=meta)

@@ -49,8 +49,7 @@ the same integral at any t through the per-point evaluator
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,10 +57,10 @@ from .delay_ode import DelayOdeParams, solve_at, solve_modes
 from .errors import DomainError, InputError
 from .field import GridSpec, SolutionField
 from .funcspec import FunctionSpec, fs_const, fs_ramp_x, fs_scale, fs_sum
-from .heat_delay import weighted_frame
+from .heat_delay import check_data, weighted_frame
 from .quadrature import QuadratureConfig
 from .spectral import (EigenBasis, HermitePaths, project_paths,
-                       sine_projection_rule)
+                       sine_projection_rule, sine_synthesis)
 
 
 @dataclass
@@ -79,18 +78,9 @@ class HeatProblem:
     theta2: FunctionSpec
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "length", "horizon"):
-            if not math.isfinite(getattr(self, name)):
-                raise InputError(f"{name} must be finite")
+        check_data(self, ("a", "b", "c"))
         if self.a == 0.0:
             raise InputError("diffusion coefficient a must be nonzero")
-        if self.length <= 0.0:
-            raise InputError(f"length must be positive, got {self.length!r}")
-        if self.horizon <= 0.0:
-            raise InputError(f"horizon must be positive, got {self.horizon!r}")
-        for name in ("g", "psi", "theta1", "theta2"):
-            if not isinstance(getattr(self, name), FunctionSpec):
-                raise InputError(f"{name} must be a FunctionSpec")
 
 
 @dataclass
@@ -199,9 +189,8 @@ def solve_u1(rp, basis, x, t, quad=None):
         quad = QuadratureConfig()
     _check_point(rp, x, t)
     data = _mode_data(rp, basis, quad)
-    weights = data.initial_coeffs * np.exp(-data.decay_rates * t)
-    out = weights @ basis.eigenfunctions(x)
-    return float(out[0]) if np.ndim(x) == 0 else out
+    return sine_synthesis(data.initial_coeffs * np.exp(-data.decay_rates * t),
+                          basis, x)
 
 
 def solve_u2(rp, basis, x, t, quad=None):
@@ -210,12 +199,9 @@ def solve_u2(rp, basis, x, t, quad=None):
         quad = QuadratureConfig()
     _check_point(rp, x, t)
     data = _mode_data(rp, basis, quad)
-    coeffs = np.array([
-        _duhamel_decay(rate, data.forcing.row(n), float(t), quad)
-        for n, rate in enumerate(data.decay_rates, 1)
-    ])
-    out = coeffs @ basis.eigenfunctions(x)
-    return float(out[0]) if np.ndim(x) == 0 else out
+    coeffs = [_duhamel_decay(rate, data.forcing.row(n), float(t), quad)
+              for n, rate in enumerate(data.decay_rates, 1)]
+    return sine_synthesis(coeffs, basis, x)
 
 
 def solve_u3(rp, x, t):
@@ -261,10 +247,6 @@ def solve(p, basis, grid=None, quad=None):
         "n_modes": basis.n_modes,
         "mu": rp.mu,
         "gamma": rp.gamma,
-        "quad": {
-            "nodes_per_panel": quad.nodes_per_panel,
-            "max_panel_splits": quad.max_panel_splits,
-            "abs_tol": quad.abs_tol,
-        },
+        "quad": asdict(quad),
     }
     return SolutionField(x=x, t=t, v=v, u=u, source="spectral", meta=meta)

@@ -4,8 +4,11 @@ Space: central second-order stencils on a uniform grid, Dirichlet rows pinned.
 Time: Crank-Nicolson, tridiagonal solves via banded LU.  The delayed terms
 are explicit data: with dt = tau / nt_per_tau the lagged time level t - tau
 is exactly a stored row, so each step of the delayed problem only solves the
-instantaneous operator implicitly.  Both problem kinds share one march,
-:func:`_crank_nicolson`; the delayed one hands it the lagged term.
+instantaneous operator implicitly.  Both entry points run one driver,
+:func:`_march`: it fills the history rows with psi (row 0 alone without a
+delay), pins the traces, builds the source rows and runs the one
+Crank-Nicolson march, :func:`_crank_nicolson`; the delayed problem adds a
+lagged stencil.  Each entry point keeps only its grid, stencils and meta.
 
 Both solvers take the series solvers' :class:`~delayheat.field.GridSpec` and
 read x and t from it, so an oracle field lies on exactly the grid of the
@@ -83,29 +86,38 @@ def _crank_nicolson(v, start, op, dt, source, left, right, lagged=None):
         v[i + 1] = solve_banded((1, 1), ab, rhs)
 
 
+def _march(p, x, t, start, dt, op, lag_op=None):
+    """The field of ``p`` on (x, t): rows 0..start hold psi, every row pins
+    the traces, and the march from row ``start`` uses the implicit stencil
+    ``op`` and the source rows from ``start`` on.  With a lagged stencil
+    ``lag_op`` the lag is ``start`` rows: the lagged term at row i is
+    ``lag_op`` applied to row i - start."""
+    left = np.asarray(p.theta1(0.0, t), dtype=float)
+    right = np.asarray(p.theta2(p.length, t), dtype=float)
+    g_rows = np.asarray(p.g(x[None, :], t[start:, None]), dtype=float)
+
+    v = np.empty((t.size, x.size))
+    v[: start + 1] = np.asarray(p.psi(x[None, :], t[: start + 1, None]),
+                                dtype=float)
+    v[: start + 1, 0], v[: start + 1, -1] = left[: start + 1], right[: start + 1]
+    lagged = (None if lag_op is None
+              else lambda i: _apply_interior(*lag_op, v[i - start]))
+    _crank_nicolson(v, start, op, dt, g_rows, left, right, lagged)
+    return v
+
+
 def fd_solve_nodelay(p, grid):
     """Finite-difference solution of the drift-reaction heat equation on
     ``grid``, a :class:`~delayheat.field.GridSpec` with ``nt``."""
     x, t = _points(p, grid)
-    nx, nt = grid.nx, grid.nt
     dx = x[1] - x[0]
     dt = t[1] - t[0]  # not grid.time_step: horizon / nt can differ in the last bit
-
-    g_rows = np.asarray(p.g(x[None, :], t[:, None]), dtype=float)
-    left = np.asarray(p.theta1(0.0, t), dtype=float)
-    right = np.asarray(p.theta2(p.length, t), dtype=float)
-
-    v = np.empty((nt + 1, nx + 1))
-    v[0] = np.asarray(p.psi(x, 0.0), dtype=float)
-    v[0, 0], v[0, -1] = left[0], right[0]
-    _crank_nicolson(v, 0, _stencil(nx, dx, p.a**2, p.b, p.c), dt, g_rows,
-                    left, right)
-
+    v = _march(p, x, t, 0, dt, _stencil(grid.nx, dx, p.a**2, p.b, p.c))
     meta = {
         "model": "heat_nodelay",
         "scheme": "crank_nicolson",
-        "nx": nx,
-        "nt": nt,
+        "nx": grid.nx,
+        "nt": grid.nt,
         "dx": float(dx),
         "dt": float(dt),
     }
@@ -121,28 +133,16 @@ def fd_solve_delay(p, grid):
     the implicit step as data.
     """
     x, t = _points(p, grid, p.tau)
-    nx, m = grid.nx, grid.nt_per_tau
-    dt = grid.time_step(p.horizon, p.tau)
     dx = x[1] - x[0]
-
-    lag_op = _stencil(nx, dx, p.a2**2, p.b2, p.d2)
-    left = np.asarray(p.theta1(0.0, t), dtype=float)
-    right = np.asarray(p.theta2(p.length, t), dtype=float)
-    t_pos = t[m:]
-    g_rows = np.asarray(p.g(x[None, :], t_pos[:, None]), dtype=float)
-
-    v = np.empty((t.size, nx + 1))
-    v[: m + 1] = np.asarray(p.psi(x[None, :], t[: m + 1, None]), dtype=float)
-    v[: m + 1, 0], v[: m + 1, -1] = left[: m + 1], right[: m + 1]
-    _crank_nicolson(v, m, _stencil(nx, dx, p.a1**2, p.b1, p.d1), dt, g_rows,
-                    left, right,
-                    lagged=lambda i: _apply_interior(*lag_op, v[i - m]))
-
+    dt = grid.time_step(p.horizon, p.tau)
+    v = _march(p, x, t, grid.nt_per_tau, dt,
+               _stencil(grid.nx, dx, p.a1**2, p.b1, p.d1),
+               lag_op=_stencil(grid.nx, dx, p.a2**2, p.b2, p.d2))
     meta = {
         "model": "heat_delay",
         "scheme": "crank_nicolson",
-        "nx": nx,
-        "nt_per_tau": m,
+        "nx": grid.nx,
+        "nt_per_tau": grid.nt_per_tau,
         "dx": float(dx),
         "dt": float(dt),
     }

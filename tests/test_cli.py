@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from dde_steps import dde_steps_exact
+from shipped_configs import CONFIGS, run_configs
 from delayheat import read_field_csv
 from delayheat.cli import main
 
@@ -419,11 +420,10 @@ def test_grid_setting_of_the_other_problem_kind_exits_1(tmp_path, capsys):
     # A delay grid is set per delay, a no-delay grid over [0, T]; the
     # other kind's flag must not be dropped silently (the config keys are
     # checked in test_config).
-    configs = Path(__file__).resolve().parents[1] / "configs"
     out = str(tmp_path / "r.json")
     for name, flag, other in (("delay_single_mode", "--nt", "delay"),
                               ("pure_diffusion", "--nt-per-tau", "nodelay")):
-        cfg = str(configs / f"{name}.json")
+        cfg = str(CONFIGS / f"{name}.json")
         assert main(["solve", "--config", cfg, flag, "3", "--out-report", out]) == 1
         assert f"error: {flag} does not apply to {other} problems" in (
             capsys.readouterr().err)
@@ -526,7 +526,7 @@ def test_series_and_oracle_fields_share_the_grid_on_every_config():
     from delayheat.cli import _fd_field, _solve_field
     from delayheat.config import load_config
 
-    for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json")):
+    for path in run_configs():
         cfg = load_config(path)
         series, oracle = _solve_field(cfg, modes=2), _fd_field(cfg)
         assert np.array_equal(series.x, oracle.x), path.name
@@ -555,8 +555,7 @@ def test_traces_are_read_at_their_own_boundary(tmp_path, name, traces, twin):
 
     fields, sups = [], []
     for tag, changes in (("x", traces), ("twin", twin)):
-        data = json.loads((Path(__file__).resolve().parents[1] / "configs"
-                           / name).read_text())
+        data = json.loads((CONFIGS / name).read_text())
         data.pop("outputs", None)
         data["problem"].update(changes)
         cfg = _write(tmp_path, f"{tag}.json", data)

@@ -3,10 +3,11 @@ decay proxies on the mode coefficients, and the endpoint identities."""
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
+
+from shipped_configs import CONFIGS, run_configs
 
 from delayheat import (
     CompatReport,
@@ -32,8 +33,6 @@ from delayheat import (
     reduce_problem,
     steps_covered,
 )
-
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _delay(a1=1.0, a2=0.0, b1=0.0, b2=0.0, d1=0.0, d2=-0.5, tau=1.0,
@@ -265,7 +264,7 @@ def _linear_trace_problem():
 
 _ENDPOINT_FIXTURES = {
     **{path.stem: (lambda path=path: load_config(path).problem)
-       for path in sorted(CONFIGS.glob("*.json"))},
+       for path in run_configs()},
     "sampled_history": lambda: _delay(psi_spec=_sampled_history()),
     "expression_ops": lambda: _delay(
         psi="exp(-0.3*x)*sin(x)*log(2 + t) + (1 + t)^2*sin(2*x)*abs(2 - cos(x))",

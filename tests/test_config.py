@@ -69,6 +69,21 @@ def test_minimal_delay_config():
     assert cfg.outputs == {}
 
 
+def test_delay_keys_reach_their_fields():
+    # Distinct values, so that a swapped row of the key table shows.
+    keys = ("diffusion", "diffusion_lag", "drift", "drift_lag", "reaction",
+            "reaction_lag")
+    data = _delay_dict()
+    data["problem"].update({key: 1.5 + k for k, key in enumerate(keys)})
+    data["problem"].update(delay=0.25, source="1", initial="2",
+                           trace_left="3", trace_right="4")
+    p = config_from_dict(data).problem
+    assert (p.a1, p.a2, p.b1, p.b2, p.d1, p.d2) == (1.5, 2.5, 3.5, 4.5, 5.5, 6.5)
+    assert p.tau == 0.25
+    assert [float(f(0.5, 0.1)) for f in (p.g, p.psi, p.theta1, p.theta2)] == [
+        1.0, 2.0, 3.0, 4.0]
+
+
 def test_full_nodelay_config():
     data = {
         "problem": {

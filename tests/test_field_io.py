@@ -1,6 +1,5 @@
 """Tests for grid construction, CSV field serialization, and difference reports."""
 
-import json
 import math
 
 import numpy as np
@@ -21,7 +20,7 @@ def _sample_field(nx=4, nt=3, with_u=False):
     t = np.linspace(0.0, 0.5, nt + 1)
     v = np.sin(np.outer(t + 1.0, x))
     u = (v * 0.5) if with_u else None
-    return SolutionField(x=x, t=t, v=v, u=u, meta={"label": "sample"})
+    return SolutionField(x=x, t=t, v=v, u=u)
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +176,6 @@ def test_block_writer_matches_per_row_writer(tmp_path, monkeypatch, nx,
     path = tmp_path / "field.csv"
     field.write_csv(path)
     assert path.read_bytes() == _per_row_csv(field)
-
-
-def test_meta_sidecar(tmp_path):
-    field = _sample_field(with_u=True)
-    path = tmp_path / "meta.json"
-    field.write_meta(path)
-    payload = json.loads(path.read_text())
-    assert payload["source"] == "spectral"
-    assert payload["nx"] == 4
-    assert payload["n_times"] == 4
-    assert payload["t_first"] == 0.0
-    assert payload["t_last"] == pytest.approx(0.5)
-    assert payload["has_reduced_frame"] is True
-    assert payload["label"] == "sample"
 
 
 def test_read_rejects_partial_grid(tmp_path):

@@ -3,10 +3,11 @@ agreement with the scalar delay-ODE core, and grid-level structure."""
 
 import math
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
+
+from shipped_configs import CONFIGS, run_configs
 
 from delayheat import (
     CompatibilityError,
@@ -28,8 +29,6 @@ from delayheat.config import load_config
 from delayheat.delay_ode import solve_modes, solve_on_grid
 from delayheat.quadrature import QuadratureConfig
 from delayheat.spectral import HermitePaths
-
-_CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _problem(a1=1.0, a2=0.0, b1=0.0, b2=0.0, d1=0.0, d2=0.0, tau=1.0,
@@ -313,7 +312,7 @@ def test_stiff_mode_diagnostics_and_finite_solve():
 def _engine_cases():
     cases = [pytest.param(cfg.problem, cfg.solver.modes, cfg.solver.nt_per_tau,
                           id=path.name)
-             for path in sorted(_CONFIGS.glob("*.json"))
+             for path in run_configs()
              for cfg in [load_config(path)] if cfg.kind == "delay"]
     # Lagged diffusion makes B_n grow like n^2 too; the 128 modes spread
     # over seven groups of graded panels, |L_n| dt up to 512.
@@ -363,7 +362,7 @@ def test_sweep_solve_holds_little_memory():
     # The kernel tables of a group are built in chunks of modes, so the
     # 128-mode sweep fixture never holds a full (modes x lags x offsets)
     # table.
-    cfg = load_config(_CONFIGS / "delay_smooth_sweep.json")
+    cfg = load_config(CONFIGS / "delay_smooth_sweep.json")
     p = cfg.problem
     basis = EigenBasis(p.length, cfg.solver.modes)
     grid = GridSpec(nx=cfg.solver.nx, nt_per_tau=cfg.solver.nt_per_tau)
