@@ -43,7 +43,7 @@ from .errors import (
     NumericError,
     QuadratureError,
 )
-from .field import GridSpec, field_difference_report
+from .field import GridSpec, csv_rows, field_difference_report
 from .funcspec import parse_function
 from .heat_delay import solve_delay
 from .heat_nodelay import solve as solve_nodelay
@@ -340,15 +340,13 @@ def _cmd_dde_solve(args):
         forcing = lambda s: forcing_fs(0.0, s)
     t = np.linspace(0.0, args.horizon, args.samples)
     values = solve_at(params, history, forcing, t)
-    lines = ["t,value"]
-    lines += [f"{ti:.17g},{vi:.17g}" for ti, vi in zip(t, values)]
-    text = "\n".join(lines) + "\n"
+    text = b"t,value\n" + csv_rows(t, values)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+        with open(args.out, "wb") as handle:
             handle.write(text)
         print(f"wrote {args.samples} samples to {args.out}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text.decode("ascii"))
     return EXIT_OK
 
 

@@ -1,9 +1,12 @@
 """Tests for grid construction, CSV field serialization, and difference reports."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delayheat.field as field_module
 from delayheat import (
@@ -13,6 +16,10 @@ from delayheat import (
     field_difference_report,
     read_field_csv,
 )
+from delayheat.cli import _solve_field
+from delayheat.config import load_config
+from delayheat.field import csv_rows
+from shipped_configs import run_configs
 
 
 def _sample_field(nx=4, nt=3, with_u=False):
@@ -176,6 +183,90 @@ def test_block_writer_matches_per_row_writer(tmp_path, monkeypatch, nx,
     path = tmp_path / "field.csv"
     field.write_csv(path)
     assert path.read_bytes() == _per_row_csv(field)
+
+
+def test_shipped_solver_fields_match_per_row_writer(tmp_path):
+    # Real fields: delay grids start at t = -tau, the boundary columns hold
+    # exact zeros, and every shipped config writes a u column.
+    for path in run_configs():
+        field = _solve_field(load_config(path))
+        out = tmp_path / (path.stem + ".csv")
+        field.write_csv(out)
+        assert out.read_bytes() == _per_row_csv(field), path.name
+
+
+def test_writer_holds_little_memory(tmp_path):
+    # The nodelay_field benchmark shape: 401 x 801 cells with a u column.
+    x = np.linspace(0.0, np.pi, 401)
+    t = np.linspace(0.0, 2.0, 801)
+    v = np.sin(np.outer(1.0 + t, x)) * np.exp(-t)[:, None]
+    field = SolutionField(x=x, t=t, v=v, u=v * np.exp(t)[:, None])
+    tracemalloc.start()
+    try:
+        field.write_csv(tmp_path / "field.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# The %.17g kernel
+# ---------------------------------------------------------------------------
+
+
+def _reference_rows(values):
+    return b"".join(b"%.17g\n" % x for x in np.asarray(values).tolist())
+
+
+def _powers_and_neighbours():
+    p = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    return np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)])
+
+
+_EDGES = [
+    0.0, -0.0, 5e-324, -5e-324, np.finfo(float).max, -np.finfo(float).max,
+    np.finfo(float).tiny, np.inf, -np.inf, np.nan,
+    # Where %.17g switches between fixed point and exponent notation.
+    1e-5, 1e-4, np.nextafter(1e-5, 0.0), np.nextafter(1e-4, 0.0),
+    1e16, 1e17, np.nextafter(1e16, 0.0), np.nextafter(1e16, np.inf),
+    np.nextafter(1e17, 0.0), np.nextafter(1e17, np.inf),
+    # Integer values with trailing zeros keep them: "100", "1e+21".
+    100.0, -2000.0, 1e21, 2.0**60, 10.0, 120.5,
+    # The scaled product's high word is exactly 1e16, its low word negative.
+    9.9999999999999992e22,
+    # Exact ties at the 18th digit: the kernel hands them to Python's %.
+    1234567890123456.25, -1234567890123456.75,
+    # The kernel's own range ends.
+    1e-270, 1e270, np.nextafter(1e-270, 0.0), np.nextafter(1e270, np.inf),
+]
+
+
+def test_kernel_matches_percent_format_on_edge_values():
+    values = np.concatenate([_EDGES, _powers_and_neighbours(), _AWKWARD])
+    assert csv_rows(values) == _reference_rows(values)
+
+
+def test_kernel_writes_columns_row_by_row():
+    t = np.array([0.0, 0.5, 1e-7])
+    v = np.array([-1.0 / 3.0, np.nan, 1e300])
+    expected = b"".join(b"%.17g,%.17g\n" % pair
+                        for pair in zip(t.tolist(), v.tolist()))
+    assert csv_rows(t, v) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64))
+def test_kernel_matches_percent_format_on_bit_patterns(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert csv_rows(values) == _reference_rows(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                          allow_subnormal=True), min_size=1, max_size=64))
+def test_kernel_matches_percent_format_on_floats(values):
+    assert csv_rows(values) == _reference_rows(values)
 
 
 def test_read_rejects_partial_grid(tmp_path):
