@@ -69,7 +69,7 @@ from .funcspec import (
 from .heat_delay import (
     DelayHeatProblem,
     ModeSystem,
-    ReducedDelayProblem,
+    ReducedProblem,
     build_modes,
     mode_solution,
     reduce_delay,
@@ -77,7 +77,6 @@ from .heat_delay import (
 )
 from .heat_nodelay import (
     HeatProblem,
-    ReducedProblem,
     reduce_problem,
     solve,
     solve_u1,
@@ -131,7 +130,6 @@ __all__ = [
     "ParseError",
     "QuadratureConfig",
     "QuadratureError",
-    "ReducedDelayProblem",
     "ReducedProblem",
     "RunConfig",
     "Sampled1DFunction",

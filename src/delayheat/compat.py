@@ -158,30 +158,30 @@ def check_decay_conditions(ms, m=None, delta=0.5, fit_slack=0.25):
         m = steps_covered(ms.horizon, ms.tau)
     n = ms.basis.mode_numbers.astype(float)
 
-    phi_start = _floor_small(np.abs(ms.phi_samples[:, 0]))
+    hist, forcing = ms.history_paths, ms.forcing_paths
+    phi_start = _floor_small(np.abs(hist.values[:, 0]))
     seq1 = n ** (2 * m + 3 + delta) * phi_start
 
     # Phi_n'' is the second derivative of the Hermite history paths,
     # evaluated on a refined grid so interior extremes are caught.
-    fine = np.linspace(ms.hist_times[0], ms.hist_times[-1],
-                       4 * ms.hist_times.size)
-    phi_sup = _floor_small(np.max(np.abs(ms.phi_samples), axis=1))
-    phi_prime_sup = _floor_small(np.max(np.abs(ms.phi_prime_samples), axis=1))
-    phi_second_sup = np.max(np.abs(ms.history_paths(fine, 2)), axis=1)
+    fine = np.linspace(hist.times[0], hist.times[-1], 4 * hist.times.size)
+    phi_sup = _floor_small(np.max(np.abs(hist.values), axis=1))
+    phi_prime_sup = _floor_small(np.max(np.abs(hist.slopes), axis=1))
+    phi_second_sup = np.max(np.abs(hist(fine, 2)), axis=1)
     # Curvature of a path through data known only to roundoff is noise of
     # size ~eps/h^2; entries below that (relative to the path scale) are
     # indistinguishable from zero and must not feed the fit.
-    h = float(ms.hist_times[1] - ms.hist_times[0])
+    h = float(hist.times[1] - hist.times[0])
     curvature_noise = 50.0 * np.finfo(float).eps / h**2 * float(
-        np.max(np.abs(ms.phi_samples), initial=0.0))
+        np.max(np.abs(hist.values), initial=0.0))
     phi_second_sup[phi_second_sup <= curvature_noise] = 0.0
     phi_second_sup = _floor_small(phi_second_sup)
     seq2 = n ** (2 * m + 1 + delta) * (
         phi_second_sup + n**2 * phi_prime_sup + n**4 * phi_sup
     )
 
-    f_sup = _floor_small(np.max(np.abs(ms.forcing_samples), axis=1))
-    f_prime_sup = _floor_small(np.max(np.abs(ms.forcing_prime_samples), axis=1))
+    f_sup = _floor_small(np.max(np.abs(forcing.values), axis=1))
+    f_prime_sup = _floor_small(np.max(np.abs(forcing.slopes), axis=1))
     seq3 = n ** (2 * m - 1 + delta) * (f_prime_sup + n**2 * f_sup)
 
     return [

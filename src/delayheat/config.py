@@ -230,12 +230,14 @@ def solver_from_dict(data):
     elif isinstance(quad_data, dict):
         _reject_unknown(quad_data, ("nodes_per_panel", "max_panel_splits",
                                     "abs_tol"), "solver.quadrature")
+        # Settings left out (or null, for the integers) keep their defaults.
+        values = {key: _int_or_none(quad_data, key, None, "solver.quadrature")
+                  for key in ("nodes_per_panel", "max_panel_splits")}
+        if "abs_tol" in quad_data:
+            values["abs_tol"] = _number(quad_data["abs_tol"], "abs_tol")
         try:
             quad = QuadratureConfig(
-                nodes_per_panel=quad_data.get("nodes_per_panel", 16),
-                max_panel_splits=quad_data.get("max_panel_splits", 8),
-                abs_tol=quad_data.get("abs_tol", 1e-10),
-            )
+                **{key: v for key, v in values.items() if v is not None})
         except DelayHeatError as exc:
             raise ConfigError(f"invalid quadrature settings: {exc}") from exc
     else:

@@ -34,7 +34,7 @@ gives rho; either may be None for zero data.
   panels serves all output times, and both integrals become Toeplitz sums
   over a table of K.  Modes whose graded panels coincide share one table
   (modes x lags x offsets) and one contraction per refinement level, and
-  each mode is accepted on its own.  Without lag coupling (b = 0) K is a
+  are accepted together.  Without lag coupling (b = 0) K is a
   pure exponential, and the sum is a one-term recursion over the panels
   instead, O(n) per trajectory rather than O(n^2), run for all such modes
   of a group at once.  :func:`solve_on_grid` is its one-mode call, for data
@@ -259,9 +259,9 @@ def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
     ``_CHUNK_ELEMENTS`` table and data entries at once and is evaluated in
     chunks of modes otherwise.
 
-    A mode is accepted, and not refined further, once all its sub-panels
-    halved agree with the previous level to ``abs_tol + 1e-14 * |x|`` at
-    every output time.  Raises :class:`QuadratureError` after
+    A group is accepted once, with all its sub-panels halved, every mode
+    agrees with the previous level to ``abs_tol + 1e-14 * |x|`` at every
+    output time.  Raises :class:`QuadratureError` after
     ``max_panel_splits`` halvings otherwise.  When b_i == 0,
     K((k - c) dt) = exp(a dt)^(k - 1 + m) K((1 - m - c) dt), so each output
     is the previous one times exp(a dt) plus its newest panel, and only the
@@ -344,17 +344,16 @@ def _solve_group(params, history, forcing, m, n_steps, edges, quad):
                                        table[:, i, :, None])[..., 0]
         return x
 
-    def level_value(edges, pending):
+    def level_value(edges):
         offsets, weights = panel_nodes(edges, quad.nodes_per_panel)
         chunk = max(1, _CHUNK_ELEMENTS
                     // ((lags.size + m + n_steps) * offsets.size))
         return np.concatenate([
-            contract(pending[lo:lo + chunk], offsets, weights)
-            for lo in range(0, pending.size, chunk)])
+            contract(np.arange(lo, min(lo + chunk, a.size)), offsets, weights)
+            for lo in range(0, a.size, chunk)])
 
     return halve_until_stable(
         level_value, edges, quad,
         f"grid quadrature did not converge to {quad.abs_tol:g} "
         f"after {quad.max_panel_splits} panel splits",
-        rows=a.size,
     )

@@ -39,6 +39,14 @@ projects only phi and f on the quadrature grid and adds the lift's share.
 the output grid with one call of :func:`delayheat.delay_ode.solve_modes`,
 which batches modes into groups; :func:`mode_solution` evaluates one mode at
 any t.
+
+The problem without delay (:mod:`delayheat.heat_nodelay`) is reduced by the
+same change of variables, with a time weight exp(gamma t) as well, and each
+of its modes is this scalar delay ODE with B_n = 0.  So the steps after the
+reductions are written here once, for both kinds, and take the kind's
+numbers: the reduced record :class:`ReducedProblem`, :func:`modal_rates`,
+the forcing family :func:`forcing_paths` and the field synthesis
+:func:`to_field`.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ import numpy as np
 
 from .delay_ode import DelayOdeParams, solve_at, solve_modes
 from .errors import CompatibilityError, InputError
-from .field import GridSpec, SolutionField
+from .field import SolutionField
 from .funcspec import (
     FunctionSpec,
     fs_at_x,
@@ -98,7 +106,7 @@ class DelayHeatProblem:
     psi: FunctionSpec       # initial segment, function of (x, t) on [-tau, 0]
     theta1: FunctionSpec
     theta2: FunctionSpec
-    # (field values, ReducedDelayProblem) of the last reduce_delay call.
+    # (field values, ReducedProblem) of the last reduce_delay call.
     _reduced: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -110,22 +118,29 @@ class DelayHeatProblem:
 
 
 @dataclass
-class ReducedDelayProblem:
-    """Drift-free delayed problem after v = exp(mu x) u."""
+class ReducedProblem:
+    """Drift-free problem after v = exp(mu x + gamma t) u, for both kinds.
+
+    Every sine mode n obeys X_n' = L_n X_n + B_n X_n(t - tau) + F_n with the
+    rates of :func:`modal_rates`.  :func:`reduce_delay` fills it with
+    gamma = 0; :func:`delayheat.heat_nodelay.reduce_problem` with a1 = a,
+    a2 = c1 = c2 = 0 and tau = None, so that B_n = 0.
+    """
 
     a1: float
     a2: float
     c1: float
     c2: float
     mu: float
-    tau: float
+    gamma: float
+    tau: float                     # None without a delay
     length: float
     horizon: float
-    phi: FunctionSpec              # exp(-mu x) psi on [-tau, 0]
-    source: FunctionSpec           # f = exp(-mu x) g
+    phi: FunctionSpec              # exp(-mu x) psi (on [-tau, 0])
+    source: FunctionSpec           # f = exp(-mu x - gamma t) g
     lift: FunctionSpec
     lift_forcing: FunctionSpec     # F - f: the lift's share, linear in x
-    shifted_initial: FunctionSpec  # Phi = phi - lift on [-tau, 0]
+    shifted_initial: FunctionSpec  # Phi = phi - lift
     forcing: FunctionSpec          # F on [0, T]
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -183,12 +198,13 @@ def reduce_delay(p):
         fs_scale(lift, c1),
         fs_scale(fs_time_shift(lift, p.tau), c2),
     )
-    rp = ReducedDelayProblem(
+    rp = ReducedProblem(
         a1=p.a1,
         a2=p.a2,
         c1=c1,
         c2=c2,
         mu=mu,
+        gamma=0.0,
         tau=p.tau,
         length=p.length,
         horizon=p.horizon,
@@ -208,19 +224,39 @@ def reduce_delay(p):
 # ---------------------------------------------------------------------------
 
 
+def modal_rates(rp, basis):
+    """(L_n, B_n) = (c1 - lambda_n a1^2, c2 - lambda_n a2^2), n = 1..N."""
+    lam = basis.eigenvalues()
+    return rp.c1 - lam * rp.a1**2, rp.c2 - lam * rp.a2**2
+
+
+def forcing_paths(rp, rule, count):
+    """The forcing family F_n, with slopes F_n', at ``count`` uniform times
+    on [0, T], as :class:`~delayheat.spectral.HermitePaths`.
+
+    ``rule`` is a :func:`~delayheat.spectral.sine_projection_rule`.  One
+    :func:`~delayheat.spectral.project_paths` pass reads values and slopes
+    off one jet of f; the lift's share F - f is linear in x and added in
+    closed form.  The t-derivative budget is checked on the full F, so that
+    data without the derivative raise the error they name.
+    """
+    rp.forcing.differentiate("t")
+    times = np.linspace(0.0, rp.horizon, count)
+    return HermitePaths(times, *project_paths(rp.source, times, rule,
+                                              rp.length,
+                                              linear=rp.lift_forcing))
+
+
 @dataclass
 class ModeSystem:
-    """Per-mode scalar delay ODEs with sampled coefficient paths.
+    """Per-mode scalar delay ODEs with their coefficient paths.
 
     ``ode_a``/``ode_b`` are the instantaneous/lagged rates (L_n, B_n).  The
-    history paths Phi_n and their slopes Phi_n' live on ``hist_times``; the
-    forcing paths F_n and their slopes F_n' on ``forcing_times``.  Slopes
-    are projections of the t-differentiated data, not differences of the
-    samples.  Each family is one :class:`~delayheat.spectral.HermitePaths`
-    of its samples and slopes (``history_paths``, ``forcing_paths``); its
-    ``row(n)`` is mode n's data in the form the delay-ODE solvers take.
-    beta_n' is the derivative of the beta_n path itself, so the two always
-    agree.
+    history paths Phi_n on [-tau, 0] and the forcing paths F_n on [0, T] are
+    each one :class:`~delayheat.spectral.HermitePaths` of the projected
+    samples and slopes; slopes are projections of the t-differentiated data,
+    not differences of the samples.  A family's ``row(n)`` is mode n's data
+    in the form the delay-ODE solvers take.
     """
 
     basis: EigenBasis
@@ -228,20 +264,8 @@ class ModeSystem:
     horizon: float
     ode_a: np.ndarray
     ode_b: np.ndarray
-    hist_times: np.ndarray
-    phi_samples: np.ndarray         # (N, len(hist_times))
-    phi_prime_samples: np.ndarray
-    forcing_times: np.ndarray
-    forcing_samples: np.ndarray     # (N, len(forcing_times))
-    forcing_prime_samples: np.ndarray
-    history_paths: HermitePaths = field(init=False, repr=False, compare=False)
-    forcing_paths: HermitePaths = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.history_paths = HermitePaths(self.hist_times, self.phi_samples,
-                                          self.phi_prime_samples)
-        self.forcing_paths = HermitePaths(self.forcing_times, self.forcing_samples,
-                                          self.forcing_prime_samples)
+    history_paths: HermitePaths
+    forcing_paths: HermitePaths
 
     def mode_params(self, n):
         return DelayOdeParams(a=float(self.ode_a[n - 1]),
@@ -257,8 +281,8 @@ class ModeSystem:
                 "ode_b": float(self.ode_b[n - 1]),
                 "log_abs_scaled_delay_coeff":
                     self.mode_params(n).log_abs_scaled_delay_coeff(),
-                "sup_phi": float(np.max(np.abs(self.phi_samples[n - 1]))),
-                "sup_forcing": float(np.max(np.abs(self.forcing_samples[n - 1]))),
+                "sup_phi": float(np.max(np.abs(self.history_paths.values[n - 1]))),
+                "sup_forcing": float(np.max(np.abs(self.forcing_paths.values[n - 1]))),
             })
         return rows
 
@@ -267,15 +291,14 @@ def build_modes(rp, basis, quad=None):
     """Project the reduced problem onto the sine basis.
 
     Phi_n and Phi_n' are sampled at 129 times on [-tau, 0]; F_n and F_n' at
-    max(257, 64 ceil(T / tau) + 1) times on [0, T].  Each family is one
-    :func:`~delayheat.spectral.project_paths` pass, which reads the values
-    and the t-slopes off one jet.  Only phi and f are evaluated on the
-    quadrature grid; the lift's share of Phi and F is linear in x and is
-    added in closed form.
+    max(257, 64 ceil(T / tau) + 1) times on [0, T] (:func:`forcing_paths`).
+    Each family is one :func:`~delayheat.spectral.project_paths` pass, which
+    reads the values and the t-slopes off one jet.  Only phi and f are
+    evaluated on the quadrature grid; the lift's share of Phi and F is
+    linear in x and is added in closed form.
     """
     if quad is None:
         quad = QuadratureConfig()
-    path_samples = max(257, 64 * int(math.ceil(rp.horizon / rp.tau)) + 1)
     key = ("modes", basis, quad)
     cached = rp._cache.get(key)
     if cached is not None:
@@ -283,31 +306,15 @@ def build_modes(rp, basis, quad=None):
 
     rule = sine_projection_rule(basis, quad)
     hist_times = np.linspace(-rp.tau, 0.0, 129)
-    forcing_times = np.linspace(0.0, rp.horizon, path_samples)
-    # The lift's share of Phi and F is linear in x and projected in closed
-    # form.  The t-derivative budget is checked on the full data, so that
-    # data without the derivative raise the error they name.
+    # The t-derivative budget is checked on the full data, so that data
+    # without the derivative raise the error they name.
     rp.shifted_initial.differentiate("t")
-    rp.forcing.differentiate("t")
-    phi, phi_prime = project_paths(rp.phi, hist_times, rule, rp.length,
-                                   linear=fs_scale(rp.lift, -1.0))
-    forcing, forcing_prime = project_paths(rp.source, forcing_times, rule,
-                                           rp.length, linear=rp.lift_forcing)
-    lam1 = basis.eigenvalues() * rp.a1**2
-    lam2 = basis.eigenvalues() * rp.a2**2
-    ms = ModeSystem(
-        basis=basis,
-        tau=rp.tau,
-        horizon=rp.horizon,
-        ode_a=rp.c1 - lam1,
-        ode_b=rp.c2 - lam2,
-        hist_times=hist_times,
-        phi_samples=phi,
-        phi_prime_samples=phi_prime,
-        forcing_times=forcing_times,
-        forcing_samples=forcing,
-        forcing_prime_samples=forcing_prime,
-    )
+    history = HermitePaths(hist_times, *project_paths(
+        rp.phi, hist_times, rule, rp.length, linear=fs_scale(rp.lift, -1.0)))
+    forcing = forcing_paths(
+        rp, rule, max(257, 64 * int(math.ceil(rp.horizon / rp.tau)) + 1))
+    ms = ModeSystem(basis, rp.tau, rp.horizon, *modal_rates(rp, basis),
+                    history, forcing)
     rp._cache[key] = ms
     return ms
 
@@ -320,36 +327,36 @@ def mode_solution(ms, n, t, quad=None):
                     ms.forcing_paths.row(n), t, quad)
 
 
-def solve_delay(p, basis, grid=None, quad=None):
-    """Solve the delayed problem on a grid; returns a :class:`SolutionField`.
+def to_field(rp, basis, x, t, traj, meta):
+    """The :class:`SolutionField` of the modal trajectories ``traj``
+    (times x modes), which cover the last rows of ``t``.
 
-    History rows (t <= 0) carry psi directly; rows t > 0 are synthesized from
-    the modal trajectories plus the boundary lift, then mapped back through
-    v = exp(mu x) u.
+    The rows before them (the delayed kind's t <= 0) hold phi; every other
+    row is the sine synthesis of ``traj`` plus the boundary lift.  Both are
+    mapped back through v = exp(mu x + gamma t) u.
     """
+    n_hist = t.size - traj.shape[0]
+    u = np.empty((t.size, x.size))
+    u[:n_hist] = np.asarray(rp.phi(x[None, :], t[:n_hist, None]), float)
+    u[n_hist:] = traj @ basis.eigenfunctions(x)
+    u[n_hist:] += np.asarray(rp.lift(x[None, :], t[n_hist:, None]), float)
+    v = u * np.exp(rp.mu * x)[None, :] * np.exp(rp.gamma * t)[:, None]
+    return SolutionField(x=x, t=t, v=v, u=u, source="spectral", meta=meta)
+
+
+def solve_delay(p, basis, grid, quad=None):
+    """Solve the delayed problem on a :class:`GridSpec`; returns a
+    :class:`SolutionField` (see :func:`to_field`)."""
     if quad is None:
         quad = QuadratureConfig()
-    if grid is None:
-        grid = GridSpec(nx=200, nt_per_tau=64)
     t = grid.t_points(p.horizon, p.tau)
     if not isinstance(basis, EigenBasis):
         raise InputError("basis must be an EigenBasis")
     rp = reduce_delay(p)
     ms = build_modes(rp, basis, quad)
-    x = grid.x_points(p.length)
-    n_hist = int(np.sum(t <= 0.0))
-    t_pos = t[n_hist:]
-
-    u = np.zeros((t.size, x.size))
-    # History segment: the data itself, in the reduced frame.
-    u[:n_hist] = np.asarray(rp.phi(x[None, :], t[:n_hist, None]), float)
-
     traj = solve_modes(ms.ode_a, ms.ode_b, p.tau, ms.history_paths,
-                       ms.forcing_paths, grid.nt_per_tau, t_pos.size, quad)
-    u[n_hist:] = traj.T @ basis.eigenfunctions(x)
-    u[n_hist:] += np.asarray(rp.lift(x[None, :], t_pos[:, None]), float)
-
-    v = u * np.exp(rp.mu * x)[None, :]
+                       ms.forcing_paths, grid.nt_per_tau,
+                       int(np.sum(t > 0.0)), quad)
     meta = {
         "model": "heat_delay",
         "coefficients": {"a1": p.a1, "a2": p.a2, "b1": p.b1, "b2": p.b2,
@@ -363,4 +370,4 @@ def solve_delay(p, basis, grid=None, quad=None):
         "c2": rp.c2,
         "quad": asdict(quad),
     }
-    return SolutionField(x=x, t=t, v=v, u=u, source="spectral", meta=meta)
+    return to_field(rp, basis, grid.x_points(p.length), t, traj.T, meta)

@@ -14,26 +14,27 @@ v = exp(mu x + gamma t) u removes drift and reaction:
     u(x, 0) = phi(x) = exp(-mu x) psi(x).
 
 Writing u = w + lift with the linear boundary lift
-lift(x, t) = mu1(t) + (x / l)(mu2(t) - mu1(t)) (f, phi, mu1, mu2 and the lift
-come from :func:`delayheat.heat_delay.weighted_frame`, which the delayed
-reduction shares with gamma = 0; each trace is read at its own boundary, so
-the lift is linear in x whatever x a trace's expression mentions) gives a
-homogeneous Dirichlet problem for w with initial value Phi = phi - lift(., 0)
-and forcing F = f - d/dt lift (the lift is spatially linear, so it drops out
-of the diffusion term; no zeroth-order term survives the substitution).  The
-lift's share of Phi_n and F_n is projected in closed form; only phi and f
-are evaluated on the quadrature grid.
+lift(x, t) = mu1(t) + (x / l)(mu2(t) - mu1(t)) (each trace is read at its
+own boundary, so the lift is linear in x whatever x a trace's expression
+mentions) gives a homogeneous Dirichlet problem for w with initial value
+Phi = phi - lift(., 0) and forcing F = f - d/dt lift (the lift is spatially
+linear, so it drops out of the diffusion term; no zeroth-order term survives
+the substitution).
+
+Every step after this reduction is the delayed solver's, written once in
+:mod:`delayheat.heat_delay`: the frame (``weighted_frame``), the reduced
+record (``ReducedProblem``, here with a1 = a, a2 = c1 = c2 = 0 and no delay),
+the modal rates (``modal_rates``: -(pi n a / l)^2 and a lag rate of 0), the
+forcing family (``forcing_paths``: F_n and F_n' at 257 times on [0, T], as
+cubic Hermite paths, with the lift's share in closed form) and the synthesis
+(``to_field``).  F needs a t-derivative: with a trace tabulated linearly in
+t it has none, and :func:`solve` raises :class:`UnsupportedOperationError`.
 
 The solution splits into three parts synthesized over the sine eigenbasis:
 
     u1: free decay of Phi,      u1_n(t) = Phi_n exp(-(pi n a / l)^2 t)
     u2: Duhamel forcing term,   u2_n(t) = integral_0^t exp(-(pi n a / l)^2 (t-s)) F_n(s) ds
     u3: the boundary lift itself.
-
-F_n is the cubic Hermite path (:class:`delayheat.spectral.HermitePaths`) of
-F_n and F_n' projected at 257 times on [0, T], so F needs a t-derivative:
-with a trace tabulated linearly in t it has none, and :func:`solve` raises
-:class:`UnsupportedOperationError`.
 
 On the output grid, u1 is the exact exponential.  u2_n is the forced
 solution of the delay ODE x' = -(pi n a / l)^2 x + F_n without lag coupling,
@@ -42,9 +43,9 @@ delay solver's grid engine (:func:`delayheat.delay_ode.solve_modes`, with a
 delay of one time step).  With b = 0 the engine's kernel is the pure
 exponential exp(-(pi n a / l)^2 (t - s)), so it advances the trajectories by
 a one-term recursion, one step of decay plus the newest panel, in O(nt)
-rather than O(nt^2), all modes of a group at once.  :func:`solve_u2` takes
-the same integral at any t through the per-point evaluator
-:func:`delayheat.delay_ode.solve_at`.
+rather than O(nt^2), all modes of a group at once.  :func:`solve_u1`,
+:func:`solve_u2` and :func:`solve_u3` give the three parts at any (x, t),
+u2 through the per-point evaluator :func:`delayheat.delay_ode.solve_at`.
 """
 
 from __future__ import annotations
@@ -55,12 +56,12 @@ import numpy as np
 
 from .delay_ode import DelayOdeParams, solve_at, solve_modes
 from .errors import DomainError, InputError
-from .field import GridSpec, SolutionField
 from .funcspec import FunctionSpec, fs_const, fs_ramp_x, fs_scale, fs_sum
-from .heat_delay import check_data, weighted_frame
+from .heat_delay import (ReducedProblem, check_data, forcing_paths,
+                         modal_rates, to_field, weighted_frame)
 from .quadrature import QuadratureConfig
-from .spectral import (EigenBasis, HermitePaths, project_paths,
-                       sine_projection_rule, sine_synthesis)
+from .spectral import (EigenBasis, project_paths, sine_projection_rule,
+                       sine_synthesis)
 
 
 @dataclass
@@ -83,24 +84,6 @@ class HeatProblem:
             raise InputError("diffusion coefficient a must be nonzero")
 
 
-@dataclass
-class ReducedProblem:
-    """Drift-free form of a :class:`HeatProblem` after the exponential
-    change of variables; produced by :func:`reduce_problem`."""
-
-    a: float
-    length: float
-    horizon: float
-    mu: float
-    gamma: float
-    phi: FunctionSpec              # exp(-mu x) psi
-    source: FunctionSpec           # f = exp(-mu x - gamma t) g
-    lift: FunctionSpec
-    lift_forcing: FunctionSpec     # F - f = -d/dt lift, linear in x
-    shifted_initial: FunctionSpec  # Phi = phi - lift(., 0)
-    forcing: FunctionSpec          # F = f - d/dt lift
-
-
 def reduce_problem(p):
     """Apply the drift/reaction-removing change of variables."""
     mu = -p.b / (2.0 * p.a**2)
@@ -115,11 +98,15 @@ def reduce_problem(p):
     )
     lift_forcing = fs_scale(lift.differentiate("t"), -1.0)
     return ReducedProblem(
-        a=p.a,
-        length=p.length,
-        horizon=p.horizon,
+        a1=p.a,
+        a2=0.0,
+        c1=0.0,
+        c2=0.0,
         mu=mu,
         gamma=gamma,
+        tau=None,
+        length=p.length,
+        horizon=p.horizon,
         phi=phi,
         source=f,
         lift=lift,
@@ -134,45 +121,26 @@ def reduce_problem(p):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _ModeData:
-    """Phi_n, the decay rates, and the forcing paths F_n."""
-
-    initial_coeffs: np.ndarray      # Phi_n
-    decay_rates: np.ndarray         # (pi n a / l)^2
-    forcing: HermitePaths           # F_n(t) on [0, T]
-
-
 def _mode_data(rp, basis, quad):
-    """Project Phi at t = 0, and F and dF/dt at 257 times on [0, T].
+    """Phi_n at t = 0, the modal rates (-(pi n a / l)^2, 0) and the forcing
+    paths F_n at 257 times on [0, T] (:func:`~delayheat.heat_delay.forcing_paths`).
 
-    F and dF/dt come from one :func:`~delayheat.spectral.project_paths`
-    pass, read off one jet; Phi needs no t-derivative.  The lift's share of
-    both is linear in x and projected in closed form; the t-derivative
-    budget is checked on the full F, so that data without the derivative
-    raise the error they name.
+    Phi needs no t-derivative.  The lift's share of Phi is linear in x and
+    projected in closed form.
     """
     rule = sine_projection_rule(basis, quad)
-    ts = np.linspace(0.0, rp.horizon, 257)
     (initial,) = project_paths(rp.phi, np.zeros(1), rule, basis.length, kt=0,
                                linear=fs_scale(rp.lift, -1.0))
-    rp.forcing.differentiate("t")
-    return _ModeData(
-        initial_coeffs=initial[:, 0],
-        decay_rates=basis.eigenvalues() * rp.a**2,
-        forcing=HermitePaths(ts, *project_paths(rp.source, ts, rule,
-                                                basis.length,
-                                                linear=rp.lift_forcing)),
-    )
+    return initial[:, 0], modal_rates(rp, basis), forcing_paths(rp, rule, 257)
 
 
-def _duhamel_decay(rate, forcing, t, quad):
-    """integral_0^t exp(-rate (t - s)) forcing(s) ds: the forced solution of
-    x' = -rate x + forcing at t, with the delay set to t so that the kernel
-    is exp(-rate (t - s)) over the whole interval."""
+def _duhamel_decay(a, forcing, t, quad):
+    """integral_0^t exp(a (t - s)) forcing(s) ds: the forced solution of
+    x' = a x + forcing at t, with the delay set to t so that the kernel is
+    exp(a (t - s)) over the whole interval."""
     if t == 0.0:
         return 0.0
-    return solve_at(DelayOdeParams(-rate, 0.0, tau=t), None, forcing, t, quad)
+    return solve_at(DelayOdeParams(a, 0.0, tau=t), None, forcing, t, quad)
 
 
 def _check_point(rp, x, t):
@@ -188,9 +156,8 @@ def solve_u1(rp, basis, x, t, quad=None):
     if quad is None:
         quad = QuadratureConfig()
     _check_point(rp, x, t)
-    data = _mode_data(rp, basis, quad)
-    return sine_synthesis(data.initial_coeffs * np.exp(-data.decay_rates * t),
-                          basis, x)
+    initial, (rate, _), _ = _mode_data(rp, basis, quad)
+    return sine_synthesis(initial * np.exp(rate * t), basis, x)
 
 
 def solve_u2(rp, basis, x, t, quad=None):
@@ -198,9 +165,9 @@ def solve_u2(rp, basis, x, t, quad=None):
     if quad is None:
         quad = QuadratureConfig()
     _check_point(rp, x, t)
-    data = _mode_data(rp, basis, quad)
-    coeffs = [_duhamel_decay(rate, data.forcing.row(n), float(t), quad)
-              for n, rate in enumerate(data.decay_rates, 1)]
+    _, (rate, _), forcing = _mode_data(rp, basis, quad)
+    coeffs = [_duhamel_decay(a, forcing.row(n), float(t), quad)
+              for n, a in enumerate(rate, 1)]
     return sine_synthesis(coeffs, basis, x)
 
 
@@ -210,35 +177,23 @@ def solve_u3(rp, x, t):
     return rp.lift(x, t)
 
 
-def solve(p, basis, grid=None, quad=None):
-    """Solve the full problem on a grid; returns a :class:`SolutionField`.
-
-    The field carries both the reduced-frame values u and the original-frame
-    values v = exp(mu x + gamma t) u.
-    """
+def solve(p, basis, grid, quad=None):
+    """Solve the full problem on a :class:`GridSpec`; returns a
+    :class:`SolutionField` (see :func:`~delayheat.heat_delay.to_field`)."""
     if quad is None:
         quad = QuadratureConfig()
-    if grid is None:
-        grid = GridSpec(nx=200, nt=200)
     if not isinstance(basis, EigenBasis):
         raise InputError("basis must be an EigenBasis")
     rp = reduce_problem(p)
-    x = grid.x_points(p.length)
     t = grid.t_points(p.horizon)
-    data = _mode_data(rp, basis, quad)
+    initial, (rate, lag_rate), forcing = _mode_data(rp, basis, quad)
 
     # Modal trajectories: the exact free decay plus the Duhamel term, which is
-    # the grid engine with a = -rate, no lag coupling and a delay of one time
-    # step, so that its kernel is exp(-rate (t - s)).
-    traj = np.exp(-np.outer(t, data.decay_rates)) * data.initial_coeffs  # (nt+1, N)
-    traj[1:] += solve_modes(-data.decay_rates, np.zeros(basis.n_modes),
-                            grid.time_step(p.horizon), None, data.forcing, 1,
-                            grid.nt, quad).T
-    u = traj @ basis.eigenfunctions(x)
-
-    # Boundary lift and return to the original frame.
-    u += np.asarray(rp.lift(x[None, :], t[:, None]), dtype=float)
-    v = u * np.exp(rp.mu * x)[None, :] * np.exp(rp.gamma * t)[:, None]
+    # the grid engine with no lag coupling and a delay of one time step, so
+    # that its kernel is exp(rate (t - s)).
+    traj = np.exp(np.outer(t, rate)) * initial  # (nt+1, N)
+    traj[1:] += solve_modes(rate, lag_rate, grid.time_step(p.horizon), None,
+                            forcing, 1, grid.nt, quad).T
     meta = {
         "model": "heat_nodelay",
         "coefficients": {"a": p.a, "b": p.b, "c": p.c},
@@ -249,4 +204,4 @@ def solve(p, basis, grid=None, quad=None):
         "gamma": rp.gamma,
         "quad": asdict(quad),
     }
-    return SolutionField(x=x, t=t, v=v, u=u, source="spectral", meta=meta)
+    return to_field(rp, basis, grid.x_points(p.length), t, traj, meta)

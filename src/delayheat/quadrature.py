@@ -102,8 +102,7 @@ def graded_breakpoints(lo, hi, rate):
     return [p for p in pts if lo < p < hi]
 
 
-def halve_until_stable(level, layout, quad, message, halve=halve_panels,
-                       rows=None):
+def halve_until_stable(level, layout, quad, message, halve=halve_panels):
     """Refine ``layout`` until two successive levels agree; return the last.
 
     ``level(layout)`` evaluates a scalar or an array.  The panels are halved
@@ -111,33 +110,15 @@ def halve_until_stable(level, layout, quad, message, halve=halve_panels,
     agrees with the previous level to ``abs_tol + 1e-14 * |value|``.  After
     ``quad.max_panel_splits`` halvings without that, raises
     :class:`QuadratureError` with ``message`` and the largest difference.
-
-    With ``rows`` (a count), the value is an array of that many rows, and
-    each row is accepted on its own: ``level(layout, pending)`` evaluates
-    only the rows whose indices are in ``pending``, and a row leaves
-    ``pending``, keeping its value, at the first level where all its entries
-    agree.  The error then carries the largest difference of a row that
-    never settled.
     """
-    pending = None if rows is None else np.arange(rows)
-    value = level(layout) if rows is None else level(layout, pending)
+    value = level(layout)
     residual = np.inf
     for _ in range(quad.max_panel_splits):
         layout = halve(layout)
-        if rows is None:
-            refined = level(layout)
-            diff = np.abs(refined - value)
-            value = refined
-        else:
-            refined = level(layout, pending)
-            diff = np.abs(refined - value[pending])
-            value[pending] = refined
-        agree = diff <= quad.abs_tol + 1e-14 * np.abs(refined)
-        if rows is not None:
-            settled = agree.reshape(pending.size, -1).all(axis=1)
-            diff, agree = diff[~settled], settled
-            pending = pending[~settled]
-        if np.all(agree):
+        refined = level(layout)
+        diff = np.abs(refined - value)
+        value = refined
+        if np.all(diff <= quad.abs_tol + 1e-14 * np.abs(refined)):
             return value
         residual = float(np.max(diff))
     raise QuadratureError(message, residual=residual)

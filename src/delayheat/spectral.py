@@ -122,14 +122,15 @@ class HermitePaths:
     for a single path.  On the interval [t_i, t_i + h] each path is
     c0 + u (c1 + u (c2 + u c3)) in u = (s - t_i) / h, matching the values
     and slopes at both ends; beyond the sample times the end cubics extend.
-    Calling the family evaluates every path at once, (N, *s.shape); a
+    The family keeps the ``times``, ``values`` and ``slopes`` it was built
+    from.  Calling it evaluates every path at once, (N, *s.shape); a
     :meth:`row` evaluates one path with the same arithmetic.
     """
 
     def __init__(self, times, values, slopes):
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
-        slopes = np.asarray(slopes, dtype=float)
+        self.times = times = np.asarray(times, dtype=float)
+        self.values = values = np.asarray(values, dtype=float)
+        self.slopes = slopes = np.asarray(slopes, dtype=float)
         self.start = float(times[0])
         self.step = float(times[-1] - times[0]) / (times.size - 1)
         self.last = times.size - 2
@@ -139,7 +140,7 @@ class HermitePaths:
         self.coeffs = (y0, d0, 3.0 * rise - 2.0 * d0 - d1, d0 + d1 - 2.0 * rise)
 
     def row(self, n):
-        """Mode n's (1-based) path; shares this family's coefficients."""
+        """Mode n's (1-based) path; shares this family's arrays."""
         return self._select(n - 1)
 
     def rows(self, index):
@@ -149,6 +150,7 @@ class HermitePaths:
     def _select(self, key):
         view = copy.copy(self)
         view.coeffs = tuple(c[key] for c in self.coeffs)
+        view.values, view.slopes = self.values[key], self.slopes[key]
         return view
 
     def __call__(self, s, nu=0):

@@ -430,6 +430,22 @@ def test_grid_setting_of_the_other_problem_kind_exits_1(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_bad_quadrature_setting_exits_1(tmp_path, capsys):
+    data = json.loads((CONFIGS / "pure_diffusion.json").read_text())
+    data.pop("outputs", None)
+    out = str(tmp_path / "r.json")
+    for key, value in (("nodes_per_panel", "16"), ("nodes_per_panel", 2.5),
+                       ("max_panel_splits", 1.5), ("abs_tol", "1e-10"),
+                       ("abs_tol", True)):
+        data["solver"]["quadrature"] = {key: value}
+        cfg = _write(tmp_path, "run.json", data)
+        assert main(["check", "--config", cfg, "--out-report", out]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {key!r}" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(out)
+
+
 def test_path_samples_key_is_rejected_as_unknown(tmp_path, capsys):
     # The sample counts are fixed; the removed key must not reach the solver.
     for value in (0, 1, 257):

@@ -196,6 +196,16 @@ def test_numbers_are_validated():
     data = _delay_dict(solver={"nx": 2.5})
     with pytest.raises(ConfigError):
         config_from_dict(data)
+    for bad in ({"nodes_per_panel": "16"}, {"nodes_per_panel": 2.5},
+                {"max_panel_splits": 1.5}, {"abs_tol": "1e-10"},
+                {"abs_tol": True}, {"abs_tol": None}):
+        with pytest.raises(ConfigError):
+            config_from_dict(_delay_dict(solver={"quadrature": bad}))
+    # A null integer keeps its default, as "modes" and "nx" do.
+    cfg = config_from_dict(_delay_dict(
+        solver={"quadrature": {"nodes_per_panel": None, "abs_tol": 1e-9}}))
+    assert cfg.solver.quadrature.nodes_per_panel == 16
+    assert cfg.solver.quadrature.abs_tol == 1e-9
 
 
 def test_invalid_problem_data_becomes_config_error():

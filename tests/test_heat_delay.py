@@ -109,17 +109,18 @@ def test_geometric_initial_data_projects_to_geometric_coefficients():
     )
     ms = build_modes(reduce_delay(p), EigenBasis(p.length, 12))
     expected = kappa ** np.arange(12, dtype=float)
-    np.testing.assert_allclose(ms.phi_samples[:, 0], expected, atol=1e-9)
+    np.testing.assert_allclose(ms.history_paths.values[:, 0], expected, atol=1e-9)
     # Constant-in-time history: the derivative paths vanish.
-    assert np.max(np.abs(ms.phi_prime_samples)) < 1e-9
+    assert np.max(np.abs(ms.history_paths.slopes)) < 1e-9
 
 
 def test_time_varying_history_paths():
     p = _problem(psi="sin(x)*(1+t)", tau=1.0)
     ms = build_modes(reduce_delay(p), EigenBasis(p.length, 4))
-    np.testing.assert_allclose(ms.phi_samples[0], 1.0 + ms.hist_times, atol=1e-10)
-    np.testing.assert_allclose(ms.phi_prime_samples[0], 1.0, atol=1e-10)
-    assert np.max(np.abs(ms.phi_samples[1:])) < 1e-10
+    hist = ms.history_paths
+    np.testing.assert_allclose(hist.values[0], 1.0 + hist.times, atol=1e-10)
+    np.testing.assert_allclose(hist.slopes[0], 1.0, atol=1e-10)
+    assert np.max(np.abs(hist.values[1:])) < 1e-10
 
 
 def test_build_modes_projects_each_family_in_one_pass(monkeypatch):
@@ -141,7 +142,7 @@ def test_build_modes_projects_each_family_in_one_pass(monkeypatch):
     assert calls[0][1]["linear"].base is rp.lift
     assert calls[0][1]["linear"].factor == -1.0
     assert calls[1][1] == {"linear": rp.lift_forcing}
-    np.testing.assert_allclose(ms.phi_prime_samples[0], 1.0, atol=1e-10)
+    np.testing.assert_allclose(ms.history_paths.slopes[0], 1.0, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +249,16 @@ def test_mode_views_match_per_mode_fits_bitwise():
     rng = np.random.default_rng(5)
     s_hist = np.sort(rng.uniform(-p.tau, 0.0, 200))
     s_pos = np.sort(rng.uniform(0.0, p.horizon, 200))
-    assert np.ptp(ms.phi_samples[1]) > 0.1 and np.ptp(ms.forcing_samples[4]) > 0.1
+    hist, forced = ms.history_paths, ms.forcing_paths
+    assert np.ptp(hist.values[1]) > 0.1 and np.ptp(forced.values[4]) > 0.1
     second = ms.history_paths(s_hist, 2)
     for n in range(1, 17):
-        phi = HermitePaths(ms.hist_times, ms.phi_samples[n - 1],
-                           ms.phi_prime_samples[n - 1])
-        forcing = HermitePaths(ms.forcing_times, ms.forcing_samples[n - 1],
-                               ms.forcing_prime_samples[n - 1])
+        phi = HermitePaths(hist.times, hist.values[n - 1], hist.slopes[n - 1])
+        forcing = HermitePaths(forced.times, forced.values[n - 1],
+                               forced.slopes[n - 1])
         history = ms.history_paths.row(n)
+        assert np.array_equal(history.values, phi.values)
+        assert np.array_equal(history.slopes, phi.slopes)
         assert np.array_equal(history(s_hist), phi(s_hist))
         assert np.array_equal(history(s_hist, 1), phi(s_hist, 1))
         assert np.array_equal(ms.forcing_paths.row(n)(s_pos), forcing(s_pos))

@@ -139,14 +139,16 @@ def test_solution_is_sum_of_three_parts():
 
 
 def test_mode_data_projects_the_forcing_family_in_one_pass(monkeypatch):
-    # Phi needs values at t = 0 only; F and dF/dt are read off one jet, and
-    # no t-differentiated spec is projected on its own.
-    from delayheat import heat_nodelay
+    # Phi needs values at t = 0 only; F and dF/dt are read off one jet (in
+    # heat_delay.forcing_paths, which both kinds share), and no
+    # t-differentiated spec is projected on its own.
+    from delayheat import heat_delay, heat_nodelay
 
     calls, project = [], heat_nodelay.project_paths
-    monkeypatch.setattr(heat_nodelay, "project_paths",
-                        lambda spec, *args, **kw: calls.append((spec, kw))
-                        or project(spec, *args, **kw))
+    for module in (heat_delay, heat_nodelay):
+        monkeypatch.setattr(module, "project_paths",
+                            lambda spec, *args, **kw: calls.append((spec, kw))
+                            or project(spec, *args, **kw))
     rp = reduce_problem(_problem(g="sin(x)*cos(t)", theta1="t"))
     heat_nodelay._mode_data(rp, EigenBasis(rp.length, 4), QuadratureConfig())
     assert len(calls) == 2

@@ -13,7 +13,6 @@ from delayheat.quadrature import (
     composite_gauss,
     gauss_rule,
     graded_breakpoints,
-    halve_until_stable,
 )
 
 
@@ -52,29 +51,6 @@ def test_failure_to_converge_raises():
     with pytest.raises(QuadratureError) as err:
         composite_gauss(lambda s: np.abs(s - 0.4712) ** 0.5, 0.0, 1.0, quad)
     assert err.value.residual is not None
-
-
-def test_rowwise_acceptance_freezes_each_row_at_its_own_level():
-    # Row r reads 1 + s_r / panels: row 0 agrees at the first halving, row 1
-    # at 16 panels, row 2 only at 2^24 panels.
-    scales = np.array([0.0, 1e-9, 1e-3])
-    asked = []
-
-    def level(panels, pending):
-        asked.append((panels, pending.tolist()))
-        return 1.0 + scales[pending, None] / panels
-
-    quad = QuadratureConfig(max_panel_splits=30, abs_tol=1e-10)
-    value = halve_until_stable(level, 1, quad, "no", halve=lambda p: 2 * p, rows=3)
-    assert asked[:6] == [(1, [0, 1, 2]), (2, [0, 1, 2]), (4, [1, 2]), (8, [1, 2]),
-                         (16, [1, 2]), (32, [2])]
-    assert asked[-1] == (2**24, [2])
-    np.testing.assert_array_equal(value[:, 0], 1.0 + scales / [2, 16, 2**24])
-
-    short = QuadratureConfig(max_panel_splits=10, abs_tol=1e-10)
-    with pytest.raises(QuadratureError, match="no") as err:
-        halve_until_stable(level, 1, short, "no", halve=lambda p: 2 * p, rows=3)
-    assert err.value.residual == pytest.approx(1e-3 / 1024)
 
 
 def test_graded_breakpoints_shape():
