@@ -54,6 +54,7 @@ rejected so typos cannot silently change a run.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -270,8 +271,15 @@ def check_from_dict(data):
         fit_slack=_number(data.get("fit_slack", 0.25), "fit_slack"),
         tol=_number(data.get("tol", 1e-8), "tol"),
     )
+    # JSON's Infinity and NaN literals would empty the gate they set.
+    for key in ("delta", "fit_slack", "tol"):
+        if not math.isfinite(getattr(settings, key)):
+            raise ConfigError(f"check {key} must be finite")
     if settings.tol <= 0.0:
         raise ConfigError("check tol must be positive")
+    if settings.m is not None and settings.m < 1:
+        raise ConfigError(
+            f"check m must be null or at least 1, got {settings.m}")
     return settings
 
 

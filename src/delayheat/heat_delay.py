@@ -42,11 +42,12 @@ any t.
 
 The problem without delay (:mod:`delayheat.heat_nodelay`) is reduced by the
 same change of variables, with a time weight exp(gamma t) as well, and each
-of its modes is this scalar delay ODE with B_n = 0.  So the steps after the
-reductions are written here once, for both kinds, and take the kind's
-numbers: the reduced record :class:`ReducedProblem`, :func:`modal_rates`,
-the forcing family :func:`forcing_paths` and the field synthesis
-:func:`to_field`.
+of its modes is this scalar delay ODE with B_n = 0.  So the reduction and
+the steps after it are written here once, for both kinds, and take the
+kind's numbers: :func:`reduce_frame`, which builds the reduced record
+:class:`ReducedProblem` and keeps it on the problem until a field is
+reassigned, :func:`modal_rates`, the forcing family :func:`forcing_paths`
+and the field synthesis :func:`to_field`.
 """
 
 from __future__ import annotations
@@ -122,9 +123,10 @@ class ReducedProblem:
     """Drift-free problem after v = exp(mu x + gamma t) u, for both kinds.
 
     Every sine mode n obeys X_n' = L_n X_n + B_n X_n(t - tau) + F_n with the
-    rates of :func:`modal_rates`.  :func:`reduce_delay` fills it with
-    gamma = 0; :func:`delayheat.heat_nodelay.reduce_problem` with a1 = a,
-    a2 = c1 = c2 = 0 and tau = None, so that B_n = 0.
+    rates of :func:`modal_rates`.  :func:`reduce_frame` builds it:
+    :func:`reduce_delay` passes gamma = 0,
+    :func:`delayheat.heat_nodelay.reduce_problem` a1 = a, a2 = c1 = c2 = 0
+    and tau = None, so that B_n = 0.
     """
 
     a1: float
@@ -145,31 +147,18 @@ class ReducedProblem:
     _cache: dict = field(default_factory=dict, repr=False)
 
 
-def weighted_frame(p, mu, gamma=0.0):
-    """Data of ``p`` in the frame v = exp(mu x + gamma t) u.
+def reduce_frame(p, a1, a2, c1, c2, mu, gamma, tau):
+    """The :class:`ReducedProblem` of ``p`` in the frame
+    v = exp(mu x + gamma t) u.
 
-    Returns (f, phi, mu1, mu2, lift): f = exp(-mu x - gamma t) g, the
-    initial data phi = exp(-mu x) psi, the traces
-    mu1 = exp(-gamma t) theta1(0, t) and mu2 = exp(-mu l - gamma t) theta2(l, t),
-    each read at its own boundary, and the boundary lift
-    mu1 + (x / l)(mu2 - mu1), linear in x whatever x the traces' expressions
-    mention.  Both reductions build their frame here; the delayed one passes
-    gamma = 0, and a weight whose coefficients are all zero is the spec
-    itself.
-    """
-    f = fs_exp_weight(p.g, coef_x=-mu, coef_t=-gamma)
-    phi = fs_exp_weight(p.psi, coef_x=-mu)
-    mu1 = fs_exp_weight(fs_at_x(p.theta1, 0.0), coef_t=-gamma)
-    mu2 = fs_exp_weight(fs_at_x(p.theta2, p.length), coef_t=-gamma,
-                        offset=-mu * p.length)
-    slope = fs_scale(fs_sum(mu2, fs_scale(mu1, -1.0)), 1.0 / p.length)
-    return f, phi, mu1, mu2, fs_sum(mu1, fs_ramp_x(slope))
+    f = exp(-mu x - gamma t) g and phi = exp(-mu x) psi.  The traces
+    mu1 = exp(-gamma t) theta1(0, t) and mu2 = exp(-mu l - gamma t) theta2(l, t)
+    are each read at their own boundary, so the lift mu1 + (x / l)(mu2 - mu1)
+    is linear in x whatever x their expressions mention.  Phi = phi - lift
+    and F = f - d/dt lift, plus c1 lift + c2 lift(t - tau) when ``tau`` is
+    set.  A weight whose coefficients are all zero is the spec itself.
 
-
-def reduce_delay(p):
-    """Apply the drift-removing weight; rejects non-proportional drift pairs.
-
-    The reduction is kept on ``p`` and returned again while no field of ``p``
+    The result is kept on ``p`` and returned again while no field of ``p``
     has been reassigned, so the compat checks and the solve of one problem
     share it, and with it the projections :func:`build_modes` caches.
     """
@@ -177,6 +166,32 @@ def reduce_delay(p):
     if p._reduced is not None and all(
             a is b for a, b in zip(p._reduced[0], inputs)):
         return p._reduced[1]
+    f = fs_exp_weight(p.g, coef_x=-mu, coef_t=-gamma)
+    phi = fs_exp_weight(p.psi, coef_x=-mu)
+    mu1 = fs_exp_weight(fs_at_x(p.theta1, 0.0), coef_t=-gamma)
+    mu2 = fs_exp_weight(fs_at_x(p.theta2, p.length), coef_t=-gamma,
+                        offset=-mu * p.length)
+    slope = fs_scale(fs_sum(mu2, fs_scale(mu1, -1.0)), 1.0 / p.length)
+    lift = fs_sum(mu1, fs_ramp_x(slope))
+    lift_terms = [fs_scale(lift.differentiate("t"), -1.0)]
+    if tau is not None:
+        lift_terms += [fs_scale(lift, c1),
+                       fs_scale(fs_time_shift(lift, tau), c2)]
+    lift_forcing = fs_sum(*lift_terms)
+    rp = ReducedProblem(
+        a1=a1, a2=a2, c1=c1, c2=c2, mu=mu, gamma=gamma, tau=tau,
+        length=p.length, horizon=p.horizon, phi=phi, source=f, lift=lift,
+        lift_forcing=lift_forcing,
+        shifted_initial=fs_sum(phi, fs_scale(lift, -1.0)),
+        forcing=fs_sum(f, lift_forcing),
+    )
+    p._reduced = (inputs, rp)
+    return rp
+
+
+def reduce_delay(p):
+    """Apply the drift-removing weight (:func:`reduce_frame` with gamma = 0);
+    rejects non-proportional drift pairs."""
     lhs = p.b1 * p.a2**2
     rhs = p.b2 * p.a1**2
     scale = max(abs(lhs), abs(rhs), 1.0)
@@ -190,33 +205,7 @@ def reduce_delay(p):
     # Zeroth-order coefficients after the weight (valid also when a2 == 0).
     c1 = p.a1**2 * mu**2 + p.b1 * mu + p.d1
     c2 = p.a2**2 * mu**2 + p.b2 * mu + p.d2
-
-    f, phi, _, _, lift = weighted_frame(p, mu)
-    shifted_initial = fs_sum(phi, fs_scale(lift, -1.0))
-    lift_forcing = fs_sum(
-        fs_scale(lift.differentiate("t"), -1.0),
-        fs_scale(lift, c1),
-        fs_scale(fs_time_shift(lift, p.tau), c2),
-    )
-    rp = ReducedProblem(
-        a1=p.a1,
-        a2=p.a2,
-        c1=c1,
-        c2=c2,
-        mu=mu,
-        gamma=0.0,
-        tau=p.tau,
-        length=p.length,
-        horizon=p.horizon,
-        phi=phi,
-        source=f,
-        lift=lift,
-        lift_forcing=lift_forcing,
-        shifted_initial=shifted_initial,
-        forcing=fs_sum(f, lift_forcing),
-    )
-    p._reduced = (inputs, rp)
-    return rp
+    return reduce_frame(p, p.a1, p.a2, c1, c2, mu, 0.0, p.tau)
 
 
 # ---------------------------------------------------------------------------

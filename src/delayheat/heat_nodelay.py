@@ -21,14 +21,16 @@ Phi = phi - lift(., 0) and forcing F = f - d/dt lift (the lift is spatially
 linear, so it drops out of the diffusion term; no zeroth-order term survives
 the substitution).
 
-Every step after this reduction is the delayed solver's, written once in
-:mod:`delayheat.heat_delay`: the frame (``weighted_frame``), the reduced
-record (``ReducedProblem``, here with a1 = a, a2 = c1 = c2 = 0 and no delay),
-the modal rates (``modal_rates``: -(pi n a / l)^2 and a lag rate of 0), the
-forcing family (``forcing_paths``: F_n and F_n' at 257 times on [0, T], as
-cubic Hermite paths, with the lift's share in closed form) and the synthesis
-(``to_field``).  F needs a t-derivative: with a trace tabulated linearly in
-t it has none, and :func:`solve` raises :class:`UnsupportedOperationError`.
+This reduction, and every step after it, is the delayed solver's, written
+once in :mod:`delayheat.heat_delay`: the frame, Phi and F with the reduced
+record (``reduce_frame``, here with a1 = a, a2 = c1 = c2 = 0 and no delay,
+kept on the problem so that the checks and the solve of a run reduce it
+once), the modal rates (``modal_rates``: -(pi n a / l)^2 and a lag rate of
+0), the forcing family (``forcing_paths``: F_n and F_n' at 257 times on
+[0, T], as cubic Hermite paths, with the lift's share in closed form) and
+the synthesis (``to_field``).  F needs a t-derivative: with a trace
+tabulated linearly in t it has none, and :func:`solve` raises
+:class:`UnsupportedOperationError`.
 
 The solution splits into three parts synthesized over the sine eigenbasis:
 
@@ -50,15 +52,15 @@ u2 through the per-point evaluator :func:`delayheat.delay_ode.solve_at`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .delay_ode import DelayOdeParams, solve_at, solve_modes
 from .errors import DomainError, InputError
-from .funcspec import FunctionSpec, fs_const, fs_ramp_x, fs_scale, fs_sum
-from .heat_delay import (ReducedProblem, check_data, forcing_paths,
-                         modal_rates, to_field, weighted_frame)
+from .funcspec import FunctionSpec, fs_scale
+from .heat_delay import (check_data, forcing_paths, modal_rates, reduce_frame,
+                         to_field)
 from .quadrature import QuadratureConfig
 from .spectral import (EigenBasis, project_paths, sine_projection_rule,
                        sine_synthesis)
@@ -77,6 +79,8 @@ class HeatProblem:
     psi: FunctionSpec
     theta1: FunctionSpec
     theta2: FunctionSpec
+    # (field values, ReducedProblem) of the last reduce_problem call.
+    _reduced: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_data(self, ("a", "b", "c"))
@@ -85,35 +89,12 @@ class HeatProblem:
 
 
 def reduce_problem(p):
-    """Apply the drift/reaction-removing change of variables."""
+    """Apply the drift/reaction-removing change of variables:
+    :func:`~delayheat.heat_delay.reduce_frame` with a1 = a,
+    a2 = c1 = c2 = 0 and no delay."""
     mu = -p.b / (2.0 * p.a**2)
     gamma = p.c - (p.b / (2.0 * p.a)) ** 2
-    f, phi, mu1, mu2, lift = weighted_frame(p, mu, gamma)
-    mu1_0 = mu1(0.0, 0.0)
-    mu2_0 = mu2(0.0, 0.0)
-    shifted_initial = fs_sum(
-        phi,
-        fs_const(-mu1_0),
-        fs_ramp_x(fs_const(-(mu2_0 - mu1_0) / p.length)),
-    )
-    lift_forcing = fs_scale(lift.differentiate("t"), -1.0)
-    return ReducedProblem(
-        a1=p.a,
-        a2=0.0,
-        c1=0.0,
-        c2=0.0,
-        mu=mu,
-        gamma=gamma,
-        tau=None,
-        length=p.length,
-        horizon=p.horizon,
-        phi=phi,
-        source=f,
-        lift=lift,
-        lift_forcing=lift_forcing,
-        shifted_initial=shifted_initial,
-        forcing=fs_sum(f, lift_forcing),
-    )
+    return reduce_frame(p, p.a, 0.0, 0.0, 0.0, mu, gamma, None)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ each hand it their own level function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,8 +49,8 @@ class QuadratureConfig:
             raise InputError("nodes_per_panel must be at least 2")
         if self.max_panel_splits < 0:
             raise InputError("max_panel_splits must be non-negative")
-        if not (self.abs_tol > 0.0):
-            raise InputError("abs_tol must be positive")
+        if not 0.0 < self.abs_tol < math.inf:
+            raise InputError("abs_tol must be finite and positive")
 
 
 @lru_cache(maxsize=32)

@@ -483,3 +483,14 @@ def test_mode_sweep_error_non_increasing_on_smooth_fixture(tmp_path):
     # Genuine spectral convergence before the plateau: the floor sits well
     # below the coarsest truncation error.
     assert sups[-1] <= sups[0] / 20.0
+
+
+def test_readme_library_tour_runs(capsys):
+    # The README's Python example runs as written and prints the sup
+    # difference of the series field from the oracle.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("```python\n", readme.index("## Library tour")) + 10
+    block = readme[start:readme.index("```", start)]
+    exec(compile(block, "README.md", "exec"), {})
+    sup = float(capsys.readouterr().out)
+    assert 0.0 < sup < 1e-3

@@ -446,6 +446,62 @@ def test_bad_quadrature_setting_exits_1(tmp_path, capsys):
         assert not os.path.exists(out)
 
 
+def test_infinite_and_nan_gate_settings_exit_1(tmp_path, capsys):
+    # Python's json reads the Infinity and NaN literals; a gate set with one
+    # would pass everything (a trace mismatch of 1.0 against tol Infinity).
+    data = json.loads((CONFIGS / "delay_single_mode.json").read_text())
+    data.pop("outputs", None)
+    data["problem"]["trace_left"] = 1
+    out = str(tmp_path / "r.json")
+    for section, key, literal in (("check", "tol", "Infinity"),
+                                  ("check", "delta", "NaN"),
+                                  ("check", "fit_slack", "-Infinity"),
+                                  ("check", "m", "-3")):
+        body = json.dumps({**data, section: {key: "@"}}).replace('"@"', literal)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(body)
+        assert literal in cfg.read_text()
+        assert main(["check", "--config", str(cfg), "--out-report", out]) == 1
+        err = capsys.readouterr().err
+        assert f"error: check {key} must" in err and "Traceback" not in err
+        assert not os.path.exists(out)
+    # The quadrature tolerance, also from a fresh interpreter.
+    solver = dict(data["solver"], quadrature={"abs_tol": "@"})
+    cfg.write_text(json.dumps({**data, "solver": solver})
+                   .replace('"@"', "Infinity"))
+    assert main(["compare", "--config", str(cfg), "--out-report", out]) == 1
+    assert "abs_tol must be finite" in capsys.readouterr().err
+    repo = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(repo / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-m", "delayheat", "compare", "--config", str(cfg),
+         "--out-report", out], env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "error: invalid quadrature settings: abs_tol must be finite" in (
+        proc.stderr)
+    assert not os.path.exists(out)
+
+
+def test_nodelay_run_reduces_its_problem_once(tmp_path, monkeypatch):
+    # The compat checks and the solve share one reduction of the problem.
+    from delayheat.heat_delay import ReducedProblem
+
+    built, init = [], ReducedProblem.__init__
+    monkeypatch.setattr(ReducedProblem, "__init__",
+                        lambda self, *a, **kw: built.append(1)
+                        or init(self, *a, **kw))
+    cfg = _nodelay_config(tmp_path, g="x*(1-x)*cos(t)")
+    out = str(tmp_path / "r.json")
+    assert main(["solve", "--config", cfg, "--out-report", out,
+                 "--out-field", str(tmp_path / "f.csv")]) == 0
+    assert len(built) == 1
+    built.clear()
+    assert main(["check", "--config", cfg, "--out-report", out]) == 0
+    assert len(built) == 1
+
+
 def test_path_samples_key_is_rejected_as_unknown(tmp_path, capsys):
     # The sample counts are fixed; the removed key must not reach the solver.
     for value in (0, 1, 257):

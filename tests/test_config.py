@@ -201,6 +201,20 @@ def test_numbers_are_validated():
                 {"abs_tol": True}, {"abs_tol": None}):
         with pytest.raises(ConfigError):
             config_from_dict(_delay_dict(solver={"quadrature": bad}))
+    # Settings that would empty a gate: JSON's Infinity and NaN literals, a
+    # non-positive tolerance and an m that covers no delay interval.
+    for bad in ({"abs_tol": math.inf}, {"abs_tol": math.nan}, {"abs_tol": 0.0}):
+        with pytest.raises(ConfigError, match="abs_tol must be finite"):
+            config_from_dict(_delay_dict(solver={"quadrature": bad}))
+    for bad in ({"tol": math.inf}, {"tol": math.nan}, {"tol": 0.0},
+                {"delta": math.nan}, {"delta": math.inf},
+                {"fit_slack": math.nan}, {"fit_slack": math.inf},
+                {"fit_slack": -math.inf}, {"m": 0}, {"m": -3}):
+        with pytest.raises(ConfigError, match=f"check {next(iter(bad))} must"):
+            config_from_dict(_delay_dict(check=bad))
+    cfg = config_from_dict(_delay_dict(check={"m": 1, "delta": -0.5,
+                                              "fit_slack": 0.0}))
+    assert (cfg.check.m, cfg.check.delta, cfg.check.fit_slack) == (1, -0.5, 0.0)
     # A null integer keeps its default, as "modes" and "nx" do.
     cfg = config_from_dict(_delay_dict(
         solver={"quadrature": {"nodes_per_panel": None, "abs_tol": 1e-9}}))

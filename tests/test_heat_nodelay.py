@@ -95,9 +95,21 @@ def test_reduction_constants_and_frames():
     np.testing.assert_allclose(field.v, frame * field.u, atol=1e-13)
 
 
+def test_reduction_is_shared_until_a_field_is_reassigned():
+    p = _problem(b=0.4, c=0.3, theta1="0.1*t", theta2="0.2*t")
+    rp = reduce_problem(p)
+    assert reduce_problem(p) is rp
+    p.c = -0.5
+    fresh = reduce_problem(p)
+    assert fresh is not rp
+    assert fresh.gamma == pytest.approx(-0.5 - 0.2**2)
+    assert reduce_problem(p) is fresh
+
+
 def test_lift_matches_the_delay_reduction_when_gamma_is_zero():
-    # Both reductions build the lift with one change of variables; with
-    # gamma = 0 and no lagged terms the two lifts agree bit for bit.
+    # Both reductions build the lift, and Phi = phi - lift, with one change
+    # of variables; with gamma = 0 and no lagged terms the two lifts agree
+    # bit for bit, and so do the two Phi at t = 0.
     a, b, length = 1.5, 0.6, 2.0
     c = (b / (2.0 * a)) ** 2
     data = dict(g="sin(x)*t", psi="x*(2-x) + 0.1", theta1="0.1 + t",
@@ -110,8 +122,11 @@ def test_lift_matches_the_delay_reduction_when_gamma_is_zero():
         **{key: parse_function(expr, l=length, tau=0.5) for key, expr in data.items()})
     x = np.linspace(0.0, length, 17)[None, :]
     t = np.linspace(0.0, 1.0, 9)[:, None]
+    delayed_rp = reduce_delay(delayed)
     assert np.array_equal(np.asarray(rp.lift(x, t)),
-                          np.asarray(reduce_delay(delayed).lift(x, t)))
+                          np.asarray(delayed_rp.lift(x, t)))
+    assert np.array_equal(np.asarray(rp.shifted_initial(x, 0.0)),
+                          np.asarray(delayed_rp.shifted_initial(x, 0.0)))
 
 
 # ---------------------------------------------------------------------------
