@@ -70,8 +70,7 @@ from .funcspec import (
     fs_time_shift,
 )
 from .quadrature import QuadratureConfig
-from .spectral import (EigenBasis, HermitePaths, project_paths,
-                       sine_projection_rule)
+from .spectral import EigenBasis, HermitePaths, project_paths
 
 
 def check_data(p, coefficients):
@@ -219,20 +218,19 @@ def modal_rates(rp, basis):
     return rp.c1 - lam * rp.a1**2, rp.c2 - lam * rp.a2**2
 
 
-def forcing_paths(rp, rule, count):
+def forcing_paths(rp, basis, quad, count):
     """The forcing family F_n, with slopes F_n', at ``count`` uniform times
     on [0, T], as :class:`~delayheat.spectral.HermitePaths`.
 
-    ``rule`` is a :func:`~delayheat.spectral.sine_projection_rule`.  One
-    :func:`~delayheat.spectral.project_paths` pass reads values and slopes
-    off one jet of f; the lift's share F - f is linear in x and added in
-    closed form.  The t-derivative budget is checked on the full F, so that
-    data without the derivative raise the error they name.
+    One :func:`~delayheat.spectral.project_paths` pass reads values and
+    slopes off one jet of f per rung of its panel ladder; the lift's share
+    F - f is linear in x and added in closed form.  The t-derivative
+    budget is checked on the full F, so that data without the derivative
+    raise the error they name.
     """
     rp.forcing.differentiate("t")
     times = np.linspace(0.0, rp.horizon, count)
-    return HermitePaths(times, *project_paths(rp.source, times, rule,
-                                              rp.length,
+    return HermitePaths(times, *project_paths(rp.source, times, basis, quad,
                                               linear=rp.lift_forcing))
 
 
@@ -282,9 +280,10 @@ def build_modes(rp, basis, quad=None):
     Phi_n and Phi_n' are sampled at 129 times on [-tau, 0]; F_n and F_n' at
     max(257, 64 ceil(T / tau) + 1) times on [0, T] (:func:`forcing_paths`).
     Each family is one :func:`~delayheat.spectral.project_paths` pass, which
-    reads the values and the t-slopes off one jet.  Only phi and f are
-    evaluated on the quadrature grid; the lift's share of Phi and F is
-    linear in x and is added in closed form.
+    reads the values and the t-slopes off one jet per rung and climbs from
+    P/8 to at most P = max(4, 2N) panels until two rungs agree (rung P when
+    none do).  Only phi and f are evaluated on the quadrature grids; the
+    lift's share of Phi and F is linear in x and is added in closed form.
     """
     if quad is None:
         quad = QuadratureConfig()
@@ -293,15 +292,14 @@ def build_modes(rp, basis, quad=None):
     if cached is not None:
         return cached
 
-    rule = sine_projection_rule(basis, quad)
     hist_times = np.linspace(-rp.tau, 0.0, 129)
     # The t-derivative budget is checked on the full data, so that data
     # without the derivative raise the error they name.
     rp.shifted_initial.differentiate("t")
     history = HermitePaths(hist_times, *project_paths(
-        rp.phi, hist_times, rule, rp.length, linear=fs_scale(rp.lift, -1.0)))
+        rp.phi, hist_times, basis, quad, linear=fs_scale(rp.lift, -1.0)))
     forcing = forcing_paths(
-        rp, rule, max(257, 64 * int(math.ceil(rp.horizon / rp.tau)) + 1))
+        rp, basis, quad, max(257, 64 * int(math.ceil(rp.horizon / rp.tau)) + 1))
     ms = ModeSystem(basis, rp.tau, rp.horizon, *modal_rates(rp, basis),
                     history, forcing)
     rp._cache[key] = ms

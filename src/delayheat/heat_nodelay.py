@@ -62,8 +62,7 @@ from .funcspec import FunctionSpec, fs_scale
 from .heat_delay import (check_data, forcing_paths, modal_rates, reduce_frame,
                          to_field)
 from .quadrature import QuadratureConfig
-from .spectral import (EigenBasis, project_paths, sine_projection_rule,
-                       sine_synthesis)
+from .spectral import EigenBasis, project_paths, sine_synthesis
 
 
 @dataclass
@@ -106,13 +105,16 @@ def _mode_data(rp, basis, quad):
     """Phi_n at t = 0, the modal rates (-(pi n a / l)^2, 0) and the forcing
     paths F_n at 257 times on [0, T] (:func:`~delayheat.heat_delay.forcing_paths`).
 
-    Phi needs no t-derivative.  The lift's share of Phi is linear in x and
-    projected in closed form.
+    Phi needs no t-derivative.  Each is one
+    :func:`~delayheat.spectral.project_paths` pass, which returns the first
+    of its panel rungs (P/8 up to P = max(4, 2N)) that agrees with the one
+    before, or rung P; the lift's share is linear in x and projected in
+    closed form.
     """
-    rule = sine_projection_rule(basis, quad)
-    (initial,) = project_paths(rp.phi, np.zeros(1), rule, basis.length, kt=0,
+    (initial,) = project_paths(rp.phi, np.zeros(1), basis, quad, kt=0,
                                linear=fs_scale(rp.lift, -1.0))
-    return initial[:, 0], modal_rates(rp, basis), forcing_paths(rp, rule, 257)
+    return (initial[:, 0], modal_rates(rp, basis),
+            forcing_paths(rp, basis, quad, 257))
 
 
 def _duhamel_decay(a, forcing, t, quad):

@@ -9,7 +9,7 @@ stiff exponential factor exp(rate * s).  Panels are therefore laid out from
 
 and the result is accepted only after a panel-halving refinement agrees to
 tolerance.  :func:`halve_until_stable` is that acceptance loop; the adaptive
-:func:`composite_gauss`, the sine projection and the delay-ODE grid engine
+:func:`composite_gauss`, the sine projections and the delay-ODE grid engine
 each hand it their own level function.
 """
 
@@ -103,18 +103,20 @@ def graded_breakpoints(lo, hi, rate):
     return [p for p in pts if lo < p < hi]
 
 
-def halve_until_stable(level, layout, quad, message, halve=halve_panels):
+def halve_until_stable(level, layout, quad, message, halve=halve_panels,
+                       splits=None):
     """Refine ``layout`` until two successive levels agree; return the last.
 
     ``level(layout)`` evaluates a scalar or an array.  The panels are halved
     (``halve(layout)``) and the level evaluated again until every entry
     agrees with the previous level to ``abs_tol + 1e-14 * |value|``.  After
-    ``quad.max_panel_splits`` halvings without that, raises
-    :class:`QuadratureError` with ``message`` and the largest difference.
+    ``splits`` halvings (default ``quad.max_panel_splits``) without that,
+    raises :class:`QuadratureError` with ``message`` and the largest
+    difference, or, when ``message`` is None, returns the last level.
     """
     value = level(layout)
     residual = np.inf
-    for _ in range(quad.max_panel_splits):
+    for _ in range(quad.max_panel_splits if splits is None else splits):
         layout = halve(layout)
         refined = level(layout)
         diff = np.abs(refined - value)
@@ -122,6 +124,8 @@ def halve_until_stable(level, layout, quad, message, halve=halve_panels):
         if np.all(diff <= quad.abs_tol + 1e-14 * np.abs(refined)):
             return value
         residual = float(np.max(diff))
+    if message is None:
+        return value
     raise QuadratureError(message, residual=residual)
 
 

@@ -2,10 +2,11 @@
 
 The Dirichlet Laplacian on [0, l] has eigenfunctions sin(pi n x / l) with
 eigenvalues (pi n / l)^2.  Projections use composite Gauss panels whose count
-scales with the highest requested mode (max(4, 2N) panels), so oscillatory
-integrands stay resolved.  Only ``sine_coefficients`` then doubles the panel
-count until the coefficients settle; ``project_paths`` uses the fixed
-``sine_projection_rule`` and runs no such check.
+scales with the highest requested mode (P = max(4, 2N) panels), so
+oscillatory integrands stay resolved.  ``sine_coefficients`` starts at P and
+doubles the panel count until the coefficients settle, or raises;
+``project_paths`` climbs from P/8 to P and keeps rung P when no two rungs
+agree.
 
 Projecting f(x, t) at shared sample times gives one coefficient path per
 mode (``project_paths``).  The same pass projects its t-derivative, read off
@@ -63,52 +64,73 @@ class EigenBasis:
         return np.sin(np.outer(self.wavenumbers(), x))
 
 
-def sine_projection_rule(basis, quad=None):
-    """Quadrature rule resolving all basis modes: (points, weights, sin_table).
-
-    Uses max(4, 2 N) uniform panels on [0, length] so the fastest mode has
-    at least two panels per period; sin_table has shape (N, n_points).
-    """
-    if quad is None:
-        quad = QuadratureConfig()
-    panels = max(4, 2 * basis.n_modes)
-    edges = np.linspace(0.0, basis.length, panels + 1)
-    pts, wts = panel_nodes(edges, quad.nodes_per_panel)
-    return pts, wts, basis.eigenfunctions(pts)
-
-
+# Time columns of one jet on the top rung of ``project_paths``.  A rung with
+# k times fewer panels takes k times as many columns, so every block holds
+# as many cells (points x columns) and a coarse rung pays few jet calls,
+# while the top rung makes the matrix products of the fixed max(4, 2N)-panel
+# rule, bit for bit.
 _PROJECT_BLOCK = 32
 
 
-def project_paths(spec, times, rule, length, kt=1, linear=None):
+def _project_rung(spec, times, basis, quad, panels, kt, step):
+    """The ``panels``-panel Gauss rule's sine coefficients of spec(., t) and
+    of its first ``kt`` t-derivatives at ``times``, one jet per ``step``
+    time columns: an array (kt + 1, N, len(times))."""
+    edges = np.linspace(0.0, basis.length, panels + 1)
+    pts, wts = panel_nodes(edges, quad.nodes_per_panel)
+    sin_table = basis.eigenfunctions(pts)
+    weight = (2.0 / basis.length) * wts
+    orders = [(0, j) for j in range(kt + 1)]
+    out = np.empty((kt + 1, basis.n_modes, times.size))
+    for lo in range(0, times.size, step):
+        cols = times[lo:lo + step]
+        grids = spec.partials(pts[:, None], cols[None, :], orders)
+        for j, grid in enumerate(grids):
+            out[j, :, lo:lo + cols.size] = sin_table @ (weight[:, None] * grid)
+    return out
+
+
+def project_paths(spec, times, basis, quad=None, kt=1, linear=None):
     """Sine coefficients of spec(., t) + linear(., t) and of their first
     ``kt`` t-derivatives at every t in ``times``: a tuple of kt + 1 arrays
     (N, len(times)).
 
-    ``rule`` is a :func:`sine_projection_rule`.  Each block of
-    ``_PROJECT_BLOCK`` time columns evaluates one jet of t-order ``kt`` on
-    (points x times), which bounds the grids held at once; values and
-    t-derivatives are read off that jet.  A spec without the t-derivative
-    raises :class:`UnsupportedOperationError`, as ``differentiate`` does.
+    The x-integrals climb a ladder of uniform Gauss panels: P/8, P/4, P/2
+    and P, where P = max(4, 2N) puts two panels on each period of the
+    fastest mode, starting at the smallest rung that is a whole number.
+    The panels are halved (:func:`~delayheat.quadrature.halve_until_stable`)
+    until two successive rungs agree on every value and slope to
+    ``abs_tol + 1e-14 |value|``, and the finer rung is returned; when no
+    pair agrees, rung P is returned and no error is raised.  Each rung
+    evaluates one jet of t-order ``kt`` per block of time columns, every
+    block as many points x columns as a 32-column block of rung P; values
+    and t-derivatives are read off that jet.  A spec without the
+    t-derivative raises :class:`UnsupportedOperationError`, as
+    ``differentiate`` does.
 
-    ``linear`` (or None) is a spec A(t) + x B(t), projected in closed form:
-    its coefficients are s1 A + sx B, where s1 and sx are the projections of
-    1 and x under the same rule, and A, B and their t-derivatives are read
-    off one jet at x = 0.  Its derivative budget is not checked.
+    ``linear`` (or None) is a spec A(t) + x B(t), added in closed form
+    after the ladder: its coefficients are s1 A + sx B, with
+    s1_n = 2 (1 - (-1)^n) / (n pi) and sx_n = 2 l (-1)^(n+1) / (n pi) the
+    coefficients of 1 and x, and A, B and their t-derivatives read off one
+    jet at x = 0.  Its derivative budget is not checked.
     """
+    if quad is None:
+        quad = QuadratureConfig()
     if kt:
         spec.differentiate("t", kt)  # the budget check only
-    pts, wts, sin_table = rule
-    weight = (2.0 / length) * wts
-    orders = [(0, j) for j in range(kt + 1)]
-    out = np.empty((kt + 1, sin_table.shape[0], times.size))
-    for lo in range(0, times.size, _PROJECT_BLOCK):
-        cols = times[lo:lo + _PROJECT_BLOCK]
-        grids = spec.partials(pts[:, None], cols[None, :], orders)
-        for j, grid in enumerate(grids):
-            out[j, :, lo:lo + cols.size] = sin_table @ (weight[:, None] * grid)
+    top = max(4, 2 * basis.n_modes)
+    splits = next(k for k in (3, 2, 1) if top % 2**k == 0)
+    out = halve_until_stable(
+        lambda panels: _project_rung(spec, times, basis, quad, panels, kt,
+                                     _PROJECT_BLOCK * top // panels),
+        top >> splits, quad, None, halve=lambda panels: 2 * panels,
+        splits=splits)
     if linear is not None:
-        s1, sx = sin_table @ weight, sin_table @ (weight * pts)
+        n = basis.mode_numbers
+        sign = (-1.0) ** n
+        s1 = 2.0 * (1.0 - sign) / (n * np.pi)
+        sx = -2.0 * basis.length * sign / (n * np.pi)
+        orders = [(0, j) for j in range(kt + 1)]
         parts = linear.partials(0.0, times, orders + [(1, j) for _, j in orders])
         for j in range(kt + 1):
             out[j] += np.outer(s1, parts[j]) + np.outer(sx, parts[kt + 1 + j])

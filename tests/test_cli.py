@@ -239,19 +239,20 @@ def test_compare_reports_small_difference(tmp_path, capsys):
 def test_compare_projects_a_delay_problem_once(tmp_path, monkeypatch):
     # The compat gate and the solve share one reduction of the problem, so
     # with the 16 modes the gate's decay screen needs, one projection serves
-    # both.
+    # both: phi and f are each projected once.
     from delayheat import heat_delay
 
-    rule = heat_delay.sine_projection_rule
+    project = heat_delay.project_paths
     calls = []
-    monkeypatch.setattr(heat_delay, "sine_projection_rule",
-                        lambda *args: calls.append(args) or rule(*args))
+    monkeypatch.setattr(heat_delay, "project_paths",
+                        lambda spec, *args, **kw: calls.append(spec)
+                        or project(spec, *args, **kw))
     cfg = _delay_config(tmp_path,
                         solver={"modes": 16, "nx": 20, "nt_per_tau": 8})
     code = main(["compare", "--config", cfg,
                  "--out-report", str(tmp_path / "cmp.json")])
     assert code == 0
-    assert len(calls) == 1
+    assert len(calls) == 2 and calls[0] is not calls[1]
 
 
 def test_compare_fits_each_path_family_once(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from delayheat import (
     InputError,
     InsufficientDataError,
     NumericError,
+    QuadratureConfig,
     Sampled1DFunction,
     Sampled2DFunction,
     UnsupportedOperationError,
@@ -206,6 +207,26 @@ def test_sampled_history_reports_unverifiable_not_failed():
     # piecewise-linear history genuinely lacks the required smoothness.
     assert not report.advisory_pass
     assert report.decay[0]["status"] == "fail"
+
+
+def test_sampled_history_keeps_the_top_rung_of_the_panel_ladder(monkeypatch):
+    # The linear interpolant's kinks converge only as O(h^2), so no two
+    # rungs of the projection ladder agree: the history family climbs to
+    # P = max(4, 2N) panels and is exactly the fixed P-panel projection.
+    from delayheat import spectral
+
+    counts, nodes = [], spectral.panel_nodes
+    monkeypatch.setattr(spectral, "panel_nodes",
+                        lambda edges, k: counts.append(edges.size - 1)
+                        or nodes(edges, k))
+    rp = reduce_delay(_delay(psi_spec=_sampled_history()))
+    basis = EigenBasis(rp.length, 16)
+    ms = build_modes(rp, basis)
+    assert counts == [4, 8, 16, 32, 4, 8]  # history, then the zero forcing
+    direct = spectral._project_rung(rp.phi, ms.history_paths.times, basis,
+                                    QuadratureConfig(), 32, 1, 32)
+    assert np.array_equal(ms.history_paths.values, direct[0])
+    assert np.array_equal(ms.history_paths.slopes, direct[1])
 
 
 def _reference_endpoint_checks(p, m=None, samples=65, tol=1e-8):

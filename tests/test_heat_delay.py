@@ -145,6 +145,43 @@ def test_build_modes_projects_each_family_in_one_pass(monkeypatch):
     np.testing.assert_allclose(ms.history_paths.slopes[0], 1.0, atol=1e-10)
 
 
+def test_build_modes_settles_smooth_families_on_the_second_rung(monkeypatch):
+    # At N = 64 the panel ladder is 16, 32, 64, 128 panels; smooth data
+    # agree between the first two rungs, and each family stops there.
+    from delayheat import spectral
+
+    counts, nodes = [], spectral.panel_nodes
+    monkeypatch.setattr(spectral, "panel_nodes",
+                        lambda edges, k: counts.append(edges.size - 1)
+                        or nodes(edges, k))
+    rp = reduce_delay(_problem(psi="sin(x)*(1+t)", g="x*cos(t)",
+                               theta1="t", theta2="cos(t)"))
+    build_modes(rp, EigenBasis(rp.length, 64))
+    assert counts == [16, 32, 16, 32]
+
+
+@pytest.mark.parametrize("path", [
+    pytest.param(path, id=path.name) for path in run_configs()
+    if load_config(path).kind == "delay"])
+def test_shipped_mode_systems_match_a_16n_panel_rule(path):
+    # Every value and slope of both families, lift share included, against
+    # Phi and F projected whole on 16N panels.
+    from delayheat.spectral import _project_rung
+
+    cfg = load_config(path)
+    quad = cfg.solver.quadrature
+    basis = EigenBasis(cfg.problem.length, cfg.solver.modes)
+    rp = reduce_delay(cfg.problem)
+    ms = build_modes(rp, basis, quad)
+    for spec, paths in ((rp.shifted_initial, ms.history_paths),
+                        (rp.forcing, ms.forcing_paths)):
+        values, slopes = _project_rung(spec, paths.times, basis, quad,
+                                       16 * basis.n_modes, 1,
+                                       max(1, 2048 // basis.n_modes))
+        np.testing.assert_allclose(paths.values, values, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(paths.slopes, slopes, rtol=0, atol=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # Agreement with the scalar closed-form core
 # ---------------------------------------------------------------------------

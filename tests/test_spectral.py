@@ -22,7 +22,8 @@ from delayheat import (
     sine_coefficients,
     sine_synthesis,
 )
-from delayheat.spectral import HermitePaths, project_paths, sine_projection_rule
+from delayheat import spectral
+from delayheat.spectral import HermitePaths, _project_rung, project_paths
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +195,14 @@ def test_hermite_paths_reproduce_cubics_and_rows_match_single_fits():
 
 def test_project_paths_reads_values_and_slopes_off_one_jet():
     basis = EigenBasis(length=math.pi, n_modes=8)
-    rule = sine_projection_rule(basis)
     spec = parse_function("exp(-t)*sin(2*x) + x*(l - x)*cos(3*t)", l=math.pi)
-    times = np.linspace(0.0, 1.0, 40)  # more than one block of columns
-    values, slopes = project_paths(spec, times, rule, math.pi)
+    # More than one block of columns on every rung (256 columns on 2 panels
+    # down to 32 on P = 16).
+    times = np.linspace(0.0, 1.0, 300)
+    values, slopes = project_paths(spec, times, basis)
     # The same numbers as projecting the value and the t-derivative apart.
-    (alone,) = project_paths(spec, times, rule, math.pi, kt=0)
-    (rate,) = project_paths(spec.differentiate("t"), times, rule, math.pi, kt=0)
+    (alone,) = project_paths(spec, times, basis, kt=0)
+    (rate,) = project_paths(spec.differentiate("t"), times, basis, kt=0)
     assert np.array_equal(values, alone)
     assert np.array_equal(slopes, rate)
     np.testing.assert_allclose(values[1], np.exp(-times), atol=1e-12)
@@ -209,7 +211,41 @@ def test_project_paths_reads_values_and_slopes_off_one_jet():
     linear = Sampled1DFunction(var="t", points=times, values=times**2,
                                kind="linear")
     with pytest.raises(UnsupportedOperationError):
-        project_paths(linear.differentiate("t"), times, rule, math.pi)
+        project_paths(linear.differentiate("t"), times, basis)
+
+
+def _rungs(monkeypatch):
+    """The panel count of every rule the projections lay out."""
+    counts, nodes = [], spectral.panel_nodes
+    monkeypatch.setattr(spectral, "panel_nodes",
+                        lambda edges, k: counts.append(edges.size - 1)
+                        or nodes(edges, k))
+    return counts
+
+
+@pytest.mark.parametrize("n_modes, smooth, kinked", [
+    (1, [1, 2], [1, 2, 4]),         # P = 4 starts at P/4
+    (3, [3, 6], [3, 6]),            # P = 6 starts at P/2
+    (64, [16, 32], [16, 32, 64, 128]),
+])
+def test_project_paths_climbs_a_panel_ladder_to_max_4_2n(monkeypatch, n_modes,
+                                                         smooth, kinked):
+    # Smooth data settle on the second rung; data with a kink inside a panel
+    # never settle and keep the top rung P = max(4, 2N), exactly as the
+    # fixed P-panel rule projects them, and raise no error.
+    basis = EigenBasis(length=math.pi, n_modes=n_modes)
+    quad = QuadratureConfig()
+    times = np.linspace(0.0, 1.0, 9)
+    top = max(4, 2 * n_modes)
+    for text, rungs in (("sin(x)*(1 + t)", smooth),
+                        ("abs(x - 1)*(1 + t)", kinked)):
+        spec = parse_function(text)
+        counts = _rungs(monkeypatch)
+        got = project_paths(spec, times, basis, quad)
+        assert counts == rungs
+        finest = _project_rung(spec, times, basis, quad, rungs[-1], 1,
+                               32 * top // rungs[-1])
+        assert np.array_equal(np.stack(got), finest)
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +256,13 @@ def test_project_paths_reads_values_and_slopes_off_one_jet():
 @pytest.mark.parametrize("kt", [0, 1])
 def test_project_paths_adds_a_linear_part_in_closed_form(kt):
     # spec + (A(t) + x B(t)) projected on the grid, against spec projected
-    # with the linear part added from its projections of 1 and x.
+    # with the linear part added from the closed-form coefficients of 1 and x.
     spec = parse_function("sin(2*x)*cos(t) + x^2*t")
     linear = parse_function("(1 + t^2) + x*exp(t)")
     basis = EigenBasis(2.0, 12)
-    rule = sine_projection_rule(basis)
     times = np.linspace(0.0, 1.0, 40)
-    full = project_paths(fs_sum(spec, linear), times, rule, 2.0, kt=kt)
-    split = project_paths(spec, times, rule, 2.0, kt=kt, linear=linear)
+    full = project_paths(fs_sum(spec, linear), times, basis, kt=kt)
+    split = project_paths(spec, times, basis, kt=kt, linear=linear)
     assert len(split) == kt + 1
     for whole, part in zip(full, split):
         np.testing.assert_allclose(part, whole, rtol=0,
