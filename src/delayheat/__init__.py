@@ -30,7 +30,6 @@ from .config import (
     load_config,
 )
 from .delay_ode import DelayOdeParams, kernel, solve_at
-from .delayed_exp import DelayedExpParams, delayed_exp_eval, delayed_exp_segment_index
 from .energy import (
     EnergyReport,
     GronwallResult,
@@ -114,7 +113,6 @@ __all__ = [
     "DelayHeatError",
     "DelayHeatProblem",
     "DelayOdeParams",
-    "DelayedExpParams",
     "DomainError",
     "EigenBasis",
     "EnergyReport",
@@ -147,8 +145,6 @@ __all__ = [
     "config_from_dict",
     "decay_fit",
     "delay_growth_constant",
-    "delayed_exp_eval",
-    "delayed_exp_segment_index",
     "energy_trace",
     "fd_solve_delay",
     "fd_solve_nodelay",

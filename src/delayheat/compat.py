@@ -316,7 +316,9 @@ def check_problem(p, basis=None, quad=None, m=None, delta=0.5, fit_slack=0.25,
                        "slope": None, "window": None, "status": None}
         try:
             report = decay_fit(coeffs, m=2, fit_slack=fit_slack)
-            decay_entry["slope"] = report.slope
+            # The log-log slope, as in the delay entries; decay_fit's rate is
+            # its negative.
+            decay_entry["slope"] = -report.slope
             decay_entry["window"] = list(report.window)
             decay_entry["status"] = "pass" if report.passed else "fail"
             if report.super_polynomial:

@@ -2,16 +2,22 @@
 
     x'(t) = a x(t) + b x(t - tau),    x = beta on [-tau, 0].
 
-Everything is expressed through one kernel
+Everything is expressed through one kernel K, the solution of
+K'(xi) = a K(xi) + b K(xi - tau) with K = exp(a (xi + tau)) on [-tau, 0) and
+K = 0 below -tau.  On segment k, where xi = (k-1) tau + u with u in [0, tau),
+it is (Bellman & Cooke's method of steps)
 
-    K(xi) = exp(a (xi + tau)) * delayed_exp(b * exp(-a tau); xi)
-          = sum_{j=0}^{k(xi)}  b^j psi_j^j exp(a psi_j) / j!,   psi_j = xi - (j-1) tau,
+    K(xi) = sum_{i=0}^{k}  exp(a u) (b u)^i / i!  S_{k-i},
 
-(zero for xi < -tau), where k(xi) is the delayed-exponential segment index.
-The right-hand form never materializes b * exp(-a tau): each term combines its
-power, factorial, and exponential in log space, so stiff coefficients (|a| tau
-of order thousands, as produced by high spatial modes of the delayed heat
-equation) evaluate without overflow.
+with S_k = K((k-1) tau) its values at the segment starts: S_0 = 1 and
+S_{k+1} is the sum above at u = tau.  Every term is bounded by
+max(1, exp((a + |b|) tau)) max |S|, so nothing cancels across delays,
+however many the argument spans.  Each term combines its exponential,
+power, factorial and log |S_{k-i}| in log space, so stiff coefficients
+(|a| tau of order thousands, as produced by high spatial modes of the
+delayed heat equation) evaluate without overflow; terms above float range
+raise :class:`~delayheat.errors.NumericError`.  At a = 0, K is the delayed
+exponential, the fundamental solution of x'(t) = b x(t - tau).
 
 Solution formulas:
 
@@ -97,7 +103,8 @@ def kernel(params, xi):
 
     ``params.a`` and ``params.b`` may be arrays of one shape M, the rates of
     several modes with one delay; K then has shape M + xi.shape, every mode
-    at every xi.
+    at every xi.  Raises :class:`NumericError` when a term leaves float
+    range, and :class:`InputError` for a non-finite xi.
     """
     xi = np.asarray(xi, dtype=float)
     a = np.asarray(params.a, dtype=float)
@@ -107,43 +114,46 @@ def kernel(params, xi):
     # Modes along the rows, points along the columns.
     a, b = a.reshape(-1, 1), b.reshape(-1, 1)
     pts = xi.ravel()
+    if not np.all(np.isfinite(pts)):
+        raise InputError("xi must be finite")
     out = np.zeros((a.shape[0], pts.size))
-    alive = np.flatnonzero(pts >= -tau)
-    seg = np.floor(pts[alive] / tau).astype(int) + 1
-    kmax = int(seg.max(initial=-1))
-    for j in range(kmax + 1):
-        cols = alive[seg >= j]
-        psi = pts[cols] - (j - 1) * tau
-        if j == 0:
-            logmag = a * psi
-            if np.any(logmag > _MAX_EXP_ARG):
-                raise NumericError("delay kernel overflow (a * xi too large)")
-        else:
-            base = b * psi  # psi >= 0 whenever term j is present
-            # log(0) = -inf makes a vanishing base an exact zero term.
-            with np.errstate(divide="ignore"):
-                logmag = np.log(np.abs(base))
-            logmag *= j
-            logmag += a * psi
-            logmag -= math.lgamma(j + 1)
-            if np.any(logmag > _MAX_EXP_ARG):
-                raise NumericError(
-                    "delay kernel overflow: term magnitude exceeds float range"
-                )
+    seg = np.floor(pts / tau) + 1.0  # K vanishes where seg < 0
+    kmax = int(seg.max(initial=-1.0))
+    i = np.arange(kmax + 1)
+    log_factorial = np.array([math.lgamma(j + 1.0) for j in i])
+    sign_power = np.sign(b) ** i
+    # log |S_k| and sign S_k, filled in as the segments are walked.
+    log_s = np.zeros((a.shape[0], kmax + 1))
+    sign_s = np.ones_like(log_s)
+    for k in range(kmax + 1):
+        cols = np.flatnonzero(seg == k)
+        u = pts[cols] - (k - 1) * tau
+        if k < kmax:
+            u = np.append(u, tau)  # the start of segment k + 1
+        # Term i of every mode at every u, e^(a u) (b u)^i / i! S_(k-i), in
+        # log magnitude, i along the first axis; log(0) = -inf makes a
+        # vanishing b u an exact zero term, except where i = 0.
+        log_term = np.empty((k + 1, a.shape[0], u.size))
+        log_term[0] = a * u
+        with np.errstate(divide="ignore"):
+            log_bu = np.log(np.abs(b * u))
+        log_term[1:] = log_bu * i[1:k + 1, None, None]
+        log_term[1:] += log_term[0]
+        log_term += (log_s[:, k::-1] - log_factorial[:k + 1]).T[:, :, None]
+        if log_term.max(initial=-np.inf) > _MAX_EXP_ARG:
+            raise NumericError(
+                "delay kernel overflow: term magnitude exceeds float range")
         # Terms that underflow are exact zeros; exp is slow on them (stiff
         # modes underflow over most of a table), so they are left out.
-        live = logmag > _MIN_EXP_ARG
-        if live.all():
-            at, dest = np.s_[:, :], np.s_[:, cols]
-        else:
-            mode, col = np.nonzero(live)
-            at, dest = (mode, col), (mode, cols[col])
-        term = np.exp(logmag[at])
-        if j % 2:
-            term[base[at] < 0.0] *= -1.0
-        out[dest] += term
-    if not np.all(np.isfinite(out)):
-        raise NumericError("delay kernel produced a non-finite value")
+        terms = np.exp(log_term, out=np.zeros_like(log_term),
+                       where=log_term > _MIN_EXP_ARG)
+        terms *= (sign_s[:, k::-1] * sign_power[:, :k + 1]).T[:, :, None]
+        values = terms.sum(axis=0)
+        out[:, cols] = values[:, :cols.size]
+        if k < kmax:
+            with np.errstate(divide="ignore"):
+                log_s[:, k + 1] = np.log(np.abs(values[:, -1]))
+            sign_s[:, k + 1] = np.sign(values[:, -1])
     out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out
 

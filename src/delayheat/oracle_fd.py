@@ -16,7 +16,7 @@ series field it checks.  ``FdConfig`` is an alias of ``GridSpec`` kept for
 the benchmark harness only.
 
 This module is deliberately independent of the spectral solver stack
-(delayed_exp / delay_ode / spectral / heat_* are never imported here); the
+(delay_ode / spectral / heat_* are never imported here); the
 two solution paths share nothing but problem data, the grid and the field
 container.
 """

@@ -20,7 +20,6 @@ from dde_steps import dde_steps
 from delayheat import (
     DelayHeatProblem,
     DelayOdeParams,
-    DelayedExpParams,
     EigenBasis,
     GridSpec,
     HeatProblem,
@@ -29,11 +28,11 @@ from delayheat import (
     check_decay_conditions,
     decay_fit,
     delay_growth_constant,
-    delayed_exp_eval,
     energy_trace,
     fd_solve_delay,
     fd_solve_nodelay,
     gronwall_check,
+    kernel,
     nodelay_growth_constant,
     parse_function,
     reduce_delay,
@@ -108,16 +107,12 @@ def test_delayed_exponential_derivative_matches_lagged_value():
     start = time.perf_counter()
     h = 1e-5
     for b, tau in itertools.product((1.0, -1.0, 3.0, -3.0), (0.5, 1.0)):
-        params = DelayedExpParams(b, tau)
+        params = DelayOdeParams(a=0.0, b=b, tau=tau)
         # Midpoints of a uniform grid on (0, 5 tau): every sample sits at
         # least 0.0125 tau away from the breakpoints at multiples of tau.
         pts = (np.arange(200) + 0.5) * (5.0 * tau / 200.0)
-        fd = np.array([
-            (delayed_exp_eval(params, t + h) - delayed_exp_eval(params, t - h))
-            / (2.0 * h)
-            for t in pts
-        ])
-        exact = np.array([b * delayed_exp_eval(params, t - tau) for t in pts])
+        fd = (kernel(params, pts + h) - kernel(params, pts - h)) / (2.0 * h)
+        exact = b * kernel(params, pts - tau)
         rel = np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))
         assert rel.max() <= 1e-6, f"(b={b}, tau={tau}): max rel {rel.max():.3e}"
     assert time.perf_counter() - start < 1.0

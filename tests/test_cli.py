@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dde_steps import dde_steps_exact
+from dde_steps import dde_steps, dde_steps_exact
 from shipped_configs import CONFIGS, run_configs
 from delayheat import read_field_csv
 from delayheat.cli import main
@@ -364,6 +364,22 @@ def test_dde_solve_history_slope_matches_exact_steps(capsys):
                      for line in capsys.readouterr().out.splitlines()[1:]])
     exact = dde_steps_exact(-1.0, -0.5, 0.5, (1, 1), rows[:, 0], rho_poly=(0, 1))
     np.testing.assert_allclose(rows[:, 1], exact, rtol=0, atol=1e-12)
+
+
+def test_dde_solve_over_many_delays_matches_stepping_oracle(capsys):
+    # x' = 2 x - 3 x(t - 0.3) over up to 33 delays exits 0 at every horizon,
+    # as close to the scipy method of steps as that reference is sharp.
+    rows = []
+    for horizon in ("5", "6", "10"):
+        code = main(["dde", "solve", "--rate", "2", "--lagged-rate", "-3",
+                     "--delay", "0.3", "--history", "exp(t)",
+                     "--horizon", horizon])
+        assert code == 0
+        rows += [[float(v) for v in line.split(",")]
+                 for line in capsys.readouterr().out.splitlines()[1:]]
+    rows = np.array(rows)
+    ref = dde_steps(2.0, -3.0, 0.3, math.exp, rows[:, 0])
+    np.testing.assert_allclose(rows[:, 1], ref, rtol=0, atol=1e-11)
 
 
 def test_dde_solve_validation():

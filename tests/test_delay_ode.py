@@ -1,6 +1,7 @@
 """Closed-form scalar delay ODE solver vs analytic cases and the stepping oracle."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from delayheat.delay_ode import (
     solve_modes,
     solve_on_grid,
 )
-from delayheat.delayed_exp import DelayedExpParams, delayed_exp_eval
 from delayheat.errors import DomainError, InputError, NumericError, QuadratureError
 from delayheat.quadrature import QuadratureConfig
 from delayheat.funcspec import parse_function
@@ -41,11 +41,16 @@ def _const_history(value=1.0):
 
 
 def test_kernel_reduces_to_delayed_exponential_when_rate_zero():
-    params = DelayOdeParams(a=0.0, b=0.8, tau=0.7)
-    dep = DelayedExpParams(rate=0.8, delay=0.7)
+    # With a = 0, K is the delayed exponential, the sum over j <= k of
+    # b^j (xi - (j-1) tau)^j / j! on (k-1) tau <= xi < k tau; b > 0 keeps
+    # that sum free of cancellation in float.
+    b, tau = 0.8, 0.7
     xi = np.linspace(-0.7, 3.0, 57)
-    got = kernel(params, xi)
-    want = np.array([delayed_exp_eval(dep, v) for v in xi])
+    got = kernel(DelayOdeParams(a=0.0, b=b, tau=tau), xi)
+    want = np.array([
+        sum(b**j * (v - (j - 1) * tau) ** j / math.factorial(j)
+            for j in range(math.floor(v / tau) + 2))
+        for v in xi])
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-14)
 
 
@@ -71,11 +76,9 @@ def test_exponential_solution_reproduced_exactly():
 
 def test_pure_lag_with_unit_history_is_delayed_exponential():
     params = DelayOdeParams(a=0.0, b=1.0, tau=1.0)
-    dep = DelayedExpParams(rate=1.0, delay=1.0)
     t = np.linspace(0.0, 4.0, 17)
     got = solve_at(params, _const_history(), None, t)
-    want = np.array([delayed_exp_eval(dep, v) for v in t])
-    np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
+    np.testing.assert_allclose(got, kernel(params, t), rtol=1e-11, atol=1e-13)
     assert solve_at(params, _const_history(), None, 1.5) == pytest.approx(2.625)
 
 
@@ -99,6 +102,9 @@ def test_validation():
         DelayOdeParams(a=0.0, b=0.0, tau=-1.0)
     with pytest.raises(InputError):
         DelayOdeParams(a=math.nan, b=0.0, tau=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(InputError):
+            kernel(DelayOdeParams(a=0.0, b=1.0, tau=1.0), [0.5, bad])
 
 
 _NONSTIFF = [
@@ -147,6 +153,25 @@ def test_grid_engine_on_stiff_mode_matches_exact_method_of_steps(b):
     mine = solve_on_grid(params, history, rho, 16, 48)
     ref = dde_steps_exact(a, b, tau, [1.0, 1.0, 1.0], t, rho_poly=[0.5, -1.0])
     np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-12)
+
+
+def test_per_point_evaluator_over_many_delays_matches_exact_steps():
+    # b < 0 over 16 to 19 delays: a sum over global delay multiples would
+    # carry terms of size e^((a + |b|) t) that cancel to K; the kernel's
+    # terms stay of the size of K's values at the segment starts.
+    params = DelayOdeParams(a=1.0, b=-2.0, tau=0.5)
+    t = np.array([8.0, 9.0, 9.5])
+    ref = dde_steps_exact(1.0, -2.0, 0.5, [1.0], t)
+    np.testing.assert_allclose(solve_at(params, _const_history(), None, t),
+                               ref, rtol=0, atol=1e-12)
+
+
+def test_grid_engine_over_many_delays_matches_exact_steps():
+    params = DelayOdeParams(a=2.0, b=-3.0, tau=0.3)
+    # dt = 0.05: steps 100 and 110 are t = 5 and 5.5, 16 and 18 delays on.
+    x = solve_on_grid(params, _spec_history("1 + t"), None, 6, 110)
+    ref = dde_steps_exact(2.0, -3.0, 0.3, [1.0, 1.0], [5.0, 5.5])
+    np.testing.assert_allclose(x[[99, 109]], ref, rtol=0, atol=1e-12)
 
 
 def test_grid_engine_without_data_is_zero_and_checks_arguments():
@@ -200,9 +225,11 @@ def test_engine_group_with_one_starved_mode_raises():
 def test_engine_overflow_in_one_mode_of_a_group_raises(b):
     # a dt = 35 and 50 grade their panels alike, so both modes form one
     # group; a (tau + t_n) = 525 stays in range, 750 does not.
+    # The overflow must raise, with no RuntimeWarning on the way.
     forcing = HermitePaths(np.linspace(0.0, 6.5, 14), np.ones((2, 14)),
                            np.zeros((2, 14)))
-    with pytest.raises(NumericError):
+    with warnings.catch_warnings(), pytest.raises(NumericError):
+        warnings.simplefilter("error")
         solve_modes([70.0, 100.0], [b, b], 1.0, None, forcing, 2, 13)
     assert np.all(np.isfinite(solve_modes([70.0], [b], 1.0, None,
                                           forcing.rows(np.array([0])), 2, 13)))
