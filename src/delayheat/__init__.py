@@ -82,6 +82,7 @@ from .heat_nodelay import (
     solve_u2,
     solve_u3,
 )
+from .oracle_fd import fd_solve_delay, fd_solve_nodelay
 from .quadrature import QuadratureConfig, composite_gauss, graded_breakpoints
 from .spectral import (
     DecayReport,
@@ -92,16 +93,6 @@ from .spectral import (
 )
 
 __version__ = "1.0.0"
-
-
-def __getattr__(name):
-    # The finite-difference oracle needs scipy.linalg; it loads on first use,
-    # so importing the package, and the check/solve path, loads no scipy.
-    if name in ("fd_solve_delay", "fd_solve_nodelay"):
-        from . import oracle_fd
-
-        return getattr(oracle_fd, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

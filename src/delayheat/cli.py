@@ -47,6 +47,7 @@ from .field import GridSpec, csv_rows, field_difference_report
 from .funcspec import parse_function
 from .heat_delay import solve_delay
 from .heat_nodelay import solve as solve_nodelay
+from .oracle_fd import fd_solve_delay, fd_solve_nodelay
 from .spectral import EigenBasis
 
 EXIT_OK = 0
@@ -196,9 +197,6 @@ def _solve_field(cfg, modes=None):
 
 
 def _fd_field(cfg):
-    # The oracle, and scipy with it, loads only for compare and sweep.
-    from .oracle_fd import fd_solve_delay, fd_solve_nodelay
-
     solve = fd_solve_delay if cfg.kind == "delay" else fd_solve_nodelay
     return solve(cfg.problem, _grid(cfg))
 

@@ -224,11 +224,8 @@ def forcing_paths(rp, basis, quad, count):
 
     One :func:`~delayheat.spectral.project_paths` pass reads values and
     slopes off one jet of f per rung of its panel ladder; the lift's share
-    F - f is linear in x and added in closed form.  The t-derivative
-    budget is checked on the full F, so that data without the derivative
-    raise the error they name.
+    F - f is linear in x and added in closed form.
     """
-    rp.forcing.differentiate("t")
     times = np.linspace(0.0, rp.horizon, count)
     return HermitePaths(times, *project_paths(rp.source, times, basis, quad,
                                               linear=rp.lift_forcing))
@@ -293,9 +290,6 @@ def build_modes(rp, basis, quad=None):
         return cached
 
     hist_times = np.linspace(-rp.tau, 0.0, 129)
-    # The t-derivative budget is checked on the full data, so that data
-    # without the derivative raise the error they name.
-    rp.shifted_initial.differentiate("t")
     history = HermitePaths(hist_times, *project_paths(
         rp.phi, hist_times, basis, quad, linear=fs_scale(rp.lift, -1.0)))
     forcing = forcing_paths(

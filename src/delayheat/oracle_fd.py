@@ -1,7 +1,9 @@
 """Finite-difference cross-check solver (method of lines + method of steps).
 
 Space: central second-order stencils on a uniform grid, Dirichlet rows pinned.
-Time: Crank-Nicolson, tridiagonal solves via banded LU.  The delayed terms
+Time: Crank-Nicolson; the tridiagonal matrix is the same for every step, so
+each march factors it once without pivoting (Thomas) and
+:func:`solve_banded` solves each step from the factors.  The delayed terms
 are explicit data: with dt = tau / nt_per_tau the lagged time level t - tau
 is exactly a stored row, so each step of the delayed problem only solves the
 instantaneous operator implicitly.  Both entry points run one driver,
@@ -24,9 +26,8 @@ container.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .errors import InputError
+from .errors import InputError, NumericError
 from .field import GridSpec, SolutionField
 
 FdConfig = GridSpec  # the benchmark harness imports the grid under this name
@@ -49,13 +50,33 @@ def _stencil(nx, dx, diff2, drift, react):
     return sub, diag, sup
 
 
-def _implicit_bands(nx, sub, diag, sup, theta_dt):
-    """Banded form of I - theta_dt * A with identity boundary rows."""
-    ab = np.zeros((3, nx + 1))
-    ab[1, :] = 1.0 - theta_dt * diag
-    ab[0, 1:] = -theta_dt * sup[:-1]
-    ab[2, :-1] = -theta_dt * sub[1:]
-    return ab
+def _factor(sub, diag, sup, theta_dt):
+    """Thomas factors of I - theta_dt * A (identity boundary rows) as lists:
+    multipliers, pivots and the super-diagonal.  A pivot below 1e-8 times
+    its row's largest |entry| raises :class:`NumericError`."""
+    lower, upper = (-theta_dt * sub).tolist(), (-theta_dt * sup).tolist()
+    main = (1.0 - theta_dt * diag).tolist()
+    mult, piv = [0.0], [1.0]  # row 0 is the identity
+    for i in range(1, len(main)):
+        mult.append(lower[i] / piv[i - 1])
+        piv.append(main[i] - mult[i] * upper[i - 1])
+        if abs(piv[i]) < 1e-8 * max(abs(lower[i]), abs(main[i]), abs(upper[i])):
+            raise NumericError(f"vanishing Crank-Nicolson pivot in row {i} "
+                               f"({piv[i]!r}); refine the grid")
+    return mult, piv, upper
+
+
+def solve_banded(mult, piv, upper, rhs):
+    """One Crank-Nicolson step for ``rhs`` from the :func:`_factor` factors,
+    as a list.  It divides by the pivots as LAPACK does: reciprocals would
+    bias every step alike and drift a long march by about 1e-11."""
+    v = rhs.tolist()
+    for i in range(1, len(v)):
+        v[i] -= mult[i] * v[i - 1]
+    v[-1] /= piv[-1]
+    for i in range(len(v) - 2, -1, -1):
+        v[i] = (v[i] - upper[i] * v[i + 1]) / piv[i]
+    return v
 
 
 def _apply_interior(sub, diag, sup, v):
@@ -73,7 +94,7 @@ def _crank_nicolson(v, start, op, dt, source, left, right, lagged=None):
     is the lagged term at time row i; like the source it is explicit data,
     averaged over both ends of each step.
     """
-    ab = _implicit_bands(v.shape[1] - 1, *op, 0.5 * dt)
+    factors = _factor(*op, 0.5 * dt)
     lag_next = lagged(start)[1:-1] if lagged is not None else None
     for i in range(start, v.shape[0] - 1):
         j = i - start
@@ -83,7 +104,7 @@ def _crank_nicolson(v, start, op, dt, source, left, right, lagged=None):
             rhs[1:-1] += 0.5 * dt * (lag_now + lag_next)
         rhs[1:-1] += 0.5 * dt * (source[j, 1:-1] + source[j + 1, 1:-1])
         rhs[0], rhs[-1] = left[i + 1], right[i + 1]
-        v[i + 1] = solve_banded((1, 1), ab, rhs)
+        v[i + 1] = solve_banded(*factors, rhs)
 
 
 def _march(p, x, t, start, dt, op, lag_op=None):

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InsufficientDataError
+from .funcspec import fs_sum
 from .quadrature import QuadratureConfig, halve_until_stable, panel_nodes
 
 
@@ -104,20 +105,19 @@ def project_paths(spec, times, basis, quad=None, kt=1, linear=None):
     pair agrees, rung P is returned and no error is raised.  Each rung
     evaluates one jet of t-order ``kt`` per block of time columns, every
     block as many points x columns as a 32-column block of rung P; values
-    and t-derivatives are read off that jet.  A spec without the
-    t-derivative raises :class:`UnsupportedOperationError`, as
-    ``differentiate`` does.
+    and t-derivatives are read off that jet.  When spec + linear lacks the
+    t-derivative, ``differentiate`` raises :class:`UnsupportedOperationError`.
 
     ``linear`` (or None) is a spec A(t) + x B(t), added in closed form
     after the ladder: its coefficients are s1 A + sx B, with
     s1_n = 2 (1 - (-1)^n) / (n pi) and sx_n = 2 l (-1)^(n+1) / (n pi) the
     coefficients of 1 and x, and A, B and their t-derivatives read off one
-    jet at x = 0.  Its derivative budget is not checked.
+    jet at x = 0.
     """
     if quad is None:
         quad = QuadratureConfig()
-    if kt:
-        spec.differentiate("t", kt)  # the budget check only
+    if kt:  # the budget check only
+        (spec if linear is None else fs_sum(spec, linear)).differentiate("t", kt)
     top = max(4, 2 * basis.n_modes)
     splits = next(k for k in (3, 2, 1) if top % 2**k == 0)
     out = halve_until_stable(

@@ -577,8 +577,8 @@ print(json.dumps({"codes": codes, "solve_scipy": solve_scipy,
 
 
 def test_check_and_solve_import_no_scipy(tmp_path):
-    # scipy serves only the finite-difference oracle and tabulated data; a
-    # fresh interpreter that runs check and solve must not load any of it.
+    # scipy serves only tabulated data; a fresh interpreter that runs check,
+    # solve and compare on expression data must not load any of it.
     repo = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -590,8 +590,8 @@ def test_check_and_solve_import_no_scipy(tmp_path):
     result = json.loads(proc.stdout)
     assert result["codes"] == [0, 0, 0, 0, 0]
     assert result["solve_scipy"] == []
-    # compare still runs the oracle, which loads scipy.linalg on demand.
-    assert "scipy.linalg" in result["compare_scipy"]
+    # compare runs the oracle, which solves its steps without scipy.
+    assert result["compare_scipy"] == []
     assert "oracle_meta" in json.loads((tmp_path / "m.json").read_text())
     assert result["fd"] == "fd_solve_delay"
 

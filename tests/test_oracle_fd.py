@@ -17,10 +17,12 @@ from delayheat import (
     GridSpec,
     HeatProblem,
     InputError,
+    NumericError,
     fd_solve_delay,
     fd_solve_nodelay,
     parse_function,
 )
+from delayheat import oracle_fd
 
 
 def _nodelay(a=1.0, b=0.0, c=0.0, length=math.pi, horizon=0.5,
@@ -123,6 +125,40 @@ def test_delay_march_without_lag_coupling_matches_the_nodelay_march():
     delayed = fd_solve_delay(p_delay, GridSpec(nx=40, nt_per_tau=8))
     np.testing.assert_array_equal(delayed.t[8:], plain.t)
     np.testing.assert_allclose(delayed.v[8:], plain.v, rtol=0.0, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# The tridiagonal step solve
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("nx", [3, 200])
+@pytest.mark.parametrize("peclet", [0.5, 5.0])
+@pytest.mark.parametrize("react", [-1e4, 0.0, 100.0])
+def test_step_solve_matches_a_dense_solve(nx, peclet, react):
+    # I - dt/2 A on [0, 1] at mesh ratio dt / dx^2 = 1, with a^2 = 1 and the
+    # drift set by the cell Peclet number b dx / (2 a^2); above 1 the
+    # off-diagonals of A change sign.
+    dx = 1.0 / nx
+    dt = dx**2
+    sub, diag, sup = op = oracle_fd._stencil(nx, dx, 1.0, 2.0 * peclet / dx,
+                                             react)
+    dense = np.eye(nx + 1) - 0.5 * dt * (
+        np.diag(diag) + np.diag(sub[1:], -1) + np.diag(sup[:-1], 1))
+    rhs = np.random.default_rng(nx).standard_normal(nx + 1)
+    want = np.linalg.solve(dense, rhs)
+    got = oracle_fd.solve_banded(*oracle_fd._factor(*op, 0.5 * dt), rhs)
+    np.testing.assert_allclose(got, want, rtol=0.0,
+                               atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_vanishing_pivot_raises():
+    # dx = dt = 1 and c = 4 make the first interior pivot 1 - (c - 2) / 2
+    # exactly zero; a pivoting solve would return a field that flips sign
+    # and grows fivefold every step.
+    p = _nodelay(a=1.0, b=0.0, c=4.0, length=3.0, horizon=2.0)
+    with pytest.raises(NumericError, match="vanishing Crank-Nicolson pivot in row 1"):
+        fd_solve_nodelay(p, GridSpec(nx=3, nt=2))
 
 
 # ---------------------------------------------------------------------------
