@@ -26,7 +26,6 @@ numerical floor pass vacuously (finitely many active modes).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +36,7 @@ from .errors import (
     InsufficientDataError,
     UnsupportedOperationError,
 )
-from .heat_delay import DelayHeatProblem, build_modes, reduce_delay
+from .heat_delay import DelayHeatProblem, build_modes, reduce_delay, steps_covered
 from .heat_nodelay import HeatProblem, reduce_problem
 from .quadrature import QuadratureConfig
 from .spectral import EigenBasis, decay_fit, sine_coefficients
@@ -77,11 +76,6 @@ class CompatReport:
             "hard_pass": self.hard_pass,
             "advisory_pass": self.advisory_pass,
         }
-
-
-def steps_covered(horizon, tau):
-    """Number of delay intervals covering [0, T]: m = ceil(T / tau)."""
-    return int(math.ceil(horizon / tau - 1e-9))
 
 
 def check_compatibility(p, tol=1e-8):

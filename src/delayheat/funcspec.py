@@ -32,15 +32,22 @@ Variables: ``x``, ``t``.  Named constants: ``pi`` (always bound), ``l`` and
 ``exp``, ``log``, ``sqrt``, ``abs``.  ``^`` binds tighter than unary minus,
 so ``-x^2`` means ``-(x^2)``.
 
-Printing an AST with :func:`to_string` and re-parsing yields a structurally
-identical AST (all ASTs produced by this module keep numeric literals
-non-negative; a leading minus is represented by a unary-minus node).
+This is Python's arithmetic with ``**`` spelled ``^``: :func:`parse_expression`
+refuses characters outside the grammar, rewrites the text to Python's
+spelling without moving an offset (blanks for whitespace and zero padding,
+``**`` for ``^``), runs :func:`ast.parse` and keeps only the grammar's nodes
+(decimal literals only: not ``0x1F``, ``2j`` or ``True``).  :func:`to_string`
+prints with :func:`ast.unparse`; re-parsing its text yields a structurally
+identical AST (this module keeps numeric literals non-negative and writes a
+leading minus as a unary-minus node).
 """
 
 from __future__ import annotations
 
+import ast
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,170 +104,109 @@ class Call:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer / recursive-descent parser
+# Parsing and printing, by Python's own parser and printer
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()])"
-)
+_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+# Characters outside the grammar, '_' (Python reads 1_0 as 10), and '**'.
+_REFUSED_RE = re.compile(r"[^\s\dA-Za-z.+\-*/^()]|\*\*")
+_SPACE_RE = re.compile(r"[^\S ]")
+# Leading zeros of a number's integer part, which Python refuses (007); an
+# exponent keeps its own (2.5e+07).  The literal 0 first makes the scan fast.
+_ZERO_PAD_RE = re.compile(r"0(?<![\w.]0)(?<![eE][+-]0)0*(?=\d)")
+_OPEN_RE = re.compile(r" *\(")
+_BIN_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+_PYTHON_OPS = {op: kind for kind, op in _BIN_OPS.items()}
 
 
-def _tokenize(src):
-    tokens = []
-    pos = 0
-    n = len(src)
-    while pos < n:
-        if src[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(src, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {src[pos]!r}", pos)
-        if m.lastgroup == "num":
-            tokens.append(("num", float(m.group()), pos))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group(), pos))
-        else:
-            tokens.append((m.group(), m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", None, n))
-    return tokens
+class _Refused(Exception):
+    """A Python node outside the grammar: (message, offset in the parsed text)."""
 
 
-class _Parser:
-    def __init__(self, src):
-        self.src = src
-        self.tokens = _tokenize(src)
-        self.i = 0
+def _from_python(node, text):
+    """The grammar's AST for a node of ``ast.parse(text)``."""
+    kind = type(node)
+    if kind is ast.BinOp and type(node.op) in _BIN_OPS:
+        return Bin(_BIN_OPS[type(node.op)], _from_python(node.left, text),
+                   _from_python(node.right, text))
+    if kind is ast.UnaryOp and type(node.op) is ast.USub:
+        return Neg(_from_python(node.operand, text))
+    # The literal's own text decides: Python also reads 0x1F, 2j and True.
+    if kind is ast.Constant and _NUMBER_RE.fullmatch(text, node.col_offset, node.end_col_offset):
+        return Num(float(text[node.col_offset:node.end_col_offset]))
+    if kind is ast.Name:
+        if node.id in VARIABLES:
+            return Var(node.id)
+        if node.id in CONSTANTS:
+            return Const(node.id)
+        raise _Refused(f"unknown identifier {node.id!r}", node.col_offset)
+    # The name must stand right before its '(': Python drops those of "(sin)(x)".
+    if (kind is ast.Call and type(node.func) is ast.Name
+            and _OPEN_RE.match(text, node.func.end_col_offset)):
+        if node.func.id not in FUNCTIONS:
+            raise _Refused(f"unknown function {node.func.id!r}", node.col_offset)
+        if len(node.args) == 1 and not node.keywords:
+            return Call(node.func.id, _from_python(node.args[0], text))
+    raise _Refused("invalid expression", node.col_offset)
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {self._describe(tok)}", tok[2])
-        return self.advance()
-
-    @staticmethod
-    def _describe(tok):
-        return "end of input" if tok[0] == "end" else repr(
-            tok[1] if tok[0] != "num" else tok[1]
-        )
-
-    def parse(self):
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"unexpected trailing input {self._describe(tok)}", tok[2])
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = Bin(op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = Bin(op, node, self.factor())
-        return node
-
-    def factor(self):
-        if self.peek()[0] == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek()[0] == "^":
-            self.advance()
-            return Bin("^", base, self.factor())
-        return base
-
-    def atom(self):
-        tok = self.peek()
-        kind, value, pos = tok
-        if kind == "num":
-            self.advance()
-            return Num(value)
-        if kind == "name":
-            self.advance()
-            if self.peek()[0] == "(":
-                if value not in FUNCTIONS:
-                    raise ParseError(f"unknown function {value!r}", pos)
-                self.advance()
-                arg = self.expr()
-                self.expect(")")
-                return Call(value, arg)
-            if value in VARIABLES:
-                return Var(value)
-            if value in CONSTANTS:
-                return Const(value)
-            raise ParseError(f"unknown identifier {value!r}", pos)
-        if kind == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ParseError(f"expected a value, found {self._describe(tok)}", pos)
+def _source_offset(text, pos):
+    """The offset in ``text`` of offset ``pos`` in ``text`` with '^' spelled '**'."""
+    for k, c in enumerate(text):
+        pos -= 2 if c == "^" else 1
+        if pos < 0:
+            return k
+    return len(text)
 
 
 def parse_expression(src):
     """Parse expression source into an AST; raise ParseError with offset."""
     if not isinstance(src, str):
         raise InputError(f"expression source must be a string, got {type(src).__name__}")
-    return _Parser(src).parse()
+    refused = _REFUSED_RE.search(src)
+    if refused:
+        pos = refused.end() - 1
+        raise ParseError(f"unexpected character {src[pos]!r}", pos)
+    # Rewrites that keep every offset: any whitespace becomes a blank, any
+    # decimal digit an ASCII one (float() reads both), and zero padding blanks.
+    text = _SPACE_RE.sub(" ", src)
+    if not text.isascii():
+        text = re.sub(r"\d", lambda m: str(int(m[0])), text)
+    text = _ZERO_PAD_RE.sub(lambda m: " " * len(m[0]), text)
+    body = text.lstrip(" ")
+    python = body.replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # SyntaxWarning on "1or x"
+            tree = ast.parse(python, mode="eval")
+        return _from_python(tree.body, python)
+    except SyntaxError as e:
+        message, pos = "invalid expression", (e.offset or 1) - 1
+    except (RecursionError, MemoryError):  # MemoryError: the parser's stack
+        message, pos = "expression nested too deeply", 0
+    except _Refused as e:
+        message, pos = e.args
+    raise ParseError(message, len(text) - len(body) + _source_offset(body, pos))
 
 
-# ---------------------------------------------------------------------------
-# Printing (inverse of parsing, up to whitespace)
-# ---------------------------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(node):
-    if isinstance(node, Bin):
-        return {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL, "^": _PREC_POW}[node.op]
+def _to_python(node):
+    if isinstance(node, Num):
+        return ast.Constant(node.value)
+    if isinstance(node, (Var, Const)):
+        return ast.Name(node.name)
+    if isinstance(node, Call):
+        return ast.Call(ast.Name(node.fn), [_to_python(node.arg)], [])
     if isinstance(node, Neg):
-        return _PREC_NEG
-    return _PREC_ATOM
-
-
-def _wrap(node, min_prec):
-    s = to_string(node)
-    return f"({s})" if _prec(node) < min_prec else s
+        return ast.UnaryOp(ast.USub(), _to_python(node.operand))
+    if isinstance(node, Bin):
+        return ast.BinOp(_to_python(node.left), _PYTHON_OPS[node.op](),
+                         _to_python(node.right))
+    raise InputError(f"not an AST node: {node!r}")
 
 
 def to_string(node):
     """Render an AST back to grammar-conformant source text."""
-    if isinstance(node, Num):
-        return repr(node.value)
-    if isinstance(node, (Var, Const)):
-        return node.name
-    if isinstance(node, Call):
-        return f"{node.fn}({to_string(node.arg)})"
-    if isinstance(node, Neg):
-        return "-" + _wrap(node.operand, _PREC_NEG)
-    if isinstance(node, Bin):
-        if node.op in ("+", "-"):
-            return f"{_wrap(node.left, _PREC_ADD)} {node.op} {_wrap(node.right, _PREC_MUL)}"
-        if node.op in ("*", "/"):
-            return f"{_wrap(node.left, _PREC_MUL)} {node.op} {_wrap(node.right, _PREC_NEG)}"
-        return f"{_wrap(node.left, _PREC_ATOM)}^{_wrap(node.right, _PREC_NEG)}"
-    raise InputError(f"not an AST node: {node!r}")
+    return ast.unparse(_to_python(node)).replace(" ** ", "^")
 
 
 # ---------------------------------------------------------------------------

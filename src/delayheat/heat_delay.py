@@ -271,11 +271,17 @@ class ModeSystem:
         return rows
 
 
+def steps_covered(horizon, tau):
+    """Number of delay intervals covering [0, T]: m = ceil(T / tau)."""
+    return int(math.ceil(horizon / tau - 1e-9))
+
+
 def build_modes(rp, basis, quad=None):
     """Project the reduced problem onto the sine basis.
 
     Phi_n and Phi_n' are sampled at 129 times on [-tau, 0]; F_n and F_n' at
-    max(257, 64 ceil(T / tau) + 1) times on [0, T] (:func:`forcing_paths`).
+    max(257, 64 m + 1) times on [0, T], for the m = :func:`steps_covered`
+    delay intervals that cover it (:func:`forcing_paths`).
     Each family is one :func:`~delayheat.spectral.project_paths` pass, which
     reads the values and the t-slopes off one jet per rung and climbs from
     P/8 to at most P = max(4, 2N) panels until two rungs agree (rung P when
@@ -293,7 +299,7 @@ def build_modes(rp, basis, quad=None):
     history = HermitePaths(hist_times, *project_paths(
         rp.phi, hist_times, basis, quad, linear=fs_scale(rp.lift, -1.0)))
     forcing = forcing_paths(
-        rp, basis, quad, max(257, 64 * int(math.ceil(rp.horizon / rp.tau)) + 1))
+        rp, basis, quad, max(257, 64 * steps_covered(rp.horizon, rp.tau) + 1))
     ms = ModeSystem(basis, rp.tau, rp.horizon, *modal_rates(rp, basis),
                     history, forcing)
     rp._cache[key] = ms

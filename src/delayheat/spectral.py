@@ -62,7 +62,8 @@ class EigenBasis:
     def eigenfunctions(self, x):
         """Matrix sin(pi n x / length), shape (N, len(x))."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.sin(np.outer(self.wavenumbers(), x))
+        table = np.outer(self.wavenumbers(), x)
+        return np.sin(table, out=table)
 
 
 # Time columns of one jet on the top rung of ``project_paths``.  A rung with
@@ -200,6 +201,9 @@ class HermitePaths:
         return out / self.step**nu if nu else out
 
 
+_SINE_BLOCK = 1 << 16  # points per sine table in sine_coefficients
+
+
 def sine_coefficients(f, basis, quad=None):
     """Coefficients c_n = (2 / l) * integral f(x) sin(pi n x / l) dx, n = 1..N.
 
@@ -215,8 +219,11 @@ def sine_coefficients(f, basis, quad=None):
     def level(panels):
         edges = np.linspace(0.0, basis.length, panels + 1)
         pts, wts = panel_nodes(edges, quad.nodes_per_panel)
-        vals = np.asarray(f(pts), dtype=float)
-        return (2.0 / basis.length) * (basis.eigenfunctions(pts) @ (wts * vals))
+        weighted = wts * np.asarray(f(pts), dtype=float)
+        # One sine table per block of points bounds the memory of fine levels.
+        blocks = [basis.eigenfunctions(pts[i:i + _SINE_BLOCK]) @ weighted[i:i + _SINE_BLOCK]
+                  for i in range(0, pts.size, _SINE_BLOCK)]
+        return (2.0 / basis.length) * sum(blocks[1:], blocks[0])
 
     return halve_until_stable(
         level, panels, quad,

@@ -70,6 +70,41 @@ def test_parse_errors(src):
         parse_expression(src)
 
 
+@pytest.mark.parametrize("src, expected", [
+    ("007*x", Bin("*", Num(7.0), Var("x"))),     # zero padding, which Python refuses
+    ("2.5e+07", Num(2.5e7)),                     # an exponent keeps its zeros
+    ("x\n+\t1", Bin("+", Var("x"), Num(1.0))),
+    ("x\u00a0+ 1", Bin("+", Var("x"), Num(1.0))),  # a no-break space
+    ("  sin(x)", Call("sin", Var("x"))),
+])
+def test_parse_edge_cases(src, expected):
+    assert parse_expression(src) == expected
+
+
+@pytest.mark.parametrize("src", [
+    "x**2", "1_0", "0x1F", "2j", "+x", "True", "sin", "sin(x, t)", "x.y", "(x, t)",
+])
+def test_parse_rejects_python_beyond_the_grammar(src):
+    with pytest.raises(ParseError):
+        parse_expression(src)
+
+
+def test_parse_error_offsets():
+    with pytest.raises(ParseError) as err:
+        parse_expression("t^2+q")
+    assert err.value.position == 4
+    for src in ["2 +", "sin(x", "x y", "1..2", "^2", "()", "", "   ", "(x))",
+                "x^^2", "x^", "  2^(", "x +\n"]:
+        with pytest.raises(ParseError) as err:
+            parse_expression(src)
+        assert 0 <= err.value.position <= len(src), src
+
+
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError):
+        parse_expression("(" * 300 + "x" + ")" * 300)
+
+
 def test_unbound_constant_rejected_at_evaluation():
     f = parse_function("l*x")  # construction is lazy about bindings
     with pytest.raises(InputError):

@@ -95,6 +95,15 @@ def test_mode_rates_decrease_with_mode_number():
     np.testing.assert_allclose(ms.ode_b, 0.1 - 0.25 * lam, atol=1e-12)
 
 
+def test_forcing_knots_follow_the_delay_intervals_that_cover_the_horizon():
+    # T / tau = 2.1 / 0.3 rounds to 7.000000000000001: seven intervals, so
+    # 64 * 7 + 1 knots at spacing tau / 64, on the dt = tau / m grid.
+    p = _problem(tau=0.3, horizon=2.1, g="sin(x)*t")
+    times = build_modes(reduce_delay(p), EigenBasis(p.length, 4)).forcing_paths.times
+    assert times.size == 449
+    np.testing.assert_allclose(np.diff(times), 0.3 / 64, rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Projections of the history segment
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the sine eigenbasis: projection, synthesis, and decay fitting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,24 @@ def test_parabola_coefficients_scale_with_length():
         n % 2 == 1, 8.0 * length**2 / (np.pi**3 * n.astype(float) ** 3), 0.0
     )
     np.testing.assert_allclose(coeffs, expected, atol=1e-10)
+
+
+def test_kinked_projection_memory_is_bounded():
+    # |x - 1| on [0, pi] settles only at 2^18 points, one halving short of
+    # the limit; that level's whole sine table and its argument would be
+    # 2 x 64 x 2^18 doubles, 256 MiB.
+    basis = EigenBasis(length=np.pi, n_modes=64)
+    tracemalloc.start()
+    try:
+        coeffs = sine_coefficients(lambda x: np.abs(x - 1.0), basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    k = basis.wavenumbers()
+    integral = (1.0 / k - 2.0 * np.sin(k) / k**2 - (np.pi - 1.0) * np.cos(k * np.pi) / k
+                + np.sin(k * np.pi) / k**2)
+    np.testing.assert_allclose(coeffs, (2.0 / np.pi) * integral, atol=1e-9)
 
 
 def test_projection_synthesis_round_trip_band_limited():
