@@ -43,12 +43,11 @@ from .errors import (
     NumericError,
     QuadratureError,
 )
-from .field import GridSpec, csv_rows, field_difference_report
+from .field import csv_rows, field_difference_report
 from .funcspec import parse_function
 from .heat_delay import solve_delay
 from .heat_nodelay import solve as solve_nodelay
 from .oracle_fd import fd_solve_delay, fd_solve_nodelay
-from .spectral import EigenBasis
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -103,28 +102,17 @@ def _check_writable(*paths):
 
 
 def _load(args):
+    """The config with the flag overrides applied and checked by the same
+    rules as the config's own settings."""
     cfg = load_config(args.config)
-    s = cfg.solver
     other_kind = "nt" if cfg.kind == "delay" else "nt_per_tau"
     if getattr(args, other_kind, None) is not None:
         flag = "--" + other_kind.replace("_", "-")
         raise ConfigError(f"{flag} does not apply to {cfg.kind} problems")
-    if getattr(args, "modes_n", None) is not None:
-        if args.modes_n < 1:
-            raise ConfigError("--modes must be at least 1")
-        s.modes = args.modes_n
-    if getattr(args, "nx", None) is not None:
-        if args.nx < 2:
-            raise ConfigError("--nx must be at least 2")
-        s.nx = args.nx
-    if getattr(args, "nt", None) is not None:
-        if args.nt < 1:
-            raise ConfigError("--nt must be at least 1")
-        s.nt = args.nt
-    if getattr(args, "nt_per_tau", None) is not None:
-        if args.nt_per_tau < 1:
-            raise ConfigError("--nt-per-tau must be at least 1")
-        s.nt_per_tau = args.nt_per_tau
+    for key in ("modes", "nx", "nt", "nt_per_tau"):
+        if getattr(args, key, None) is not None:
+            setattr(cfg.solver, key, getattr(args, key))
+    cfg.check_solver()
     return cfg
 
 
@@ -137,14 +125,10 @@ def _resolve_outputs(args, cfg):
     return args.out_field or cfg.outputs.get("field_csv"), out_report
 
 
-def _basis_for(cfg, modes=None):
-    return EigenBasis(cfg.problem.length, modes or cfg.solver.modes)
-
-
-def _compat_report(cfg, modes=None):
+def _compat_report(cfg):
     return check_problem(
         cfg.problem,
-        basis=_basis_for(cfg, modes),
+        basis=cfg.basis(),
         quad=cfg.solver.quadrature,
         m=cfg.check.m,
         delta=cfg.check.delta,
@@ -183,22 +167,15 @@ def _gate(cfg, override):
     return report, EXIT_OK
 
 
-def _grid(cfg):
-    """The one grid of a run: the series field and the oracle both use it.
-    The config holds the time step count of its own problem kind only."""
-    s = cfg.solver
-    return GridSpec(nx=s.nx, nt=s.nt, nt_per_tau=s.nt_per_tau)
-
-
 def _solve_field(cfg, modes=None):
     solve = solve_delay if cfg.kind == "delay" else solve_nodelay
-    return solve(cfg.problem, _basis_for(cfg, modes), _grid(cfg),
+    return solve(cfg.problem, cfg.basis(modes), cfg.grid(),
                  cfg.solver.quadrature)
 
 
 def _fd_field(cfg):
     solve = fd_solve_delay if cfg.kind == "delay" else fd_solve_nodelay
-    return solve(cfg.problem, _grid(cfg))
+    return solve(cfg.problem, cfg.grid())
 
 
 def _print_check_summary(report):
@@ -289,14 +266,16 @@ def _parse_mode_list(text):
         values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"--modes expects a comma-separated integer list: {exc}")
-    if not values or any(v < 1 for v in values):
-        raise ConfigError("--modes list entries must be positive integers")
+    if not values:
+        raise ConfigError("--modes expects at least one mode count")
     return values
 
 
 def _sweep_body(args, cfg, out_field, payload):
     mode_list = (_parse_mode_list(args.modes_list) if args.modes_list
-                 else list(_SWEEP_MODES))
+                 else _SWEEP_MODES)
+    for n_modes in mode_list:  # the basis judges each count before any work
+        cfg.basis(n_modes)
     oracle = _fd_field(cfg)
     rows = []
     for n_modes in mode_list:
@@ -348,8 +327,14 @@ def _cmd_dde_solve(args):
     return EXIT_OK
 
 
-def _add_common_flags(p, with_field=True, with_override=True):
+def _add_common_flags(p, with_field=True, with_override=True, sweep=False):
     p.add_argument("--config", required=True, help="JSON run configuration")
+    if sweep:
+        p.add_argument("--modes", dest="modes_list", default=None,
+                       help="comma-separated mode counts (default 8,16,32,64)")
+    else:
+        p.add_argument("--modes", type=int, default=None,
+                       help="number of series modes")
     p.add_argument("--nx", type=int, default=None,
                    help="override: space intervals")
     p.add_argument("--nt", type=int, default=None,
@@ -378,28 +363,20 @@ def build_parser():
 
     p_check = sub.add_parser("check", help="run admissibility checks only")
     _add_common_flags(p_check, with_field=False, with_override=False)
-    p_check.add_argument("--modes", dest="modes_n", type=int, default=None,
-                         help="number of series modes")
     p_check.set_defaults(func=_cmd_check)
 
     p_solve = sub.add_parser("solve", help="solve and emit the field")
     _add_common_flags(p_solve)
-    p_solve.add_argument("--modes", dest="modes_n", type=int, default=None,
-                         help="number of series modes")
     p_solve.set_defaults(func=_run_gated, body=_solve_body)
 
     p_cmp = sub.add_parser("compare",
                            help="solve via series and finite differences; report differences")
     _add_common_flags(p_cmp)
-    p_cmp.add_argument("--modes", dest="modes_n", type=int, default=None,
-                       help="number of series modes")
     p_cmp.set_defaults(func=_run_gated, body=_compare_body)
 
     p_sweep = sub.add_parser("sweep",
                              help="accuracy/runtime sweep over mode counts")
-    _add_common_flags(p_sweep, with_field=False)
-    p_sweep.add_argument("--modes", dest="modes_list", default=None,
-                         help="comma-separated mode counts (default 8,16,32,64)")
+    _add_common_flags(p_sweep, with_field=False, sweep=True)
     p_sweep.set_defaults(func=_run_gated, body=_sweep_body)
 
     p_dde = sub.add_parser("dde", help="scalar delay ODE utilities")

@@ -34,7 +34,9 @@ against the directory of the config file, so a run writes the same files
 from any working directory; a relative path given as a flag stays relative
 to the working directory.  The time grid is set by ``nt_per_tau`` for delay
 problems (default 16) and by ``nt`` for problems without delay (default
-200); the setting of the other kind is an error, not ignored.
+200); the setting of the other kind is an error, not ignored, and so are
+``check.m`` and ``check.delta`` without a delay.  The run's basis and grid
+check the solver settings (:meth:`RunConfig.check_solver`).
 
 Each function slot accepts a number (a constant), an expression string over
 ``x`` and ``t`` (with ``pi`` plus the problem's ``l`` and ``tau`` bound as
@@ -58,7 +60,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
-from .errors import ConfigError, DelayHeatError
+from .errors import ConfigError, DelayHeatError, InputError
+from .field import GridSpec
 from .funcspec import (
     FunctionSpec,
     Sampled1DFunction,
@@ -69,6 +72,7 @@ from .funcspec import (
 from .heat_delay import DelayHeatProblem
 from .heat_nodelay import HeatProblem
 from .quadrature import QuadratureConfig
+from .spectral import EigenBasis
 
 
 @dataclass
@@ -102,6 +106,24 @@ class RunConfig:
     @property
     def kind(self):
         return "delay" if isinstance(self.problem, DelayHeatProblem) else "nodelay"
+
+    def basis(self, modes=None):
+        """The run's sine basis: ``solver.modes`` modes, or ``modes``."""
+        return EigenBasis(self.problem.length,
+                          self.solver.modes if modes is None else modes)
+
+    def grid(self):
+        """The one grid of a run, shared by the series field and the oracle."""
+        s = self.solver
+        return GridSpec(nx=s.nx, nt=s.nt, nt_per_tau=s.nt_per_tau)
+
+    def check_solver(self):
+        """Judge the solver settings by the basis's and the grid's rules."""
+        try:
+            self.basis()
+            self.grid()
+        except InputError as exc:
+            raise ConfigError(f"invalid solver settings: {exc}") from exc
 
 
 def _require(mapping, key, where):
@@ -245,18 +267,13 @@ def solver_from_dict(data):
         raise ConfigError("'solver.quadrature' must be an object")
     modes = _int_or_none(data, "modes", 64, where)
     nx = _int_or_none(data, "nx", 200, where)
-    settings = SolverSettings(
+    return SolverSettings(
         modes=64 if modes is None else modes,
         nx=200 if nx is None else nx,
         nt=_int_or_none(data, "nt", None, where),
         nt_per_tau=_int_or_none(data, "nt_per_tau", None, where),
         quadrature=quad,
     )
-    if settings.modes < 1:
-        raise ConfigError(f"modes must be at least 1, got {settings.modes}")
-    if settings.nx < 2:
-        raise ConfigError(f"nx must be at least 2, got {settings.nx}")
-    return settings
 
 
 def check_from_dict(data):
@@ -314,6 +331,12 @@ def config_from_dict(data):
             f"set solver.{key}")
     if getattr(cfg.solver, key) is None:
         setattr(cfg.solver, key, default)
+    if cfg.kind == "nodelay":
+        for name in ("m", "delta"):
+            if (data.get("check") or {}).get(name) is not None:
+                raise ConfigError(
+                    f"check.{name} does not apply to nodelay problems")
+    cfg.check_solver()
     return cfg
 
 

@@ -12,8 +12,10 @@ estimates give E(t) <= exp(C t) E(0) with
               omega tau - a2^2 / epsilon - |b2| >= 0.
 
 Integrals use the trapezoid rule on the solution grid (the history integral
-runs over the stored rows between t - tau and t), and the implied quadrature
-error is estimated by comparing against a half-resolution evaluation.
+runs over the stored rows between t - tau and t).  One computation gives the
+trace and, on every other x column and (for an even number of steps per
+delay) every other history row, the half-resolution trace whose distance
+estimates the quadrature error.
 """
 
 from __future__ import annotations
@@ -36,31 +38,6 @@ class EnergyReport:
     omega: float
     quad_error_estimate: float
 
-    def to_dict(self):
-        return {
-            "times": [float(v) for v in self.times],
-            "values": [float(v) for v in self.values],
-            "c_fit": self.c_fit,
-            "omega": self.omega,
-            "quad_error_estimate": self.quad_error_estimate,
-        }
-
-
-def _row_energy(w, x):
-    return np.trapezoid(w**2, x, axis=-1)
-
-
-def _row_gradient_energy(w, x):
-    gx = np.gradient(w, x, axis=-1)
-    return np.trapezoid(gx**2, x, axis=-1)
-
-
-def _coarse_indices(n):
-    idx = list(range(0, n, 2))
-    if idx[-1] != n - 1:
-        idx.append(n - 1)
-    return np.array(idx)
-
 
 def energy_trace(field, tau=None, omega=0.0):
     """Energy of a field for t >= 0; pass ``tau`` and ``omega`` for the
@@ -72,38 +49,33 @@ def energy_trace(field, tau=None, omega=0.0):
     times = t[pos]
     if times.size < 2:
         raise InputError("field needs at least two time rows with t >= 0")
-
-    ci = _coarse_indices(x.size)
-    base = _row_energy(w[pos], x)
-    base_coarse = _row_energy(w[pos][:, ci], x[ci])
-
-    if tau is None:
-        values = base
-        values_coarse = base_coarse
-    else:
+    if tau is not None:
         if not np.isclose(t[0], -tau, rtol=1e-9, atol=1e-12):
             raise InputError("delay energy needs history rows starting at -tau")
         dt = float(t[1] - t[0])
         m = int(round(tau / dt))
         if not math.isclose(m * dt, tau, rel_tol=1e-9, abs_tol=1e-12):
             raise InputError("field time step does not divide tau")
-        grad = _row_gradient_energy(w, x)
-        grad_coarse = _row_gradient_energy(w[:, ci], x[ci])
-        offset = int(np.argmax(pos))
-        hist = np.empty(times.size)
-        hist_coarse = np.empty(times.size)
-        for k in range(times.size):
-            j = offset + k
-            window = grad[j - m: j + 1]
-            hist[k] = np.trapezoid(window, dx=dt) / tau
-            window_c = grad_coarse[j - m: j + 1]
-            if m % 2 == 0 and m >= 2:
-                hist_coarse[k] = np.trapezoid(window_c[::2], dx=2 * dt) / tau
-            else:
-                hist_coarse[k] = np.trapezoid(window_c, dx=dt) / tau
-        values = base + omega * hist
-        values_coarse = base_coarse + omega * hist_coarse
 
+    def trace(cols, stride):
+        """E(t) from the x columns ``cols``, the history integral over
+        every ``stride``-th row of its window."""
+        xc = x[cols]
+        values = np.trapezoid(w[pos][:, cols]**2, xc, axis=-1)
+        if tau is None:
+            return values
+        gx = np.gradient(w[:, cols], xc, axis=-1)
+        grad = np.trapezoid(gx**2, xc, axis=-1)
+        hist = [np.trapezoid(grad[j - m: j + 1][::stride], dx=stride * dt) / tau
+                for j in np.flatnonzero(pos)]
+        return values + omega * np.array(hist)
+
+    values = trace(slice(None), 1)
+    # Every other x column (and the last), and every other history row when
+    # that leaves the window's end rows in.
+    coarse = np.union1d(np.arange(0, x.size, 2), [x.size - 1])
+    values_coarse = trace(coarse, 2 if tau is not None and m % 2 == 0 and m >= 2
+                          else 1)
     est = float(np.max(np.abs(values - values_coarse))) if values.size else 0.0
 
     e0 = float(values[0])
@@ -167,15 +139,6 @@ class GronwallResult:
     c_theory: float
     slack: float
     worst_time: float
-
-    def to_dict(self):
-        return {
-            "pass": self.passed,
-            "margin": self.margin,
-            "c_theory": self.c_theory,
-            "slack": self.slack,
-            "worst_time": self.worst_time,
-        }
 
 
 def gronwall_check(report, c_theory, slack=None, solver_tol=0.0):

@@ -260,7 +260,8 @@ class GridSpec:
         """Time rows: [0, T] for non-delay grids, [-tau, T_eff] for delay grids.
 
         Delay grids use dt = tau / nt_per_tau so steps divide the delay
-        exactly; T_eff is the smallest grid multiple >= T.
+        exactly; T_eff is the smallest grid multiple >= T, and the solvers
+        read the data up to max(T, ceil(T / tau) tau) >= T_eff.
         """
         dt = self.time_step(horizon, tau)
         if tau is None:

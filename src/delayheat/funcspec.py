@@ -580,11 +580,6 @@ class ExprFunction(FunctionSpec):
     def _jet(self, x, t, kx, kt):
         return _eval_ast(self.ast, *_variables(x, t, kx, kt), self.consts)
 
-    def bind(self, **values):
-        merged = dict(self.consts)
-        merged.update({k: float(v) for k, v in values.items()})
-        return ExprFunction(self.ast, merged)
-
     @property
     def source(self):
         return to_string(self.ast)

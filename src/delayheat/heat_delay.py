@@ -218,15 +218,14 @@ def modal_rates(rp, basis):
     return rp.c1 - lam * rp.a1**2, rp.c2 - lam * rp.a2**2
 
 
-def forcing_paths(rp, basis, quad, count):
-    """The forcing family F_n, with slopes F_n', at ``count`` uniform times
-    on [0, T], as :class:`~delayheat.spectral.HermitePaths`.
+def forcing_paths(rp, basis, quad, times):
+    """The forcing family F_n, with slopes F_n', at the caller's ``times``,
+    as :class:`~delayheat.spectral.HermitePaths`.
 
     One :func:`~delayheat.spectral.project_paths` pass reads values and
     slopes off one jet of f per rung of its panel ladder; the lift's share
     F - f is linear in x and added in closed form.
     """
-    times = np.linspace(0.0, rp.horizon, count)
     return HermitePaths(times, *project_paths(rp.source, times, basis, quad,
                                               linear=rp.lift_forcing))
 
@@ -236,7 +235,7 @@ class ModeSystem:
     """Per-mode scalar delay ODEs with their coefficient paths.
 
     ``ode_a``/``ode_b`` are the instantaneous/lagged rates (L_n, B_n).  The
-    history paths Phi_n on [-tau, 0] and the forcing paths F_n on [0, T] are
+    history paths Phi_n on [-tau, 0] and the forcing paths F_n from 0 are
     each one :class:`~delayheat.spectral.HermitePaths` of the projected
     samples and slopes; slopes are projections of the t-differentiated data,
     not differences of the samples.  A family's ``row(n)`` is mode n's data
@@ -280,8 +279,10 @@ def build_modes(rp, basis, quad=None):
     """Project the reduced problem onto the sine basis.
 
     Phi_n and Phi_n' are sampled at 129 times on [-tau, 0]; F_n and F_n' at
-    max(257, 64 m + 1) times on [0, T], for the m = :func:`steps_covered`
-    delay intervals that cover it (:func:`forcing_paths`).
+    max(257, 64 m + 1) times on [0, max(T, m tau)], for the
+    m = :func:`steps_covered` delay intervals that cover [0, T]
+    (:func:`forcing_paths`), so the grid rows past T, up to
+    T_eff <= m tau, read F where it was sampled.
     Each family is one :func:`~delayheat.spectral.project_paths` pass, which
     reads the values and the t-slopes off one jet per rung and climbs from
     P/8 to at most P = max(4, 2N) panels until two rungs agree (rung P when
@@ -298,8 +299,9 @@ def build_modes(rp, basis, quad=None):
     hist_times = np.linspace(-rp.tau, 0.0, 129)
     history = HermitePaths(hist_times, *project_paths(
         rp.phi, hist_times, basis, quad, linear=fs_scale(rp.lift, -1.0)))
-    forcing = forcing_paths(
-        rp, basis, quad, max(257, 64 * steps_covered(rp.horizon, rp.tau) + 1))
+    m = steps_covered(rp.horizon, rp.tau)
+    forcing = forcing_paths(rp, basis, quad, np.linspace(
+        0.0, max(rp.horizon, m * rp.tau), max(257, 64 * m + 1)))
     ms = ModeSystem(basis, rp.tau, rp.horizon, *modal_rates(rp, basis),
                     history, forcing)
     rp._cache[key] = ms

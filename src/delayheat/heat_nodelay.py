@@ -114,7 +114,7 @@ def _mode_data(rp, basis, quad):
     (initial,) = project_paths(rp.phi, np.zeros(1), basis, quad, kt=0,
                                linear=fs_scale(rp.lift, -1.0))
     return (initial[:, 0], modal_rates(rp, basis),
-            forcing_paths(rp, basis, quad, 257))
+            forcing_paths(rp, basis, quad, np.linspace(0.0, rp.horizon, 257)))
 
 
 def _duhamel_decay(a, forcing, t, quad):

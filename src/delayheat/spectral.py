@@ -253,7 +253,7 @@ class DecayReport:
     ``threshold``/``passed`` are filled when a target smoothness class was
     requested; ``passed`` is also granted when the sequence decays faster
     than any power (log-log curvature test), recorded in
-    ``super_polynomial``.  Serialized with the key ``"pass"``.
+    ``super_polynomial``.
     """
 
     slope: float
@@ -263,17 +263,6 @@ class DecayReport:
     super_polynomial: bool
     threshold: float = None
     passed: bool = None
-
-    def to_dict(self):
-        return {
-            "slope": self.slope,
-            "constant": self.constant,
-            "window": list(self.window),
-            "n_used": self.n_used,
-            "super_polynomial": self.super_polynomial,
-            "threshold": self.threshold,
-            "pass": self.passed,
-        }
 
 
 def decay_fit(coeffs, m=None, fit_slack=0.25):

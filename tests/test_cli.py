@@ -433,6 +433,27 @@ def test_bad_flag_values_exit_1(tmp_path):
     assert main(["solve", "--config", cfg, "--nt-per-tau", "0"]) == 1
 
 
+def test_zero_time_steps_in_the_config_exit_1_at_check(tmp_path, capsys):
+    # The config is judged by the grid's own rules at load, before the
+    # gate, as the flags are.
+    out = str(tmp_path / "r.json")
+    for name, key in (("pure_diffusion", "nt"),
+                      ("delay_single_mode", "nt_per_tau")):
+        data = json.loads((CONFIGS / f"{name}.json").read_text())
+        data.pop("outputs", None)
+        data["solver"][key] = 0
+        cfg = _write(tmp_path, "run.json", data)
+        assert main(["check", "--config", cfg, "--out-report", out]) == 1
+        assert (f"error: invalid solver settings: {key} must be at least 1, "
+                "got 0") in capsys.readouterr().err
+        flag = "--" + key.replace("_", "-")
+        cfg = str(CONFIGS / f"{name}.json")
+        assert main(["check", "--config", cfg, flag, "0", "--out-report",
+                     out]) == 1
+        assert f"{key} must be at least 1, got 0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_grid_setting_of_the_other_problem_kind_exits_1(tmp_path, capsys):
     # A delay grid is set per delay, a no-delay grid over [0, T]; the
     # other kind's flag must not be dropped silently (the config keys are

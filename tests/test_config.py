@@ -94,7 +94,7 @@ def test_full_nodelay_config():
         "solver": {"modes": 8, "nx": 40, "nt": 20,
                    "quadrature": {"nodes_per_panel": 8, "max_panel_splits": 4,
                                   "abs_tol": 1e-9}},
-        "check": {"m": 3, "delta": 0.25, "fit_slack": 0.1, "tol": 1e-6},
+        "check": {"fit_slack": 0.1, "tol": 1e-6},
         "outputs": {"field_csv": "out.csv", "report_json": "report.json"},
         "mode": "solve",
     }
@@ -110,9 +110,21 @@ def test_full_nodelay_config():
     assert p.psi(0.5, 0.0) == pytest.approx(1.0)  # l is bound in expressions
     assert cfg.solver.modes == 8
     assert cfg.solver.quadrature.nodes_per_panel == 8
-    assert cfg.check.m == 3 and cfg.check.tol == 1e-6
+    assert cfg.check.fit_slack == 0.1 and cfg.check.tol == 1e-6
     assert cfg.outputs == {"field_csv": "out.csv", "report_json": "report.json"}
     assert cfg.solver.nt == 20 and cfg.solver.nt_per_tau is None
+
+
+def test_delay_check_settings_are_rejected_without_a_delay():
+    # check.m and check.delta set the delay proxies only; a no-delay run
+    # must not ignore them silently.
+    cfg = config_from_dict(_delay_dict(check={"m": 3, "delta": 0.25}))
+    assert cfg.check.m == 3 and cfg.check.delta == 0.25
+    for key, value in (("m", 3), ("delta", 7.5)):
+        with pytest.raises(ConfigError,
+                           match=f"check.{key} does not apply to nodelay"):
+            config_from_dict(_nodelay_dict(check={key: value}))
+    assert config_from_dict(_nodelay_dict(check={"m": None})).check.m is None
 
 
 def test_time_grid_defaults_follow_the_problem_kind():
@@ -120,6 +132,20 @@ def test_time_grid_defaults_follow_the_problem_kind():
     assert cfg.solver.nt == 200 and cfg.solver.nt_per_tau is None
     cfg = config_from_dict(_delay_dict(solver={"nt_per_tau": 8, "nt": None}))
     assert cfg.solver.nt_per_tau == 8 and cfg.solver.nt is None
+
+
+def test_solver_settings_are_checked_by_the_basis_and_the_grid():
+    for data, message in (
+            (_delay_dict(solver={"modes": 0}), "n_modes must be at least 1"),
+            (_delay_dict(solver={"nx": 1}), "nx must be at least 2, got 1"),
+            (_delay_dict(solver={"nt_per_tau": 0}), "nt_per_tau must be at least 1"),
+            (_nodelay_dict(solver={"nt": 0}), "nt must be at least 1, got 0")):
+        with pytest.raises(ConfigError,
+                           match=f"invalid solver settings: {message}"):
+            config_from_dict(data)
+    cfg = config_from_dict(_delay_dict(solver={"modes": 5, "nx": 7}))
+    assert cfg.basis().n_modes == 5 and cfg.basis(9).n_modes == 9
+    assert cfg.grid().nx == 7 and cfg.grid().nt_per_tau == 16
 
 
 def test_time_grid_setting_of_the_other_kind_is_rejected():

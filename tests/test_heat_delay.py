@@ -104,6 +104,20 @@ def test_forcing_knots_follow_the_delay_intervals_that_cover_the_horizon():
     np.testing.assert_allclose(np.diff(times), 0.3 / 64, rtol=1e-12)
 
 
+def test_rows_past_the_horizon_read_the_projected_forcing():
+    # T / tau = 1 / 0.3: the grid ends at T_eff = 54 dt = 1.0125 > T, and
+    # the forcing is sampled up to 4 tau = 1.2, so no row extrapolates it.
+    # The same problem to horizon 1.2 gives the same rows.
+    kw = dict(a1=1.0, a2=0.3, d1=-0.2, d2=-0.4, tau=0.3,
+              g="sin(x)*cos(7*t) + x*(pi-x)*exp(t)", psi="sin(2*x)*(1+t)")
+    grid, basis = GridSpec(nx=40, nt_per_tau=16), EigenBasis(math.pi, 16)
+    short = solve_delay(_problem(horizon=1.0, **kw), basis, grid)
+    long = solve_delay(_problem(horizon=1.2, **kw), basis, grid)
+    assert short.t[-1] == pytest.approx(1.0125)
+    np.testing.assert_allclose(short.v, long.v[:short.t.size], rtol=0,
+                               atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # Projections of the history segment
 # ---------------------------------------------------------------------------

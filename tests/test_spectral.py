@@ -354,8 +354,7 @@ def test_decay_fit_rejects_matrix_input():
 
 def test_decay_report_serialization():
     report = decay_fit(1.0 / np.arange(1, 20, dtype=float) ** 3, m=1)
-    data = report.to_dict()
-    assert data["pass"] is True
-    assert data["threshold"] == pytest.approx(2.5)
-    assert data["slope"] == pytest.approx(report.slope)
-    assert data["window"] == [1, 19]
+    assert report.passed is True
+    assert report.threshold == pytest.approx(2.5)
+    assert report.slope == pytest.approx(3.0)
+    assert report.window == (1, 19)
