@@ -103,7 +103,9 @@ def _check_writable(*paths):
 
 def _load(args):
     """The config with the flag overrides applied and checked by the same
-    rules as the config's own settings."""
+    rules as the config's own settings.  Sweep's ``--modes`` list is parsed
+    into ``args.mode_list`` and each count judged by the basis, before any
+    work."""
     cfg = load_config(args.config)
     other_kind = "nt" if cfg.kind == "delay" else "nt_per_tau"
     if getattr(args, other_kind, None) is not None:
@@ -113,6 +115,11 @@ def _load(args):
         if getattr(args, key, None) is not None:
             setattr(cfg.solver, key, getattr(args, key))
     cfg.check_solver()
+    if hasattr(args, "modes_list"):
+        args.mode_list = (_parse_mode_list(args.modes_list) if args.modes_list
+                          else _SWEEP_MODES)
+        for n_modes in args.mode_list:
+            cfg.basis(n_modes)
     return cfg
 
 
@@ -272,13 +279,9 @@ def _parse_mode_list(text):
 
 
 def _sweep_body(args, cfg, out_field, payload):
-    mode_list = (_parse_mode_list(args.modes_list) if args.modes_list
-                 else _SWEEP_MODES)
-    for n_modes in mode_list:  # the basis judges each count before any work
-        cfg.basis(n_modes)
     oracle = _fd_field(cfg)
     rows = []
-    for n_modes in mode_list:
+    for n_modes in args.mode_list:
         start = time.perf_counter()
         field = _solve_field(cfg, modes=n_modes)
         wall = time.perf_counter() - start

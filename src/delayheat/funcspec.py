@@ -19,6 +19,14 @@ Taylor recurrences for each operation, sampled grids through their
 interpolants.  Nothing is rewritten symbolically, so the cost of an order-k
 derivative grows like k^2 per expression node and the expression never grows.
 
+``separate()`` returns pairs (X_g, T_g) of specs in x alone and in t alone
+with spec = sum_g X_g(x) T_g(t), or None, so that a projection in x can
+treat each factor once instead of every (x, t) pair.  An expression splits
+at ``+``, ``-``, unary minus and ``*`` and groups its terms by structurally
+equal t-factor; sums, scalings, exponential weights (e^(offset + cx x) times
+e^(ct t)), partial derivatives (X^(i) T^(j)) and 1-D tables pass it through;
+every other spec returns None.
+
 Expression grammar (ASCII, whitespace-insensitive)::
 
     expr    := term (('+' | '-') term)*
@@ -541,6 +549,12 @@ class FunctionSpec:
     def smoothness(self, var, kx=0, kt=0):
         return None
 
+    def separate(self):
+        """Pairs (X_g, T_g) of specs in x alone and in t alone with
+        spec = sum_g X_g T_g, or None when this spec is not known to
+        separate so."""
+        return None
+
 
 @dataclass
 class _Partial(FunctionSpec):
@@ -564,6 +578,13 @@ class _Partial(FunctionSpec):
     def smoothness(self, var, kx=0, kt=0):
         return self.base.smoothness(var, kx + self.kx, kt + self.kt)
 
+    def separate(self):
+        # d^(kx + kt) (X T) / dx^kx dt^kt = X^(kx) T^(kt).
+        pairs = self.base.separate()
+        return None if pairs is None else [
+            (_Partial(x, self.kx, 0) if self.kx else x,
+             _Partial(t, 0, self.kt) if self.kt else t) for x, t in pairs]
+
 
 @dataclass
 class ExprFunction(FunctionSpec):
@@ -584,6 +605,86 @@ class ExprFunction(FunctionSpec):
     def source(self):
         return to_string(self.ast)
 
+    def separate(self):
+        """The terms of the AST, split at +, -, unary minus and *, grouped by
+        their t-factor: None when some other subtree mentions both x and t,
+        or when products of sums expand past ``_MAX_TERMS`` terms."""
+        terms = _terms(self.ast)
+        if terms is None:
+            return None
+        groups = {}
+        for negated, xs, ts in terms:
+            x = _product(xs)
+            groups.setdefault(_product(ts), []).append(Neg(x) if negated else x)
+        out = []
+        for t, xs in groups.items():
+            x = xs[0]
+            for term in xs[1:]:
+                x = Bin("+", x, term)
+            out.append((ExprFunction(x, self.consts), ExprFunction(t, self.consts)))
+        return out
+
+
+# Terms past which ExprFunction.separate does not expand a product of sums.
+_MAX_TERMS = 64
+
+
+def _names(node):
+    """The variables an AST mentions."""
+    if isinstance(node, Var):
+        return {node.name}
+    if isinstance(node, Bin):
+        return _names(node.left) | _names(node.right)
+    if isinstance(node, Neg):
+        return _names(node.operand)
+    if isinstance(node, Call):
+        return _names(node.arg)
+    return set()
+
+
+def _terms(node):
+    """The AST as a sum of terms (negated, x-factors, t-factors), or None.
+
+    A subtree that does not mention t is one x-factor (constants too).
+    Above it, sums, differences, unary minus and products are expanded, and
+    every other subtree is one t-factor if it does not mention x.
+    """
+    if isinstance(node, Neg):
+        children = (node.operand,)
+    elif isinstance(node, Bin) and node.op in ("+", "-", "*"):
+        children = (node.left, node.right)
+    else:
+        names = _names(node)
+        if "t" not in names:
+            return [(False, (node,), ())]
+        return None if "x" in names else [(False, (), (node,))]
+    parts = [_terms(child) for child in children]
+    if any(terms is None for terms in parts):
+        return None
+    if not any(ts for terms in parts for _, _, ts in terms):
+        return [(False, (node,), ())]
+    if isinstance(node, Neg):
+        return [(not n, xs, ts) for n, xs, ts in parts[0]]
+    left, right = parts
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left + [(not n, xs, ts) for n, xs, ts in right]
+    if len(left) * len(right) > _MAX_TERMS:
+        return None
+    return [(n1 != n2, x1 + x2, t1 + t2)
+            for n1, x1, t1 in left for n2, x2, t2 in right]
+
+
+def _product(factors):
+    """The AST of the product of ``factors``, 1 when there are none."""
+    if not factors:
+        return Num(1.0)
+    node = factors[0]
+    for f in factors[1:]:
+        node = Bin("*", node, f)
+    return node
+
 
 def parse_function(src, **consts):
     """Parse source text into an ExprFunction, binding named constants."""
@@ -603,7 +704,7 @@ def _clip(u, pts, name):
     lo, hi = pts[0], pts[-1]
     tol = 1e-9 * max(hi - lo, 1.0)
     if np.any(u < lo - tol) or np.any(u > hi + tol):
-        raise DomainError(f"sample evaluation outside [{lo!r}, {hi!r}] in {name}")
+        raise DomainError(f"sample evaluation outside [{float(lo)}, {float(hi)}] in {name}")
     return np.clip(u, lo, hi)
 
 
@@ -667,6 +768,10 @@ class Sampled1DFunction(FunctionSpec):
         if var != self.var or other:  # partials in the other variable are 0
             return None
         return _TABLE_SMOOTHNESS[self.kind] - own
+
+    def separate(self):
+        one = fs_const(1.0)
+        return [(self, one) if self.var == "x" else (one, self)]
 
 
 @dataclass
@@ -754,6 +859,15 @@ class SummedFunction(FunctionSpec):
     def smoothness(self, var, kx=0, kt=0):
         return _min_budget([p.smoothness(var, kx, kt) for p in self.parts])
 
+    def separate(self):
+        pairs = []
+        for p in self.parts:
+            split = p.separate()
+            if split is None:
+                return None
+            pairs += split
+        return pairs
+
 
 @dataclass
 class ScaledFunction(FunctionSpec):
@@ -765,6 +879,11 @@ class ScaledFunction(FunctionSpec):
 
     def smoothness(self, var, kx=0, kt=0):
         return self.base.smoothness(var, kx, kt)
+
+    def separate(self):
+        pairs = self.base.separate()
+        return None if pairs is None else [(fs_scale(x, self.factor), t)
+                                           for x, t in pairs]
 
 
 @dataclass
@@ -789,6 +908,13 @@ class ExpWeightedFunction(FunctionSpec):
         # By Leibniz's rule the partial involves every lower partial of base.
         return _min_budget([self.base.smoothness(var, i, j)
                             for i in range(kx + 1) for j in range(kt + 1)])
+
+    def separate(self):
+        # The weight is exp(offset + coef_x x) exp(coef_t t).
+        pairs = self.base.separate()
+        return None if pairs is None else [
+            (fs_exp_weight(x, coef_x=self.coef_x, offset=self.offset),
+             fs_exp_weight(t, coef_t=self.coef_t)) for x, t in pairs]
 
 
 @dataclass

@@ -223,8 +223,9 @@ def forcing_paths(rp, basis, quad, times):
     as :class:`~delayheat.spectral.HermitePaths`.
 
     One :func:`~delayheat.spectral.project_paths` pass reads values and
-    slopes off one jet of f per rung of its panel ladder; the lift's share
-    F - f is linear in x and added in closed form.
+    slopes off one jet per rung of its panel ladder (of f's t-factors where
+    f separates); the lift's share F - f is linear in x and added in closed
+    form.
     """
     return HermitePaths(times, *project_paths(rp.source, times, basis, quad,
                                               linear=rp.lift_forcing))
@@ -286,8 +287,10 @@ def build_modes(rp, basis, quad=None):
     Each family is one :func:`~delayheat.spectral.project_paths` pass, which
     reads the values and the t-slopes off one jet per rung and climbs from
     P/8 to at most P = max(4, 2N) panels until two rungs agree (rung P when
-    none do).  Only phi and f are evaluated on the quadrature grids; the
-    lift's share of Phi and F is linear in x and is added in closed form.
+    none do).  Only phi and f are evaluated on the quadrature points: by
+    their x- and t-factors where they separate, else on the (points x times)
+    grid.  The lift's share of Phi and F is linear in x and is added in
+    closed form.
     """
     if quad is None:
         quad = QuadratureConfig()

@@ -10,7 +10,11 @@ agree.
 
 Projecting f(x, t) at shared sample times gives one coefficient path per
 mode (``project_paths``).  The same pass projects its t-derivative, read off
-one Taylor jet with the values, which gives each path's exact slopes.
+one Taylor jet with the values, which gives each path's exact slopes.  Data
+that separate as f = sum_g X_g(x) T_g(t) (``FunctionSpec.separate``) are
+projected by their factors: a few sine-coefficient vectors of the X_g times
+the time series T_g and T_g', with no evaluation on the (points x times)
+grid.  Other data are evaluated on that grid.
 :class:`HermitePaths` joins samples and slopes into one piecewise-cubic
 Hermite interpolant per mode: local, with no linear system to solve, and
 with the same h^4 error order as a cubic spline.
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InsufficientDataError
+from .errors import InputError, InsufficientDataError, NumericError
 from .funcspec import fs_sum
 from .quadrature import QuadratureConfig, halve_until_stable, panel_nodes
 
@@ -76,13 +80,30 @@ _PROJECT_BLOCK = 32
 
 def _project_rung(spec, times, basis, quad, panels, kt, step):
     """The ``panels``-panel Gauss rule's sine coefficients of spec(., t) and
-    of its first ``kt`` t-derivatives at ``times``, one jet per ``step``
-    time columns: an array (kt + 1, N, len(times))."""
+    of its first ``kt`` t-derivatives at ``times``: an array
+    (kt + 1, N, len(times)).
+
+    A spec that separates as sum_g X_g(x) T_g(t) (``spec.separate()``) is
+    projected by its factors: (S w X^T) T_j, with S w the weighted sine
+    table, X the x-factors at the Gauss points and T_j the t-factors' j-th
+    derivatives, read off one jet at ``times``.  Any other spec is evaluated
+    on the (points x times) grid, one jet per ``step`` time columns.  Either
+    way a non-finite value raises :class:`NumericError`.
+    """
     edges = np.linspace(0.0, basis.length, panels + 1)
     pts, wts = panel_nodes(edges, quad.nodes_per_panel)
     sin_table = basis.eigenfunctions(pts)
     weight = (2.0 / basis.length) * wts
     orders = [(0, j) for j in range(kt + 1)]
+    pairs = spec.separate()
+    if pairs is not None:
+        xs = np.array([x.partials(pts, 0.0, orders[:1])[0] for x, _ in pairs])
+        ts = np.array([t.partials(0.0, times, orders) for _, t in pairs])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = (sin_table @ (weight * xs).T) @ ts.swapaxes(0, 1)
+        if not np.all(np.isfinite(out)):
+            raise NumericError(f"{type(spec).__name__} produced a non-finite value")
+        return out
     out = np.empty((kt + 1, basis.n_modes, times.size))
     for lo in range(0, times.size, step):
         cols = times[lo:lo + step]
@@ -100,13 +121,17 @@ def project_paths(spec, times, basis, quad=None, kt=1, linear=None):
     The x-integrals climb a ladder of uniform Gauss panels: P/8, P/4, P/2
     and P, where P = max(4, 2N) puts two panels on each period of the
     fastest mode, starting at the smallest rung that is a whole number.
+    Each rung projects ``spec`` by its factors when ``spec.separate()``
+    gives them, and on the (points x times) grid otherwise
+    (:func:`_project_rung`).
     The panels are halved (:func:`~delayheat.quadrature.halve_until_stable`)
     until two successive rungs agree on every value and slope to
     ``abs_tol + 1e-14 |value|``, and the finer rung is returned; when no
-    pair agrees, rung P is returned and no error is raised.  Each rung
-    evaluates one jet of t-order ``kt`` per block of time columns, every
-    block as many points x columns as a 32-column block of rung P; values
-    and t-derivatives are read off that jet.  When spec + linear lacks the
+    pair agrees, rung P is returned and no error is raised.  On the grid,
+    each rung evaluates one jet of t-order ``kt`` per block of time
+    columns, every block as many points x columns as a 32-column block of
+    rung P; values and t-derivatives are read off that jet.  A non-finite
+    coefficient raises :class:`NumericError`.  When spec + linear lacks the
     t-derivative, ``differentiate`` raises :class:`UnsupportedOperationError`.
 
     ``linear`` (or None) is a spec A(t) + x B(t), added in closed form

@@ -321,6 +321,18 @@ def test_sweep_rejects_bad_mode_list(tmp_path):
     assert main(["sweep", "--config", cfg, "--modes", "0,4"]) == 1
 
 
+def test_sweep_judges_its_mode_list_before_the_gate(tmp_path, monkeypatch,
+                                                    capsys):
+    def gate(*args, **kwargs):
+        raise AssertionError("the compat gate ran")
+
+    monkeypatch.setattr("delayheat.cli.check_problem", gate)
+    cfg = _delay_config(tmp_path)
+    assert main(["sweep", "--config", cfg, "--modes", "0,4"]) == 1
+    assert "n_modes must be at least 1, got 0" in capsys.readouterr().err
+    assert main(["sweep", "--config", cfg, "--modes", "8,zero"]) == 1
+
+
 # ---------------------------------------------------------------------------
 # dde solve
 # ---------------------------------------------------------------------------

@@ -339,6 +339,10 @@ def test_sampled_domain_clipping_tolerance():
     assert s(1.0 + 1e-12, 0.0) == pytest.approx(1.0)
     with pytest.raises(DomainError):
         s(1.5, 0.0)
+    table = Sampled1DFunction(var="t", points=pts, values=pts)
+    with pytest.raises(DomainError) as info:
+        table(0.5, 1.2)
+    assert str(info.value) == "sample evaluation outside [0.0, 1.0] in t"
 
 
 # --------------------------------------------------------- combinators
@@ -385,3 +389,51 @@ def test_differentiate_validation():
         f.differentiate("z", 1)
     with pytest.raises(InputError):
         f.differentiate("x", 0)
+
+
+# ------------------------------------------------------------ separation
+
+
+def _factors(spec):
+    return [(to_string(x.ast), to_string(t.ast)) for x, t in spec.separate()]
+
+
+def test_separate_groups_terms_by_their_t_factor():
+    # The benchmark's initial segment A(x) + t B(x) has two groups, and its
+    # source x (l - x) cos(w t) one; x-only subtrees stay whole.
+    segment = parse_function(
+        "(0.38 + 0.44*t) + (x/l)*((0.29 - 0.35*t) - (0.38 + 0.44*t))"
+        " + (0.87 + 0.58*t)*sin(3*x)", l=math.pi)
+    assert [t for _, t in _factors(segment)] == ["1.0", "t"]
+    source = parse_function("1.42*x*(l - x)*cos(3.63*t)", l=math.pi)
+    assert _factors(source) == [("1.42 * x * (l - x)", "cos(3.63 * t)")]
+    assert _factors(parse_function("-t*x")) == [("-x", "t")]
+    assert _factors(parse_function("sin(x) / (1.25 - cos(x))")) == [
+        ("sin(x) / (1.25 - cos(x))", "1.0")]
+    x, t = np.linspace(0.0, math.pi, 7)[:, None], np.linspace(-1.0, 1.0, 5)
+    for spec in (segment, source):
+        total = sum(xf(x, 0.0) * tf(0.0, t) for xf, tf in spec.separate())
+        np.testing.assert_allclose(total, spec(x, t), rtol=1e-14, atol=1e-14)
+
+
+def test_separate_through_combinators():
+    pts = np.linspace(0.0, 1.0, 9)
+    table = Sampled1DFunction(var="t", points=pts, values=pts**2)
+    spec = fs_scale(fs_exp_weight(fs_sum(table, parse_function("x*t")),
+                                  coef_x=0.5, coef_t=-1.0, offset=0.25), 3.0)
+    x, t = np.linspace(0.0, 1.0, 6)[:, None], np.linspace(0.0, 1.0, 4)
+    for s in (spec, spec.differentiate("t"), spec.differentiate("x", 2)):
+        pairs = s.separate()
+        assert len(pairs) == 2
+        total = sum(xf(x, 0.0) * tf(0.0, t) for xf, tf in pairs)
+        np.testing.assert_allclose(total, s(x, t), rtol=1e-13, atol=1e-13)
+    # Data that mention x and t together, or no known factors, do not split.
+    for s in (parse_function("sin(x + t)"), parse_function("x/(1 + t)"),
+              fs_time_shift(table, 0.5), fs_ramp_x(table),
+              Sampled2DFunction(pts, pts, np.outer(pts, pts))):
+        assert s.separate() is None
+    # A product of sums expands only up to 64 terms: (x + t)^6 has 64, in
+    # seven groups t^0 ... t^6.
+    wide = "*".join(["(x + t)"] * 6)
+    assert len(parse_function(wide).separate()) == 7
+    assert parse_function(wide + "*(x + t)").separate() is None

@@ -10,20 +10,27 @@ from hypothesis import strategies as st
 
 from delayheat import (
     DecayReport,
+    DelayHeatProblem,
     EigenBasis,
     InputError,
     InsufficientDataError,
+    NumericError,
     QuadratureConfig,
     QuadratureError,
     Sampled1DFunction,
+    Sampled2DFunction,
     UnsupportedOperationError,
+    build_modes,
     decay_fit,
+    fs_exp_weight,
     fs_sum,
     parse_function,
+    reduce_delay,
     sine_coefficients,
     sine_synthesis,
 )
 from delayheat import spectral
+from delayheat.funcspec import FunctionSpec
 from delayheat.spectral import HermitePaths, _project_rung, project_paths
 
 
@@ -265,6 +272,104 @@ def test_project_paths_climbs_a_panel_ladder_to_max_4_2n(monkeypatch, n_modes,
         finest = _project_rung(spec, times, basis, quad, rungs[-1], 1,
                                32 * top // rungs[-1])
         assert np.array_equal(np.stack(got), finest)
+
+
+class _OnTheGrid(FunctionSpec):
+    """``base`` with no known factors, so projections take the grid rung."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def _jet(self, x, t, kx, kt):
+        return self.base._jet(x, t, kx, kt)
+
+    def smoothness(self, var, kx=0, kt=0):
+        return self.base.smoothness(var, kx, kt)
+
+
+# The benchmark's data shapes: an initial segment A(x) + t B(x) and a source
+# x (l - x) cos(w t), each under the drift-removing weight exp(-mu x).
+_SEGMENT = fs_exp_weight(parse_function(
+    "(0.38 + 0.44*t) + (x/l)*((0.29 - 0.35*t) - (0.38 + 0.44*t))"
+    " + (0.87 + 0.58*t)*sin(3*x) + (0.95 - 0.83*t)*sin(4*x)", l=math.pi),
+    coef_x=-0.01)
+_SOURCE = fs_exp_weight(parse_function("1.42*x*(l - x)*cos(3.63*t)",
+                                       l=math.pi), coef_x=-0.01)
+_TABLE_TIMES = np.linspace(-0.5, 1.0, 31)
+
+
+@pytest.mark.parametrize("spec", [
+    _SEGMENT,
+    _SOURCE,
+    parse_function("sin(x) / (1.25 - 1.0*cos(x))"),
+    # A t-table times exp(0.4 x) (no combinator multiplies two specs).
+    fs_sum(fs_exp_weight(Sampled1DFunction(
+        var="t", points=_TABLE_TIMES, values=np.cos(2.0 * _TABLE_TIMES)),
+        coef_x=0.4), parse_function("sin(x)*exp(t)")),
+    _SEGMENT.differentiate("t"),
+], ids=["segment", "source", "x_quotient", "t_table", "segment_dt"])
+def test_separable_specs_project_by_their_factors_as_on_the_grid(
+        monkeypatch, spec):
+    assert spec.separate() is not None
+    basis = EigenBasis(length=math.pi, n_modes=32)
+    times = np.linspace(-0.5, 0.0, 129)
+    counts = _rungs(monkeypatch)
+    got = project_paths(spec, times, basis)
+    rungs, counts[:] = list(counts), []
+    grid = project_paths(_OnTheGrid(spec), times, basis)
+    assert counts == rungs
+    for factors, cells in zip(got, grid):
+        np.testing.assert_allclose(factors, cells, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(cells)))
+
+
+@pytest.mark.parametrize("spec", [
+    parse_function("sin(x + t)"),
+    parse_function("exp(-0.2*x + 0.26*t) * (1 + pi^2 + pi^2*t) * sin(pi*x)"),
+    Sampled2DFunction(np.linspace(0.0, math.pi, 9), np.linspace(0.0, 1.0, 5),
+                      np.outer(np.sin(np.linspace(0.0, math.pi, 9)),
+                               np.linspace(1.0, 2.0, 5))),
+], ids=["sin_x_plus_t", "joint_exp", "table_2d"])
+def test_specs_that_do_not_separate_keep_the_grid_rung(spec):
+    assert spec.separate() is None
+    basis = EigenBasis(length=math.pi, n_modes=8)
+    times = np.linspace(0.0, 1.0, 40)
+    for got, grid in zip(project_paths(spec, times, basis),
+                         project_paths(_OnTheGrid(spec), times, basis)):
+        assert np.array_equal(got, grid)
+
+
+def test_an_overflowing_product_of_factors_is_a_numeric_error():
+    # Each factor is finite (e^700 < 1.8e308); their product is not.
+    spec = parse_function("exp(700*x)*exp(700*t)")
+    times = np.linspace(0.0, 1.0, 5)
+    assert spec.separate() is not None
+    with pytest.raises(NumericError, match="non-finite"):
+        project_paths(spec, times, EigenBasis(1.0, 4))
+
+
+def test_build_modes_evaluates_benchmark_data_on_no_2d_grid(monkeypatch):
+    # Projecting separable data needs its factors on the Gauss points and on
+    # the sample times, never a jet on the (points x times) grid.
+    consts = {"l": math.pi, "tau": 0.25}
+    left, right = "0.38 + 0.44*t", "0.29 - 0.35*t"
+    p = DelayHeatProblem(
+        a1=0.98, a2=0.30, b1=0.02, b2=0.02 * 0.30**2 / 0.98**2, d1=0.15,
+        d2=-0.13, tau=0.25, length=math.pi, horizon=0.75,
+        g=parse_function("1.42*x*(l - x)*cos(3.63*t)", **consts),
+        psi=parse_function(f"({left}) + (x/l)*(({right}) - ({left}))"
+                           " + (0.87 + 0.58*t)*sin(3*x)", **consts),
+        theta1=parse_function(left, **consts),
+        theta2=parse_function(right, **consts))
+    shapes, partials = [], FunctionSpec.partials
+
+    def recording(self, x, t, orders):
+        shapes.append(np.broadcast_shapes(np.shape(x), np.shape(t)))
+        return partials(self, x, t, orders)
+
+    monkeypatch.setattr(FunctionSpec, "partials", recording)
+    build_modes(reduce_delay(p), EigenBasis(math.pi, 64))
+    assert shapes and all(len(shape) <= 1 for shape in shapes)
 
 
 # ---------------------------------------------------------------------------
