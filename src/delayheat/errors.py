@@ -34,7 +34,12 @@ class ParseError(DelayHeatError):
 
 class UnsupportedOperationError(DelayHeatError):
     """Operation is valid in general but not for this representation
-    (e.g. second derivative of a linearly interpolated sample grid)."""
+    (e.g. second derivative of a linearly interpolated sample grid).
+    ``order`` is the (x, t) order of such a partial derivative, if one."""
+
+    def __init__(self, message, order=None):
+        super().__init__(message)
+        self.order = order
 
 
 class CompatibilityError(DelayHeatError):

@@ -19,6 +19,12 @@ Taylor recurrences for each operation, sampled grids through their
 interpolants.  Nothing is rewritten symbolically, so the cost of an order-k
 derivative grows like k^2 per expression node and the expression never grows.
 
+Past its interpolant's order a sampled grid's jet holds lacking coefficients,
+which every jet operation keeps except a product with a structural zero: a
+derivative a table cannot supply is an error when ``partials`` evaluates it,
+and a partial that vanishes identically, such as d^2/dx^2 of x slope(t),
+needs none.
+
 ``separate()`` returns pairs (X_g, T_g) of specs in x alone and in t alone
 with spec = sum_g X_g(x) T_g(t), or None, so that a projection in x can
 treat each factor once instead of every (x, t) pair.  An expression splits
@@ -227,6 +233,31 @@ def _is_zero(c):
     """True for a Python-float 0.0: a coefficient known to vanish identically.
     Computed coefficients are numpy values, never taken for one."""
     return type(c) is float and c == 0.0
+
+
+class _Lacking:
+    """A Taylor coefficient that a sampled ``table`` cannot supply in ``var``.
+
+    Every jet operation on it gives it back, except a product with a
+    structural zero (``_times``), which is 0.0.
+    """
+
+    __slots__ = ("message",)
+    __array_ufunc__ = None  # numpy operands defer to the reflected methods
+
+    def __init__(self, table, var):
+        self.message = (f"{type(table).__name__} ({table.kind}) supports "
+                        f"d/d{var} only up to order {_TABLE_SMOOTHNESS[table.kind]}")
+
+    def _absorb(self, other):
+        # A jet applies the operation to each of its coefficients.
+        return NotImplemented if isinstance(other, _Jet) else self
+
+    __add__ = __radd__ = __sub__ = __rsub__ = _absorb
+    __mul__ = __rmul__ = __truediv__ = _absorb
+
+    def __neg__(self):
+        return self
 
 
 class _Jet:
@@ -449,10 +480,9 @@ def _eval_ast(node, x, t, consts):
             raise DomainError("negative base raised to a non-integer power")
         if np.any((a_arr == 0.0) & (b_arr < 0.0)):
             raise DomainError("zero raised to a negative power")
-        with np.errstate(over="ignore"):
-            if isinstance(a, _Jet) or isinstance(b, _Jet):
-                return _power(a, b)
-            return np.power(a, b)
+        if isinstance(a, _Jet) or isinstance(b, _Jet):
+            return _power(a, b)
+        return np.power(a, b)
     if isinstance(node, Call):
         u = _eval_ast(node.arg, x, t, consts)
         u0 = np.asarray(_base(u))
@@ -461,8 +491,7 @@ def _eval_ast(node, x, t, consts):
                 return np.sin(u) if node.fn == "sin" else np.cos(u)
             return _sincos(u)[node.fn == "cos"]
         if node.fn == "exp":
-            with np.errstate(over="ignore"):
-                return _exp(u)
+            return _exp(u)
         if node.fn == "log":
             if np.any(u0 <= 0.0):
                 raise DomainError("log of a non-positive value")
@@ -485,14 +514,11 @@ class FunctionSpec:
     """Evaluable function of (x, t) with partial derivatives.
 
     ``spec(x, t)`` broadcasts its arguments elementwise; scalar inputs give a
-    float back.  ``differentiate(var, order)`` returns a new spec; sampled
-    representations raise :class:`UnsupportedOperationError` once the order
-    exceeds what the interpolant supports, and ``smoothness(var)`` reports the
-    remaining trustworthy order (``None`` means unlimited).
-    ``smoothness(var, kx, kt)`` is that order for the (kx, kt) partial
-    derivative, whose sampled parts may vanish identically.
+    float back.  ``differentiate(var, order)`` returns a new spec.
     ``partials(x, t, orders)`` evaluates several partial derivatives at once,
-    from one jet.
+    from one jet; it raises :class:`UnsupportedOperationError` for a partial
+    that needs a derivative a sampled table's interpolant does not have,
+    unless that partial vanishes identically.
 
     Subclasses implement ``_jet(x, t, kx, kt)``: the Taylor coefficients at
     (x, t) up to x-order kx and t-order kt, as a jet in x of jets in t, a jet
@@ -506,18 +532,23 @@ class FunctionSpec:
         """d^(i + j) spec / dx^i dt^j at (x, t) for each (i, j) in ``orders``.
 
         All of them are read off one jet of the highest orders listed, which
-        holds every lower Taylor coefficient.  Each partial broadcasts and is
-        checked for finiteness as a call is.  Derivative budgets are not
-        checked here; :meth:`differentiate` and :meth:`smoothness` state them.
+        holds every lower Taylor coefficient.  A partial that a sampled table
+        cannot supply raises :class:`UnsupportedOperationError` with its
+        ``order`` (i, j).  Each partial broadcasts and is checked for
+        finiteness as a call is: an overflow raises :class:`NumericError`.
         """
         x_arr = np.asarray(x, dtype=float)
         t_arr = np.asarray(t, dtype=float)
         shape = np.broadcast_shapes(x_arr.shape, t_arr.shape)
         kx = max(i for i, _ in orders)
-        jet = self._jet(x_arr, t_arr, kx, max(j for _, j in orders))
+        with np.errstate(over="ignore", invalid="ignore"):
+            jet = self._jet(x_arr, t_arr, kx, max(j for _, j in orders))
+        coefs = [_coef(jet, i, j, kx) for i, j in orders]
+        for order, c in zip(orders, coefs):
+            if isinstance(c, _Lacking):
+                raise UnsupportedOperationError(c.message, order)
         out = []
-        for i, j in orders:
-            c = _coef(jet, i, j, kx)
+        for (i, j), c in zip(orders, coefs):
             scale = math.factorial(i) * math.factorial(j)
             if scale != 1:
                 c = _times(c, float(scale))
@@ -537,17 +568,9 @@ class FunctionSpec:
             raise InputError(f"derivative order must be 1 or 2, got {order!r}")
         base, kx, kt = ((self.base, self.kx, self.kt) if isinstance(self, _Partial)
                         else (self, 0, 0))
-        budget = self.smoothness(var)
-        if budget is not None and order > budget:
-            raise UnsupportedOperationError(
-                f"{type(base).__name__} supports d/d{var} only up to order {budget}"
-            )
         if var == "x":
             return _Partial(base, kx + order, kt)
         return _Partial(base, kx, kt + order)
-
-    def smoothness(self, var, kx=0, kt=0):
-        return None
 
     def separate(self):
         """Pairs (X_g, T_g) of specs in x alone and in t alone with
@@ -574,9 +597,6 @@ class _Partial(FunctionSpec):
             return c if ratio == 1 else _times(c, float(ratio))
 
         return _nested(coef, kx, kt)
-
-    def smoothness(self, var, kx=0, kt=0):
-        return self.base.smoothness(var, kx + self.kx, kt + self.kt)
 
     def separate(self):
         # d^(kx + kt) (X T) / dx^kx dt^kt = X^(kx) T^(kt).
@@ -717,7 +737,8 @@ class Sampled1DFunction(FunctionSpec):
     """Values sampled on a strictly increasing 1D grid in ``x`` or ``t``.
 
     Derivatives are those of the interpolant: the spline's own for ``cubic``,
-    linear interpolation of ``np.gradient`` differences for ``linear``.
+    linear interpolation of ``np.gradient`` differences for ``linear``, up to
+    order ``_TABLE_SMOOTHNESS[kind]`` in ``var``.
     """
 
     var: str
@@ -758,16 +779,12 @@ class Sampled1DFunction(FunctionSpec):
     def _jet(self, x, t, kx, kt):
         u = _clip(x if self.var == "x" else t, self.points, self.var)
         order = kx if self.var == "x" else kt
-        taylor = [self._derivative(u, k) / math.factorial(k) for k in range(order + 1)]
+        limit = _TABLE_SMOOTHNESS[self.kind]
+        taylor = [self._derivative(u, k) / math.factorial(k) if k <= limit
+                  else _Lacking(self, self.var) for k in range(order + 1)]
         if self.var == "x":
             return _nested(lambda i, j: taylor[i] if j == 0 else 0.0, kx, kt)
         return _nested(lambda i, j: taylor[j] if i == 0 else 0.0, kx, kt)
-
-    def smoothness(self, var, kx=0, kt=0):
-        own, other = (kx, kt) if self.var == "x" else (kt, kx)
-        if var != self.var or other:  # partials in the other variable are 0
-            return None
-        return _TABLE_SMOOTHNESS[self.kind] - own
 
     def separate(self):
         one = fs_const(1.0)
@@ -776,7 +793,8 @@ class Sampled1DFunction(FunctionSpec):
 
 @dataclass
 class Sampled2DFunction(FunctionSpec):
-    """Values sampled on a rectangular (x, t) grid."""
+    """Values sampled on a rectangular (x, t) grid, with derivatives up to
+    order ``_TABLE_SMOOTHNESS[kind]`` in each variable."""
 
     x_points: np.ndarray
     t_points: np.ndarray
@@ -828,22 +846,21 @@ class Sampled2DFunction(FunctionSpec):
         xb, tb = np.broadcast_arrays(x, t)
         xc = _clip(xb, self.x_points, "x")
         tc = _clip(tb, self.t_points, "t")
-        return _nested(lambda i, j: self._derivative(xc, tc, i, j)
-                       / (math.factorial(i) * math.factorial(j)), kx, kt)
+        limit = _TABLE_SMOOTHNESS[self.kind]
 
-    def smoothness(self, var, kx=0, kt=0):
-        return _TABLE_SMOOTHNESS[self.kind] - (kx if var == "x" else kt)
+        def coef(i, j):
+            if max(i, j) > limit:
+                return _Lacking(self, "x" if i > limit else "t")
+            return (self._derivative(xc, tc, i, j)
+                    / (math.factorial(i) * math.factorial(j)))
+
+        return _nested(coef, kx, kt)
 
 
 # ---------------------------------------------------------------------------
 # Combinators (solver-side changes of variables; each is one line of jet
 # arithmetic, so derivatives of the transformed data stay exact)
 # ---------------------------------------------------------------------------
-
-
-def _min_budget(values):
-    finite = [v for v in values if v is not None]
-    return min(finite) if finite else None
 
 
 @dataclass
@@ -855,9 +872,6 @@ class SummedFunction(FunctionSpec):
         for p in self.parts:
             total = total + p._jet(x, t, kx, kt)
         return total
-
-    def smoothness(self, var, kx=0, kt=0):
-        return _min_budget([p.smoothness(var, kx, kt) for p in self.parts])
 
     def separate(self):
         pairs = []
@@ -876,9 +890,6 @@ class ScaledFunction(FunctionSpec):
 
     def _jet(self, x, t, kx, kt):
         return self.factor * self.base._jet(x, t, kx, kt)
-
-    def smoothness(self, var, kx=0, kt=0):
-        return self.base.smoothness(var, kx, kt)
 
     def separate(self):
         pairs = self.base.separate()
@@ -904,11 +915,6 @@ class ExpWeightedFunction(FunctionSpec):
                 arg = arg + coef * var
         return _exp(arg) * self.base._jet(x, t, kx, kt)
 
-    def smoothness(self, var, kx=0, kt=0):
-        # By Leibniz's rule the partial involves every lower partial of base.
-        return _min_budget([self.base.smoothness(var, i, j)
-                            for i in range(kx + 1) for j in range(kt + 1)])
-
     def separate(self):
         # The weight is exp(offset + coef_x x) exp(coef_t t).
         pairs = self.base.separate()
@@ -927,9 +933,6 @@ class TimeShiftedFunction(FunctionSpec):
     def _jet(self, x, t, kx, kt):
         return self.base._jet(x, np.asarray(t, dtype=float) - self.shift, kx, kt)
 
-    def smoothness(self, var, kx=0, kt=0):
-        return self.base.smoothness(var, kx, kt)
-
 
 @dataclass
 class RampInXFunction(FunctionSpec):
@@ -939,11 +942,6 @@ class RampInXFunction(FunctionSpec):
 
     def _jet(self, x, t, kx, kt):
         return _variables(x, t, kx, kt)[0] * self.slope._jet(x, t, kx, kt)
-
-    def smoothness(self, var, kx=0, kt=0):
-        # d^kx/dx^kx (x slope) = x slope^(kx) + kx slope^(kx - 1).
-        return _min_budget([self.slope.smoothness(var, i, kt)
-                            for i in range(max(kx - 1, 0), kx + 1)])
 
 
 @dataclass
@@ -956,10 +954,6 @@ class FixedXFunction(FunctionSpec):
     def _jet(self, x, t, kx, kt):
         trace = self.base._jet(np.asarray(self.x0), t, 0, kt)
         return trace if kx == 0 else _Jet([trace] + [0.0] * kx)
-
-    def smoothness(self, var, kx=0, kt=0):
-        # Every x-derivative vanishes identically.
-        return self.base.smoothness(var, 0, kt) if var == "t" and kx == 0 else None
 
 
 def fs_sum(*parts):

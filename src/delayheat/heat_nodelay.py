@@ -30,7 +30,7 @@ once), the modal rates (``modal_rates``: -(pi n a / l)^2 and a lag rate of
 [0, T], as cubic Hermite paths, with the lift's share in closed form) and
 the synthesis (``to_field``).  F needs a t-derivative: with a trace
 tabulated linearly in t it has none, and :func:`solve` raises
-:class:`UnsupportedOperationError`.
+:class:`UnsupportedOperationError` when the forcing family evaluates it.
 
 The solution splits into three parts synthesized over the sine eigenbasis:
 

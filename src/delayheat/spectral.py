@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, InsufficientDataError, NumericError
-from .funcspec import fs_sum
 from .quadrature import QuadratureConfig, halve_until_stable, panel_nodes
 
 
@@ -131,8 +130,9 @@ def project_paths(spec, times, basis, quad=None, kt=1, linear=None):
     each rung evaluates one jet of t-order ``kt`` per block of time
     columns, every block as many points x columns as a 32-column block of
     rung P; values and t-derivatives are read off that jet.  A non-finite
-    coefficient raises :class:`NumericError`.  When spec + linear lacks the
-    t-derivative, ``differentiate`` raises :class:`UnsupportedOperationError`.
+    coefficient raises :class:`NumericError`.  When spec or linear has
+    sampled data without the t-derivatives, their evaluation raises
+    :class:`UnsupportedOperationError`, linear's before the ladder starts.
 
     ``linear`` (or None) is a spec A(t) + x B(t), added in closed form
     after the ladder: its coefficients are s1 A + sx B, with
@@ -142,8 +142,9 @@ def project_paths(spec, times, basis, quad=None, kt=1, linear=None):
     """
     if quad is None:
         quad = QuadratureConfig()
-    if kt:  # the budget check only
-        (spec if linear is None else fs_sum(spec, linear)).differentiate("t", kt)
+    if linear is not None:
+        orders = [(0, j) for j in range(kt + 1)]
+        parts = linear.partials(0.0, times, orders + [(1, j) for _, j in orders])
     top = max(4, 2 * basis.n_modes)
     splits = next(k for k in (3, 2, 1) if top % 2**k == 0)
     out = halve_until_stable(
@@ -156,8 +157,6 @@ def project_paths(spec, times, basis, quad=None, kt=1, linear=None):
         sign = (-1.0) ** n
         s1 = 2.0 * (1.0 - sign) / (n * np.pi)
         sx = -2.0 * basis.length * sign / (n * np.pi)
-        orders = [(0, j) for j in range(kt + 1)]
-        parts = linear.partials(0.0, times, orders + [(1, j) for _, j in orders])
         for j in range(kt + 1):
             out[j] += np.outer(s1, parts[j]) + np.outer(sx, parts[kt + 1 + j])
     return tuple(out)

@@ -218,6 +218,19 @@ def test_delay_solve_numeric_failure_exits_3(tmp_path, capsys):
     assert "numeric failure" in err and "grid quadrature" in err
 
 
+def test_check_of_an_overflowing_source_exits_3_without_warnings(tmp_path, capsys):
+    # The source does not separate, so it is projected on the grid, whose jet
+    # overflows; the check reports a numeric failure and nothing else.
+    data = json.loads((CONFIGS / "delay_single_mode.json").read_text())
+    data["problem"].update(length=1.0, initial="0",
+                           source="exp(700*x)*exp(700*t)*sin(x + t)")
+    cfg = _write(tmp_path, "overflow.json", data)
+    assert main(["check", "--config", cfg,
+                 "--out-report", str(tmp_path / "r.json")]) == 3
+    assert capsys.readouterr().err == (
+        "numeric failure: ExprFunction produced a non-finite value\n")
+
+
 # ---------------------------------------------------------------------------
 # compare and sweep
 # ---------------------------------------------------------------------------
@@ -579,7 +592,7 @@ def test_nodelay_forcing_needs_one_t_derivative(tmp_path, capsys):
         assert main([command, "--config", cfg,
                      "--out-report", str(tmp_path / "r.json")]) == 1
         err = capsys.readouterr().err
-        assert "error: SummedFunction supports d/dt only up to order 0" in err
+        assert "error: Sampled1DFunction (linear) supports d/dt only up to order 1" in err
 
 
 _IMPORT_GUARD = """

@@ -231,7 +231,8 @@ def test_sampled_history_keeps_the_top_rung_of_the_panel_ladder(monkeypatch):
 
 def _reference_endpoint_checks(p, m=None, samples=65, tol=1e-8):
     """The endpoint checks entry by entry: each entry differentiates the
-    reduced data step by step and evaluates it once per end."""
+    reduced data step by step and evaluates it once per end; a derivative
+    that a sampled table cannot supply raises there."""
     ends = [0.0, p.length]
 
     def entry(name, spec, steps, ts):
@@ -262,10 +263,6 @@ def _reference_endpoint_checks(p, m=None, samples=65, tol=1e-8):
                                 [("x", 2)] * j + [("t", 1)] * k, hist_ts))
     for depth, count in ((0, m + 1), (1, m)):
         steps = [("t", 1)] * depth
-        budget = rp.forcing.smoothness("t")
-        if budget is not None and budget < depth:
-            checks.append(entry(f"forcing_t{depth}", rp.forcing, steps, pos_ts))
-            continue
         for j in range(count):
             checks.append(entry(f"forcing_x{2 * j}_t{depth}", rp.forcing,
                                 steps + [("x", 2)] * j, pos_ts))
@@ -274,7 +271,8 @@ def _reference_endpoint_checks(p, m=None, samples=65, tol=1e-8):
 
 def _linear_trace_problem():
     # A left trace tabulated linearly in t: the lift's t-derivative in F has
-    # no t-derivative of its own, so the forcing_t1 row collapses.
+    # no t-derivative of its own, but the lift is linear in x, so its
+    # x-derivatives of order 2 and more vanish identically and need none.
     ts = np.linspace(-1.0, 2.0, 13)
     theta1 = Sampled1DFunction(var="t", points=ts, values=0.1 * np.maximum(ts, 0.0),
                                kind="linear")
@@ -300,8 +298,14 @@ def test_endpoint_rows_match_the_per_entry_checks(fixture):
     checks = check_endpoint_conditions(p)
     assert checks == _reference_endpoint_checks(p)
     if fixture == "linear_trace":
-        assert checks[-1]["name"] == "forcing_t1"
-        assert checks[-1]["status"] == "unverifiable"
+        # forcing_x0_t1 needs the trace's second t-derivative, which the
+        # linear table lacks; forcing_x2_t1, above it in the row, is exactly 0.
+        assert checks[-2:] == [
+            {"name": "forcing_x0_t1", "residual": None, "tol": 1e-8,
+             "status": "unverifiable",
+             "detail": "Sampled1DFunction (linear) supports d/dt only up to order 1"},
+            {"name": "forcing_x2_t1", "residual": 0.0, "tol": 1e-8,
+             "status": "pass"}]
 
 
 def test_domain_error_row_still_reports_its_lower_entries():

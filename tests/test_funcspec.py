@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from delayheat.errors import (
     DomainError,
     InputError,
+    NumericError,
     ParseError,
     UnsupportedOperationError,
 )
@@ -24,6 +25,7 @@ from delayheat.funcspec import (
     Sampled1DFunction,
     Sampled2DFunction,
     Var,
+    fs_at_x,
     fs_const,
     fs_exp_weight,
     fs_ramp_x,
@@ -282,8 +284,10 @@ def test_sampled_1d_cubic_accuracy_and_budget():
     assert d1(1.0, 0.0) == pytest.approx(math.cos(1.0), abs=1e-6)
     d2 = s.differentiate("x", 2)
     assert d2(1.0, 0.0) == pytest.approx(-math.sin(1.0), abs=1e-4)
-    with pytest.raises(UnsupportedOperationError):
-        d2.differentiate("x", 1)
+    d3 = d2.differentiate("x", 1)
+    with pytest.raises(UnsupportedOperationError,
+                       match=r"^Sampled1DFunction \(cubic\) supports d/dx only up to order 2$"):
+        d3(1.0, 0.0)
     # the other variable is inert
     assert s.differentiate("t", 1)(1.0, 0.0) == 0.0
 
@@ -293,8 +297,19 @@ def test_sampled_1d_linear_budget():
     s = Sampled1DFunction(var="t", points=pts, values=pts**2, kind="linear")
     d1 = s.differentiate("t", 1)
     assert d1(0.5, 0.5) == pytest.approx(1.0, abs=0.05)
-    with pytest.raises(UnsupportedOperationError):
-        d1.differentiate("t", 1)
+    d2 = d1.differentiate("t", 1)
+    with pytest.raises(UnsupportedOperationError,
+                       match=r"^Sampled1DFunction \(linear\) supports d/dt only up to order 1$"):
+        d2(0.5, 0.5)
+    # partials reads every order off one jet, within the same budget.
+    with pytest.raises(UnsupportedOperationError) as info:
+        s.partials(0.5, [0.3, 0.5], [(0, 2)])
+    assert str(info.value) == "Sampled1DFunction (linear) supports d/dt only up to order 1"
+    assert info.value.order == (0, 2)
+    # The lacking order is named even when a lower one is listed first.
+    with pytest.raises(UnsupportedOperationError) as info:
+        s.partials(0.5, [0.3, 0.5], [(0, 1), (0, 2)])
+    assert info.value.order == (0, 2)
 
 
 def test_sampled_1d_validation():
@@ -318,8 +333,15 @@ def test_sampled_2d_eval_and_derivatives():
     dt = s.differentiate("t", 1)
     assert dt(0.5, 1.0) == pytest.approx(-math.exp(-1.0), abs=1e-4)
     d2x = s.differentiate("x", 2)
-    with pytest.raises(UnsupportedOperationError):
-        d2x.differentiate("x", 1)
+    d3x = d2x.differentiate("x", 1)
+    with pytest.raises(UnsupportedOperationError,
+                       match=r"^Sampled2DFunction \(cubic\) supports d/dx only up to order 2$"):
+        d3x(0.5, 1.0)
+    linear = Sampled2DFunction(x_points=x, t_points=t, values=vals, kind="linear")
+    with pytest.raises(UnsupportedOperationError) as info:
+        linear.partials(0.5, 1.0, [(0, 0), (2, 0)])
+    assert str(info.value) == "Sampled2DFunction (linear) supports d/dx only up to order 1"
+    assert info.value.order == (2, 0)
 
 
 def test_partials_that_vanish_do_not_spend_a_sampled_budget():
@@ -329,8 +351,23 @@ def test_partials_that_vanish_do_not_spend_a_sampled_budget():
     pts = np.linspace(0.0, 1.0, 9)
     ramp = fs_ramp_x(Sampled1DFunction(var="t", points=pts, values=pts, kind="linear"))
     assert ramp.differentiate("x", 2).differentiate("t", 2)(0.5, 0.5) == 0.0
-    with pytest.raises(UnsupportedOperationError):
-        ramp.differentiate("x", 1).differentiate("t", 2)
+    lacking = ramp.differentiate("x", 1).differentiate("t", 2)
+    with pytest.raises(UnsupportedOperationError,
+                       match=r"^Sampled1DFunction \(linear\) supports d/dt only up to order 1$"):
+        lacking(0.5, 0.5)
+    # So with a trace read at one x under an exponential weight: constant in
+    # x, its d2/dx2 is identically 0.
+    trace = fs_exp_weight(fs_at_x(ramp.slope, 0.0), offset=0.3)
+    assert trace.differentiate("x", 2).differentiate("t", 2)(0.5, 0.5) == 0.0
+
+
+def test_an_overflowing_jet_is_a_numeric_error_without_warnings():
+    # exp(700 x) exp(700 t) overflows at x = t = 1 while its jet is formed;
+    # only the finiteness check reports it, with no RuntimeWarning.
+    spec = parse_function("exp(700*x)*exp(700*t)*sin(x + t)")
+    assert spec.separate() is None
+    with pytest.raises(NumericError, match="non-finite"):
+        spec.partials(np.array([[1.0]]), np.array([[0.0, 1.0]]), [(0, 0), (0, 1)])
 
 
 def test_sampled_domain_clipping_tolerance():

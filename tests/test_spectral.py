@@ -283,9 +283,6 @@ class _OnTheGrid(FunctionSpec):
     def _jet(self, x, t, kx, kt):
         return self.base._jet(x, t, kx, kt)
 
-    def smoothness(self, var, kx=0, kt=0):
-        return self.base.smoothness(var, kx, kt)
-
 
 # The benchmark's data shapes: an initial segment A(x) + t B(x) and a source
 # x (l - x) cos(w t), each under the drift-removing weight exp(-mu x).
