@@ -78,9 +78,6 @@ from .heat_nodelay import (
     HeatProblem,
     reduce_problem,
     solve,
-    solve_u1,
-    solve_u2,
-    solve_u3,
 )
 from .oracle_fd import fd_solve_delay, fd_solve_nodelay
 from .quadrature import QuadratureConfig, composite_gauss, graded_breakpoints
@@ -89,7 +86,6 @@ from .spectral import (
     EigenBasis,
     decay_fit,
     sine_coefficients,
-    sine_synthesis,
 )
 
 __version__ = "1.0.0"
@@ -158,12 +154,8 @@ __all__ = [
     "reduce_delay",
     "reduce_problem",
     "sine_coefficients",
-    "sine_synthesis",
     "solve",
     "solve_delay",
     "solve_at",
-    "solve_u1",
-    "solve_u2",
-    "solve_u3",
     "steps_covered",
 ]

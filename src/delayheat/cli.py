@@ -190,6 +190,9 @@ def _print_check_summary(report):
     mark = "pass" if boundary["pass"] else "FAIL"
     print(f"boundary compatibility: {mark} "
           f"(x=0: {boundary['at_x0']:.3e}, x=l: {boundary['at_xl']:.3e})")
+    if not report.hard_pass:
+        print("advisory screens: not run (the hard check failed)")
+        return
     for entry in report.decay:
         slope = entry.get("slope")
         slope_txt = f"slope {slope:+.3f}" if slope is not None else "no fit"

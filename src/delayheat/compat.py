@@ -4,7 +4,7 @@ Two kinds of checks with different severities:
 
 * **Hard**: the initial value must meet the boundary traces (corner
   compatibility).  Violations make the mixed problem ill-posed in the
-  classical sense and solving is refused.
+  classical sense: solving is refused and the advisory screens do not run.
 
 * **Advisory**: sufficient (not necessary) smoothness/decay conditions under
   which the constructed series is a classical solution.  These are checked
@@ -63,7 +63,9 @@ class CompatReport:
 
     @property
     def advisory_pass(self):
-        return all(entry.get("status") != "fail" for entry in self.decay)
+        """None when the hard check failed: the advisory screens did not run."""
+        if self.hard_pass:
+            return all(entry.get("status") != "fail" for entry in self.decay)
 
     def to_dict(self):
         return {
@@ -268,24 +270,30 @@ def check_endpoint_conditions(p, m=None, tol=1e-8):
 
 def check_problem(p, basis=None, quad=None, m=None, delta=0.5, fit_slack=0.25,
                   tol=1e-8):
-    """Assemble the full :class:`CompatReport` for a problem."""
+    """Assemble the full :class:`CompatReport` for a problem.  The hard check
+    comes first: a rejected problem gets its verdict alone (and, delayed, m
+    and delta), with no reduction, projection or fit that could hide it."""
     if quad is None:
         quad = QuadratureConfig()
     boundary = check_compatibility(p, tol=tol)
     if isinstance(p, DelayHeatProblem):
+        if m is None:
+            m = steps_covered(p.horizon, p.tau)
+        if not boundary["pass"]:
+            return CompatReport(problem_kind="delay", boundary=boundary, m=m, delta=delta)
         if basis is None or basis.n_modes < 16:
             # The decay screen needs a tail to fit; checking with more modes
             # than the solve will use is always sound.
             basis = EigenBasis(p.length, max(16, 64 if basis is None else 16))
         rp = reduce_delay(p)
         ms = build_modes(rp, basis, quad)
-        if m is None:
-            m = steps_covered(p.horizon, p.tau)
         decay = check_decay_conditions(ms, m=m, delta=delta, fit_slack=fit_slack)
         endpoint = check_endpoint_conditions(p, m=m, tol=tol)
         return CompatReport(problem_kind="delay", boundary=boundary,
                             decay=decay, endpoint=endpoint, m=m, delta=delta)
     if isinstance(p, HeatProblem):
+        if not boundary["pass"]:
+            return CompatReport(problem_kind="nodelay", boundary=boundary)
         if basis is None:
             basis = EigenBasis(p.length, 64)
         rp = reduce_problem(p)
@@ -313,6 +321,5 @@ def check_problem(p, basis=None, quad=None, m=None, delta=0.5, fit_slack=0.25,
                 decay_entry["status"] = "unverifiable"
         endpoint = check_endpoint_conditions(p, tol=tol)
         return CompatReport(problem_kind="nodelay", boundary=boundary,
-                            decay=[decay_entry], endpoint=endpoint,
-                            m=None, delta=None)
+                            decay=[decay_entry], endpoint=endpoint)
     raise InputError("expected a HeatProblem or DelayHeatProblem")

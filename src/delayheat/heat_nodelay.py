@@ -45,9 +45,7 @@ delay solver's grid engine (:func:`delayheat.delay_ode.solve_modes`, with a
 delay of one time step).  With b = 0 the engine's kernel is the pure
 exponential exp(-(pi n a / l)^2 (t - s)), so it advances the trajectories by
 a one-term recursion, one step of decay plus the newest panel, in O(nt)
-rather than O(nt^2), all modes of a group at once.  :func:`solve_u1`,
-:func:`solve_u2` and :func:`solve_u3` give the three parts at any (x, t),
-u2 through the per-point evaluator :func:`delayheat.delay_ode.solve_at`.
+rather than O(nt^2), all modes of a group at once.
 """
 
 from __future__ import annotations
@@ -57,12 +55,12 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .delay_ode import DelayOdeParams, solve_at, solve_modes
-from .errors import DomainError, InputError
+from .errors import InputError
 from .funcspec import FunctionSpec, fs_scale
 from .heat_delay import (check_data, forcing_paths, modal_rates, reduce_frame,
                          to_field)
 from .quadrature import QuadratureConfig
-from .spectral import EigenBasis, project_paths, sine_synthesis
+from .spectral import EigenBasis, project_paths
 
 
 @dataclass
@@ -120,44 +118,13 @@ def _mode_data(rp, basis, quad):
 def _duhamel_decay(a, forcing, t, quad):
     """integral_0^t exp(a (t - s)) forcing(s) ds: the forced solution of
     x' = a x + forcing at t, with the delay set to t so that the kernel is
-    exp(a (t - s)) over the whole interval."""
+    exp(a (t - s)) over the whole interval.  No solver calls it (:func:`solve`
+    runs the grid engine); it is the tests' per-mode reference, as
+    :func:`~delayheat.heat_delay.mode_solution` is for the delayed kind, and
+    perfbench's tracer wraps it by name."""
     if t == 0.0:
         return 0.0
     return solve_at(DelayOdeParams(a, 0.0, tau=t), None, forcing, t, quad)
-
-
-def _check_point(rp, x, t):
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < -1e-12) or np.any(x_arr > rp.length + 1e-12):
-        raise DomainError(f"x outside [0, {rp.length}]")
-    if not (-1e-12 <= t <= rp.horizon + 1e-9):
-        raise DomainError(f"t={t!r} outside [0, {rp.horizon}]")
-
-
-def solve_u1(rp, basis, x, t, quad=None):
-    """Free-decay part sum_n Phi_n exp(-(pi n a / l)^2 t) sin(pi n x / l)."""
-    if quad is None:
-        quad = QuadratureConfig()
-    _check_point(rp, x, t)
-    initial, (rate, _), _ = _mode_data(rp, basis, quad)
-    return sine_synthesis(initial * np.exp(rate * t), basis, x)
-
-
-def solve_u2(rp, basis, x, t, quad=None):
-    """Duhamel part of the forced response at (x, t)."""
-    if quad is None:
-        quad = QuadratureConfig()
-    _check_point(rp, x, t)
-    _, (rate, _), forcing = _mode_data(rp, basis, quad)
-    coeffs = [_duhamel_decay(a, forcing.row(n), float(t), quad)
-              for n, a in enumerate(rate, 1)]
-    return sine_synthesis(coeffs, basis, x)
-
-
-def solve_u3(rp, x, t):
-    """Boundary lift mu1(t) + (x / l)(mu2(t) - mu1(t))."""
-    _check_point(rp, x, t)
-    return rp.lift(x, t)
 
 
 def solve(p, basis, grid, quad=None):

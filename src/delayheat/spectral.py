@@ -256,20 +256,6 @@ def sine_coefficients(f, basis, quad=None):
     )
 
 
-def sine_synthesis(coeffs, basis, x):
-    """Evaluate sum_n c_n sin(pi n x / l) at the points x."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.size != basis.n_modes:
-        raise InputError(
-            f"coefficient count {coeffs.size} does not match basis size {basis.n_modes}"
-        )
-    x_arr = np.asarray(x, dtype=float)
-    out = coeffs @ basis.eigenfunctions(x_arr)
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
-
-
 @dataclass
 class DecayReport:
     """Result of fitting |c_n| ~ constant / n^slope over the nonzero tail.

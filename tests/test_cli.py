@@ -192,6 +192,47 @@ def test_solve_hard_rejection_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def _rejected_config(tmp_path, kind):
+    """A config that fails the hard check and whose data the advisory
+    screens cannot handle: a sign jump that no sine projection resolves,
+    or a source table shorter than the delay kind's ceil(T / tau) tau."""
+    if kind == "nodelay":
+        data = {
+            "problem": {"kind": "nodelay", "diffusion": 1.0,
+                        "length": math.pi, "horizon": 0.5, "source": "0",
+                        "initial": "(x - 1)/abs(x - 1)",
+                        "trace_left": 0, "trace_right": 0},
+            "solver": {"modes": 16, "nx": 50, "nt": 20},
+        }
+    else:
+        data = json.loads((CONFIGS / "delay_single_mode.json").read_text())
+        data["problem"].update(
+            horizon=1.2, initial="sin(x) + 0.2",
+            source={"table": "1d", "var": "t", "points": [0, 0.4, 0.8, 1.2],
+                    "values": [0, 0, 0, 0]})
+    return _write(tmp_path, f"{kind}.json", data)
+
+
+@pytest.mark.parametrize("kind", ["nodelay", "delay"])
+def test_a_failure_past_the_hard_check_does_not_mask_the_rejection(
+        tmp_path, capsys, kind):
+    cfg = _rejected_config(tmp_path, kind)
+    report_path = tmp_path / "report.json"
+    code = main(["check", "--config", cfg, "--out-report", str(report_path)])
+    assert code == 2
+    compat = json.loads(report_path.read_text())["compat"]
+    assert compat["hard_pass"] is False and compat["advisory_pass"] is None
+    out = capsys.readouterr().out
+    assert "boundary compatibility: FAIL" in out
+    assert "advisory screens: not run" in out
+    assert "endpoint identities" not in out
+    code = main(["solve", "--config", cfg, "--override-advisory",
+                 "--out-report", str(report_path)])
+    assert code == 2
+    assert json.loads(report_path.read_text())["compat"]["hard_pass"] is False
+    assert "rejected" in capsys.readouterr().err
+
+
 def test_solve_numeric_failure_exits_3(tmp_path, capsys):
     # A forcing the brutal quadrature budget cannot integrate.
     cfg = _nodelay_config(

@@ -94,6 +94,30 @@ def test_boundary_check_rejects_other_types():
         check_compatibility(object())
 
 
+@pytest.mark.parametrize("kind", ["delay", "nodelay"])
+def test_a_rejected_problem_gets_the_boundary_verdict_alone(monkeypatch, kind):
+    # Neither reduced, projected nor fitted: no failure past the hard check
+    # can replace its verdict.
+    from delayheat import compat
+
+    calls = []
+    for name in ("build_modes", "sine_coefficients", "check_endpoint_conditions"):
+        monkeypatch.setattr(compat, name,
+                            lambda *args, name=name, **kw: calls.append(name))
+    if kind == "delay":
+        report = check_problem(_delay(psi="sin(x) + 0.2"))
+        assert (report.m, report.delta) == (2, 0.5)
+    else:
+        report = check_problem(_nodelay(psi="sin(pi*x/l) + 0.2"))
+        assert (report.m, report.delta) == (None, None)
+    assert report.problem_kind == kind
+    assert not report.hard_pass
+    assert report.decay == [] and report.endpoint == []
+    assert report.advisory_pass is None
+    assert report.to_dict()["advisory_pass"] is None
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # Advisory decay proxies
 # ---------------------------------------------------------------------------

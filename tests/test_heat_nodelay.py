@@ -12,7 +12,6 @@ import pytest
 
 from delayheat import (
     DelayHeatProblem,
-    DomainError,
     EigenBasis,
     GridSpec,
     HeatProblem,
@@ -24,9 +23,6 @@ from delayheat import (
     reduce_delay,
     reduce_problem,
     solve,
-    solve_u1,
-    solve_u2,
-    solve_u3,
 )
 
 
@@ -135,21 +131,28 @@ def test_lift_matches_the_delay_reduction_when_gamma_is_zero():
 
 
 def test_solution_is_sum_of_three_parts():
+    # u1 (free decay Phi_n e^{rate t}) plus u2 (the Duhamel term, mode by
+    # mode from the pointwise evaluator) plus u3 (the lift) at grid points.
+    from delayheat.heat_nodelay import _duhamel_decay, _mode_data
+
     p = _problem(
         a=1.0, b=0.3, c=-0.2, length=1.0, horizon=0.5,
         g="sin(pi*x)*(1+t)", psi="x*(1-x)", theta1="0.1", theta2="0.2*exp(-t)",
     )
     rp = reduce_problem(p)
     basis = EigenBasis(p.length, 12)
+    quad = QuadratureConfig()
     grid = GridSpec(nx=8, nt=4)
     field = solve(p, basis, grid=grid)
+    initial, (rate, _), forcing = _mode_data(rp, basis, quad)
     for j in (1, 3):
+        t = float(field.t[j])
+        coeffs = initial * np.exp(rate * t) + [
+            _duhamel_decay(a, forcing.row(n), t, quad)
+            for n, a in enumerate(rate, 1)]
         for i in (2, 5):
-            parts = (
-                solve_u1(rp, basis, field.x[i], field.t[j])
-                + solve_u2(rp, basis, field.x[i], field.t[j])
-                + solve_u3(rp, field.x[i], field.t[j])
-            )
+            x = field.x[i]
+            parts = (coeffs @ basis.eigenfunctions(x))[0] + rp.lift(x, t)
             assert field.u[j, i] == pytest.approx(parts, abs=1e-10)
 
 
@@ -276,18 +279,6 @@ def test_problem_validation():
         HeatProblem(a=1.0, b=0.0, c=0.0, length=1.0, horizon=1.0,
                     g=0.0, psi=parse_function("0"), theta1=parse_function("0"),
                     theta2=parse_function("0"))
-
-
-def test_point_evaluations_check_domain():
-    p = _problem(length=1.0)
-    rp = reduce_problem(p)
-    basis = EigenBasis(1.0, 4)
-    with pytest.raises(DomainError):
-        solve_u1(rp, basis, 1.5, 0.1)
-    with pytest.raises(DomainError):
-        solve_u2(rp, basis, 0.5, 2.0)
-    with pytest.raises(DomainError):
-        solve_u3(rp, -0.5, 0.1)
 
 
 def test_solve_requires_eigenbasis():

@@ -27,7 +27,6 @@ from delayheat import (
     parse_function,
     reduce_delay,
     sine_coefficients,
-    sine_synthesis,
 )
 from delayheat import spectral
 from delayheat.funcspec import FunctionSpec
@@ -135,7 +134,7 @@ def test_projection_synthesis_round_trip_band_limited():
     basis = EigenBasis(length=1.7, n_modes=12)
     rng = np.random.default_rng(7)
     target = rng.normal(size=12)
-    f = lambda x: sine_synthesis(target, basis, x)
+    f = lambda x: target @ basis.eigenfunctions(x)
     recovered = sine_coefficients(f, basis)
     np.testing.assert_allclose(recovered, target, atol=1e-11)
 
@@ -146,20 +145,9 @@ def test_parseval_identity():
     basis = EigenBasis(length=1.3, n_modes=6)
     coeffs = np.array([0.9, -0.4, 0.2, 0.0, 0.05, -0.01])
     xs = np.linspace(0.0, basis.length, 20001)
-    vals = sine_synthesis(coeffs, basis, xs)
+    vals = coeffs @ basis.eigenfunctions(xs)
     integral = np.trapezoid(vals**2, xs)
     assert integral == pytest.approx(basis.length / 2.0 * np.sum(coeffs**2), rel=1e-6)
-
-
-def test_synthesis_scalar_and_validation():
-    basis = EigenBasis(length=1.0, n_modes=2)
-    val = sine_synthesis([1.0, 0.5], basis, 0.25)
-    assert isinstance(val, float)
-    assert val == pytest.approx(
-        math.sin(math.pi * 0.25) + 0.5 * math.sin(2.0 * math.pi * 0.25), abs=1e-14
-    )
-    with pytest.raises(InputError):
-        sine_synthesis([1.0, 2.0, 3.0], basis, 0.5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,7 +161,7 @@ def test_synthesis_scalar_and_validation():
 def test_round_trip_property(target):
     basis = EigenBasis(length=1.0, n_modes=len(target))
     target = np.asarray(target)
-    recovered = sine_coefficients(lambda x: sine_synthesis(target, basis, x), basis)
+    recovered = sine_coefficients(lambda x: target @ basis.eigenfunctions(x), basis)
     np.testing.assert_allclose(recovered, target, atol=1e-9)
 
 
