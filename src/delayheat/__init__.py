@@ -14,6 +14,7 @@ closed forms.
 """
 
 from .compat import (
+    CheckSettings,
     CompatReport,
     check_compatibility,
     check_endpoint_conditions,
@@ -22,7 +23,6 @@ from .compat import (
     steps_covered,
 )
 from .config import (
-    CheckSettings,
     RunConfig,
     SolverSettings,
     build_function,

@@ -133,15 +133,8 @@ def _resolve_outputs(args, cfg):
 
 
 def _compat_report(cfg):
-    return check_problem(
-        cfg.problem,
-        basis=cfg.basis(),
-        quad=cfg.solver.quadrature,
-        m=cfg.check.m,
-        delta=cfg.check.delta,
-        fit_slack=cfg.check.fit_slack,
-        tol=cfg.check.tol,
-    )
+    return check_problem(cfg.problem, basis=cfg.basis(),
+                         quad=cfg.solver.quadrature, check=cfg.check)
 
 
 def _gate(cfg, override):

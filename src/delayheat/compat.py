@@ -21,11 +21,15 @@ proxies ask that
 
 all decay: the fitted slope of log(sequence) against log(n) over the nonzero
 tail must be negative beyond ``fit_slack``.  Sequences whose tail sits at the
-numerical floor pass vacuously (finitely many active modes).
+numerical floor pass vacuously (finitely many active modes).  Without a
+delay, the initial offset's sine coefficients must decay at rate
+``NODELAY_RATE`` less ``fit_slack``, or faster than any power.  The settings
+are one :class:`CheckSettings` record, which checks itself when built.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,11 +43,46 @@ from .errors import (
 from .heat_delay import DelayHeatProblem, build_modes, reduce_delay, steps_covered
 from .heat_nodelay import HeatProblem, reduce_problem
 from .quadrature import QuadratureConfig
-from .spectral import EigenBasis, decay_fit, sine_coefficients
+from .spectral import FLOOR_REL, EigenBasis, decay_fit, sine_coefficients
 
-_FLOOR_REL = 1e-13
 # Sample times per time window of the boundary and endpoint checks.
 SAMPLES = 65
+# The decay proxies fit a tail: with fewer modes they mean nothing.
+DECAY_MIN_MODES = 16
+# The no-delay proxy's H^4-type class: rate 2 m + 1/2 with m = 2 covered steps.
+NODELAY_RATE = 4.5
+
+
+@dataclass(frozen=True)
+class CheckSettings:
+    """The gate's settings, checked when built: the delay intervals ``m``
+    the delay screens assume (None: ceil(T / tau)), the margin ``delta`` of
+    their weight powers, the decay verdicts' margin ``fit_slack`` and the
+    largest boundary or endpoint residual ``tol``.
+
+    ``fit_slack`` has opposite senses in the two kinds: a delay entry passes
+    when its fitted log-log slope is at most -fit_slack (raising it is
+    stricter), the no-delay entry when the coefficients' rate is at least
+    NODELAY_RATE - fit_slack (raising it is laxer).  So has ``exponent``: a
+    delay entry's weight power, the no-delay entry's rate to reach.
+    """
+
+    m: int = None
+    delta: float = 0.5
+    fit_slack: float = 0.25
+    tol: float = 1e-8
+
+    def __post_init__(self):
+        # JSON's Infinity and NaN literals would empty the gate they set.
+        for key in ("delta", "fit_slack", "tol"):
+            if not math.isfinite(getattr(self, key)):
+                raise InputError(f"check {key} must be finite")
+        if self.fit_slack < 0.0:
+            raise InputError("check fit_slack must be non-negative")
+        if self.tol <= 0.0:
+            raise InputError("check tol must be positive")
+        if self.m is not None and self.m < 1:
+            raise InputError(f"check m must be null or at least 1, got {self.m}")
 
 
 @dataclass
@@ -80,7 +119,7 @@ class CompatReport:
         }
 
 
-def check_compatibility(p, tol=1e-8):
+def check_compatibility(p, tol=CheckSettings.tol):
     """Hard corner/trace compatibility of the initial value with the traces.
 
     Delay problems compare psi with the traces on all of [-tau, 0]; problems
@@ -113,7 +152,7 @@ def _fit_sequence(name, exponent, seq, fit_slack):
         entry["status"] = "pass"
         entry["detail"] = "sequence is identically zero"
         return entry
-    floor = top * _FLOOR_REL
+    floor = top * FLOOR_REL
     usable = np.flatnonzero(seq > floor)
     tail_start = seq.size // 2
     if np.all(seq[tail_start:] <= floor):
@@ -127,7 +166,7 @@ def _fit_sequence(name, exponent, seq, fit_slack):
     report = decay_fit(seq)
     entry["slope"] = -report.slope
     entry["window"] = list(report.window)
-    entry["status"] = "pass" if entry["slope"] <= -abs(fit_slack) else "fail"
+    entry["status"] = "pass" if entry["slope"] <= -fit_slack else "fail"
     return entry
 
 
@@ -138,18 +177,20 @@ def _floor_small(arr):
     arr = np.asarray(arr, dtype=float).copy()
     top = float(arr.max(initial=0.0))
     if top > 0.0:
-        arr[arr <= _FLOOR_REL * top] = 0.0
+        arr[arr <= FLOOR_REL * top] = 0.0
     return arr
 
 
-def check_decay_conditions(ms, m=None, delta=0.5, fit_slack=0.25):
+def check_decay_conditions(ms, m=None, delta=CheckSettings.delta,
+                           fit_slack=CheckSettings.fit_slack):
     """Advisory decay proxies on the projected coefficient paths.
 
-    Needs at least 16 modes for the tail fits to mean anything.
+    Needs at least ``DECAY_MIN_MODES`` modes for the tail fits.
     """
-    if ms.basis.n_modes < 16:
+    if ms.basis.n_modes < DECAY_MIN_MODES:
         raise InsufficientDataError(
-            f"decay proxies need at least 16 modes, got {ms.basis.n_modes}")
+            f"decay proxies need at least {DECAY_MIN_MODES} modes, "
+            f"got {ms.basis.n_modes}")
     if m is None:
         m = steps_covered(ms.horizon, ms.tau)
     n = ms.basis.mode_numbers.astype(float)
@@ -221,7 +262,7 @@ def _row_checks(spec, row, xs, ts, tol):
     return [checks[name] for name, _ in row]
 
 
-def check_endpoint_conditions(p, m=None, tol=1e-8):
+def check_endpoint_conditions(p, m=None, tol=CheckSettings.tol):
     """Endpoint identities behind the classical-solvability statement.
 
     All conditions are phrased on the reduced homogeneous-boundary data
@@ -268,58 +309,55 @@ def check_endpoint_conditions(p, m=None, tol=1e-8):
     raise InputError("expected a HeatProblem or DelayHeatProblem")
 
 
-def check_problem(p, basis=None, quad=None, m=None, delta=0.5, fit_slack=0.25,
-                  tol=1e-8):
-    """Assemble the full :class:`CompatReport` for a problem.  The hard check
-    comes first: a rejected problem gets its verdict alone (and, delayed, m
-    and delta), with no reduction, projection or fit that could hide it."""
+def check_problem(p, basis=None, quad=None, check=CheckSettings()):
+    """Assemble the full :class:`CompatReport` for a problem under the
+    settings ``check``.  The hard check comes first: a rejected problem gets
+    its verdict alone (and, delayed, m and delta), with no reduction,
+    projection or fit that could hide it."""
     if quad is None:
         quad = QuadratureConfig()
-    boundary = check_compatibility(p, tol=tol)
+    boundary = check_compatibility(p, tol=check.tol)
+    if basis is None:
+        basis = EigenBasis(p.length, 64)
     if isinstance(p, DelayHeatProblem):
-        if m is None:
-            m = steps_covered(p.horizon, p.tau)
+        m = check.m or steps_covered(p.horizon, p.tau)
         if not boundary["pass"]:
-            return CompatReport(problem_kind="delay", boundary=boundary, m=m, delta=delta)
-        if basis is None or basis.n_modes < 16:
+            return CompatReport(problem_kind="delay", boundary=boundary, m=m,
+                                delta=check.delta)
+        if basis.n_modes < DECAY_MIN_MODES:
             # The decay screen needs a tail to fit; checking with more modes
             # than the solve will use is always sound.
-            basis = EigenBasis(p.length, max(16, 64 if basis is None else 16))
-        rp = reduce_delay(p)
-        ms = build_modes(rp, basis, quad)
-        decay = check_decay_conditions(ms, m=m, delta=delta, fit_slack=fit_slack)
-        endpoint = check_endpoint_conditions(p, m=m, tol=tol)
+            basis = EigenBasis(p.length, DECAY_MIN_MODES)
+        ms = build_modes(reduce_delay(p), basis, quad)
+        decay = check_decay_conditions(ms, m=m, delta=check.delta,
+                                       fit_slack=check.fit_slack)
+        endpoint = check_endpoint_conditions(p, m=m, tol=check.tol)
         return CompatReport(problem_kind="delay", boundary=boundary,
-                            decay=decay, endpoint=endpoint, m=m, delta=delta)
+                            decay=decay, endpoint=endpoint, m=m,
+                            delta=check.delta)
     if isinstance(p, HeatProblem):
         if not boundary["pass"]:
             return CompatReport(problem_kind="nodelay", boundary=boundary)
-        if basis is None:
-            basis = EigenBasis(p.length, 64)
         rp = reduce_problem(p)
         phi0 = lambda x: np.asarray(rp.shifted_initial(x, 0.0), dtype=float)
         coeffs = sine_coefficients(phi0, basis, quad)
-        # H^4-type regularity proxy: class threshold with two covered steps.
-        decay_entry = {"name": "initial_coefficient_decay", "exponent": 4.5,
-                       "slope": None, "window": None, "status": None}
+        entry = {"name": "initial_coefficient_decay", "exponent": NODELAY_RATE,
+                 "slope": None, "window": None, "status": "unverifiable"}
         try:
-            report = decay_fit(coeffs, m=2, fit_slack=fit_slack)
-            # The log-log slope, as in the delay entries; decay_fit's rate is
-            # its negative.
-            decay_entry["slope"] = -report.slope
-            decay_entry["window"] = list(report.window)
-            decay_entry["status"] = "pass" if report.passed else "fail"
-            if report.super_polynomial:
-                decay_entry["detail"] = "super-polynomial decay"
+            fit = decay_fit(coeffs)
         except InsufficientDataError:
             mags = np.abs(coeffs)
             tail = mags[mags.size // 2:]
-            if float(tail.max(initial=0.0)) <= _FLOOR_REL * float(mags.max(initial=0.0)):
-                decay_entry["status"] = "pass"
-                decay_entry["detail"] = "tail sits at the numerical floor"
-            else:
-                decay_entry["status"] = "unverifiable"
-        endpoint = check_endpoint_conditions(p, tol=tol)
+            if float(tail.max(initial=0.0)) <= FLOOR_REL * float(mags.max(initial=0.0)):
+                entry.update(status="pass", detail="tail sits at the numerical floor")
+        else:
+            passed = fit.super_polynomial or fit.slope >= NODELAY_RATE - check.fit_slack
+            # The log-log slope, as in the delay entries: the fit's rate negated.
+            entry.update(slope=-fit.slope, window=list(fit.window),
+                         status="pass" if passed else "fail")
+            if fit.super_polynomial:
+                entry["detail"] = "super-polynomial decay"
+        endpoint = check_endpoint_conditions(p, tol=check.tol)
         return CompatReport(problem_kind="nodelay", boundary=boundary,
-                            decay=[decay_entry], endpoint=endpoint)
+                            decay=[entry], endpoint=endpoint)
     raise InputError("expected a HeatProblem or DelayHeatProblem")

@@ -36,7 +36,9 @@ to the working directory.  The time grid is set by ``nt_per_tau`` for delay
 problems (default 16) and by ``nt`` for problems without delay (default
 200); the setting of the other kind is an error, not ignored, and so are
 ``check.m`` and ``check.delta`` without a delay.  The run's basis and grid
-check the solver settings (:meth:`RunConfig.check_solver`).
+check the solver settings (:meth:`RunConfig.check_solver`), and
+:class:`~delayheat.compat.CheckSettings` the ``check`` section: this module
+checks JSON types and passes each settings class only the keys the file sets.
 
 Each function slot accepts a number (a constant), an expression string over
 ``x`` and ``t`` (with ``pi`` plus the problem's ``l`` and ``tau`` bound as
@@ -56,10 +58,10 @@ rejected so typos cannot silently change a run.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 
+from .compat import CheckSettings
 from .errors import ConfigError, DelayHeatError, InputError
 from .field import GridSpec
 from .funcspec import (
@@ -84,16 +86,6 @@ class SolverSettings:
     nt: int = None           # resolved per problem kind by config_from_dict
     nt_per_tau: int = None
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
-
-
-@dataclass
-class CheckSettings:
-    """Admissibility-check knobs."""
-
-    m: int = None
-    delta: float = 0.5
-    fit_slack: float = 0.25
-    tol: float = 1e-8
 
 
 @dataclass
@@ -144,13 +136,13 @@ def _number(value, key):
     return float(value)
 
 
-def _int_or_none(mapping, key, default, where):
-    value = mapping.get(key, default)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key!r} in {where} must be an integer, got {value!r}")
-    return value
+def _integers(mapping, keys, where):
+    """The integer settings of ``keys`` that ``mapping`` sets (null: unset)."""
+    values = {key: mapping[key] for key in keys if mapping.get(key) is not None}
+    for key, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{key!r} in {where} must be an integer, got {value!r}")
+    return values
 
 
 def build_function(value, length, tau=None, slot="function"):
@@ -253,27 +245,19 @@ def solver_from_dict(data):
     elif isinstance(quad_data, dict):
         _reject_unknown(quad_data, ("nodes_per_panel", "max_panel_splits",
                                     "abs_tol"), "solver.quadrature")
-        # Settings left out (or null, for the integers) keep their defaults.
-        values = {key: _int_or_none(quad_data, key, None, "solver.quadrature")
-                  for key in ("nodes_per_panel", "max_panel_splits")}
+        values = _integers(quad_data, ("nodes_per_panel", "max_panel_splits"),
+                           "solver.quadrature")
         if "abs_tol" in quad_data:
             values["abs_tol"] = _number(quad_data["abs_tol"], "abs_tol")
         try:
-            quad = QuadratureConfig(
-                **{key: v for key, v in values.items() if v is not None})
+            quad = QuadratureConfig(**values)
         except DelayHeatError as exc:
             raise ConfigError(f"invalid quadrature settings: {exc}") from exc
     else:
         raise ConfigError("'solver.quadrature' must be an object")
-    modes = _int_or_none(data, "modes", 64, where)
-    nx = _int_or_none(data, "nx", 200, where)
     return SolverSettings(
-        modes=64 if modes is None else modes,
-        nx=200 if nx is None else nx,
-        nt=_int_or_none(data, "nt", None, where),
-        nt_per_tau=_int_or_none(data, "nt_per_tau", None, where),
         quadrature=quad,
-    )
+        **_integers(data, ("modes", "nx", "nt", "nt_per_tau"), where))
 
 
 def check_from_dict(data):
@@ -282,22 +266,13 @@ def check_from_dict(data):
     if not isinstance(data, dict):
         raise ConfigError("'check' must be an object")
     _reject_unknown(data, ("m", "delta", "fit_slack", "tol"), "check")
-    settings = CheckSettings(
-        m=_int_or_none(data, "m", None, "check"),
-        delta=_number(data.get("delta", 0.5), "delta"),
-        fit_slack=_number(data.get("fit_slack", 0.25), "fit_slack"),
-        tol=_number(data.get("tol", 1e-8), "tol"),
-    )
-    # JSON's Infinity and NaN literals would empty the gate they set.
-    for key in ("delta", "fit_slack", "tol"):
-        if not math.isfinite(getattr(settings, key)):
-            raise ConfigError(f"check {key} must be finite")
-    if settings.tol <= 0.0:
-        raise ConfigError("check tol must be positive")
-    if settings.m is not None and settings.m < 1:
-        raise ConfigError(
-            f"check m must be null or at least 1, got {settings.m}")
-    return settings
+    values = _integers(data, ("m",), "check")
+    values.update((key, _number(data[key], key))
+                  for key in ("delta", "fit_slack", "tol") if key in data)
+    try:
+        return CheckSettings(**values)
+    except InputError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def outputs_from_dict(data):

@@ -87,12 +87,6 @@ class DelayOdeParams:
         if self.tau <= 0.0:
             raise InputError(f"tau must be positive, got {self.tau!r}")
 
-    def log_abs_scaled_delay_coeff(self):
-        """log |b * exp(-a tau)|; -inf when b == 0."""
-        if self.b == 0.0:
-            return -math.inf
-        return math.log(abs(self.b)) - self.a * self.tau
-
 
 _MAX_EXP_ARG = 700.0  # below the float64 overflow threshold of exp
 _MIN_EXP_ARG = -746.0  # exp underflows to exactly 0.0 below this

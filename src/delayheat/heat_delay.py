@@ -255,21 +255,6 @@ class ModeSystem:
         return DelayOdeParams(a=float(self.ode_a[n - 1]),
                               b=float(self.ode_b[n - 1]), tau=self.tau)
 
-    def diagnostics(self):
-        """Per-mode table: rates, delayed-parameter log magnitude, path sizes."""
-        rows = []
-        for n in range(1, self.basis.n_modes + 1):
-            rows.append({
-                "n": n,
-                "ode_a": float(self.ode_a[n - 1]),
-                "ode_b": float(self.ode_b[n - 1]),
-                "log_abs_scaled_delay_coeff":
-                    self.mode_params(n).log_abs_scaled_delay_coeff(),
-                "sup_phi": float(np.max(np.abs(self.history_paths.values[n - 1]))),
-                "sup_forcing": float(np.max(np.abs(self.forcing_paths.values[n - 1]))),
-            })
-        return rows
-
 
 def steps_covered(horizon, tau):
     """Number of delay intervals covering [0, T]: m = ceil(T / tau)."""

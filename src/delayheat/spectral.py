@@ -20,9 +20,10 @@ Hermite interpolant per mode: local, with no linear system to solve, and
 with the same h^4 error order as a cubic spline.
 
 ``decay_fit`` estimates the algebraic decay rate of a coefficient sequence:
-least squares of log|c_n| against log n over the nonzero tail.  The fitted
-slope is the practical proxy this package uses for membership in the
-smoothness classes that guarantee classical solvability (|c_n| <= C / n^p).
+least squares of log|c_n| against log n over the nonzero tail.  It is a
+pure fit: the compat gate judges the fitted slope, the practical proxy this
+package uses for membership in the smoothness classes that guarantee
+classical solvability (|c_n| <= C / n^p).
 """
 
 from __future__ import annotations
@@ -256,39 +257,36 @@ def sine_coefficients(f, basis, quad=None):
     )
 
 
+# Entries within this factor of a sequence's largest magnitude are
+# quadrature junk: the decay fit and the compat gate's proxies drop them.
+FLOOR_REL = 1e-13
+
+
 @dataclass
 class DecayReport:
-    """Result of fitting |c_n| ~ constant / n^slope over the nonzero tail.
-
-    ``threshold``/``passed`` are filled when a target smoothness class was
-    requested; ``passed`` is also granted when the sequence decays faster
-    than any power (log-log curvature test), recorded in
-    ``super_polynomial``.
-    """
+    """Result of fitting |c_n| ~ constant / n^slope over the nonzero tail;
+    ``super_polynomial`` flags decay faster than any power (log-log
+    curvature test)."""
 
     slope: float
     constant: float
     window: tuple
     n_used: int
     super_polynomial: bool
-    threshold: float = None
-    passed: bool = None
 
 
-def decay_fit(coeffs, m=None, fit_slack=0.25):
+def decay_fit(coeffs):
     """Fit the algebraic decay rate of a coefficient sequence.
 
-    Zeros (and entries within factor 1e-13 of the largest magnitude, i.e.
-    quadrature junk) are excluded.  With ``m`` given, the fit is judged
-    against the class threshold 2 m + 1/2: passes when
-    slope >= 2 m + 1/2 - fit_slack, or when decay is super-polynomial.
-    Raises :class:`InsufficientDataError` with fewer than 8 usable entries.
+    Zeros (and entries within factor ``FLOOR_REL`` of the largest
+    magnitude) are excluded.  Raises :class:`InsufficientDataError` with
+    fewer than 8 usable entries.
     """
     mags = np.abs(np.asarray(coeffs, dtype=float))
     if mags.ndim != 1:
         raise InputError("decay_fit expects a 1D coefficient sequence")
     top = float(mags.max()) if mags.size else 0.0
-    floor = top * 1e-13
+    floor = top * FLOOR_REL
     usable = np.flatnonzero(mags > floor)
     if usable.size < 8:
         raise InsufficientDataError(
@@ -308,17 +306,10 @@ def decay_fit(coeffs, m=None, fit_slack=0.25):
         a2, _ = np.polyfit(logn[half:], logc[half:], 1)
         super_poly = (-a2) - (-a1) > 1.0
 
-    threshold = None
-    passed = None
-    if m is not None:
-        threshold = 2.0 * m + 0.5
-        passed = bool(super_poly or slope >= threshold - fit_slack)
     return DecayReport(
         slope=slope,
         constant=constant,
         window=(int(n[0]), int(n[-1])),
         n_used=int(usable.size),
         super_polynomial=bool(super_poly),
-        threshold=threshold,
-        passed=passed,
     )

@@ -111,6 +111,17 @@ def test_check_advisory_failure_exits_3(tmp_path):
     assert payload["compat"]["advisory_pass"] is False
 
 
+def test_check_with_a_negative_fit_slack_exits_1(tmp_path, capsys):
+    # A negative slack is refused at load, for both problem kinds alike.
+    data = json.loads(Path(_delay_config(tmp_path)).read_text())
+    data["check"] = {"fit_slack": -0.25}
+    cfg = _write(tmp_path, "negative.json", data)
+    report_path = tmp_path / "report.json"
+    assert main(["check", "--config", cfg, "--out-report", str(report_path)]) == 1
+    assert "check fit_slack must be non-negative" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

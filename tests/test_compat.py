@@ -10,7 +10,9 @@ import pytest
 from shipped_configs import CONFIGS, run_configs
 
 from delayheat import (
+    CheckSettings,
     CompatReport,
+    ConfigError,
     DelayHeatProblem,
     DomainError,
     EigenBasis,
@@ -34,6 +36,7 @@ from delayheat import (
     reduce_problem,
     steps_covered,
 )
+from delayheat.cli import main
 
 
 def _delay(a1=1.0, a2=0.0, b1=0.0, b2=0.0, d1=0.0, d2=-0.5, tau=1.0,
@@ -58,6 +61,45 @@ def _nodelay(psi="sin(pi*x/l)", theta1="0", theta2="0", g="0", length=1.0):
         theta1=parse_function(theta1, l=length),
         theta2=parse_function(theta2, l=length),
     )
+
+
+# ---------------------------------------------------------------------------
+# The gate's settings
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"tol": 0.0}, "check tol must be positive"),
+    ({"fit_slack": math.nan}, "check fit_slack must be finite"),
+    ({"m": 0}, "check m must be null or at least 1, got 0"),
+    ({"fit_slack": -0.25}, "check fit_slack must be non-negative"),
+])
+def test_check_settings_reject_bad_values_when_built(bad, message):
+    # From Python as from a config file, with the config's messages.
+    with pytest.raises(InputError, match=message):
+        CheckSettings(**bad)
+    data = json.loads((CONFIGS / "delay_single_mode.json").read_text())
+    data["check"] = bad
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(data)
+
+
+def test_check_problem_gives_the_verdicts_of_a_config_file(tmp_path):
+    settings = {"m": 1, "delta": 0.25, "fit_slack": 0.1, "tol": 1e-6}
+    data = json.loads((CONFIGS / "delay_single_mode.json").read_text())
+    data["check"] = settings
+    data.pop("outputs", None)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "--config", str(path),
+                 "--out-report", str(tmp_path / "report.json")]) == 0
+    from_file = json.loads((tmp_path / "report.json").read_text())["compat"]
+    cfg = load_config(path)
+    report = check_problem(cfg.problem, basis=cfg.basis(),
+                           quad=cfg.solver.quadrature,
+                           check=CheckSettings(**settings))
+    assert json.loads(json.dumps(report.to_dict())) == from_file
+    assert (report.m, report.delta, report.boundary["tol"]) == (1, 0.25, 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +430,45 @@ def test_nodelay_decay_fit_errors_other_than_too_few_entries_propagate(
     monkeypatch.setattr(compat, "decay_fit", broken)
     with pytest.raises(NumericError, match="fit blew up"):
         check_problem(_nodelay(psi="x*(1-x)"))
+
+
+def _nodelay_entry(monkeypatch, coeffs, fit_slack=0.25):
+    """The no-delay decay entry for an initial offset with sine
+    coefficients ``coeffs``."""
+    from delayheat import compat
+
+    monkeypatch.setattr(compat, "sine_coefficients",
+                        lambda *args: np.asarray(coeffs, dtype=float))
+    report = check_problem(_nodelay(), check=CheckSettings(fit_slack=fit_slack))
+    return report.decay[0]
+
+
+def test_nodelay_entry_judges_the_rate_against_its_class(monkeypatch):
+    n = np.arange(1, 65, dtype=float)
+    # Rate 3 misses the class rate 4.5 less the slack 0.25 ...
+    entry = _nodelay_entry(monkeypatch, np.where(n % 2 == 1, n**-3.0, 0.0))
+    assert entry["exponent"] == 4.5
+    assert entry["slope"] == pytest.approx(-3.0)
+    assert entry["status"] == "fail"
+    # ... rate 4.3 clears it ...
+    assert _nodelay_entry(monkeypatch, n**-4.3)["status"] == "pass"
+    # ... and decay faster than any power passes whatever its fitted rate.
+    entry = _nodelay_entry(monkeypatch, np.exp(-n[:40]))
+    assert entry["status"] == "pass"
+    assert entry["detail"] == "super-polynomial decay"
+
+
+def test_fit_slack_has_opposite_senses_in_the_two_kinds(monkeypatch):
+    # Raising fit_slack makes the no-delay entry laxer and the delay proxies
+    # stricter; the exponents differ too (a rate to reach, a weight power).
+    from delayheat import compat
+
+    n = np.arange(1, 65, dtype=float)
+    assert _nodelay_entry(monkeypatch, n**-4.1, 0.25)["status"] == "fail"
+    assert _nodelay_entry(monkeypatch, n**-4.1, 0.5)["status"] == "pass"
+    weighted = n**4.5 * n**-4.9
+    assert compat._fit_sequence("d", 4.5, weighted, 0.25)["status"] == "pass"
+    assert compat._fit_sequence("d", 4.5, weighted, 0.5)["status"] == "fail"
 
 
 def test_nodelay_parabola_fails_smoothness_proxy():

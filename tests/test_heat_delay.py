@@ -359,8 +359,7 @@ def test_stiff_mode_diagnostics_and_finite_solve():
                  tau=1.0, horizon=2.0)
     basis = EigenBasis(p.length, 32)
     ms = build_modes(reduce_delay(p), basis)
-    rows = ms.diagnostics()
-    assert rows[-1]["log_abs_scaled_delay_coeff"] > 700.0
+    assert math.log(abs(ms.ode_b[-1])) - ms.ode_a[-1] * ms.tau > 700.0
     # The solver never forms the overflowing product, so the field is finite.
     field = solve_delay(p, basis, grid=GridSpec(nx=10, nt_per_tau=4))
     assert np.all(np.isfinite(field.v))

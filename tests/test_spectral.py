@@ -1,5 +1,6 @@
 """Tests for the sine eigenbasis: projection, synthesis, and decay fitting."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -390,21 +391,22 @@ def test_decay_fit_recovers_cubic_rate():
 
 
 def test_decay_fit_thresholds():
+    # decay_fit is a pure fit: it reports the rate and judges nothing (the
+    # compat gate's no-delay entry holds the class threshold).
     n = np.arange(1, 64, dtype=float)
     coeffs = np.where(n % 2 == 1, 8.0 / (np.pi**3 * n**3), 0.0)
-    # Slope ~3 clears the class threshold 2.5 for m = 1 ...
-    assert decay_fit(coeffs, m=1).passed
-    # ... but not 4.5 for m = 2.
-    assert not decay_fit(coeffs, m=2).passed
+    report = decay_fit(coeffs)
+    assert report.slope == pytest.approx(3.0, abs=0.1)
+    assert not hasattr(report, "threshold") and not hasattr(report, "passed")
 
 
 def test_decay_fit_super_polynomial_flag():
     n = np.arange(1, 41, dtype=float)
     coeffs = np.exp(-n)
-    report = decay_fit(coeffs, m=3)
+    report = decay_fit(coeffs)
     assert report.super_polynomial
-    # Super-polynomial decay passes any algebraic class threshold.
-    assert report.passed
+    # The log-log slope keeps steepening: the fitted rate outruns n^-3.
+    assert report.slope > 3.0
 
 
 def test_decay_fit_pure_power_not_flagged_super_polynomial():
@@ -443,8 +445,7 @@ def test_decay_fit_rejects_matrix_input():
 
 
 def test_decay_report_serialization():
-    report = decay_fit(1.0 / np.arange(1, 20, dtype=float) ** 3, m=1)
-    assert report.passed is True
-    assert report.threshold == pytest.approx(2.5)
-    assert report.slope == pytest.approx(3.0)
-    assert report.window == (1, 19)
+    report = decay_fit(1.0 / np.arange(1, 20, dtype=float) ** 3)
+    assert dataclasses.asdict(report) == {
+        "slope": pytest.approx(3.0), "constant": pytest.approx(1.0),
+        "window": (1, 19), "n_used": 19, "super_polynomial": False}
