@@ -19,18 +19,24 @@ proxies ask that
     n^(2m+1+delta) max_s (|Phi_n''| + n^2 |Phi_n'| + n^4 |Phi_n|),
     n^(2m-1+delta) max_s (|F_n'| + n^2 |F_n|)
 
-all decay: the fitted slope of log(sequence) against log(n) over the nonzero
-tail must be negative beyond ``fit_slack``.  Sequences whose tail sits at the
-numerical floor pass vacuously (finitely many active modes).  Without a
-delay, the initial offset's sine coefficients must decay at rate
-``NODELAY_RATE`` less ``fit_slack``, or faster than any power.  The settings
-are one :class:`CheckSettings` record, which checks itself when built.
+all decay.  Without a delay, the initial offset's sine coefficients must
+decay at rate ``NODELAY_RATE`` less ``fit_slack``, or faster than any power.
+
+Both kinds run one flow (:func:`check_problem`): the boundary check, then,
+when it passes, the decay entries on at least ``DECAY_MIN_MODES`` modes and
+the endpoint rows.  Every decay entry is judged by one rule
+(:func:`_fit_sequence`): an identically zero sequence passes, a tail at the
+numerical floor passes (finitely many active modes), fewer than 8 entries
+above the floor is unverifiable, and otherwise the kind's verdict judges
+the fitted log-log slope.  A delay entry passes when its weighted sequence
+decays at a rate of at least ``fit_slack``.  The settings are one
+:class:`CheckSettings` record, which checks itself when built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -107,16 +113,8 @@ class CompatReport:
             return all(entry.get("status") != "fail" for entry in self.decay)
 
     def to_dict(self):
-        return {
-            "problem_kind": self.problem_kind,
-            "boundary": self.boundary,
-            "decay": self.decay,
-            "endpoint": self.endpoint,
-            "m": self.m,
-            "delta": self.delta,
-            "hard_pass": self.hard_pass,
-            "advisory_pass": self.advisory_pass,
-        }
+        return {**asdict(self), "hard_pass": self.hard_pass,
+                "advisory_pass": self.advisory_pass}
 
 
 def check_compatibility(p, tol=CheckSettings.tol):
@@ -142,8 +140,10 @@ def check_compatibility(p, tol=CheckSettings.tol):
     }
 
 
-def _fit_sequence(name, exponent, seq, fit_slack):
-    """Fitted log-slope proxy: pass when the tail decays (slope < -fit_slack)."""
+def _fit_sequence(name, exponent, seq, verdict):
+    """The decay entry of the non-negative ``seq``, by the module's one rule;
+    ``verdict`` judges its :func:`~delayheat.spectral.decay_fit` and is
+    false (fail), true (pass) or a string (a pass with that detail)."""
     seq = np.asarray(seq, dtype=float)
     top = float(seq.max(initial=0.0))
     entry = {"name": name, "exponent": exponent, "slope": None,
@@ -163,11 +163,27 @@ def _fit_sequence(name, exponent, seq, fit_slack):
         entry["status"] = "unverifiable"
         entry["detail"] = f"only {usable.size} usable entries; need 8 for a fit"
         return entry
-    report = decay_fit(seq)
-    entry["slope"] = -report.slope
-    entry["window"] = list(report.window)
-    entry["status"] = "pass" if entry["slope"] <= -fit_slack else "fail"
+    fit = decay_fit(seq)
+    passed = verdict(fit)
+    # The log-log slope: the fit's rate negated.
+    entry["slope"] = -fit.slope
+    entry["window"] = list(fit.window)
+    entry["status"] = "pass" if passed else "fail"
+    if isinstance(passed, str):
+        entry["detail"] = passed
     return entry
+
+
+def _delay_verdict(fit_slack):
+    """A weighted delay sequence passes at a rate of at least ``fit_slack``."""
+    return lambda fit: fit.slope >= fit_slack
+
+
+def _nodelay_verdict(fit_slack):
+    """No-delay coefficients pass at the class rate less ``fit_slack``, or
+    when they decay faster than any power (with that detail)."""
+    return lambda fit: ("super-polynomial decay" if fit.super_polynomial
+                        else fit.slope >= NODELAY_RATE - fit_slack)
 
 
 def _floor_small(arr):
@@ -221,16 +237,12 @@ def check_decay_conditions(ms, m=None, delta=CheckSettings.delta,
     f_prime_sup = _floor_small(np.max(np.abs(forcing.slopes), axis=1))
     seq3 = n ** (2 * m - 1 + delta) * (f_prime_sup + n**2 * f_sup)
 
+    verdict = _delay_verdict(fit_slack)
     return [
-        _fit_sequence("history_endpoint_decay", 2 * m + 3 + delta, seq1, fit_slack),
-        _fit_sequence("history_path_decay", 2 * m + 1 + delta, seq2, fit_slack),
-        _fit_sequence("forcing_path_decay", 2 * m - 1 + delta, seq3, fit_slack),
+        _fit_sequence("history_endpoint_decay", 2 * m + 3 + delta, seq1, verdict),
+        _fit_sequence("history_path_decay", 2 * m + 1 + delta, seq2, verdict),
+        _fit_sequence("forcing_path_decay", 2 * m - 1 + delta, seq3, verdict),
     ]
-
-
-def _unverifiable(name, tol, exc):
-    return {"name": name, "residual": None, "tol": tol,
-            "status": "unverifiable", "detail": str(exc)}
 
 
 def _row_checks(spec, row, xs, ts, tol):
@@ -252,7 +264,8 @@ def _row_checks(spec, row, xs, ts, tol):
         except (UnsupportedOperationError, DomainError) as exc:
             lacking = isinstance(exc, UnsupportedOperationError)
             name = live.pop(orders.index(exc.order) if lacking else -1)[0]
-            checks[name] = _unverifiable(name, tol, exc)
+            checks[name] = {"name": name, "residual": None, "tol": tol,
+                            "status": "unverifiable", "detail": str(exc)}
             continue
         for (name, _), value in zip(live, values):
             residual = float(np.max(np.abs(value)))
@@ -270,94 +283,63 @@ def check_endpoint_conditions(p, m=None, tol=CheckSettings.tol):
     must vanish at both ends, at decreasing time-derivative depth as the
     spatial order grows.  Conditions needing a derivative that a sampled
     table cannot supply are reported as unverifiable, not failed.
-    Each row of conditions (one time-derivative depth) is evaluated at both
-    ends at once, from one jet of the row's highest order.
+    Each kind names its rows (one time-derivative depth each) and the times
+    of Phi; every row is then evaluated at both ends at once, from one jet
+    of the row's highest order, Phi's rows before F's.
     """
-    checks = []
     if isinstance(p, DelayHeatProblem):
         rp = reduce_delay(p)
         if m is None:
             m = steps_covered(p.horizon, p.tau)
-        hist_ts = np.linspace(-p.tau, 0.0, SAMPLES)[None, :]
-        pos_ts = np.linspace(0.0, p.horizon, SAMPLES)[None, :]
-        ends = np.array([0.0, p.length])[:, None]
-
-        checks += _row_checks(rp.shifted_initial, [("initial_trace", (0, 0))],
-                              ends, hist_ts, tol)
-        for k in range(0, 3):
-            checks += _row_checks(rp.shifted_initial, [
-                (f"initial_x{2 * j}_t{k}", (2 * j, k))
-                for j in range(1, m + 2 - k + 1)], ends, hist_ts, tol)
-
-        for depth, count in ((0, m + 1), (1, m)):
-            checks += _row_checks(rp.forcing, [
-                (f"forcing_x{2 * j}_t{depth}", (2 * j, depth))
-                for j in range(count)], ends, pos_ts, tol)
-        return checks
-
-    if isinstance(p, HeatProblem):
+        initial_ts = np.linspace(-p.tau, 0.0, SAMPLES)[None, :]
+        initial_rows = [[("initial_trace", (0, 0))]] + [
+            [(f"initial_x{2 * j}_t{k}", (2 * j, k)) for j in range(1, m + 2 - k + 1)]
+            for k in range(3)]
+        forcing_rows = [
+            [(f"forcing_x{2 * j}_t{depth}", (2 * j, depth)) for j in range(count)]
+            for depth, count in ((0, m + 1), (1, m))]
+    elif isinstance(p, HeatProblem):
         rp = reduce_problem(p)
-        pos_ts = np.linspace(0.0, p.horizon, SAMPLES)[None, :]
-        ends = np.array([0.0, p.length])[:, None]
-        checks += _row_checks(rp.shifted_initial, [("initial_trace", (0, 0))],
-                              ends, np.zeros((1, 1)), tol)
-        checks += _row_checks(rp.forcing, [("forcing_trace", (0, 0)),
-                                           ("forcing_x2_t0", (2, 0))],
-                              ends, pos_ts, tol)
-        return checks
+        initial_ts = np.zeros((1, 1))
+        initial_rows = [[("initial_trace", (0, 0))]]
+        forcing_rows = [[("forcing_trace", (0, 0)), ("forcing_x2_t0", (2, 0))]]
+    else:
+        raise InputError("expected a HeatProblem or DelayHeatProblem")
+    ends = np.array([0.0, p.length])[:, None]
+    forcing_ts = np.linspace(0.0, p.horizon, SAMPLES)[None, :]
+    rows = ([(rp.shifted_initial, initial_ts, row) for row in initial_rows]
+            + [(rp.forcing, forcing_ts, row) for row in forcing_rows])
+    return [check for spec, ts, row in rows
+            for check in _row_checks(spec, row, ends, ts, tol)]
 
-    raise InputError("expected a HeatProblem or DelayHeatProblem")
 
-
-def check_problem(p, basis=None, quad=None, check=CheckSettings()):
+def check_problem(p, basis=None, quad=QuadratureConfig(), check=CheckSettings()):
     """Assemble the full :class:`CompatReport` for a problem under the
-    settings ``check``.  The hard check comes first: a rejected problem gets
-    its verdict alone (and, delayed, m and delta), with no reduction,
-    projection or fit that could hide it."""
-    if quad is None:
-        quad = QuadratureConfig()
+    settings ``check``, in one flow for both kinds.  The hard check comes
+    first: a rejected problem gets its verdict alone (and, delayed, m and
+    delta), with no reduction, projection or fit that could hide it.  The
+    decay entries are then fitted on at least ``DECAY_MIN_MODES`` modes
+    (more than the solve uses is always sound), the endpoint rows last."""
     boundary = check_compatibility(p, tol=check.tol)
-    if basis is None:
-        basis = EigenBasis(p.length, 64)
-    if isinstance(p, DelayHeatProblem):
-        m = check.m or steps_covered(p.horizon, p.tau)
-        if not boundary["pass"]:
-            return CompatReport(problem_kind="delay", boundary=boundary, m=m,
-                                delta=check.delta)
-        if basis.n_modes < DECAY_MIN_MODES:
-            # The decay screen needs a tail to fit; checking with more modes
-            # than the solve will use is always sound.
-            basis = EigenBasis(p.length, DECAY_MIN_MODES)
-        ms = build_modes(reduce_delay(p), basis, quad)
-        decay = check_decay_conditions(ms, m=m, delta=check.delta,
-                                       fit_slack=check.fit_slack)
-        endpoint = check_endpoint_conditions(p, m=m, tol=check.tol)
-        return CompatReport(problem_kind="delay", boundary=boundary,
-                            decay=decay, endpoint=endpoint, m=m,
-                            delta=check.delta)
-    if isinstance(p, HeatProblem):
-        if not boundary["pass"]:
-            return CompatReport(problem_kind="nodelay", boundary=boundary)
+    delayed = isinstance(p, DelayHeatProblem)
+    m = (check.m or steps_covered(p.horizon, p.tau)) if delayed else None
+    report = CompatReport(problem_kind="delay" if delayed else "nodelay",
+                          boundary=boundary, m=m,
+                          delta=check.delta if delayed else None)
+    if not report.hard_pass:
+        return report
+    n_modes = 64 if basis is None else basis.n_modes
+    basis = EigenBasis(p.length, max(DECAY_MIN_MODES, n_modes))
+    if delayed:
+        report.decay = check_decay_conditions(
+            build_modes(reduce_delay(p), basis, quad), m=m, delta=check.delta,
+            fit_slack=check.fit_slack)
+    else:
         rp = reduce_problem(p)
-        phi0 = lambda x: np.asarray(rp.shifted_initial(x, 0.0), dtype=float)
-        coeffs = sine_coefficients(phi0, basis, quad)
-        entry = {"name": "initial_coefficient_decay", "exponent": NODELAY_RATE,
-                 "slope": None, "window": None, "status": "unverifiable"}
-        try:
-            fit = decay_fit(coeffs)
-        except InsufficientDataError:
-            mags = np.abs(coeffs)
-            tail = mags[mags.size // 2:]
-            if float(tail.max(initial=0.0)) <= FLOOR_REL * float(mags.max(initial=0.0)):
-                entry.update(status="pass", detail="tail sits at the numerical floor")
-        else:
-            passed = fit.super_polynomial or fit.slope >= NODELAY_RATE - check.fit_slack
-            # The log-log slope, as in the delay entries: the fit's rate negated.
-            entry.update(slope=-fit.slope, window=list(fit.window),
-                         status="pass" if passed else "fail")
-            if fit.super_polynomial:
-                entry["detail"] = "super-polynomial decay"
-        endpoint = check_endpoint_conditions(p, tol=check.tol)
-        return CompatReport(problem_kind="nodelay", boundary=boundary,
-                            decay=[entry], endpoint=endpoint)
-    raise InputError("expected a HeatProblem or DelayHeatProblem")
+        coeffs = sine_coefficients(lambda x: rp.shifted_initial(x, 0.0),
+                                   basis, quad)
+        report.decay = [_fit_sequence("initial_coefficient_decay", NODELAY_RATE,
+                                      np.abs(coeffs),
+                                      _nodelay_verdict(check.fit_slack))]
+    report.endpoint = check_endpoint_conditions(p, m=m, tol=check.tol)
+    return report

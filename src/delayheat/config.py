@@ -239,10 +239,9 @@ def solver_from_dict(data):
     where = "solver"
     _reject_unknown(data, ("modes", "nx", "nt", "nt_per_tau", "quadrature"),
                     where)
+    settings = {}
     quad_data = data.get("quadrature")
-    if quad_data is None:
-        quad = QuadratureConfig()
-    elif isinstance(quad_data, dict):
+    if isinstance(quad_data, dict):
         _reject_unknown(quad_data, ("nodes_per_panel", "max_panel_splits",
                                     "abs_tol"), "solver.quadrature")
         values = _integers(quad_data, ("nodes_per_panel", "max_panel_splits"),
@@ -250,14 +249,13 @@ def solver_from_dict(data):
         if "abs_tol" in quad_data:
             values["abs_tol"] = _number(quad_data["abs_tol"], "abs_tol")
         try:
-            quad = QuadratureConfig(**values)
+            settings["quadrature"] = QuadratureConfig(**values)
         except DelayHeatError as exc:
             raise ConfigError(f"invalid quadrature settings: {exc}") from exc
-    else:
+    elif quad_data is not None:
         raise ConfigError("'solver.quadrature' must be an object")
-    return SolverSettings(
-        quadrature=quad,
-        **_integers(data, ("modes", "nx", "nt", "nt_per_tau"), where))
+    settings.update(_integers(data, ("modes", "nx", "nt", "nt_per_tau"), where))
+    return SolverSettings(**settings)
 
 
 def check_from_dict(data):

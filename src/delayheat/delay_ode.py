@@ -159,15 +159,13 @@ def _knot_crossings(t, tau, lo, hi):
     return [t - m * tau for m in range(m_lo, m_hi + 1) if lo < t - m * tau < hi]
 
 
-def solve_at(params, history, forcing, t, quad=None):
+def solve_at(params, history, forcing, t, quad=QuadratureConfig()):
     """x(t) at any t >= -tau: the per-point twin of :func:`solve_on_grid`.
 
     ``history(s, nu)`` gives the nu-th derivative (nu = 0, 1) of beta and
     ``forcing(s)`` gives rho; either may be None for zero data.  ``t`` may be
     a scalar or an array (evaluated pointwise).
     """
-    if quad is None:
-        quad = QuadratureConfig()
     t_arr = np.asarray(t, dtype=float)
     if t_arr.ndim > 0:
         return np.array([solve_at(params, history, forcing, tv, quad)
@@ -216,7 +214,8 @@ class _Callables:
         return np.asarray(value, dtype=float).reshape(s.shape)[None]
 
 
-def solve_on_grid(params, history, forcing, steps_per_tau, n_steps, quad=None):
+def solve_on_grid(params, history, forcing, steps_per_tau, n_steps,
+                  quad=QuadratureConfig()):
     """x(j dt) for j = 1..n_steps on the grid dt = tau / steps_per_tau.
 
     ``history`` and ``forcing`` are taken as :func:`solve_at` takes them
@@ -236,7 +235,7 @@ _CHUNK_ELEMENTS = 1 << 16
 
 
 def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
-                quad=None):
+                quad=QuadratureConfig()):
     """Trajectories x_i(j dt), j = 1..n_steps, of the modes
     x_i' = a_i x_i + b_i x_i(t - tau) + rho_i, on the grid dt = tau / m with
     m = ``steps_per_tau``; ``a`` and ``b`` are 1-D, and the result is an
@@ -271,8 +270,6 @@ def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
     is the previous one times exp(a dt) plus its newest panel, and only the
     first row of the table is needed.
     """
-    if quad is None:
-        quad = QuadratureConfig()
     m = int(steps_per_tau)
     if m < 1:
         raise InputError(f"steps_per_tau must be at least 1, got {steps_per_tau!r}")

@@ -228,7 +228,7 @@ class GridSpec:
     The series solvers and the finite-difference oracle all read x and t
     here."""
 
-    nx: int = 200
+    nx: int
     nt: int = None
     nt_per_tau: int = None
 

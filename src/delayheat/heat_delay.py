@@ -47,7 +47,8 @@ the steps after it are written here once, for both kinds, and take the
 kind's numbers: :func:`reduce_frame`, which builds the reduced record
 :class:`ReducedProblem` and keeps it on the problem until a field is
 reassigned, :func:`modal_rates`, the forcing family :func:`forcing_paths`
-and the field synthesis :func:`to_field`.
+(which chooses its sample times from the kind's horizon and delay) and the
+field synthesis :func:`to_field`.
 """
 
 from __future__ import annotations
@@ -218,15 +219,25 @@ def modal_rates(rp, basis):
     return rp.c1 - lam * rp.a1**2, rp.c2 - lam * rp.a2**2
 
 
-def forcing_paths(rp, basis, quad, times):
-    """The forcing family F_n, with slopes F_n', at the caller's ``times``,
-    as :class:`~delayheat.spectral.HermitePaths`.
+def forcing_paths(rp, basis, quad):
+    """The forcing family F_n, with slopes F_n', as
+    :class:`~delayheat.spectral.HermitePaths`: at 257 times on [0, T]
+    without a delay; with one, at max(257, 64 m + 1) times on
+    [0, max(T, m tau)] for the m = :func:`steps_covered` delay intervals
+    that cover [0, T], so the grid rows past T, up to T_eff <= m tau, read F
+    where it was sampled.
 
     One :func:`~delayheat.spectral.project_paths` pass reads values and
     slopes off one jet per rung of its panel ladder (of f's t-factors where
     f separates); the lift's share F - f is linear in x and added in closed
     form.
     """
+    if rp.tau is None:
+        times = np.linspace(0.0, rp.horizon, 257)
+    else:
+        m = steps_covered(rp.horizon, rp.tau)
+        times = np.linspace(0.0, max(rp.horizon, m * rp.tau),
+                            max(257, 64 * m + 1))
     return HermitePaths(times, *project_paths(rp.source, times, basis, quad,
                                               linear=rp.lift_forcing))
 
@@ -261,14 +272,11 @@ def steps_covered(horizon, tau):
     return int(math.ceil(horizon / tau - 1e-9))
 
 
-def build_modes(rp, basis, quad=None):
+def build_modes(rp, basis, quad=QuadratureConfig()):
     """Project the reduced problem onto the sine basis.
 
     Phi_n and Phi_n' are sampled at 129 times on [-tau, 0]; F_n and F_n' at
-    max(257, 64 m + 1) times on [0, max(T, m tau)], for the
-    m = :func:`steps_covered` delay intervals that cover [0, T]
-    (:func:`forcing_paths`), so the grid rows past T, up to
-    T_eff <= m tau, read F where it was sampled.
+    the times :func:`forcing_paths` chooses.
     Each family is one :func:`~delayheat.spectral.project_paths` pass, which
     reads the values and the t-slopes off one jet per rung and climbs from
     P/8 to at most P = max(4, 2N) panels until two rungs agree (rung P when
@@ -277,8 +285,6 @@ def build_modes(rp, basis, quad=None):
     grid.  The lift's share of Phi and F is linear in x and is added in
     closed form.
     """
-    if quad is None:
-        quad = QuadratureConfig()
     key = ("modes", basis, quad)
     cached = rp._cache.get(key)
     if cached is not None:
@@ -287,16 +293,13 @@ def build_modes(rp, basis, quad=None):
     hist_times = np.linspace(-rp.tau, 0.0, 129)
     history = HermitePaths(hist_times, *project_paths(
         rp.phi, hist_times, basis, quad, linear=fs_scale(rp.lift, -1.0)))
-    m = steps_covered(rp.horizon, rp.tau)
-    forcing = forcing_paths(rp, basis, quad, np.linspace(
-        0.0, max(rp.horizon, m * rp.tau), max(257, 64 * m + 1)))
     ms = ModeSystem(basis, rp.tau, rp.horizon, *modal_rates(rp, basis),
-                    history, forcing)
+                    history, forcing_paths(rp, basis, quad))
     rp._cache[key] = ms
     return ms
 
 
-def mode_solution(ms, n, t, quad=None):
+def mode_solution(ms, n, t, quad=QuadratureConfig()):
     """X_n(t): the n-th modal trajectory via the closed-form delay ODE."""
     if not 1 <= n <= ms.basis.n_modes:
         raise InputError(f"mode number {n} outside 1..{ms.basis.n_modes}")
@@ -321,11 +324,9 @@ def to_field(rp, basis, x, t, traj, meta):
     return SolutionField(x=x, t=t, v=v, u=u, source="spectral", meta=meta)
 
 
-def solve_delay(p, basis, grid, quad=None):
+def solve_delay(p, basis, grid, quad=QuadratureConfig()):
     """Solve the delayed problem on a :class:`GridSpec`; returns a
     :class:`SolutionField` (see :func:`to_field`)."""
-    if quad is None:
-        quad = QuadratureConfig()
     t = grid.t_points(p.horizon, p.tau)
     if not isinstance(basis, EigenBasis):
         raise InputError("basis must be an EigenBasis")

@@ -101,7 +101,8 @@ def reduce_problem(p):
 
 def _mode_data(rp, basis, quad):
     """Phi_n at t = 0, the modal rates (-(pi n a / l)^2, 0) and the forcing
-    paths F_n at 257 times on [0, T] (:func:`~delayheat.heat_delay.forcing_paths`).
+    paths F_n (:func:`~delayheat.heat_delay.forcing_paths`: 257 times on
+    [0, T] without a delay).
 
     Phi needs no t-derivative.  Each is one
     :func:`~delayheat.spectral.project_paths` pass, which returns the first
@@ -112,7 +113,7 @@ def _mode_data(rp, basis, quad):
     (initial,) = project_paths(rp.phi, np.zeros(1), basis, quad, kt=0,
                                linear=fs_scale(rp.lift, -1.0))
     return (initial[:, 0], modal_rates(rp, basis),
-            forcing_paths(rp, basis, quad, np.linspace(0.0, rp.horizon, 257)))
+            forcing_paths(rp, basis, quad))
 
 
 def _duhamel_decay(a, forcing, t, quad):
@@ -127,11 +128,9 @@ def _duhamel_decay(a, forcing, t, quad):
     return solve_at(DelayOdeParams(a, 0.0, tau=t), None, forcing, t, quad)
 
 
-def solve(p, basis, grid, quad=None):
+def solve(p, basis, grid, quad=QuadratureConfig()):
     """Solve the full problem on a :class:`GridSpec`; returns a
     :class:`SolutionField` (see :func:`~delayheat.heat_delay.to_field`)."""
-    if quad is None:
-        quad = QuadratureConfig()
     if not isinstance(basis, EigenBasis):
         raise InputError("basis must be an EigenBasis")
     rp = reduce_problem(p)

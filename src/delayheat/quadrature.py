@@ -129,15 +129,13 @@ def halve_until_stable(level, layout, quad, message, halve=halve_panels,
     raise QuadratureError(message, residual=residual)
 
 
-def composite_gauss(f, a, b, quad=None, breakpoints=()):
+def composite_gauss(f, a, b, quad=QuadratureConfig(), breakpoints=()):
     """Integrate vectorized ``f`` over [a, b] with adaptive composite Gauss.
 
     ``breakpoints`` inside (a, b) become initial panel edges.  Panels are
     halved until two refinement levels agree to tolerance; raises
     :class:`QuadratureError` (with the achieved residual) otherwise.
     """
-    if quad is None:
-        quad = QuadratureConfig()
     if not (np.isfinite(a) and np.isfinite(b)):
         raise InputError("integration limits must be finite")
     if b < a:

@@ -113,7 +113,8 @@ def _project_rung(spec, times, basis, quad, panels, kt, step):
     return out
 
 
-def project_paths(spec, times, basis, quad=None, kt=1, linear=None):
+def project_paths(spec, times, basis, quad=QuadratureConfig(), kt=1,
+                  linear=None):
     """Sine coefficients of spec(., t) + linear(., t) and of their first
     ``kt`` t-derivatives at every t in ``times``: a tuple of kt + 1 arrays
     (N, len(times)).
@@ -141,8 +142,6 @@ def project_paths(spec, times, basis, quad=None, kt=1, linear=None):
     coefficients of 1 and x, and A, B and their t-derivatives read off one
     jet at x = 0.
     """
-    if quad is None:
-        quad = QuadratureConfig()
     if linear is not None:
         orders = [(0, j) for j in range(kt + 1)]
         parts = linear.partials(0.0, times, orders + [(1, j) for _, j in orders])
@@ -229,7 +228,7 @@ class HermitePaths:
 _SINE_BLOCK = 1 << 16  # points per sine table in sine_coefficients
 
 
-def sine_coefficients(f, basis, quad=None):
+def sine_coefficients(f, basis, quad=QuadratureConfig()):
     """Coefficients c_n = (2 / l) * integral f(x) sin(pi n x / l) dx, n = 1..N.
 
     ``f`` must be vectorized over x.  The panel count is doubled until
@@ -237,8 +236,6 @@ def sine_coefficients(f, basis, quad=None):
     :class:`QuadratureError` otherwise.  Each level lays out its panels with
     ``np.linspace``, not by halving edges, so its nodes keep their bits.
     """
-    if quad is None:
-        quad = QuadratureConfig()
     panels = max(4, 2 * basis.n_modes)
 
     def level(panels):

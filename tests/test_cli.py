@@ -111,6 +111,22 @@ def test_check_advisory_failure_exits_3(tmp_path):
     assert payload["compat"]["advisory_pass"] is False
 
 
+def test_check_passes_a_nodelay_sine_polynomial(tmp_path):
+    # Ten active modes of 64: the coefficients' tail sits at the numerical
+    # floor, so the entry passes as a delay history's would, unfitted.
+    data = json.loads(Path(_nodelay_config(tmp_path)).read_text())
+    data["problem"].update(length=math.pi, initial=" + ".join(
+        f"sin({n}*x)/{n}" for n in range(1, 11)))
+    data["solver"]["modes"] = 64
+    cfg = _write(tmp_path, "sines.json", data)
+    report_path = tmp_path / "report.json"
+    assert main(["check", "--config", cfg, "--out-report", str(report_path)]) == 0
+    (entry,) = json.loads(report_path.read_text())["compat"]["decay"]
+    assert entry["status"] == "pass"
+    assert entry["detail"] == (
+        "tail sits at the numerical floor (finitely many active modes)")
+
+
 def test_check_with_a_negative_fit_slack_exits_1(tmp_path, capsys):
     # A negative slack is refused at load, for both problem kinds alike.
     data = json.loads(Path(_delay_config(tmp_path)).read_text())

@@ -458,6 +458,35 @@ def test_nodelay_entry_judges_the_rate_against_its_class(monkeypatch):
     assert entry["detail"] == "super-polynomial decay"
 
 
+def test_nodelay_entry_is_fitted_on_the_minimum_mode_count(monkeypatch):
+    # A 1-mode basis is raised to DECAY_MIN_MODES for the fit, as for the
+    # delayed kind; sin(pi x) then has a tail at the floor and passes.
+    from delayheat import compat
+
+    seen, inner = [], compat.sine_coefficients
+
+    def recording(f, basis, quad):
+        seen.append(basis.n_modes)
+        return inner(f, basis, quad)
+
+    monkeypatch.setattr(compat, "sine_coefficients", recording)
+    report = check_problem(_nodelay(), basis=EigenBasis(1.0, 1))
+    assert seen == [compat.DECAY_MIN_MODES]
+    assert report.decay[0]["status"] == "pass"
+    assert report.decay[0]["detail"] == (
+        "tail sits at the numerical floor (finitely many active modes)")
+
+
+def test_nodelay_entry_with_too_few_entries_above_the_floor_is_unverifiable(
+        monkeypatch):
+    coeffs = np.zeros(64)
+    coeffs[[0, 1, 2, 40, 50]] = [1.0, -0.5, 0.3, 0.1, -0.1]
+    entry = _nodelay_entry(monkeypatch, coeffs)
+    assert entry["status"] == "unverifiable"
+    assert entry["slope"] is None
+    assert entry["detail"] == "only 5 usable entries; need 8 for a fit"
+
+
 def test_fit_slack_has_opposite_senses_in_the_two_kinds(monkeypatch):
     # Raising fit_slack makes the no-delay entry laxer and the delay proxies
     # stricter; the exponents differ too (a rate to reach, a weight power).
@@ -467,8 +496,10 @@ def test_fit_slack_has_opposite_senses_in_the_two_kinds(monkeypatch):
     assert _nodelay_entry(monkeypatch, n**-4.1, 0.25)["status"] == "fail"
     assert _nodelay_entry(monkeypatch, n**-4.1, 0.5)["status"] == "pass"
     weighted = n**4.5 * n**-4.9
-    assert compat._fit_sequence("d", 4.5, weighted, 0.25)["status"] == "pass"
-    assert compat._fit_sequence("d", 4.5, weighted, 0.5)["status"] == "fail"
+    assert compat._fit_sequence("d", 4.5, weighted,
+                                compat._delay_verdict(0.25))["status"] == "pass"
+    assert compat._fit_sequence("d", 4.5, weighted,
+                                compat._delay_verdict(0.5))["status"] == "fail"
 
 
 def test_nodelay_parabola_fails_smoothness_proxy():
