@@ -38,13 +38,16 @@ gives rho; either may be None for zero data.
   delay, per-mode a and b) on the grid dt = tau / m (the method of steps).
   There every kink falls on a multiple of dt, so one fixed set of dt-wide
   panels serves all output times, and both integrals become Toeplitz sums
-  over a table of K.  Modes whose graded panels coincide share one table
-  (modes x lags x offsets) and one contraction per refinement level, and
-  are accepted together.  Without lag coupling (b = 0) K is a
-  pure exponential, and the sum is a one-term recursion over the panels
-  instead, O(n) per trajectory rather than O(n^2), run for all such modes
-  of a group at once.  :func:`solve_on_grid` is its one-mode call, for data
-  given as plain callables.  The field solvers use this path.
+  over a table of K.  The stiff factor exp(-a s) of K across a panel is
+  integrated exactly, by product-integration weights of each mode's own
+  rate (an exponential integrator), so a stiff mode needs no finer panels
+  than a mild one.  All modes of one coupling kind (b = 0 or not) form one
+  group, with one table (modes x lags x offsets) and one contraction per
+  refinement level, and are accepted together.  Without lag coupling
+  (b = 0) K is a pure exponential, and the sum is a one-term recursion
+  over the panels instead, O(n) per trajectory rather than O(n^2).
+  :func:`solve_on_grid` is its one-mode call, for data given as plain
+  callables.  The field solvers use this path.
 * :func:`solve_at` evaluates one mode at any t, one adaptive quadrature per
   point, with panels split at the kinks and graded toward the end where
   exp(-a s) peaks.  It is the reference the grid engine is tested against,
@@ -62,6 +65,7 @@ from .errors import DomainError, InputError, NumericError
 from .quadrature import (
     QuadratureConfig,
     composite_gauss,
+    exp_panel_weights,
     graded_breakpoints,
     halve_until_stable,
     panel_nodes,
@@ -92,12 +96,15 @@ _MAX_EXP_ARG = 700.0  # below the float64 overflow threshold of exp
 _MIN_EXP_ARG = -746.0  # exp underflows to exactly 0.0 below this
 
 
-def kernel(params, xi):
+def kernel(params, xi, log_scale=None):
     """Evaluate K(xi) (see module docstring), vectorized over xi.
 
     ``params.a`` and ``params.b`` may be arrays of one shape M, the rates of
     several modes with one delay; K then has shape M + xi.shape, every mode
-    at every xi.  Raises :class:`NumericError` when a term leaves float
+    at every xi.  ``log_scale``, broadcastable to that shape, returns
+    K(xi) exp(log_scale) instead, the factor added to every term's log
+    magnitude, so a stiff exponential can be divided out of K without
+    forming it.  Raises :class:`NumericError` when a term leaves float
     range, and :class:`InputError` for a non-finite xi.
     """
     xi = np.asarray(xi, dtype=float)
@@ -111,6 +118,8 @@ def kernel(params, xi):
     if not np.all(np.isfinite(pts)):
         raise InputError("xi must be finite")
     out = np.zeros((a.shape[0], pts.size))
+    if log_scale is not None:
+        log_scale = np.broadcast_to(log_scale, shape).reshape(out.shape)
     seg = np.floor(pts / tau) + 1.0  # K vanishes where seg < 0
     kmax = int(seg.max(initial=-1.0))
     i = np.arange(kmax + 1)
@@ -121,7 +130,12 @@ def kernel(params, xi):
     sign_s = np.ones_like(log_s)
     for k in range(kmax + 1):
         cols = np.flatnonzero(seg == k)
+        if cols.size and cols[-1] - cols[0] == cols.size - 1:
+            # One run of columns, as in an ordered xi or a lag table: a
+            # slice reads and writes them without gathers.
+            cols = slice(cols[0], cols[-1] + 1)
         u = pts[cols] - (k - 1) * tau
+        n = u.size
         if k < kmax:
             u = np.append(u, tau)  # the start of segment k + 1
         # Term i of every mode at every u, e^(a u) (b u)^i / i! S_(k-i), in
@@ -129,6 +143,9 @@ def kernel(params, xi):
         # vanishing b u an exact zero term, except where i = 0.
         log_term = np.empty((k + 1, a.shape[0], u.size))
         log_term[0] = a * u
+        if log_scale is not None:
+            # Every later term adds term 0, so it takes the scale from here.
+            log_term[0, :, :n] += log_scale[:, cols]
         with np.errstate(divide="ignore"):
             log_bu = np.log(np.abs(b * u))
         log_term[1:] = log_bu * i[1:k + 1, None, None]
@@ -143,7 +160,7 @@ def kernel(params, xi):
                        where=log_term > _MIN_EXP_ARG)
         terms *= (sign_s[:, k::-1] * sign_power[:, :k + 1]).T[:, :, None]
         values = terms.sum(axis=0)
-        out[:, cols] = values[:, :cols.size]
+        out[:, cols] = values[:, :n]
         if k < kmax:
             with np.errstate(divide="ignore"):
                 log_s[:, k + 1] = np.log(np.abs(values[:, -1]))
@@ -252,15 +269,24 @@ def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
     c in (0, 1) of panel p contributes through K((j - p - c) dt).  One table
     of K at (k - c) dt, k = 1-m..n_steps, therefore serves every output time,
     and x(t_j) is a Toeplitz contraction of that table with the weighted data
-    samples.  Each panel carries Gauss nodes on sub-panels graded toward the
-    end where exp(-a dt c) peaks.  Modes whose graded sub-panels coincide
-    form a group, which builds one table (modes x lags x offsets) per level
-    and contracts it one lag row at a time, every mode of the group at once
-    (one batched matrix-vector product per row); lag rows that underflowed
-    to zero in every mode (stiff modes: the table's tail, and the stretches
-    between delay multiples) are skipped.  A group holds at most
-    ``_CHUNK_ELEMENTS`` table and data entries at once and is evaluated in
-    chunks of modes otherwise.
+    samples.
+
+    Across a panel K((k - c) dt) carries exp(rate c), rate = -a dt, which
+    peaks at c = 1 when rate > 0 (else at c = 0).  Each panel is cut into
+    equal sub-panels with Gauss nodes, starting from the one panel [0, 1].
+    The weights of a mode integrate exp(rate (c - peak)) times the Lagrange
+    basis on a sub-panel's nodes exactly
+    (:func:`~delayheat.quadrature.exp_panel_weights`, graded by the mode's
+    own rate), and the table holds K exp(rate (peak - c)), the factor added
+    to the kernel's log-space terms; neither forms exp(rate).  So a stiff
+    mode is as smooth to the rule as a mild one, and all modes of one
+    coupling kind (b == 0 or not) form one group.  A group builds one table
+    (modes x lags x offsets) per level and contracts it one lag row at a
+    time, every mode of the group at once (one batched matrix-vector
+    product per row); lag rows that underflowed to zero in every mode
+    (stiff modes: the table's tail, and the stretches between delay
+    multiples) are skipped.  A group holds at most ``_CHUNK_ELEMENTS`` table
+    and data entries at once and is evaluated in chunks of modes otherwise.
 
     A group is accepted once, with all its sub-panels halved, every mode
     agrees with the previous level to ``abs_tol + 1e-14 * |x|`` at every
@@ -277,29 +303,29 @@ def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
         raise InputError(f"n_steps must be non-negative, got {n_steps!r}")
     params = DelayOdeParams(a=np.asarray(a, dtype=float),
                             b=np.asarray(b, dtype=float), tau=tau)
-    dt = tau / m
     out = np.zeros((params.a.size, n_steps))
     if n_steps == 0:
         return out
-    groups = {}
-    for i, (ai, bi) in enumerate(zip(params.a, params.b)):
-        key = (bi == 0.0, tuple(graded_breakpoints(0.0, 1.0, -ai * dt)))
-        groups.setdefault(key, []).append(i)
-    for (_, interior), rows in groups.items():
-        rows = np.array(rows)
-        out[rows] = _solve_group(
-            DelayOdeParams(a=params.a[rows], b=params.b[rows], tau=tau),
-            None if history is None else history.rows(rows),
-            None if forcing is None else forcing.rows(rows),
-            m, n_steps, np.array([0.0, *interior, 1.0]), quad)
+    for recursive in (True, False):
+        rows = np.flatnonzero((params.b == 0.0) == recursive)
+        if rows.size:
+            out[rows] = _solve_group(
+                DelayOdeParams(a=params.a[rows], b=params.b[rows], tau=tau),
+                None if history is None else history.rows(rows),
+                None if forcing is None else forcing.rows(rows),
+                m, n_steps, quad)
     return out
 
 
-def _solve_group(params, history, forcing, m, n_steps, edges, quad):
+def _solve_group(params, history, forcing, m, n_steps, quad):
     """:func:`solve_modes` for one group: modes that all have b == 0 or all
-    have b != 0, and whose panels start from the same ``edges``."""
+    have b != 0."""
     a, b, tau = params.a, params.b, params.tau
     dt = tau / m
+    # The weights integrate exp(rate (c - peak)); the table carries the rest
+    # of K's exponential, exp(rate (peak - c)) (see solve_modes).
+    rate = -a * dt
+    peak = np.where(rate > 0.0, 1.0, 0.0)
     head = np.zeros((a.size, n_steps))
     if history is not None:
         head = kernel(params, dt * np.arange(1, n_steps + 1)) * history(
@@ -318,7 +344,9 @@ def _solve_group(params, history, forcing, m, n_steps, edges, quad):
     def contract(rows, offsets, weights):
         """Trajectories of the group's ``rows`` at one level."""
         table = kernel(DelayOdeParams(a=a[rows], b=b[rows], tau=tau),
-                       dt * (lags[:, None] - offsets[None, :]))
+                       dt * (lags[:, None] - offsets[None, :]),
+                       log_scale=rate[rows, None, None]
+                       * (peak[rows, None, None] - offsets))
         data = np.zeros((rows.size, m + n_steps, offsets.size))
         if history is not None:
             paths = history.rows(rows)
@@ -327,7 +355,7 @@ def _solve_group(params, history, forcing, m, n_steps, edges, quad):
         if forcing is not None:
             s = dt * (np.arange(n_steps)[:, None] + offsets[None, :])
             data[:, m:] = forcing.rows(rows)(s)
-        data *= dt * weights
+        data *= dt * weights[rows, None, :]
         if recursive:
             # z_r sums panels p <= r: z_r = exp(a dt) z_(r-1) + panel r, and
             # x(t_j) = z_(j + m - 1).
@@ -346,7 +374,8 @@ def _solve_group(params, history, forcing, m, n_steps, edges, quad):
         return x
 
     def level_value(edges):
-        offsets, weights = panel_nodes(edges, quad.nodes_per_panel)
+        offsets, _ = panel_nodes(edges, quad.nodes_per_panel)
+        weights = exp_panel_weights(edges, quad.nodes_per_panel, rate)
         chunk = max(1, _CHUNK_ELEMENTS
                     // ((lags.size + m + n_steps) * offsets.size))
         return np.concatenate([
@@ -354,7 +383,7 @@ def _solve_group(params, history, forcing, m, n_steps, edges, quad):
             for lo in range(0, a.size, chunk)])
 
     return halve_until_stable(
-        level_value, edges, quad,
+        level_value, np.array([0.0, 1.0]), quad,
         f"grid quadrature did not converge to {quad.abs_tol:g} "
         f"after {quad.max_panel_splits} panel splits",
     )

@@ -11,6 +11,12 @@ and the result is accepted only after a panel-halving refinement agrees to
 tolerance.  :func:`halve_until_stable` is that acceptance loop; the adaptive
 :func:`composite_gauss`, the sine projections and the delay-ODE grid engine
 each hand it their own level function.
+
+Where the exponential factor is known, it can instead be integrated exactly
+(product integration): :func:`exp_panel_weights` gives the weights of
+exp(rate (s - peak)) times the Lagrange basis on each panel's Gauss nodes,
+so a stiff factor needs no graded panels in the caller.  The grading moves
+into the weights, computed once per rate on a fine graded rule.
 """
 
 from __future__ import annotations
@@ -83,6 +89,16 @@ def halve_panels(edges):
 _GRADING_THRESHOLD = 8.0
 
 
+def _grading_levels(scale):
+    """How many geometric grading points an exponential exp(scale * x)
+    takes on a unit panel, vectorized over |scale|: none when it is at most
+    ``_GRADING_THRESHOLD`` (or not finite)."""
+    scale = np.asarray(scale, dtype=float)
+    graded = np.isfinite(scale) & (scale > _GRADING_THRESHOLD)
+    ratio = np.where(graded, scale, 1.0) / (_GRADING_THRESHOLD / 2.0)
+    return np.where(graded, np.ceil(np.log2(ratio)), 0.0).astype(int)
+
+
 def graded_breakpoints(lo, hi, rate):
     """Geometric grading for an integrand carrying exp(rate * s) on [lo, hi].
 
@@ -91,16 +107,90 @@ def graded_breakpoints(lo, hi, rate):
     at most ``_GRADING_THRESHOLD``.
     """
     width = hi - lo
-    scale = abs(rate) * width
-    if not np.isfinite(scale) or scale <= _GRADING_THRESHOLD:
+    levels = int(_grading_levels(abs(rate) * width))
+    if not levels:
         return []
-    levels = int(np.ceil(np.log2(scale / (_GRADING_THRESHOLD / 2.0))))
     dists = width * 0.5 ** np.arange(1, levels + 1)
     if rate > 0:
         pts = hi - dists
     else:
         pts = lo + dists
     return [p for p in pts if lo < p < hi]
+
+
+@lru_cache(maxsize=64)
+def _lagrange_table(nodes_per_panel, layout):
+    """A Gauss rule of twice ``nodes_per_panel`` nodes on each panel of
+    [0, 1] cut at the interior points ``layout``, and the Lagrange basis of
+    the ``nodes_per_panel``-point Gauss rule on [0, 1] at its nodes: returns
+    (points - 1, weights, basis), basis of shape (points, nodes_per_panel).
+    """
+    pts, wts = panel_nodes([0.0, *layout, 1.0], 2 * nodes_per_panel)
+    nodes = 0.5 * (gauss_rule(nodes_per_panel)[0] + 1.0)
+    basis = np.ones((pts.size, nodes_per_panel))
+    for k, node in enumerate(nodes):
+        # Column j takes the factor (x - x_k) / (x_j - x_k) for every k != j.
+        factor = (pts[:, None] - node) / np.where(nodes == node, 1.0,
+                                                   nodes - node)
+        factor[:, k] = 1.0
+        basis *= factor
+    return pts - 1.0, wts, basis
+
+
+def _exp_weights(rates, nodes_per_panel):
+    """Product-integration weights on [0, 1] for the factor exp(rate * x).
+
+    Row i holds v_j = integral_0^1 exp(rate_i (x - peak_i)) l_j(x) dx,
+    j = 0..nodes_per_panel-1, where l_j is the Lagrange basis on the Gauss
+    nodes of [0, 1] and peak_i the end where the exponential is largest (1
+    for rate_i > 0, else 0).  So sum_j v_j g(x_j) integrates
+    exp(rate (x - peak)) g(x) exactly for g of degree < nodes_per_panel,
+    the weights stay O(1) at any rate, and at rate 0 they are the Gauss
+    weights.  Each row is computed on its own rate's geometric grading
+    (:func:`graded_breakpoints`), with twice as many Gauss nodes on each
+    fine panel.
+    """
+    rates = np.asarray(rates, dtype=float).ravel()
+    mags = np.abs(rates)
+    groups = {}  # rates of one level count share one grading
+    for i, count in enumerate(_grading_levels(mags).tolist()):
+        groups.setdefault(count, []).append(i)
+    out = np.empty((rates.size, 1, nodes_per_panel))
+    for rows in groups.values():
+        layout = tuple(graded_breakpoints(0.0, 1.0, mags[rows[0]]))
+        shifted, wts, basis = _lagrange_table(nodes_per_panel, layout)
+        # exp(|rate| (x - 1)) with peak 1; a falling exponential is its
+        # mirror image, whose Gauss nodes are the same nodes reversed.
+        # One (1 x points) product per row, as a row alone would take it.
+        out[rows] = (wts * np.exp(mags[rows, None, None] * shifted)) @ basis
+    out = out[:, 0]
+    falling = rates < 0.0
+    out[falling] = out[falling, ::-1]
+    return out
+
+
+def exp_panel_weights(edges, nodes_per_panel, rates):
+    """Product-integration weights of every panel of ``edges`` for the
+    factor exp(rate * (s - peak)), peak being the end of [edges[0],
+    edges[-1]] where the exponential is largest; the rule's points are
+    ``panel_nodes(edges, nodes_per_panel)[0]``.
+
+    Returns (len(rates), points): row i integrates
+    exp(rate_i (s - peak_i)) g(s) for g a polynomial of degree
+    < ``nodes_per_panel`` on each panel.  A caller integrating
+    exp(rate s) f(s) evaluates f(s) exp(rate (peak - s)) at the points.
+    """
+    edges = np.asarray(edges, dtype=float)
+    rates = np.asarray(rates, dtype=float).ravel()[:, None]
+    widths = np.diff(edges)
+    out = np.empty((rates.size, widths.size, nodes_per_panel))
+    for w in set(widths.tolist()):
+        # Panels of one width share their weights up to the scale below.
+        out[:, widths == w] = _exp_weights(rates * w, nodes_per_panel)[:, None]
+    # Each panel's own peak end lies |rate| * (its distance) below the peak.
+    ends = np.where(rates > 0.0, edges[1:] - edges[-1], edges[:-1] - edges[0])
+    out *= (widths * np.exp(rates * ends))[:, :, None]
+    return out.reshape(rates.size, -1)
 
 
 def halve_until_stable(level, layout, quad, message, halve=halve_panels,

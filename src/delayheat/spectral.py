@@ -171,7 +171,9 @@ class HermitePaths:
     and slopes at both ends; beyond the sample times the end cubics extend.
     The family keeps the ``times``, ``values`` and ``slopes`` it was built
     from.  Calling it evaluates every path at once, (N, *s.shape); a
-    :meth:`row` evaluates one path with the same arithmetic.
+    :meth:`row` evaluates one path with the same arithmetic.  The cubics'
+    coefficients are stored knots-major, (knots, N), so that gathering the
+    coefficients of every path at one knot reads one contiguous row.
     """
 
     def __init__(self, times, values, slopes):
@@ -181,13 +183,15 @@ class HermitePaths:
         self.start = float(times[0])
         self.step = float(times[-1] - times[0]) / (times.size - 1)
         self.last = times.size - 2
-        y0, y1 = values[..., :-1], values[..., 1:]
-        d0, d1 = self.step * slopes[..., :-1], self.step * slopes[..., 1:]
+        # Knots along the first axis, so that a gather reads whole rows.
+        y = np.ascontiguousarray(np.moveaxis(values, -1, 0))
+        d = np.multiply(self.step, np.moveaxis(slopes, -1, 0), order="C")
+        y0, y1, d0, d1 = y[:-1], y[1:], d[:-1], d[1:]
         rise = y1 - y0
         self.coeffs = (y0, d0, 3.0 * rise - 2.0 * d0 - d1, d0 + d1 - 2.0 * rise)
 
     def row(self, n):
-        """Mode n's (1-based) path; shares this family's arrays."""
+        """Mode n's (1-based) path."""
         return self._select(n - 1)
 
     def rows(self, index):
@@ -196,7 +200,8 @@ class HermitePaths:
 
     def _select(self, key):
         view = copy.copy(self)
-        view.coeffs = tuple(c[key] for c in self.coeffs)
+        # take, not c[:, key]: the copies stay knots-major and contiguous.
+        view.coeffs = tuple(c.take(key, axis=1) for c in self.coeffs)
         view.values, view.slopes = self.values[key], self.slopes[key]
         return view
 
@@ -208,12 +213,15 @@ class HermitePaths:
         u -= i
         if nu not in (0, 1, 2):
             raise InputError(f"derivative order must be 0, 1 or 2, got {nu!r}")
+        family = self.coeffs[0].ndim > 1
+        if family:
+            u = u[..., None]  # paths along the last axis until the end
         # Horner's rule on d^nu/du^nu of c0 + u (c1 + u (c2 + u c3)), in
         # place and one gathered coefficient at a time, so that a whole
         # family holds two arrays of the result's size, not six.
         out = None
         for k in range(3, nu - 1, -1):
-            term = self.coeffs[k].take(i, axis=-1)
+            term = self.coeffs[k].take(i, axis=0)
             weight = math.perm(k, nu)
             if weight != 1:
                 term *= float(weight)
@@ -222,7 +230,9 @@ class HermitePaths:
             else:
                 out *= u
                 out += term
-        return out / self.step**nu if nu else out
+        if nu:
+            out /= self.step**nu
+        return np.moveaxis(out, -1, 0) if family else out
 
 
 _SINE_BLOCK = 1 << 16  # points per sine table in sine_coefficients

@@ -17,7 +17,12 @@ from delayheat.delay_ode import (
     solve_on_grid,
 )
 from delayheat.errors import DomainError, InputError, NumericError, QuadratureError
-from delayheat.quadrature import QuadratureConfig
+from delayheat.quadrature import (
+    QuadratureConfig,
+    exp_panel_weights,
+    gauss_rule,
+    panel_nodes,
+)
 from delayheat.funcspec import parse_function
 from delayheat.spectral import HermitePaths
 
@@ -223,8 +228,8 @@ def test_engine_group_with_one_starved_mode_raises():
 
 @pytest.mark.parametrize("b", [0.0, 0.5])
 def test_engine_overflow_in_one_mode_of_a_group_raises(b):
-    # a dt = 35 and 50 grade their panels alike, so both modes form one
-    # group; a (tau + t_n) = 525 stays in range, 750 does not.
+    # Both modes have the same b, so they form one group; a (tau + t_n) =
+    # 525 stays in range, 750 does not.
     # The overflow must raise, with no RuntimeWarning on the way.
     forcing = HermitePaths(np.linspace(0.0, 6.5, 14), np.ones((2, 14)),
                            np.zeros((2, 14)))
@@ -233,6 +238,105 @@ def test_engine_overflow_in_one_mode_of_a_group_raises(b):
         solve_modes([70.0, 100.0], [b, b], 1.0, None, forcing, 2, 13)
     assert np.all(np.isfinite(solve_modes([70.0], [b], 1.0, None,
                                           forcing.rows(np.array([0])), 2, 13)))
+
+
+# ---------------------------------------------------------------------------
+# Exponentially weighted panel rules: the stiff factor integrated exactly
+# ---------------------------------------------------------------------------
+
+
+def _exp_moments(rate, count, dps=400):
+    """integral_0^1 exp(rate (x - peak)) x^d dx for d < count, exactly (peak
+    1 for rate > 0, else 0), by J_d = e^rate / rate - (d / rate) J_(d-1)."""
+    import mpmath
+
+    with mpmath.workdps(dps):
+        lam = mpmath.mpf(rate)
+        if lam == 0:
+            return np.array([1.0 / (d + 1) for d in range(count)])
+        shift = mpmath.exp(-lam) if rate > 0 else mpmath.mpf(1)
+        moment, out = (mpmath.exp(lam) - 1) / lam, []
+        for d in range(count):
+            if d:
+                moment = mpmath.exp(lam) / lam - d / lam * moment
+            out.append(float(shift * moment))
+        return np.array(out)
+
+
+@pytest.mark.parametrize("edges", [[0.0, 1.0], [0.0, 0.25, 0.5, 1.0]])
+@pytest.mark.parametrize("rate", [0.0, 1e-9, -1e-9, 1.0, -1.0, 16.0, -16.0,
+                                  512.0, 4096.0, 5e4, -5e4])
+def test_exponential_weights_integrate_polynomials_exactly(rate, edges):
+    # Polynomials of degree below the node count, against the exponential
+    # factor exp(rate (c - peak)), with weights of size O(1) at any rate.
+    q = 16
+    pts, _ = panel_nodes(np.array(edges), q)
+    weights = exp_panel_weights(edges, q, [rate])[0]
+    exact = _exp_moments(rate, q)
+    got = np.array([np.dot(weights, pts**d) for d in range(q)])
+    np.testing.assert_allclose(got, exact, rtol=0, atol=1e-13 * exact[0])
+    assert np.all(np.isfinite(weights))
+    assert np.max(np.abs(weights)) <= 1.0
+
+
+def test_exponential_weights_reduce_to_gauss_weights():
+    q = 16
+    gauss = 0.5 * gauss_rule(q)[1]
+    weights = exp_panel_weights([0.0, 1.0], q, [0.0, 1e-9, -1e-9])
+    np.testing.assert_allclose(weights[0], gauss, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(weights[1:], [gauss, gauss], rtol=0, atol=2e-10)
+
+
+def test_exponential_weights_of_a_mode_depend_on_its_rate_alone():
+    rates = np.array([-3.0, 0.5, 12.0, 700.0, 4.1e3, 5e4])
+    together = exp_panel_weights([0.0, 0.5, 1.0], 16, rates)
+    for rate, row in zip(rates, together):
+        np.testing.assert_array_equal(
+            exp_panel_weights([0.0, 0.5, 1.0], 16, [rate])[0], row)
+
+
+def test_engine_on_stiff_modes_matches_exact_method_of_steps():
+    # lambda = -a dt up to 5e4: the exponential weights must carry the
+    # stiff factor with no overflow, underflow warning or lost accuracy.
+    a = np.array([-1.0, -100.0, -5e3, -2e4, -2e5])
+    b = np.array([-0.5, -50.0, -10.0, 3.0, -1.0])
+    tau, m, n_steps = 1.0, 4, 12
+    s = np.linspace(-tau, 0.0, 33)
+    history = HermitePaths(s, np.tile(1.0 + s - 0.5 * s**3, (5, 1)),
+                           np.tile(1.0 - 1.5 * s**2, (5, 1)))
+    t = np.linspace(0.0, 3.0, 25)
+    forcing = HermitePaths(t, np.tile(0.5 - t, (5, 1)), -np.ones((5, 25)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        x = solve_modes(a, b, tau, history, forcing, m, n_steps)
+    t_out = tau / m * np.arange(1, n_steps + 1)
+    for i in range(a.size):
+        ref = dde_steps_exact(a[i], b[i], tau, [1.0, 1.0, 0.0, -0.5], t_out,
+                              rho_poly=[0.5, -1.0])
+        np.testing.assert_allclose(x[i], ref, rtol=0,
+                                   atol=QuadratureConfig().abs_tol)
+
+
+def test_engine_builds_one_ungraded_table_per_level(monkeypatch):
+    # Mild and stiff modes with lag coupling form one group: every level
+    # builds one table for all of them, on equal sub-panels of [0, 1].
+    from delayheat import delay_ode
+
+    tables, levels = [], []
+    kernel_fn, nodes_fn = delay_ode.kernel, delay_ode.panel_nodes
+    monkeypatch.setattr(delay_ode, "kernel", lambda params, xi, **kw: (
+        np.ndim(xi) == 2 and tables.append((np.size(params.a), np.shape(xi)))
+    ) or kernel_fn(params, xi, **kw))
+    monkeypatch.setattr(delay_ode, "panel_nodes", lambda edges, n: (
+        levels.append(len(edges) - 1)) or nodes_fn(edges, n))
+    a = -np.array([1.0, 10.0, 200.0, 3e3, 4e4])  # a dt from 0.125 to 5e3
+    s = np.linspace(-1.0, 0.0, 33)
+    history = HermitePaths(s, np.tile(np.cos(3.0 * s), (5, 1)),
+                           np.tile(-3.0 * np.sin(3.0 * s), (5, 1)))
+    solve_modes(a, np.full(5, 0.5), 1.0, history, None, 8, 16)
+    q = QuadratureConfig().nodes_per_panel
+    assert len(levels) >= 2 and levels == [2**j for j in range(len(levels))]
+    assert tables == [(5, (24, q * panels)) for panels in levels]
 
 
 def test_forced_matches_stepping_oracle():

@@ -376,8 +376,9 @@ def _engine_cases():
                           id=path.name)
              for path in run_configs()
              for cfg in [load_config(path)] if cfg.kind == "delay"]
-    # Lagged diffusion makes B_n grow like n^2 too; the 128 modes spread
-    # over seven groups of graded panels, |L_n| dt up to 512.
+    # Lagged diffusion makes B_n grow like n^2 too; the 128 modes, with
+    # |L_n| dt up to 512, form one group whose stiff factors the
+    # exponential weights carry, each mode's by its own rate.
     stiff = _problem(a2=0.5, d2=-0.3, tau=0.5, horizon=1.0,
                      psi="x*(l-x)*(1+t)", g="x*cos(3*t)")
     return cases + [pytest.param(stiff, 128, 16, id="stiff_128_modes")]
@@ -405,8 +406,8 @@ def test_delay_problem_without_lag_coupling_takes_the_recursion(monkeypatch):
     from delayheat import delay_ode
 
     shapes, kernel = [], delay_ode.kernel
-    monkeypatch.setattr(delay_ode, "kernel", lambda params, xi: shapes.append(
-        np.shape(xi)) or kernel(params, xi))
+    monkeypatch.setattr(delay_ode, "kernel", lambda params, xi, **kw:
+                        shapes.append(np.shape(xi)) or kernel(params, xi, **kw))
     p = _problem(d1=-0.2, tau=0.5, horizon=1.0, psi="sin(x)*(1 + t)",
                  g="x*cos(t)")
     assert reduce_delay(p).c2 == 0.0
