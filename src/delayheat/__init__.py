@@ -74,19 +74,10 @@ from .heat_delay import (
     reduce_delay,
     solve_delay,
 )
-from .heat_nodelay import (
-    HeatProblem,
-    reduce_problem,
-    solve,
-)
+from .heat_nodelay import HeatProblem, reduce_problem, solve
 from .oracle_fd import fd_solve_delay, fd_solve_nodelay
 from .quadrature import QuadratureConfig, composite_gauss, graded_breakpoints
-from .spectral import (
-    DecayReport,
-    EigenBasis,
-    decay_fit,
-    sine_coefficients,
-)
+from .spectral import DecayReport, EigenBasis, decay_fit
 
 __version__ = "1.0.0"
 
@@ -153,7 +144,6 @@ __all__ = [
     "read_field_csv",
     "reduce_delay",
     "reduce_problem",
-    "sine_coefficients",
     "solve",
     "solve_delay",
     "solve_at",

@@ -47,9 +47,9 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .heat_delay import DelayHeatProblem, build_modes, reduce_delay, steps_covered
-from .heat_nodelay import HeatProblem, reduce_problem
+from .heat_nodelay import HeatProblem, _initial_coefficients, reduce_problem
 from .quadrature import QuadratureConfig
-from .spectral import FLOOR_REL, EigenBasis, decay_fit, sine_coefficients
+from .spectral import FLOOR_REL, EigenBasis, decay_fit
 
 # Sample times per time window of the boundary and endpoint checks.
 SAMPLES = 65
@@ -335,11 +335,9 @@ def check_problem(p, basis=None, quad=QuadratureConfig(), check=CheckSettings())
             build_modes(reduce_delay(p), basis, quad), m=m, delta=check.delta,
             fit_slack=check.fit_slack)
     else:
-        rp = reduce_problem(p)
-        coeffs = sine_coefficients(lambda x: rp.shifted_initial(x, 0.0),
-                                   basis, quad)
+        initial = _initial_coefficients(reduce_problem(p), basis, quad)
         report.decay = [_fit_sequence("initial_coefficient_decay", NODELAY_RATE,
-                                      np.abs(coeffs),
+                                      np.abs(initial),
                                       _nodelay_verdict(check.fit_slack))]
     report.endpoint = check_endpoint_conditions(p, m=m, tol=check.tol)
     return report

@@ -311,10 +311,16 @@ def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
         if rows.size:
             out[rows] = _solve_group(
                 DelayOdeParams(a=params.a[rows], b=params.b[rows], tau=tau),
-                None if history is None else history.rows(rows),
-                None if forcing is None else forcing.rows(rows),
-                m, n_steps, quad)
+                _rows(history, rows, out.shape[0]),
+                _rows(forcing, rows, out.shape[0]), m, n_steps, quad)
     return out
+
+
+def _rows(family, rows, size):
+    """The sorted ``rows`` of a ``size``-row family, copied only if fewer."""
+    if family is None or rows.size == size:
+        return family
+    return family.rows(rows)
 
 
 def _solve_group(params, history, forcing, m, n_steps, quad):
@@ -349,12 +355,12 @@ def _solve_group(params, history, forcing, m, n_steps, quad):
                        * (peak[rows, None, None] - offsets))
         data = np.zeros((rows.size, m + n_steps, offsets.size))
         if history is not None:
-            paths = history.rows(rows)
+            paths = _rows(history, rows, a.size)
             s = dt * (np.arange(m)[:, None] + offsets[None, :]) - tau
             data[:, :m] = paths(s, 1) - a[rows, None, None] * paths(s)
         if forcing is not None:
             s = dt * (np.arange(n_steps)[:, None] + offsets[None, :])
-            data[:, m:] = forcing.rows(rows)(s)
+            data[:, m:] = _rows(forcing, rows, a.size)(s)
         data *= dt * weights[rows, None, :]
         if recursive:
             # z_r sums panels p <= r: z_r = exp(a dt) z_(r-1) + panel r, and

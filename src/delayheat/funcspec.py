@@ -31,7 +31,9 @@ treat each factor once instead of every (x, t) pair.  An expression splits
 at ``+``, ``-``, unary minus and ``*`` and groups its terms by structurally
 equal t-factor; sums, scalings, exponential weights (e^(offset + cx x) times
 e^(ct t)), partial derivatives (X^(i) T^(j)) and 1-D tables pass it through;
-every other spec returns None.
+every other spec returns None.  ``x_knots()`` returns the x sample points
+of the tables inside a spec, where its interpolant may kink, so that a
+projection can make them panel edges.
 
 Expression grammar (ASCII, whitespace-insensitive)::
 
@@ -578,6 +580,13 @@ class FunctionSpec:
         separate so."""
         return None
 
+    def x_knots(self):
+        """The x sample points of the spec's tables, where it may kink in x:
+        a spec with a ``base`` (a partial, scaling, weight or time shift)
+        has its base's, a sum all its parts', an expression none."""
+        base = getattr(self, "base", None)
+        return np.empty(0) if base is None else base.x_knots()
+
 
 @dataclass
 class _Partial(FunctionSpec):
@@ -790,6 +799,9 @@ class Sampled1DFunction(FunctionSpec):
         one = fs_const(1.0)
         return [(self, one) if self.var == "x" else (one, self)]
 
+    def x_knots(self):
+        return self.points if self.var == "x" else np.empty(0)
+
 
 @dataclass
 class Sampled2DFunction(FunctionSpec):
@@ -856,6 +868,9 @@ class Sampled2DFunction(FunctionSpec):
 
         return _nested(coef, kx, kt)
 
+    def x_knots(self):
+        return self.x_points
+
 
 # ---------------------------------------------------------------------------
 # Combinators (solver-side changes of variables; each is one line of jet
@@ -881,6 +896,9 @@ class SummedFunction(FunctionSpec):
                 return None
             pairs += split
         return pairs
+
+    def x_knots(self):
+        return np.concatenate([p.x_knots() for p in self.parts])
 
 
 @dataclass
@@ -954,6 +972,9 @@ class FixedXFunction(FunctionSpec):
     def _jet(self, x, t, kx, kt):
         trace = self.base._jet(np.asarray(self.x0), t, 0, kt)
         return trace if kx == 0 else _Jet([trace] + [0.0] * kx)
+
+    def x_knots(self):
+        return np.empty(0)  # constant in x
 
 
 def fs_sum(*parts):

@@ -279,11 +279,11 @@ def build_modes(rp, basis, quad=QuadratureConfig()):
     the times :func:`forcing_paths` chooses.
     Each family is one :func:`~delayheat.spectral.project_paths` pass, which
     reads the values and the t-slopes off one jet per rung and climbs from
-    P/8 to at most P = max(4, 2N) panels until two rungs agree (rung P when
-    none do).  Only phi and f are evaluated on the quadrature points: by
-    their x- and t-factors where they separate, else on the (points x times)
-    grid.  The lift's share of Phi and F is linear in x and is added in
-    closed form.
+    P/8 panels, P = max(4, 2N), with table knots as panel edges, until two
+    rungs agree, or raises :class:`QuadratureError`.  Only phi and f are
+    evaluated on the quadrature points: by their x- and t-factors where they
+    separate, else on the (points x times) grid.  The lift's share of Phi
+    and F is linear in x and is added in closed form.
     """
     key = ("modes", basis, quad)
     cached = rp._cache.get(key)

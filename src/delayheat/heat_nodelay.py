@@ -99,20 +99,24 @@ def reduce_problem(p):
 # ---------------------------------------------------------------------------
 
 
-def _mode_data(rp, basis, quad):
-    """Phi_n at t = 0, the modal rates (-(pi n a / l)^2, 0) and the forcing
-    paths F_n (:func:`~delayheat.heat_delay.forcing_paths`: 257 times on
-    [0, T] without a delay).
+def _initial_coefficients(rp, basis, quad):
+    """Phi_n at t = 0: one :func:`~delayheat.spectral.project_paths` pass
+    with no t-derivative, the lift's share in closed form.  It is kept on
+    ``rp`` per basis and quadrature, as ``build_modes`` keeps its mode
+    system, so the compat gate and the solve of a run project Phi once."""
+    key = ("initial", basis, quad)
+    if key not in rp._cache:
+        (initial,) = project_paths(rp.phi, np.zeros(1), basis, quad, kt=0,
+                                   linear=fs_scale(rp.lift, -1.0))
+        rp._cache[key] = initial[:, 0]
+    return rp._cache[key]
 
-    Phi needs no t-derivative.  Each is one
-    :func:`~delayheat.spectral.project_paths` pass, which returns the first
-    of its panel rungs (P/8 up to P = max(4, 2N)) that agrees with the one
-    before, or rung P; the lift's share is linear in x and projected in
-    closed form.
-    """
-    (initial,) = project_paths(rp.phi, np.zeros(1), basis, quad, kt=0,
-                               linear=fs_scale(rp.lift, -1.0))
-    return (initial[:, 0], modal_rates(rp, basis),
+
+def _mode_data(rp, basis, quad):
+    """Phi_n at t = 0 (:func:`_initial_coefficients`), the modal rates
+    (-(pi n a / l)^2, 0) and the forcing paths F_n
+    (:func:`~delayheat.heat_delay.forcing_paths`)."""
+    return (_initial_coefficients(rp, basis, quad), modal_rates(rp, basis),
             forcing_paths(rp, basis, quad))
 
 

@@ -9,7 +9,7 @@ stiff exponential factor exp(rate * s).  Panels are therefore laid out from
 
 and the result is accepted only after a panel-halving refinement agrees to
 tolerance.  :func:`halve_until_stable` is that acceptance loop; the adaptive
-:func:`composite_gauss`, the sine projections and the delay-ODE grid engine
+:func:`composite_gauss`, the sine projection and the delay-ODE grid engine
 each hand it their own level function.
 
 Where the exponential factor is known, it can instead be integrated exactly
@@ -202,7 +202,7 @@ def halve_until_stable(level, layout, quad, message, halve=halve_panels,
     agrees with the previous level to ``abs_tol + 1e-14 * |value|``.  After
     ``splits`` halvings (default ``quad.max_panel_splits``) without that,
     raises :class:`QuadratureError` with ``message`` and the largest
-    difference, or, when ``message`` is None, returns the last level.
+    difference; no caller gets an unsettled level back.
     """
     value = level(layout)
     residual = np.inf
@@ -214,8 +214,6 @@ def halve_until_stable(level, layout, quad, message, halve=halve_panels,
         if np.all(diff <= quad.abs_tol + 1e-14 * np.abs(refined)):
             return value
         residual = float(np.max(diff))
-    if message is None:
-        return value
     raise QuadratureError(message, residual=residual)
 
 

@@ -1,20 +1,17 @@
-"""Sine eigenbasis on [0, l]: projection, synthesis, and tail-decay fitting.
+"""Sine eigenbasis on [0, l]: projection, Hermite paths, decay fitting.
 
 The Dirichlet Laplacian on [0, l] has eigenfunctions sin(pi n x / l) with
-eigenvalues (pi n / l)^2.  Projections use composite Gauss panels whose count
-scales with the highest requested mode (P = max(4, 2N) panels), so
-oscillatory integrands stay resolved.  ``sine_coefficients`` starts at P and
-doubles the panel count until the coefficients settle, or raises;
-``project_paths`` climbs from P/8 to P and keeps rung P when no two rungs
-agree.
-
-Projecting f(x, t) at shared sample times gives one coefficient path per
-mode (``project_paths``).  The same pass projects its t-derivative, read off
-one Taylor jet with the values, which gives each path's exact slopes.  Data
-that separate as f = sum_g X_g(x) T_g(t) (``FunctionSpec.separate``) are
-projected by their factors: a few sine-coefficient vectors of the X_g times
-the time series T_g and T_g', with no evaluation on the (points x times)
-grid.  Other data are evaluated on that grid.
+eigenvalues (pi n / l)^2.  The one projection, ``project_paths``, gives one
+coefficient path per mode of f(x, t) at shared sample times, and the paths'
+exact slopes, read off one Taylor jet with the values.  Its composite Gauss
+panels scale with the highest mode (P = max(4, 2N) panels), so oscillatory
+integrands stay resolved: it climbs from P/8 panels, past P by up to
+``max_panel_splits`` halvings, until two rungs agree, and raises
+:class:`QuadratureError` when none do.  The x-knots of tabulated data are
+panel edges on every rung, as QUADPACK's QAGP takes user breakpoints
+(Piessens et al., 1983).  Data that separate as f = sum_g X_g(x) T_g(t)
+(``FunctionSpec.separate``) are projected by their factors, with no
+evaluation on the (points x times) grid; other data on that grid.
 :class:`HermitePaths` joins samples and slopes into one piecewise-cubic
 Hermite interpolant per mode: local, with no linear system to solve, and
 with the same h^4 error order as a cubic spline.
@@ -70,12 +67,13 @@ class EigenBasis:
         return np.sin(table, out=table)
 
 
-# Time columns of one jet on the top rung of ``project_paths``.  A rung with
-# k times fewer panels takes k times as many columns, so every block holds
-# as many cells (points x columns) and a coarse rung pays few jet calls,
-# while the top rung makes the matrix products of the fixed max(4, 2N)-panel
-# rule, bit for bit.
+# Time columns of one jet on rung P of ``project_paths``.  A rung with k
+# times fewer panels takes k times as many columns, so every block holds as
+# many cells (points x columns) and a coarse rung pays few jet calls, while
+# rung P makes the matrix products of the fixed max(4, 2N)-panel rule, bit
+# for bit.  From rung 32 P on, a block is one column.
 _PROJECT_BLOCK = 32
+_TABLE_POINTS = 1 << 16  # per sine table, to bound a fine rung's memory
 
 
 def _project_rung(spec, times, basis, quad, panels, kt, step):
@@ -83,33 +81,49 @@ def _project_rung(spec, times, basis, quad, panels, kt, step):
     of its first ``kt`` t-derivatives at ``times``: an array
     (kt + 1, N, len(times)).
 
-    A spec that separates as sum_g X_g(x) T_g(t) (``spec.separate()``) is
-    projected by its factors: (S w X^T) T_j, with S w the weighted sine
-    table, X the x-factors at the Gauss points and T_j the t-factors' j-th
-    derivatives, read off one jet at ``times``.  Any other spec is evaluated
-    on the (points x times) grid, one jet per ``step`` time columns.  Either
-    way a non-finite value raises :class:`NumericError`.
+    The uniform panels are cut at the spec's x-knots inside (0, l), so a
+    table's interpolant is smooth on every panel.  A spec that separates as
+    sum_g X_g(x) T_g(t) is projected by its factors: (S w X^T) T_j, with
+    S w the weighted sine table, X the x-factors at the Gauss points and T_j
+    the t-factors' j-th derivatives, read off one jet at ``times``.  Any
+    other spec is evaluated on the (points x times) grid, one jet per
+    ``step`` time columns.  A sine table holds at most ``_TABLE_POINTS``
+    points; a finer rung sums its blocks.  A non-finite value raises
+    :class:`NumericError`.
     """
     edges = np.linspace(0.0, basis.length, panels + 1)
+    knots = [k for k in spec.x_knots() if 0.0 < k < basis.length]
+    if knots:  # np.union1d's first call imports about 1 MiB of numpy
+        edges = np.union1d(edges, knots)
     pts, wts = panel_nodes(edges, quad.nodes_per_panel)
-    sin_table = basis.eigenfunctions(pts)
     weight = (2.0 / basis.length) * wts
+    blocks = [slice(lo, lo + _TABLE_POINTS)
+              for lo in range(0, pts.size, _TABLE_POINTS)]
     orders = [(0, j) for j in range(kt + 1)]
     pairs = spec.separate()
     if pairs is not None:
         xs = np.array([x.partials(pts, 0.0, orders[:1])[0] for x, _ in pairs])
         ts = np.array([t.partials(0.0, times, orders) for _, t in pairs])
         with np.errstate(over="ignore", invalid="ignore"):
-            out = (sin_table @ (weight * xs).T) @ ts.swapaxes(0, 1)
+            weighted = (weight * xs).T
+            # Each table is a temporary, freed before the next is built.
+            sums = basis.eigenfunctions(pts[blocks[0]]) @ weighted[blocks[0]]
+            for block in blocks[1:]:
+                sums += basis.eigenfunctions(pts[block]) @ weighted[block]
+            out = sums @ ts.swapaxes(0, 1)
         if not np.all(np.isfinite(out)):
             raise NumericError(f"{type(spec).__name__} produced a non-finite value")
         return out
     out = np.empty((kt + 1, basis.n_modes, times.size))
-    for lo in range(0, times.size, step):
-        cols = times[lo:lo + step]
-        grids = spec.partials(pts[:, None], cols[None, :], orders)
-        for j, grid in enumerate(grids):
-            out[j, :, lo:lo + cols.size] = sin_table @ (weight[:, None] * grid)
+    for k, block in enumerate(blocks):
+        sin_table = basis.eigenfunctions(pts[block])
+        for lo in range(0, times.size, step):
+            cols = slice(lo, lo + step)
+            grids = spec.partials(pts[block, None], times[None, cols], orders)
+            for j, grid in enumerate(grids):
+                part = sin_table @ (weight[block, None] * grid)
+                out[j, :, cols] = out[j, :, cols] + part if k else part
+        del sin_table
     return out
 
 
@@ -119,22 +133,17 @@ def project_paths(spec, times, basis, quad=QuadratureConfig(), kt=1,
     ``kt`` t-derivatives at every t in ``times``: a tuple of kt + 1 arrays
     (N, len(times)).
 
-    The x-integrals climb a ladder of uniform Gauss panels: P/8, P/4, P/2
-    and P, where P = max(4, 2N) puts two panels on each period of the
-    fastest mode, starting at the smallest rung that is a whole number.
-    Each rung projects ``spec`` by its factors when ``spec.separate()``
-    gives them, and on the (points x times) grid otherwise
-    (:func:`_project_rung`).
-    The panels are halved (:func:`~delayheat.quadrature.halve_until_stable`)
+    The x-integrals climb a ladder of rungs (:func:`_project_rung`): P/8,
+    P/4, P/2, P and on past P by up to ``quad.max_panel_splits`` halvings,
+    where P = max(4, 2N) puts two panels on each period of the fastest mode,
+    from the smallest rung that is a whole number.  On the grid, each rung's
+    jet blocks hold as many cells as a 32-column block of rung P.  The
+    panels are halved (:func:`~delayheat.quadrature.halve_until_stable`)
     until two successive rungs agree on every value and slope to
     ``abs_tol + 1e-14 |value|``, and the finer rung is returned; when no
-    pair agrees, rung P is returned and no error is raised.  On the grid,
-    each rung evaluates one jet of t-order ``kt`` per block of time
-    columns, every block as many points x columns as a 32-column block of
-    rung P; values and t-derivatives are read off that jet.  A non-finite
-    coefficient raises :class:`NumericError`.  When spec or linear has
-    sampled data without the t-derivatives, their evaluation raises
-    :class:`UnsupportedOperationError`, linear's before the ladder starts.
+    pair agrees, :class:`QuadratureError` is raised.  When spec or linear
+    has sampled data without the t-derivatives, their evaluation raises
+    :class:`UnsupportedOperationError`, linear's before the ladder.
 
     ``linear`` (or None) is a spec A(t) + x B(t), added in closed form
     after the ladder: its coefficients are s1 A + sx B, with
@@ -149,9 +158,10 @@ def project_paths(spec, times, basis, quad=QuadratureConfig(), kt=1,
     splits = next(k for k in (3, 2, 1) if top % 2**k == 0)
     out = halve_until_stable(
         lambda panels: _project_rung(spec, times, basis, quad, panels, kt,
-                                     _PROJECT_BLOCK * top // panels),
-        top >> splits, quad, None, halve=lambda panels: 2 * panels,
-        splits=splits)
+                                     max(1, _PROJECT_BLOCK * top // panels)),
+        top >> splits, quad,
+        f"sine projection did not converge to {quad.abs_tol:g}",
+        halve=lambda panels: 2 * panels, splits=splits + quad.max_panel_splits)
     if linear is not None:
         n = basis.mode_numbers
         sign = (-1.0) ** n
@@ -233,35 +243,6 @@ class HermitePaths:
         if nu:
             out /= self.step**nu
         return np.moveaxis(out, -1, 0) if family else out
-
-
-_SINE_BLOCK = 1 << 16  # points per sine table in sine_coefficients
-
-
-def sine_coefficients(f, basis, quad=QuadratureConfig()):
-    """Coefficients c_n = (2 / l) * integral f(x) sin(pi n x / l) dx, n = 1..N.
-
-    ``f`` must be vectorized over x.  The panel count is doubled until
-    every coefficient is stable to quadrature tolerance; raises
-    :class:`QuadratureError` otherwise.  Each level lays out its panels with
-    ``np.linspace``, not by halving edges, so its nodes keep their bits.
-    """
-    panels = max(4, 2 * basis.n_modes)
-
-    def level(panels):
-        edges = np.linspace(0.0, basis.length, panels + 1)
-        pts, wts = panel_nodes(edges, quad.nodes_per_panel)
-        weighted = wts * np.asarray(f(pts), dtype=float)
-        # One sine table per block of points bounds the memory of fine levels.
-        blocks = [basis.eigenfunctions(pts[i:i + _SINE_BLOCK]) @ weighted[i:i + _SINE_BLOCK]
-                  for i in range(0, pts.size, _SINE_BLOCK)]
-        return (2.0 / basis.length) * sum(blocks[1:], blocks[0])
-
-    return halve_until_stable(
-        level, panels, quad,
-        f"sine projection did not converge to {quad.abs_tol:g}",
-        halve=lambda panels: 2 * panels,
-    )
 
 
 # Entries within this factor of a sequence's largest magnitude are

@@ -36,11 +36,11 @@ from delayheat import (
     nodelay_growth_constant,
     parse_function,
     reduce_delay,
-    sine_coefficients,
     solve,
     solve_delay,
     solve_at,
 )
+from delayheat.spectral import project_paths
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +358,9 @@ def test_parabola_coefficient_decay_and_condition_verdicts():
     advisory decay conditions reject this profile at single-interval
     thresholds while accepting a single-mode trigonometric profile."""
     basis = EigenBasis(1.0, 63)
-    coeffs = sine_coefficients(lambda x: x * (1.0 - x), basis)
+    (coeffs,) = project_paths(parse_function("x*(1 - x)"), np.zeros(1), basis,
+                              kt=0)
+    coeffs = coeffs[:, 0]
     n = basis.mode_numbers
     expected = np.where(n % 2 == 1, 8.0 / (np.pi**3 * n.astype(float) ** 3), 0.0)
     np.testing.assert_allclose(coeffs, expected, atol=1e-10)

@@ -274,11 +274,12 @@ def test_solve_numeric_failure_exits_3(tmp_path, capsys):
 
 
 def test_delay_solve_numeric_failure_exits_3(tmp_path, capsys):
+    # No panel split is allowed: the projection still settles by rung P,
+    # and the modal engine, which needs one split to accept, fails.
     cfg = _delay_config(
         tmp_path, psi="sin(x) + sin(5*x)",
         solver={"modes": 8, "nx": 20, "nt_per_tau": 4,
-                "quadrature": {"nodes_per_panel": 2, "max_panel_splits": 1,
-                               "abs_tol": 1e-16}},
+                "quadrature": {"max_panel_splits": 0}},
     )
     code = main(["solve", "--config", cfg, "--override-advisory"])
     assert code == 3
@@ -334,6 +335,36 @@ def test_compare_projects_a_delay_problem_once(tmp_path, monkeypatch):
                  "--out-report", str(tmp_path / "cmp.json")])
     assert code == 0
     assert len(calls) == 2 and calls[0] is not calls[1]
+
+
+def test_compare_projects_a_nodelay_problem_once(tmp_path, monkeypatch):
+    # The gate reads Phi_n off the reduction that the solve's _mode_data
+    # reads: with 16 modes phi and f are each projected once, and the gate
+    # and the solve get the same array of Phi_n.
+    from delayheat import compat, heat_delay, heat_nodelay
+
+    project, calls = heat_nodelay.project_paths, []
+    for module in (heat_delay, heat_nodelay):
+        monkeypatch.setattr(module, "project_paths",
+                            lambda spec, *args, **kw: calls.append(spec)
+                            or project(spec, *args, **kw))
+    gate, mode_data, seen = (compat._initial_coefficients,
+                             heat_nodelay._mode_data, [])
+
+    def solve_data(*args):
+        data = mode_data(*args)
+        seen.append(data[0])
+        return data
+
+    monkeypatch.setattr(compat, "_initial_coefficients",
+                        lambda *args: seen.append(gate(*args)) or seen[-1])
+    monkeypatch.setattr(heat_nodelay, "_mode_data", solve_data)
+    cfg = _nodelay_config(tmp_path, g="sin(pi*x)*cos(t)",
+                          solver={"modes": 16, "nx": 20, "nt": 10})
+    assert main(["compare", "--config", cfg,
+                 "--out-report", str(tmp_path / "cmp.json")]) == 0
+    assert len(calls) == 2 and calls[0] is not calls[1]
+    assert len(seen) == 2 and seen[0] is seen[1]
 
 
 def test_compare_fits_each_path_family_once(tmp_path, monkeypatch):

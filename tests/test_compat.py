@@ -143,7 +143,8 @@ def test_a_rejected_problem_gets_the_boundary_verdict_alone(monkeypatch, kind):
     from delayheat import compat
 
     calls = []
-    for name in ("build_modes", "sine_coefficients", "check_endpoint_conditions"):
+    for name in ("build_modes", "_initial_coefficients",
+                 "check_endpoint_conditions"):
         monkeypatch.setattr(compat, name,
                             lambda *args, name=name, **kw: calls.append(name))
     if kind == "delay":
@@ -253,16 +254,20 @@ def test_quotient_profile_verifies_its_high_order_identities():
     assert entry["residual"] <= entry["tol"]
 
 
-def _sampled_history():
+def _sampled_history(profile=np.sin):
     xs = np.linspace(0.0, math.pi, 41)
     ts = np.linspace(-1.0, 0.0, 9)
-    values = np.sin(xs)[:, None] * np.ones(ts.size)[None, :]
+    values = profile(xs)[:, None] * np.ones(ts.size)[None, :]
     return Sampled2DFunction(x_points=xs, t_points=ts, values=values,
                              kind="linear")
 
 
 def test_sampled_history_reports_unverifiable_not_failed():
-    report = check_problem(_delay(psi_spec=_sampled_history()))
+    # A tent, kinked at its middle knot: its odd sine coefficients fall only
+    # as n^-2.  (The linear interpolant of sin(x) on these knots has no
+    # coefficient for 2 <= n <= 78, so 16 modes would see a single mode.)
+    tent = _sampled_history(lambda x: np.minimum(x, math.pi - x))
+    report = check_problem(_delay(psi_spec=tent))
     assert report.hard_pass
     # High-order derivatives exceed the linear interpolant's budget: those
     # endpoint identities report unverifiable, never a spurious failure.
@@ -275,22 +280,26 @@ def test_sampled_history_reports_unverifiable_not_failed():
     assert report.decay[0]["status"] == "fail"
 
 
-def test_sampled_history_keeps_the_top_rung_of_the_panel_ladder(monkeypatch):
-    # The linear interpolant's kinks converge only as O(h^2), so no two
-    # rungs of the projection ladder agree: the history family climbs to
-    # P = max(4, 2N) panels and is exactly the fixed P-panel projection.
+def test_sampled_history_projects_with_its_knots_as_panel_edges(monkeypatch):
+    # The table's x-knots are edges of every rung, so its linear interpolant
+    # is a polynomial on each panel, exactly integrated: the history family
+    # settles on the second rung, whose uniform edges are knots already.
     from delayheat import spectral
 
-    counts, nodes = [], spectral.panel_nodes
+    layouts, nodes = [], spectral.panel_nodes
     monkeypatch.setattr(spectral, "panel_nodes",
-                        lambda edges, k: counts.append(edges.size - 1)
+                        lambda edges, k: layouts.append(edges)
                         or nodes(edges, k))
-    rp = reduce_delay(_delay(psi_spec=_sampled_history()))
+    table = _sampled_history()
+    rp = reduce_delay(_delay(psi_spec=table))
     basis = EigenBasis(rp.length, 16)
     ms = build_modes(rp, basis)
-    assert counts == [4, 8, 16, 32, 4, 8]  # history, then the zero forcing
+    # The history, then the zero forcing.
+    assert [edges.size - 1 for edges in layouts] == [40, 40, 4, 8]
+    for edges in layouts[:2]:
+        assert np.all(np.isin(table.x_points, edges))
     direct = spectral._project_rung(rp.phi, ms.history_paths.times, basis,
-                                    QuadratureConfig(), 32, 1, 32)
+                                    QuadratureConfig(), 8, 1, 32 * 32 // 8)
     assert np.array_equal(ms.history_paths.values, direct[0])
     assert np.array_equal(ms.history_paths.slopes, direct[1])
 
@@ -437,7 +446,7 @@ def _nodelay_entry(monkeypatch, coeffs, fit_slack=0.25):
     coefficients ``coeffs``."""
     from delayheat import compat
 
-    monkeypatch.setattr(compat, "sine_coefficients",
+    monkeypatch.setattr(compat, "_initial_coefficients",
                         lambda *args: np.asarray(coeffs, dtype=float))
     report = check_problem(_nodelay(), check=CheckSettings(fit_slack=fit_slack))
     return report.decay[0]
@@ -463,13 +472,13 @@ def test_nodelay_entry_is_fitted_on_the_minimum_mode_count(monkeypatch):
     # delayed kind; sin(pi x) then has a tail at the floor and passes.
     from delayheat import compat
 
-    seen, inner = [], compat.sine_coefficients
+    seen, inner = [], compat._initial_coefficients
 
-    def recording(f, basis, quad):
+    def recording(rp, basis, quad):
         seen.append(basis.n_modes)
-        return inner(f, basis, quad)
+        return inner(rp, basis, quad)
 
-    monkeypatch.setattr(compat, "sine_coefficients", recording)
+    monkeypatch.setattr(compat, "_initial_coefficients", recording)
     report = check_problem(_nodelay(), basis=EigenBasis(1.0, 1))
     assert seen == [compat.DECAY_MIN_MODES]
     assert report.decay[0]["status"] == "pass"

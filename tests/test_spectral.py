@@ -27,7 +27,6 @@ from delayheat import (
     fs_sum,
     parse_function,
     reduce_delay,
-    sine_coefficients,
 )
 from delayheat import spectral
 from delayheat.funcspec import FunctionSpec
@@ -72,9 +71,27 @@ def test_basis_validation():
 # ---------------------------------------------------------------------------
 
 
+class _OfX(FunctionSpec):
+    """The vectorized callable ``fn`` of x alone, with no known factors, so
+    projections take the grid rung."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def _jet(self, x, t, kx, kt):
+        return np.reshape(self.fn(np.ravel(x)), np.shape(x))
+
+
+def _coefficients(spec, basis, quad=QuadratureConfig()):
+    """The sine coefficients of a spec of x alone: ``project_paths`` at one
+    time with no t-derivative."""
+    (coeffs,) = project_paths(spec, np.zeros(1), basis, quad, kt=0)
+    return coeffs[:, 0]
+
+
 def test_single_mode_projection_is_unit_vector():
     basis = EigenBasis(length=np.pi, n_modes=8)
-    coeffs = sine_coefficients(lambda x: np.sin(3.0 * x), basis)
+    coeffs = _coefficients(parse_function("sin(3*x)"), basis)
     expected = np.zeros(8)
     expected[2] = 1.0
     np.testing.assert_allclose(coeffs, expected, atol=1e-12)
@@ -84,19 +101,20 @@ def test_parabola_coefficients_match_closed_form():
     # x (1 - x) on [0, 1] has sine coefficients 8 / (pi^3 n^3) for odd n,
     # zero for even n.
     basis = EigenBasis(length=1.0, n_modes=63)
-    coeffs = sine_coefficients(lambda x: x * (1.0 - x), basis)
+    coeffs = _coefficients(parse_function("x*(1 - x)"), basis)
     n = basis.mode_numbers
     expected = np.where(n % 2 == 1, 8.0 / (np.pi**3 * n.astype(float) ** 3), 0.0)
     np.testing.assert_allclose(coeffs, expected, atol=1e-10)
 
 
 def test_sine_projection_raises_when_splits_run_out():
-    # A jump between panel edges never settles; two halvings are allowed.
+    # A jump between panel edges never settles; two halvings past P are
+    # allowed.
     basis = EigenBasis(length=np.pi, n_modes=4)
     quad = QuadratureConfig(max_panel_splits=2)
     with pytest.raises(QuadratureError,
                        match=r"^sine projection did not converge to 1e-10$") as err:
-        sine_coefficients(lambda x: np.where(x < 1.0, 1.0, 0.0), basis, quad)
+        _coefficients(_OfX(lambda x: np.where(x < 1.0, 1.0, 0.0)), basis, quad)
     assert np.isfinite(err.value.residual)
     assert err.value.residual > quad.abs_tol
 
@@ -105,7 +123,7 @@ def test_parabola_coefficients_scale_with_length():
     # x (l - x) scales the odd coefficients to 8 l^2 / (pi^3 n^3).
     length = 2.5
     basis = EigenBasis(length=length, n_modes=21)
-    coeffs = sine_coefficients(lambda x: x * (length - x), basis)
+    coeffs = _coefficients(parse_function("x*(l - x)", l=length), basis)
     n = basis.mode_numbers
     expected = np.where(
         n % 2 == 1, 8.0 * length**2 / (np.pi**3 * n.astype(float) ** 3), 0.0
@@ -113,14 +131,14 @@ def test_parabola_coefficients_scale_with_length():
     np.testing.assert_allclose(coeffs, expected, atol=1e-10)
 
 
-def test_kinked_projection_memory_is_bounded():
+def _kinked_coefficients_in_bounded_memory(spec):
     # |x - 1| on [0, pi] settles only at 2^18 points, one halving short of
-    # the limit; that level's whole sine table and its argument would be
-    # 2 x 64 x 2^18 doubles, 256 MiB.
+    # the limit; that rung's whole sine table and its argument would be
+    # 2 x 64 x 2^18 doubles, 256 MiB.  Each path sums tables of 2^16 points.
     basis = EigenBasis(length=np.pi, n_modes=64)
     tracemalloc.start()
     try:
-        coeffs = sine_coefficients(lambda x: np.abs(x - 1.0), basis)
+        coeffs = _coefficients(spec, basis)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -131,12 +149,20 @@ def test_kinked_projection_memory_is_bounded():
     np.testing.assert_allclose(coeffs, (2.0 / np.pi) * integral, atol=1e-9)
 
 
+def test_kinked_projection_memory_is_bounded():
+    _kinked_coefficients_in_bounded_memory(parse_function("abs(x - 1)"))
+
+
+def test_kinked_projection_on_the_grid_memory_is_bounded():
+    _kinked_coefficients_in_bounded_memory(_OfX(lambda x: np.abs(x - 1.0)))
+
+
 def test_projection_synthesis_round_trip_band_limited():
     basis = EigenBasis(length=1.7, n_modes=12)
     rng = np.random.default_rng(7)
     target = rng.normal(size=12)
     f = lambda x: target @ basis.eigenfunctions(x)
-    recovered = sine_coefficients(f, basis)
+    recovered = _coefficients(_OfX(f), basis)
     np.testing.assert_allclose(recovered, target, atol=1e-11)
 
 
@@ -162,7 +188,8 @@ def test_parseval_identity():
 def test_round_trip_property(target):
     basis = EigenBasis(length=1.0, n_modes=len(target))
     target = np.asarray(target)
-    recovered = sine_coefficients(lambda x: target @ basis.eigenfunctions(x), basis)
+    recovered = _coefficients(_OfX(lambda x: target @ basis.eigenfunctions(x)),
+                              basis)
     np.testing.assert_allclose(recovered, target, atol=1e-9)
 
 
@@ -239,28 +266,45 @@ def _rungs(monkeypatch):
 
 
 @pytest.mark.parametrize("n_modes, smooth, kinked", [
-    (1, [1, 2], [1, 2, 4]),         # P = 4 starts at P/4
-    (3, [3, 6], [3, 6]),            # P = 6 starts at P/2
-    (64, [16, 32], [16, 32, 64, 128]),
+    (1, [1, 2], (1024, False)),     # P = 4 starts at P/4
+    (3, [3, 6], (1536, False)),     # P = 6 starts at P/2
+    (64, [16, 32], (32768, True)),
 ])
 def test_project_paths_climbs_a_panel_ladder_to_max_4_2n(monkeypatch, n_modes,
                                                          smooth, kinked):
-    # Smooth data settle on the second rung; data with a kink inside a panel
-    # never settle and keep the top rung P = max(4, 2N), exactly as the
-    # fixed P-panel rule projects them, and raise no error.
+    # Smooth data settle on the second rung.  Data with a kink inside a
+    # panel climb past P = max(4, 2N), up to max_panel_splits more halvings:
+    # they settle only on that last rung P * 2^8 at N = 64, exactly as its
+    # rule projects them, and raise at N = 1 and 3.
     basis = EigenBasis(length=math.pi, n_modes=n_modes)
     quad = QuadratureConfig()
     times = np.linspace(0.0, 1.0, 9)
     top = max(4, 2 * n_modes)
-    for text, rungs in (("sin(x)*(1 + t)", smooth),
-                        ("abs(x - 1)*(1 + t)", kinked)):
-        spec = parse_function(text)
-        counts = _rungs(monkeypatch)
-        got = project_paths(spec, times, basis, quad)
-        assert counts == rungs
-        finest = _project_rung(spec, times, basis, quad, rungs[-1], 1,
-                               32 * top // rungs[-1])
-        assert np.array_equal(np.stack(got), finest)
+    spec = parse_function("sin(x)*(1 + t)")
+    counts = _rungs(monkeypatch)
+    got = project_paths(spec, times, basis, quad)
+    assert counts == smooth
+    finest = _project_rung(spec, times, basis, quad, smooth[-1], 1,
+                           32 * top // smooth[-1])
+    assert np.array_equal(np.stack(got), finest)
+
+    last, settles = kinked
+    assert last == top << quad.max_panel_splits
+    ladder = [smooth[0]]
+    while ladder[-1] < last:
+        ladder.append(2 * ladder[-1])
+    spec = parse_function("abs(x - 1)*(1 + t)")
+    counts[:] = []
+    if not settles:
+        with pytest.raises(QuadratureError,
+                           match="^sine projection did not converge to 1e-10$"):
+            project_paths(spec, times, basis, quad)
+        assert counts == ladder
+        return
+    got = project_paths(spec, times, basis, quad)
+    assert counts == ladder
+    finest = _project_rung(spec, times, basis, quad, last, 1, 1)
+    assert np.array_equal(np.stack(got), finest)
 
 
 class _OnTheGrid(FunctionSpec):
@@ -323,6 +367,43 @@ def test_specs_that_do_not_separate_keep_the_grid_rung(spec):
     for got, grid in zip(project_paths(spec, times, basis),
                          project_paths(_OnTheGrid(spec), times, basis)):
         assert np.array_equal(got, grid)
+
+
+@pytest.mark.parametrize("on_the_grid", [False, True], ids=["factors", "grid"])
+def test_a_linear_x_table_settles_on_the_second_rung_at_its_closed_form(
+        monkeypatch, on_the_grid):
+    # The knots are panel edges, so each panel integrates one line exactly.
+    # With slopes s_i between knots, integrating by parts twice gives
+    # c_n = (2 / l) [(f(0) - f(l) cos(k l)) / k
+    #                + sum_i s_i (sin(k x_(i+1)) - sin(k x_i)) / k^2].
+    length = 2.0
+    xs = np.array([0.0, 0.13, 0.55, 0.77, 1.2, 1.61, 2.0])
+    fs = np.array([0.3, -0.4, 1.1, 0.2, 0.9, -0.6, 0.5])
+    table = Sampled1DFunction(var="x", points=xs, values=fs, kind="linear")
+    spec = _OnTheGrid(table) if on_the_grid else table
+    basis = EigenBasis(length, 16)
+    times = np.linspace(0.0, 1.0, 5)
+    counts = _rungs(monkeypatch)
+    values, slopes = project_paths(spec, times, basis)
+    assert counts == [4 + xs.size - 2, 8 + xs.size - 2]
+    k = basis.wavenumbers()[:, None]
+    rise = np.diff(fs) / np.diff(xs)
+    expected = (2.0 / length) * (
+        (fs[0] - fs[-1] * np.cos(k[:, 0] * length)) / k[:, 0]
+        + (rise * np.diff(np.sin(k * xs), axis=1)).sum(axis=1) / k[:, 0] ** 2)
+    np.testing.assert_allclose(values, expected[:, None] + 0.0 * times,
+                               rtol=0, atol=1e-12)
+    assert np.all(slopes == 0.0)
+
+
+def test_project_paths_raises_on_a_jump_in_x():
+    # A sign jump inside a panel settles on no rung, up to P * 2^8 panels.
+    spec = parse_function("(1 + t)*(x - 1)/abs(x - 1)")
+    times = np.linspace(0.0, 1.0, 5)
+    with pytest.raises(QuadratureError,
+                       match="^sine projection did not converge to 1e-10$") as err:
+        project_paths(spec, times, EigenBasis(math.pi, 16))
+    assert err.value.residual > 1e-10
 
 
 def test_an_overflowing_product_of_factors_is_a_numeric_error():
