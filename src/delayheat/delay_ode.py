@@ -96,7 +96,7 @@ _MAX_EXP_ARG = 700.0  # below the float64 overflow threshold of exp
 _MIN_EXP_ARG = -746.0  # exp underflows to exactly 0.0 below this
 
 
-def kernel(params, xi, log_scale=None):
+def kernel(params, xi, log_scale=None, starts=None):
     """Evaluate K(xi) (see module docstring), vectorized over xi.
 
     ``params.a`` and ``params.b`` may be arrays of one shape M, the rates of
@@ -106,6 +106,15 @@ def kernel(params, xi, log_scale=None):
     magnitude, so a stiff exponential can be divided out of K without
     forming it.  Raises :class:`NumericError` when a term leaves float
     range, and :class:`InputError` for a non-finite xi.
+
+    ``starts``, an empty dict at first, keeps the segment starts S_k of
+    ``params`` between calls: the first call stores the starts it walks,
+    and a later call whose xi reach no further reads them and skips the
+    segments that hold none of its points.  numpy sums a lone column in
+    another order than a wider block, so an S_k can differ in its last bit
+    with the points of its segment; a caller shares one dict only among
+    calls whose points fill the same segments (the refinement levels of
+    one quadrature), and their values then equal those of calls without.
     """
     xi = np.asarray(xi, dtype=float)
     a = np.asarray(params.a, dtype=float)
@@ -125,11 +134,17 @@ def kernel(params, xi, log_scale=None):
     i = np.arange(kmax + 1)
     log_factorial = np.array([math.lgamma(j + 1.0) for j in i])
     sign_power = np.sign(b) ** i
-    # log |S_k| and sign S_k, filled in as the segments are walked.
-    log_s = np.zeros((a.shape[0], kmax + 1))
-    sign_s = np.ones_like(log_s)
+    known = bool(starts) and starts["log_s"].shape[1] > kmax
+    if known:
+        log_s, sign_s = starts["log_s"], starts["sign_s"]
+    else:
+        # log |S_k| and sign S_k, filled in as the segments are walked.
+        log_s = np.zeros((a.shape[0], kmax + 1))
+        sign_s = np.ones_like(log_s)
     for k in range(kmax + 1):
         cols = np.flatnonzero(seg == k)
+        if known and not cols.size:
+            continue
         if cols.size and cols[-1] - cols[0] == cols.size - 1:
             # One run of columns, as in an ordered xi or a lag table: a
             # slice reads and writes them without gathers.
@@ -137,7 +152,10 @@ def kernel(params, xi, log_scale=None):
         u = pts[cols] - (k - 1) * tau
         n = u.size
         if k < kmax:
-            u = np.append(u, tau)  # the start of segment k + 1
+            # The start of segment k + 1, summed with the segment's points
+            # also when it is known, so that theirs are summed in the order
+            # a call without ``starts`` takes.
+            u = np.append(u, tau)
         # Term i of every mode at every u, e^(a u) (b u)^i / i! S_(k-i), in
         # log magnitude, i along the first axis; log(0) = -inf makes a
         # vanishing b u an exact zero term, except where i = 0.
@@ -161,10 +179,12 @@ def kernel(params, xi, log_scale=None):
         terms *= (sign_s[:, k::-1] * sign_power[:, :k + 1]).T[:, :, None]
         values = terms.sum(axis=0)
         out[:, cols] = values[:, :n]
-        if k < kmax:
+        if k < kmax and not known:
             with np.errstate(divide="ignore"):
                 log_s[:, k + 1] = np.log(np.abs(values[:, -1]))
             sign_s[:, k + 1] = np.sign(values[:, -1])
+    if starts is not None and not known:
+        starts.update(log_s=log_s, sign_s=sign_s)
     out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out
 
@@ -197,9 +217,13 @@ def solve_at(params, history, forcing, t, quad=QuadratureConfig()):
         return 0.0 if history is None else float(np.asarray(history(t), dtype=float))
 
     def integral(data, lo, hi):
-        """integral_lo^hi K(t - tau - s) data(s) ds."""
+        """integral_lo^hi K(t - tau - s) data(s) ds.  Every level of the
+        quadrature puts points in the same segments of K, so the levels
+        share one set of segment starts."""
+        starts = {}
+
         def integrand(s):
-            return kernel(params, t - tau - s) * data(s)
+            return kernel(params, t - tau - s, starts=starts) * data(s)
 
         breaks = _knot_crossings(t, tau, lo, hi) + graded_breakpoints(lo, hi, -a)
         return composite_gauss(integrand, lo, hi, quad, breaks)

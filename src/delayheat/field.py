@@ -1,10 +1,25 @@
 """Solution fields on space-time grids, and their serialized forms.
 
+A :class:`SolutionField` either holds its values as arrays (the FD oracle,
+:func:`read_field_csv`) or synthesizes them when they are read (the series
+solvers, :func:`delayheat.heat_delay.to_field`).  Every reader takes the
+values one block of whole time rows at a time (:meth:`SolutionField.blocks`):
+:meth:`~SolutionField.write_csv` and :func:`field_difference_report` hold
+O(block) cells, never the (nt x nx) grid, and a synthesized value is
+computed as its block is read, so an error of the data on the grid (a
+:class:`~delayheat.errors.NumericError` or
+:class:`~delayheat.errors.DomainError` from the delayed kind's initial
+segment phi) raises from the reader.  ``v`` and ``u`` assemble whole arrays from the same blocks for
+callers that want them (energy traces, tests), so in-memory values, CSV
+bytes and difference reports agree bit for bit.
+
 CSV schema: header ``x,t,v`` (plus a ``u`` column when a change of variables
 was applied and the reduced-frame values are available), rows ordered t-major
 then x, floats printed with 17 significant digits (``%.17g``).  The writer
 streams the file in blocks of whole time rows, so it never holds the full
-text in memory; the blocking does not change the bytes.  The digits are
+text in memory; the blocking does not change the bytes.  It writes to a
+temporary file beside the output and renames it over the output once every
+block is written, so a failed write leaves no partial file.  The digits are
 computed in numpy (:func:`_g17`) and equal Python's ``"%.17g" % x`` byte for
 byte; the few values that kernel cannot decide (non-finite, magnitude
 outside [1e-270, 1e270], or within 1e-6 of a rounding tie) are formatted by
@@ -14,16 +29,19 @@ field always produces byte-identical output.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 
-# Cells (CSV rows) formatted per block: the writer holds one block of text at
-# a time, never the whole file.
+# Cells (CSV rows) per block of whole time rows: every reader of a field
+# holds one block at a time, and the writer one block of text, never the
+# whole grid or file.  _g17 runs fastest at about 4k-8k values a call.
 _CSV_BLOCK_CELLS = 1 << 12
 
 # One formatted value: a fixed slot of NUL-padded bytes (sign and "0.000"
@@ -270,36 +288,88 @@ class GridSpec:
         return dt * np.arange(-self.nt_per_tau, steps + 1)
 
 
-@dataclass
+def _block_rows(nx, nt):
+    """Time rows per block: whole rows of at most ``_CSV_BLOCK_CELLS``
+    cells, at least one row."""
+    return max(1, min(nt, _CSV_BLOCK_CELLS // nx))
+
+
 class SolutionField:
-    """Values v (and optionally the reduced-frame values u) on a grid."""
+    """Values v, and optionally the reduced-frame values u, on an (x, t) grid.
 
-    x: np.ndarray
-    t: np.ndarray
-    v: np.ndarray
-    u: np.ndarray = None
-    source: str = "spectral"
-    meta: dict = field(default_factory=dict)
+    An array-backed field holds v and u.  A synthesized field holds
+    ``rows`` instead, a function that computes the (v, u) values of time
+    rows j0:j1; the series solvers return such fields (see
+    :func:`delayheat.heat_delay.to_field`).  Every reader takes the values
+    through :meth:`blocks`, so a synthesized field is computed when read and
+    never held whole, and every reader sees the same bits.  ``v`` and ``u``
+    assemble the arrays from the blocks on first access and keep them.
+    """
 
-    def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.t = np.asarray(self.t, dtype=float)
-        self.v = np.asarray(self.v, dtype=float)
-        if self.v.shape != (self.t.size, self.x.size):
-            raise InputError(
-                f"v has shape {self.v.shape}, expected {(self.t.size, self.x.size)}"
-            )
-        if self.u is not None:
-            self.u = np.asarray(self.u, dtype=float)
-            if self.u.shape != self.v.shape:
-                raise InputError("u must have the same shape as v")
+    def __init__(self, x, t, v=None, u=None, source="spectral", meta=None,
+                 rows=None):
+        self.x = np.asarray(x, dtype=float)
+        self.t = np.asarray(t, dtype=float)
+        self.source = source
+        self.meta = {} if meta is None else meta
+        self.has_u = rows is not None or u is not None
+        self._arrays = None
+        self._rows = rows
+        if rows is None:
+            v = np.asarray(v, dtype=float)
+            if v.shape != (self.t.size, self.x.size):
+                raise InputError(f"v has shape {v.shape}, expected "
+                                 f"{(self.t.size, self.x.size)}")
+            if u is not None:
+                u = np.asarray(u, dtype=float)
+                if u.shape != v.shape:
+                    raise InputError("u must have the same shape as v")
+            self._hold(v, u)
+
+    def _hold(self, v, u):
+        """Keep the arrays and serve the blocks as slices of them."""
+        self._arrays = (v, u)
+        self._rows = lambda j0, j1: (v[j0:j1],
+                                     None if u is None else u[j0:j1])
+
+    @property
+    def v(self):
+        return self._values()[0]
+
+    @property
+    def u(self):
+        return self._values()[1]
+
+    def _values(self):
+        if self._arrays is None:
+            shape = (self.t.size, self.x.size)
+            v, u = np.empty(shape), np.empty(shape)
+            for j0, v_rows, u_rows in self.blocks():
+                v[j0:j0 + len(v_rows)] = v_rows
+                u[j0:j0 + len(u_rows)] = u_rows
+            self._hold(v, u)
+        return self._arrays
+
+    def blocks(self):
+        """Yield (j0, v, u) for consecutive blocks of whole time rows
+        j0:j0 + len(v), in order, each of at most ``_CSV_BLOCK_CELLS`` cells
+        (at least one row); u is None without a u column.  A synthesized
+        field computes each block here, so an error of its data surfaces
+        at the block that reads it."""
+        nt = self.t.size
+        step = _block_rows(self.x.size, nt)
+        for j0 in range(0, nt, step):
+            yield (j0, *self._rows(j0, min(j0 + step, nt)))
 
     def write_csv(self, path):
-        """Write the field as CSV (see the module docstring for the schema)."""
-        planes = [self.v] if self.u is None else [self.v, self.u]
+        """Write the field as CSV (see the module docstring for the schema),
+        one block of time rows at a time.  The text goes to a temporary file
+        beside ``path``, which replaces ``path`` only once every block is
+        written: an error on the way leaves no file at ``path``."""
         nx, nt = self.x.size, self.t.size
-        rows_per_block = max(1, min(nt, _CSV_BLOCK_CELLS // nx))
-        m = _cells(rows_per_block * nx, 2 + len(planes))
+        rows_per_block = _block_rows(nx, nt)
+        planes = 2 if self.has_u else 1
+        m = _cells(rows_per_block * nx, 2 + planes)
         grid = m.reshape(rows_per_block, nx, -1)
         # x is the same in every time row of a block, t in every cell of a
         # row: each is formatted once per call.
@@ -307,15 +377,24 @@ class SolutionField:
         grid[1:, :, :_CELL] = grid[0, :, :_CELL]
         t_slots = np.zeros((nt, _SLOT.itemsize), np.uint8)
         _g17(self.t, t_slots)
-        with open(path, "wb") as fh:
-            fh.write(b"x,t,v,u\n" if self.u is not None else b"x,t,v\n")
-            for j0 in range(0, nt, rows_per_block):
-                rows = min(rows_per_block, nt - j0)
-                block = m[:rows * nx]
-                _column(grid[:rows], 1)[...] = t_slots[j0:j0 + rows, None]
-                for col, plane in enumerate(planes, 2):
-                    _g17(plane[j0:j0 + rows].ravel(), _column(block, col))
-                fh.write(_text(block))
+        path = os.fspath(path)
+        partial = os.path.join(os.path.dirname(path) or ".",
+                               f".{os.path.basename(path)}.{os.getpid()}.tmp")
+        try:
+            with open(partial, "wb") as fh:
+                fh.write(b"x,t,v,u\n" if self.has_u else b"x,t,v\n")
+                for j0, v, u in self.blocks():
+                    rows = len(v)
+                    block = m[:rows * nx]
+                    _column(grid[:rows], 1)[...] = t_slots[j0:j0 + rows, None]
+                    for col, plane in enumerate((v, u)[:planes], 2):
+                        _g17(plane.ravel(), _column(block, col))
+                    fh.write(_text(block))
+            os.replace(partial, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(partial)
+            raise
 
 
 def read_field_csv(path):
@@ -334,16 +413,21 @@ def read_field_csv(path):
 
 
 def field_difference_report(field_a, field_b):
-    """Sup / L2 difference of two fields on the same grid, with per-time rows."""
+    """Sup / L2 difference of two fields on the same grid, with per-time
+    rows, read one block of time rows at a time."""
     if field_a.x.size != field_b.x.size or field_a.t.size != field_b.t.size:
         raise InputError("fields live on different grid shapes")
     if not (np.allclose(field_a.x, field_b.x, atol=1e-12)
             and np.allclose(field_a.t, field_b.t, atol=1e-12)):
         raise InputError("fields live on different grids")
-    diff = field_a.v - field_b.v
     dx = float(field_a.x[1] - field_a.x[0])
-    sup_rows = np.max(np.abs(diff), axis=1)
-    l2_rows = np.sqrt(dx * np.sum(diff**2, axis=1))
+    sup_rows = np.empty(field_a.t.size)
+    l2_rows = np.empty(field_a.t.size)
+    for (j0, va, _), (_, vb, _) in zip(field_a.blocks(), field_b.blocks()):
+        diff = va - vb
+        rows = slice(j0, j0 + len(diff))
+        sup_rows[rows] = np.max(np.abs(diff), axis=1)
+        l2_rows[rows] = np.sqrt(dx * np.sum(diff**2, axis=1))
     slices = [
         [float(field_a.t[j]), float(sup_rows[j]), float(l2_rows[j])]
         for j in range(field_a.t.size)

@@ -48,7 +48,8 @@ kind's numbers: :func:`reduce_frame`, which builds the reduced record
 :class:`ReducedProblem` and keeps it on the problem until a field is
 reassigned, :func:`modal_rates`, the forcing family :func:`forcing_paths`
 (which chooses its sample times from the kind's horizon and delay) and the
-field synthesis :func:`to_field`.
+field synthesis :func:`to_field`, which keeps the modal trajectories and
+synthesizes the field one block of time rows at a time as it is read.
 """
 
 from __future__ import annotations
@@ -140,7 +141,8 @@ class ReducedProblem:
     horizon: float
     phi: FunctionSpec              # exp(-mu x) psi (on [-tau, 0])
     source: FunctionSpec           # f = exp(-mu x - gamma t) g
-    lift: FunctionSpec
+    lift: FunctionSpec             # A(t) + x B(t)
+    lift_slope: FunctionSpec       # B
     lift_forcing: FunctionSpec     # F - f: the lift's share, linear in x
     shifted_initial: FunctionSpec  # Phi = phi - lift
     forcing: FunctionSpec          # F on [0, T]
@@ -181,7 +183,7 @@ def reduce_frame(p, a1, a2, c1, c2, mu, gamma, tau):
     rp = ReducedProblem(
         a1=a1, a2=a2, c1=c1, c2=c2, mu=mu, gamma=gamma, tau=tau,
         length=p.length, horizon=p.horizon, phi=phi, source=f, lift=lift,
-        lift_forcing=lift_forcing,
+        lift_slope=slope, lift_forcing=lift_forcing,
         shifted_initial=fs_sum(phi, fs_scale(lift, -1.0)),
         forcing=fs_sum(f, lift_forcing),
     )
@@ -313,20 +315,43 @@ def to_field(rp, basis, x, t, traj, meta):
 
     The rows before them (the delayed kind's t <= 0) hold phi; every other
     row is the sine synthesis of ``traj`` plus the boundary lift.  Both are
-    mapped back through v = exp(mu x + gamma t) u.
+    mapped back through v = exp(mu x + gamma t) u.  The field keeps
+    ``traj``, the sine table at x, the lift's A(t) = lift(0, t) and B(t) on
+    the series rows and the weights, and synthesizes one block of time rows
+    at a time as it is read (see :class:`~delayheat.field.SolutionField`):
+    phi is evaluated on the block's rows then, and raises then.
     """
     n_hist = t.size - traj.shape[0]
-    u = np.empty((t.size, x.size))
-    u[:n_hist] = np.asarray(rp.phi(x[None, :], t[:n_hist, None]), float)
-    u[n_hist:] = traj @ basis.eigenfunctions(x)
-    u[n_hist:] += np.asarray(rp.lift(x[None, :], t[n_hist:, None]), float)
-    v = u * np.exp(rp.mu * x)[None, :] * np.exp(rp.gamma * t)[:, None]
-    return SolutionField(x=x, t=t, v=v, u=u, source="spectral", meta=meta)
+    sines = basis.eigenfunctions(x)
+    lift_a = rp.lift(0.0, t[n_hist:, None])
+    lift_b = rp.lift_slope(0.0, t[n_hist:, None])
+    x_weight = np.exp(rp.mu * x)[None, :]
+    t_weight = np.exp(rp.gamma * t)[:, None]
+
+    def rows(j0, j1):
+        # Rows j0:k hold phi, rows k:j1 the series.
+        k = min(max(n_hist, j0), j1)
+        u = np.empty((j1 - j0, x.size))
+        if k > j0:
+            u[:k - j0] = rp.phi(x[None, :], t[j0:k, None])
+        if j1 > k:
+            series = slice(k - n_hist, j1 - n_hist)
+            u[k - j0:] = traj[series] @ sines
+            u[k - j0:] += lift_a[series] + x * lift_b[series]
+        return u * x_weight * t_weight[j0:j1], u
+
+    return SolutionField(x=x, t=t, source="spectral", meta=meta, rows=rows)
 
 
 def solve_delay(p, basis, grid, quad=QuadratureConfig()):
     """Solve the delayed problem on a :class:`GridSpec`; returns a
-    :class:`SolutionField` (see :func:`to_field`)."""
+    :class:`SolutionField` (see :func:`to_field`).
+
+    The modal trajectories and the lift's time factors are computed here,
+    and their errors raise here.  The field's values are synthesized when
+    read, one block of time rows at a time, so memory stays
+    O(block + trajectories) and an error of phi on the grid raises from
+    the reader (``write_csv``, ``field_difference_report``)."""
     t = grid.t_points(p.horizon, p.tau)
     if not isinstance(basis, EigenBasis):
         raise InputError("basis must be an EigenBasis")

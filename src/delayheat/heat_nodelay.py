@@ -28,7 +28,8 @@ kept on the problem so that the checks and the solve of a run reduce it
 once), the modal rates (``modal_rates``: -(pi n a / l)^2 and a lag rate of
 0), the forcing family (``forcing_paths``: F_n and F_n' at 257 times on
 [0, T], as cubic Hermite paths, with the lift's share in closed form) and
-the synthesis (``to_field``).  F needs a t-derivative: with a trace
+the synthesis (``to_field``, one block of time rows at a time as the
+field is read).  F needs a t-derivative: with a trace
 tabulated linearly in t it has none, and :func:`solve` raises
 :class:`UnsupportedOperationError` when the forcing family evaluates it.
 
@@ -134,7 +135,12 @@ def _duhamel_decay(a, forcing, t, quad):
 
 def solve(p, basis, grid, quad=QuadratureConfig()):
     """Solve the full problem on a :class:`GridSpec`; returns a
-    :class:`SolutionField` (see :func:`~delayheat.heat_delay.to_field`)."""
+    :class:`SolutionField` (see :func:`~delayheat.heat_delay.to_field`).
+
+    As for :func:`~delayheat.heat_delay.solve_delay`: the modal trajectories
+    and the lift's time factors are computed here, and raise here; the
+    field's values are synthesized when read, one block of time rows at a
+    time."""
     if not isinstance(basis, EigenBasis):
         raise InputError("basis must be an EigenBasis")
     rp = reduce_problem(p)

@@ -21,6 +21,7 @@ import pytest
 
 from dde_steps import dde_steps, dde_steps_exact
 from shipped_configs import CONFIGS, run_configs
+import delayheat.field as field_module
 from delayheat import read_field_csv
 from delayheat.cli import main
 
@@ -285,6 +286,34 @@ def test_delay_solve_numeric_failure_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "numeric failure" in err and "grid quadrature" in err
+
+
+def test_a_field_that_fails_past_its_first_block_leaves_no_file(tmp_path,
+                                                               capsys):
+    # phi is log(0) on the history row t = -0.3, row 7 of the grid, which no
+    # projection sample meets: the modal solve succeeds, and the field fails
+    # as its second block (rows 4-7 of 1001 cells) is synthesized.
+    assert field_module._CSV_BLOCK_CELLS // 1001 == 4
+    cfg = _delay_config(
+        tmp_path, psi="sin(x)*(2 + log(abs(t + 0.30000000000000004)))",
+        horizon=1.0, solver={"modes": 16, "nx": 1000, "nt_per_tau": 10})
+    out = tmp_path / "field.csv"
+    report = tmp_path / "report.json"
+    argv = ["solve", "--config", cfg, "--override-advisory",
+            "--out-report", str(report)]
+    assert main(argv + ["--out-field", str(out)]) == 1
+    assert capsys.readouterr().err == "error: log of a non-positive value\n"
+    # No field, no temporary beside it and no report.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+    # A file already at the path is left as it was.
+    out.write_bytes(b"earlier field\n")
+    assert main(argv + ["--out-field", str(out)]) == 1
+    assert out.read_bytes() == b"earlier field\n"
+    # Without --out-field the solve still reads every block, and fails alike.
+    assert main(argv) == 1
+    assert capsys.readouterr().err.endswith(
+        "error: log of a non-positive value\n")
+    assert not report.exists()
 
 
 def test_check_of_an_overflowing_source_exits_3_without_warnings(tmp_path, capsys):

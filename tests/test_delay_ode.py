@@ -67,6 +67,24 @@ def test_kernel_pure_exponential_when_lag_coupling_zero():
     assert kernel(params, -1.0 - 1e-9) == 0.0
 
 
+def test_kernel_reuses_its_segment_starts_bit_for_bit():
+    # The refinement levels of one quadrature: finer points in the same two
+    # segments, the top ones of 18.  The later calls read the starts the
+    # first stored and skip the 16 empty segments below, with the values of
+    # a call that walks them all.
+    params = DelayOdeParams(a=2.0, b=-3.0, tau=0.3)
+    starts = {}
+    for n in (8, 16, 32):
+        xi = 5.0 - 0.3 * np.linspace(0.01, 0.99, n)
+        assert np.array_equal(kernel(params, xi, starts=starts),
+                              kernel(params, xi))
+    assert starts["log_s"].shape == (1, 18)
+    # A call that reaches further walks its segments anew.
+    xi = np.linspace(5.0, 5.5, 9)
+    assert np.array_equal(kernel(params, xi, starts=starts), kernel(params, xi))
+    assert starts["log_s"].shape == (1, 20)
+
+
 def test_exponential_solution_reproduced_exactly():
     # x' = x with lag coupling 0 and history e^s: solution e^t.
     params = DelayOdeParams(a=1.0, b=0.0, tau=1.0)

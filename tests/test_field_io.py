@@ -16,10 +16,10 @@ from delayheat import (
     field_difference_report,
     read_field_csv,
 )
-from delayheat.cli import _solve_field
+from delayheat.cli import _fd_field, _solve_field
 from delayheat.config import load_config
 from delayheat.field import csv_rows
-from shipped_configs import run_configs
+from shipped_configs import CONFIGS, run_configs
 
 
 def _sample_field(nx=4, nt=3, with_u=False):
@@ -208,6 +208,53 @@ def test_writer_holds_little_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("name, solver", [
+    # The nodelay_field benchmark shape: blocks of 5 rows of 801 cells, so
+    # the 401 rows are 80 blocks and one row.
+    ("nodelay_manufactured.json", {"modes": 16, "nx": 800, "nt": 400}),
+    # Blocks of 6 rows of 601 cells: the 129 rows of phi (t <= 0) end
+    # inside block 21, and the 385 rows are 64 blocks and one row.
+    ("delay_smooth_sweep.json", {"modes": 32}),
+])
+def test_streamed_and_materialised_fields_agree(tmp_path, name, solver):
+    cfg = load_config(CONFIGS / name)
+    for key, value in solver.items():
+        setattr(cfg.solver, key, value)
+    field = _solve_field(cfg)
+    rows = field_module._CSV_BLOCK_CELLS // field.x.size
+    assert field.t.size % rows == 1
+    if cfg.kind == "delay":
+        assert np.sum(field.t <= 0.0) % rows != 0
+    oracle = _fd_field(cfg)
+    # The series field is read block by block first, and only then
+    # assembled into the arrays of a field that holds them.
+    report = field_difference_report(field, oracle)
+    field.write_csv(tmp_path / "streamed.csv")
+    held = SolutionField(x=field.x, t=field.t, v=field.v, u=field.u)
+    held.write_csv(tmp_path / "held.csv")
+    assert ((tmp_path / "streamed.csv").read_bytes()
+            == (tmp_path / "held.csv").read_bytes())
+    assert field_difference_report(held, oracle) == report
+
+
+def test_a_failed_write_leaves_no_file(tmp_path):
+    # Rows past the first block cannot be computed: the error reaches the
+    # caller, and neither the output nor a temporary file is left behind.
+    x = np.linspace(0.0, 1.0, 3)
+    t = np.linspace(0.0, 1.0, 2 * field_module._CSV_BLOCK_CELLS)
+
+    def rows(j0, j1):
+        if j0 > 0:
+            raise InputError("no rows past the first block")
+        values = np.ones((j1 - j0, x.size))
+        return values, values
+
+    field = SolutionField(x=x, t=t, rows=rows)
+    with pytest.raises(InputError, match="past the first block"):
+        field.write_csv(tmp_path / "field.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

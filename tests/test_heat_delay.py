@@ -438,6 +438,28 @@ def test_sweep_solve_holds_little_memory():
     assert peak < 32 * 2**20
 
 
+def test_solve_and_write_hold_little_memory(tmp_path):
+    # The sweep fixture's field, 385 x 601 cells with a u column, is
+    # synthesized one block of time rows at a time as it is written: the
+    # peak is the modal solve's, not a (385 x 601) plane's (1.8 MiB) times
+    # the three the whole-grid synthesis held.  A coarse run first builds
+    # the caches every run shares.
+    cfg = load_config(CONFIGS / "delay_smooth_sweep.json")
+    basis = EigenBasis(cfg.problem.length, cfg.solver.modes)
+    solve_delay(cfg.problem, basis, GridSpec(nx=20, nt_per_tau=4),
+                cfg.solver.quadrature).write_csv(tmp_path / "warm.csv")
+    p = load_config(CONFIGS / "delay_smooth_sweep.json").problem
+    grid = GridSpec(nx=cfg.solver.nx, nt_per_tau=cfg.solver.nt_per_tau)
+    tracemalloc.start()
+    try:
+        solve_delay(p, basis, grid=grid, quad=cfg.solver.quadrature
+                    ).write_csv(tmp_path / "f.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # Data that starts at a high mode
 # ---------------------------------------------------------------------------

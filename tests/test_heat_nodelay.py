@@ -6,6 +6,7 @@ superposition/boundary identities that hold for the exact solver.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -261,6 +262,39 @@ def test_forcing_starting_at_mode_six_matches_fd_oracle():
     tol = 4.0 * np.max(np.abs(coarse - fine[::2, ::2]))
     assert np.max(np.abs(field.v)) > 0.02
     assert np.max(np.abs(field.v - coarse)) <= tol
+
+
+# ---------------------------------------------------------------------------
+# Memory
+# ---------------------------------------------------------------------------
+
+
+def _benchmark_shaped_problem():
+    # A no-delay problem of the nodelay_field benchmark's kind, with drift,
+    # reaction and a forcing.
+    return _problem(
+        a=0.861101, b=0.476066, c=-0.248244, length=2.575238, horizon=0.5,
+        g="1.52292*x*(l - x)*cos(1.832331*t)",
+        psi="0.781335*sin(2*pi*x/l) - 0.810161*sin(4*pi*x/l)"
+            " + 0.714344*sin(5*pi*x/l) + 0.840252*x*(l - x)")
+
+
+def test_solve_and_write_hold_little_memory(tmp_path):
+    # The nodelay_field benchmark shape: 401 x 801 cells with a u column and
+    # 16 modes.  The field is synthesized one block of time rows at a time
+    # as it is written, so no step holds a (401 x 801) plane (2.5 MiB).  A
+    # coarse run first builds the caches every run shares.
+    basis = EigenBasis(2.575238, 16)
+    solve(_benchmark_shaped_problem(), basis,
+          GridSpec(nx=20, nt=10)).write_csv(tmp_path / "warm.csv")
+    p = _benchmark_shaped_problem()
+    tracemalloc.start()
+    try:
+        solve(p, basis, GridSpec(nx=800, nt=400)).write_csv(tmp_path / "f.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 # ---------------------------------------------------------------------------
