@@ -65,15 +65,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
-def _numpy_value(obj):
-    """``json.dumps`` hook: numpy arrays and scalars as plain Python values."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _report_text(payload):
-    return json.dumps(payload, indent=2, sort_keys=True, default=_numpy_value)
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _write_json(path, payload):

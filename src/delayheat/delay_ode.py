@@ -41,11 +41,11 @@ gives rho; either may be None for zero data.
   over a table of K.  The stiff factor exp(-a s) of K across a panel is
   integrated exactly, by product-integration weights of each mode's own
   rate (an exponential integrator), so a stiff mode needs no finer panels
-  than a mild one.  All modes of one coupling kind (b = 0 or not) form one
-  group, with one table (modes x lags x offsets) and one contraction per
-  refinement level, and are accepted together.  Without lag coupling
-  (b = 0) K is a pure exponential, and the sum is a one-term recursion
-  over the panels instead, O(n) per trajectory rather than O(n^2).
+  than a mild one.  All modes of a call share one table (modes x lags x
+  offsets) and one contraction per refinement level, and are accepted
+  together.  When no mode is lag-coupled (every b = 0), K is a pure
+  exponential, and the sum is a one-term recursion over the panels
+  instead, O(n) per trajectory rather than O(n^2).
   :func:`solve_on_grid` is its one-mode call, for data given as plain
   callables.  The field solvers use this path.
 * :func:`solve_at` evaluates one mode at any t, one adaptive quadrature per
@@ -247,9 +247,6 @@ class _Callables:
     def __init__(self, fn):
         self.fn = fn
 
-    def rows(self, index):
-        return self
-
     def __call__(self, s, nu=0):
         value = self.fn(s.ravel(), nu) if nu else self.fn(s.ravel())
         return np.asarray(value, dtype=float).reshape(s.shape)[None]
@@ -270,9 +267,16 @@ def solve_on_grid(params, history, forcing, steps_per_tau, n_steps,
                        steps_per_tau, n_steps, quad)[0]
 
 
-# Kernel-table and data entries one chunk of modes holds at once; a group of
-# modes is contracted in chunks of at most this many (at least one mode).
+# Kernel-table and data entries one chunk of modes holds at once; the modes
+# are contracted in chunks of at most this many (at least one mode).
 _CHUNK_ELEMENTS = 1 << 16
+
+
+def _rows(family, rows, size):
+    """The sorted ``rows`` of a ``size``-row family, copied only if fewer."""
+    if family is None or rows.size == size:
+        return family
+    return family.rows(rows)
 
 
 def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
@@ -303,22 +307,22 @@ def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
     (:func:`~delayheat.quadrature.exp_panel_weights`, graded by the mode's
     own rate), and the table holds K exp(rate (peak - c)), the factor added
     to the kernel's log-space terms; neither forms exp(rate).  So a stiff
-    mode is as smooth to the rule as a mild one, and all modes of one
-    coupling kind (b == 0 or not) form one group.  A group builds one table
-    (modes x lags x offsets) per level and contracts it one lag row at a
-    time, every mode of the group at once (one batched matrix-vector
-    product per row); lag rows that underflowed to zero in every mode
-    (stiff modes: the table's tail, and the stretches between delay
-    multiples) are skipped.  A group holds at most ``_CHUNK_ELEMENTS`` table
-    and data entries at once and is evaluated in chunks of modes otherwise.
+    mode is as smooth to the rule as a mild one, and all modes share one
+    rule.  Each level builds one table (modes x lags x offsets) and
+    contracts it one lag row at a time, every mode at once (one batched
+    matrix-vector product per row); lag rows that underflowed to zero in
+    every mode (stiff modes: the table's tail, and the stretches between
+    delay multiples) are skipped.  At most ``_CHUNK_ELEMENTS`` table and
+    data entries are held at once; more modes are evaluated in chunks.
 
-    A group is accepted once, with all its sub-panels halved, every mode
+    The level is accepted once, with all its sub-panels halved, every mode
     agrees with the previous level to ``abs_tol + 1e-14 * |x|`` at every
     output time.  Raises :class:`QuadratureError` after
-    ``max_panel_splits`` halvings otherwise.  When b_i == 0,
+    ``max_panel_splits`` halvings otherwise.  When every b_i == 0,
     K((k - c) dt) = exp(a dt)^(k - 1 + m) K((1 - m - c) dt), so each output
     is the previous one times exp(a dt) plus its newest panel, and only the
-    first row of the table is needed.
+    first row of the table is needed.  A b_i == 0 mode in a lag-coupled
+    family takes the contraction with the others.
     """
     m = int(steps_per_tau)
     if m < 1:
@@ -327,33 +331,12 @@ def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
         raise InputError(f"n_steps must be non-negative, got {n_steps!r}")
     params = DelayOdeParams(a=np.asarray(a, dtype=float),
                             b=np.asarray(b, dtype=float), tau=tau)
-    out = np.zeros((params.a.size, n_steps))
-    if n_steps == 0:
-        return out
-    for recursive in (True, False):
-        rows = np.flatnonzero((params.b == 0.0) == recursive)
-        if rows.size:
-            out[rows] = _solve_group(
-                DelayOdeParams(a=params.a[rows], b=params.b[rows], tau=tau),
-                _rows(history, rows, out.shape[0]),
-                _rows(forcing, rows, out.shape[0]), m, n_steps, quad)
-    return out
-
-
-def _rows(family, rows, size):
-    """The sorted ``rows`` of a ``size``-row family, copied only if fewer."""
-    if family is None or rows.size == size:
-        return family
-    return family.rows(rows)
-
-
-def _solve_group(params, history, forcing, m, n_steps, quad):
-    """:func:`solve_modes` for one group: modes that all have b == 0 or all
-    have b != 0."""
-    a, b, tau = params.a, params.b, params.tau
+    a, b = params.a, params.b
+    if n_steps == 0 or not a.size:
+        return np.zeros((a.size, n_steps))
     dt = tau / m
     # The weights integrate exp(rate (c - peak)); the table carries the rest
-    # of K's exponential, exp(rate (peak - c)) (see solve_modes).
+    # of K's exponential, exp(rate (peak - c)) (see above).
     rate = -a * dt
     peak = np.where(rate > 0.0, 1.0, 0.0)
     head = np.zeros((a.size, n_steps))
@@ -372,7 +355,7 @@ def _solve_group(params, history, forcing, m, n_steps, quad):
         decay = np.exp(a * dt)
 
     def contract(rows, offsets, weights):
-        """Trajectories of the group's ``rows`` at one level."""
+        """Trajectories of the modes ``rows`` at one level."""
         table = kernel(DelayOdeParams(a=a[rows], b=b[rows], tau=tau),
                        dt * (lags[:, None] - offsets[None, :]),
                        log_scale=rate[rows, None, None]

@@ -630,10 +630,6 @@ class ExprFunction(FunctionSpec):
     def _jet(self, x, t, kx, kt):
         return _eval_ast(self.ast, *_variables(x, t, kx, kt), self.consts)
 
-    @property
-    def source(self):
-        return to_string(self.ast)
-
     def separate(self):
         """The terms of the AST, split at +, -, unary minus and *, grouped by
         their t-factor: None when some other subtree mentions both x and t,

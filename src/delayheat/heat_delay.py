@@ -37,8 +37,8 @@ projects only phi and f on the quadrature grid and adds the lift's share.
 
 :func:`solve_delay` evaluates every mode, whether or not its data vanish, on
 the output grid with one call of :func:`delayheat.delay_ode.solve_modes`,
-which batches modes into groups; :func:`mode_solution` evaluates one mode at
-any t.
+which evaluates all of them at once; :func:`mode_solution` evaluates one
+mode at any t.
 
 The problem without delay (:mod:`delayheat.heat_nodelay`) is reduced by the
 same change of variables, with a time weight exp(gamma t) as well, and each
@@ -60,7 +60,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .delay_ode import DelayOdeParams, solve_at, solve_modes
-from .errors import CompatibilityError, InputError
+from .errors import CompatibilityError, InputError, NumericError
 from .field import SolutionField
 from .funcspec import (
     FunctionSpec,
@@ -319,14 +319,19 @@ def to_field(rp, basis, x, t, traj, meta):
     ``traj``, the sine table at x, the lift's A(t) = lift(0, t) and B(t) on
     the series rows and the weights, and synthesizes one block of time rows
     at a time as it is read (see :class:`~delayheat.field.SolutionField`):
-    phi is evaluated on the block's rows then, and raises then.
+    phi is evaluated on the block's rows then, and raises then.  A weight
+    that leaves float range raises :class:`NumericError` here, and a
+    block with a value that does when it is read.
     """
     n_hist = t.size - traj.shape[0]
     sines = basis.eigenfunctions(x)
     lift_a = rp.lift(0.0, t[n_hist:, None])
     lift_b = rp.lift_slope(0.0, t[n_hist:, None])
-    x_weight = np.exp(rp.mu * x)[None, :]
-    t_weight = np.exp(rp.gamma * t)[:, None]
+    with np.errstate(over="ignore"):
+        x_weight = np.exp(rp.mu * x)[None, :]
+        t_weight = np.exp(rp.gamma * t)[:, None]
+    if not (np.all(np.isfinite(x_weight)) and np.all(np.isfinite(t_weight))):
+        raise NumericError("field weight exp(mu x + gamma t) overflows")
 
     def rows(j0, j1):
         # Rows j0:k hold phi, rows k:j1 the series.
@@ -334,11 +339,16 @@ def to_field(rp, basis, x, t, traj, meta):
         u = np.empty((j1 - j0, x.size))
         if k > j0:
             u[:k - j0] = rp.phi(x[None, :], t[j0:k, None])
-        if j1 > k:
-            series = slice(k - n_hist, j1 - n_hist)
-            u[k - j0:] = traj[series] @ sines
-            u[k - j0:] += lift_a[series] + x * lift_b[series]
-        return u * x_weight * t_weight[j0:j1], u
+        with np.errstate(over="ignore", invalid="ignore"):
+            if j1 > k:
+                series = slice(k - n_hist, j1 - n_hist)
+                u[k - j0:] = traj[series] @ sines
+                u[k - j0:] += lift_a[series] + x * lift_b[series]
+            v = u * x_weight * t_weight[j0:j1]
+        # The weights are finite, so a non-finite u makes v non-finite too.
+        if not np.all(np.isfinite(v)):
+            raise NumericError("field value exp(mu x + gamma t) u overflows")
+        return v, u
 
     return SolutionField(x=x, t=t, source="spectral", meta=meta, rows=rows)
 

@@ -46,7 +46,7 @@ delay solver's grid engine (:func:`delayheat.delay_ode.solve_modes`, with a
 delay of one time step).  With b = 0 the engine's kernel is the pure
 exponential exp(-(pi n a / l)^2 (t - s)), so it advances the trajectories by
 a one-term recursion, one step of decay plus the newest panel, in O(nt)
-rather than O(nt^2), all modes of a group at once.
+rather than O(nt^2), all modes at once.
 """
 
 from __future__ import annotations

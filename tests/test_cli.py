@@ -14,6 +14,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,57 @@ def test_a_field_that_fails_past_its_first_block_leaves_no_file(tmp_path,
     assert capsys.readouterr().err.endswith(
         "error: log of a non-positive value\n")
     assert not report.exists()
+
+
+def _overflowing_field_configs():
+    """Problems whose field leaves float range: v = exp(mu x + gamma t) u
+    overflows at t = T where the check passes, and the weight exp(mu x)
+    itself overflows at x = 1 (mu = 730) in both kinds."""
+    zero_traces = {"source": "0", "trace_left": 0, "trace_right": 0}
+    value = {"kind": "nodelay", "diffusion": 1.0, "drift": -10.0,
+             "reaction": 1441.0, "length": 1.0, "horizon": 0.5,
+             "initial": "1000*sin(pi*x)", **zero_traces}
+    weight = {"kind": "nodelay", "diffusion": 1.0, "drift": -1460.0,
+              "reaction": 532900.0, "length": 1.0, "horizon": 0.5,
+              "initial": "sin(pi*x)*exp(-730*x)", **zero_traces}
+    delayed = {"kind": "delay", "diffusion": 1.0, "diffusion_lag": 0.5,
+               "drift": -1460.0, "drift_lag": -365.0, "delay": 0.001,
+               "length": 1.0, "horizon": 0.005,
+               "initial": "sin(pi*x)*exp(-730*x)", **zero_traces}
+    nodelay_solver = {"modes": 8, "nx": 20, "nt": 10}
+    delay_solver = {"modes": 8, "nx": 20, "nt_per_tau": 1}
+    override = ["solve", "--override-advisory"]
+    return [
+        pytest.param(value, nodelay_solver, ["solve"], "value", id="value-solve"),
+        pytest.param(value, nodelay_solver, ["compare"], "value",
+                     id="value-compare"),
+        pytest.param(weight, nodelay_solver, override, "weight",
+                     id="nodelay-weight"),
+        pytest.param(delayed, delay_solver, override, "weight",
+                     id="delay-weight"),
+    ]
+
+
+@pytest.mark.parametrize("problem, solver, command, what",
+                         _overflowing_field_configs())
+def test_a_field_that_overflows_exits_3_and_leaves_no_file(
+        tmp_path, capsys, problem, solver, command, what):
+    cfg = _write(tmp_path, "run.json", {"problem": problem, "solver": solver})
+    if command == ["solve"]:
+        assert main(["check", "--config", cfg,
+                     "--out-report", str(tmp_path / "check.json")]) == 0
+        (tmp_path / "check.json").unlink()
+        capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(command + ["--config", cfg,
+                               "--out-report", str(tmp_path / "report.json"),
+                               "--out-field", str(tmp_path / "field.csv")])
+    assert code == 3
+    # Under --override-advisory a warning line comes first.
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        f"numeric failure: field {what} ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
 
 
 def test_check_of_an_overflowing_source_exits_3_without_warnings(tmp_path, capsys):

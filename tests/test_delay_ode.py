@@ -228,7 +228,7 @@ def test_grid_engine_raises_on_kernel_overflow(b):
 
 
 def test_engine_group_with_one_starved_mode_raises():
-    # One group (same a): a quiet mode that settles at the first halving
+    # One call (same a): a quiet mode that settles at the first halving
     # and one whose history the starved budget cannot resolve.
     tau = 1.0
     s = np.linspace(-tau, 0.0, 129)
@@ -246,8 +246,8 @@ def test_engine_group_with_one_starved_mode_raises():
 
 @pytest.mark.parametrize("b", [0.0, 0.5])
 def test_engine_overflow_in_one_mode_of_a_group_raises(b):
-    # Both modes have the same b, so they form one group; a (tau + t_n) =
-    # 525 stays in range, 750 does not.
+    # Both modes are solved in one call; a (tau + t_n) = 525 stays in
+    # range, 750 does not.
     # The overflow must raise, with no RuntimeWarning on the way.
     forcing = HermitePaths(np.linspace(0.0, 6.5, 14), np.ones((2, 14)),
                            np.zeros((2, 14)))
@@ -335,8 +335,27 @@ def test_engine_on_stiff_modes_matches_exact_method_of_steps():
                                    atol=QuadratureConfig().abs_tol)
 
 
+def test_engine_on_a_mixed_coupling_family_matches_exact_method_of_steps():
+    # One mode without lag coupling and one with: the b = 0 mode shares the
+    # lag-coupled mode's table and contraction.
+    a, b = np.array([-3.0, -2.0]), np.array([0.0, 0.5])
+    tau, m, n_steps = 1.0, 4, 12
+    s = np.linspace(-tau, 0.0, 33)
+    history = HermitePaths(s, np.tile(1.0 + s - 0.5 * s**3, (2, 1)),
+                           np.tile(1.0 - 1.5 * s**2, (2, 1)))
+    t = np.linspace(0.0, 3.0, 25)
+    forcing = HermitePaths(t, np.tile(0.5 - t, (2, 1)), -np.ones((2, 25)))
+    x = solve_modes(a, b, tau, history, forcing, m, n_steps)
+    t_out = tau / m * np.arange(1, n_steps + 1)
+    for i in range(a.size):
+        ref = dde_steps_exact(a[i], b[i], tau, [1.0, 1.0, 0.0, -0.5], t_out,
+                              rho_poly=[0.5, -1.0])
+        np.testing.assert_allclose(x[i], ref, rtol=0,
+                                   atol=QuadratureConfig().abs_tol)
+
+
 def test_engine_builds_one_ungraded_table_per_level(monkeypatch):
-    # Mild and stiff modes with lag coupling form one group: every level
+    # Mild and stiff modes with lag coupling in one call: every level
     # builds one table for all of them, on equal sub-panels of [0, 1].
     from delayheat import delay_ode
 

@@ -377,11 +377,16 @@ def _engine_cases():
              for path in run_configs()
              for cfg in [load_config(path)] if cfg.kind == "delay"]
     # Lagged diffusion makes B_n grow like n^2 too; the 128 modes, with
-    # |L_n| dt up to 512, form one group whose stiff factors the
+    # |L_n| dt up to 512, are solved in one call whose stiff factors the
     # exponential weights carry, each mode's by its own rate.
     stiff = _problem(a2=0.5, d2=-0.3, tau=0.5, horizon=1.0,
                      psi="x*(l-x)*(1+t)", g="x*cos(3*t)")
-    return cases + [pytest.param(stiff, 128, 16, id="stiff_128_modes")]
+    # c2 = d2 = 1 = lambda_1 a2^2 at l = pi: B_1 = 0 exactly and every other
+    # B_n < 0, so the family mixes both coupling kinds.
+    mixed = _problem(a2=1.0, d2=1.0, tau=0.5, horizon=1.0,
+                     psi="x*(l-x)*(1+t)", g="x*cos(3*t)")
+    return cases + [pytest.param(stiff, 128, 16, id="stiff_128_modes"),
+                    pytest.param(mixed, 16, 8, id="mixed_coupling")]
 
 
 @pytest.mark.parametrize("p, modes, m", _engine_cases())
@@ -401,7 +406,7 @@ def test_batched_engine_matches_one_mode_calls(p, modes, m):
 
 
 def test_delay_problem_without_lag_coupling_takes_the_recursion(monkeypatch):
-    # a2 = c2 = 0: every B_n vanishes, so each group builds only the first
+    # a2 = c2 = 0: every B_n vanishes, so the engine builds only the first
     # lag row of its kernel table and sums the panels by recursion.
     from delayheat import delay_ode
 
@@ -422,7 +427,7 @@ def test_delay_problem_without_lag_coupling_takes_the_recursion(monkeypatch):
 
 
 def test_sweep_solve_holds_little_memory():
-    # The kernel tables of a group are built in chunks of modes, so the
+    # The kernel tables are built in chunks of modes, so the
     # 128-mode sweep fixture never holds a full (modes x lags x offsets)
     # table.
     cfg = load_config(CONFIGS / "delay_smooth_sweep.json")
