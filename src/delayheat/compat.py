@@ -44,6 +44,7 @@ from .errors import (
     DomainError,
     InputError,
     InsufficientDataError,
+    NumericError,
     UnsupportedOperationError,
 )
 from .heat_delay import DelayHeatProblem, build_modes, reduce_delay, steps_covered
@@ -213,7 +214,6 @@ def check_decay_conditions(ms, m=None, delta=CheckSettings.delta,
 
     hist, forcing = ms.history_paths, ms.forcing_paths
     phi_start = _floor_small(np.abs(hist.values[:, 0]))
-    seq1 = n ** (2 * m + 3 + delta) * phi_start
 
     # Phi_n'' is the second derivative of the Hermite history paths,
     # evaluated on a refined grid so interior extremes are caught.
@@ -229,20 +229,32 @@ def check_decay_conditions(ms, m=None, delta=CheckSettings.delta,
         np.max(np.abs(hist.values), initial=0.0))
     phi_second_sup[phi_second_sup <= curvature_noise] = 0.0
     phi_second_sup = _floor_small(phi_second_sup)
-    seq2 = n ** (2 * m + 1 + delta) * (
-        phi_second_sup + n**2 * phi_prime_sup + n**4 * phi_sup
-    )
 
     f_sup = _floor_small(np.max(np.abs(forcing.values), axis=1))
     f_prime_sup = _floor_small(np.max(np.abs(forcing.slopes), axis=1))
-    seq3 = n ** (2 * m - 1 + delta) * (f_prime_sup + n**2 * f_sup)
 
     verdict = _delay_verdict(fit_slack)
-    return [
-        _fit_sequence("history_endpoint_decay", 2 * m + 3 + delta, seq1, verdict),
-        _fit_sequence("history_path_decay", 2 * m + 1 + delta, seq2, verdict),
-        _fit_sequence("forcing_path_decay", 2 * m - 1 + delta, seq3, verdict),
+    entries = [
+        ("history_endpoint_decay", 2 * m + 3 + delta, phi_start),
+        ("history_path_decay", 2 * m + 1 + delta,
+         phi_second_sup + n**2 * phi_prime_sup + n**4 * phi_sup),
+        ("forcing_path_decay", 2 * m - 1 + delta, f_prime_sup + n**2 * f_sup),
     ]
+    return [_fit_sequence(name, exponent,
+                          _weighted(name, exponent, n, terms, m), verdict)
+            for name, exponent, terms in entries]
+
+
+def _weighted(name, exponent, n, terms, m):
+    """The decay entry n**exponent * terms, zero where terms is.  Over many
+    delays (m large) the weight leaves float range, and an entry that is
+    then not finite raises :class:`NumericError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        seq = np.where(terms == 0.0, 0.0, n**exponent * terms)
+    if not np.all(np.isfinite(seq)):
+        raise NumericError(f"decay entry {name} is not finite: its weight "
+                           f"n^{exponent:g} overflows at m = {m}")
+    return seq
 
 
 def _row_checks(spec, row, xs, ts, tol):

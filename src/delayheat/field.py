@@ -25,6 +25,20 @@ byte; the few values that kernel cannot decide (non-finite, magnitude
 outside [1e-270, 1e270], or within 1e-6 of a rounding tie) are formatted by
 Python's ``%`` one at a time.  The writer is fully deterministic: the same
 field always produces byte-identical output.
+
+How the kernel works: each value gets a fixed 32-byte slot of NUL-padded
+text (head, leading digit, four 4-digit groups, exponent tail), and one
+``bytes.translate`` per block drops the NULs.  The decimal exponent e and
+the 17-digit integer D come from a Dekker product with a tabled 10**(16 - e)
+(one gather per call for its four words).  D's last 16 digits split with
+integer ``//`` into four groups, each a contiguous 1-D array.  A slot is
+built as four little-endian words in a contiguous (n, 4) matrix: the head
+word, the leading digit, one word per group looked up by (point position,
+group) in a 480 KB table of unstripped groups, and the tail word are stored
+left to right, and one mask picked by (digits before the point, trailing
+zero count) strips the zeros (and the point) that ``%.17g`` drops.  The
+matrix goes into the caller's slots in one copy.  The tables total about
+0.55 MB and are built once per process in about 2 ms.
 """
 
 from __future__ import annotations
@@ -50,18 +64,27 @@ _CSV_BLOCK_CELLS = 1 << 12
 _SLOT = np.dtype([("head", "V6"), ("lead", "u1"), ("groups", "V5", (4,)),
                   ("tail", "V5")])
 _CELL = _SLOT.itemsize + 1
+# Byte offsets of the lead digit, the four groups and the tail in a slot.
+_LEAD = _SLOT.fields["lead"][1]
+_GROUPS = [_SLOT.fields["groups"][1] + 5 * j for j in range(4)]
+_TAIL = _SLOT.fields["tail"][1]
 
 # Decimal exponents the kernel handles: scaled powers 10**s for s = 16 - e
 # stay normal doubles, and so do the parts of the Dekker products.
 _E_MIN, _E_MAX = -272, 271
 _SPLIT = float(2**27 + 1)
 
+# Slot words are little-endian whatever the machine, so byte b of a word is
+# bits 8b to 8b + 7 of its value, and its bytes are the slot's in order.
+_WORD = np.dtype("<u8")
+
 
 @functools.cache
 def _g17_tables():
     """Lookup tables of :func:`_g17`, built once with exact integer
-    arithmetic: (hi, lo) pairs of 10**s with their Dekker halves, the
-    4-digit groups, and the head and tail strings per exponent."""
+    arithmetic: the Dekker parts of 10**s per exponent, the 4-digit groups
+    as slot bytes packed into words, the head and tail words, each
+    exponent's group layout, and the masks that strip trailing zeros."""
     hi, lo = [], []
     for s in range(16 - _E_MAX, 17 - _E_MIN):
         # int -> float and int / int round correctly, so hi is 10**s
@@ -78,60 +101,78 @@ def _g17_tables():
     hi = np.array(hi)
     c = _SPLIT * hi
     hi_big = c - (c - hi)
-    powers = (hi, np.array(lo), hi_big, hi - hi_big)
+    # powers[_E_MAX - e]: hi, lo and hi's Dekker halves, gathered in one go.
+    powers = np.stack([hi, np.array(lo), hi_big, hi - hi_big], axis=1)
 
-    # groups[(2 * (pos + 1) + strip) * 10000 + g]: the 4 digits of g with a
-    # point before digit pos (none when pos is -1 or 4) and, when strip,
-    # the trailing zeros after the point (after position 0 when pos is -1)
-    # removed; a point with no digit left after it is removed too.  Each
-    # step runs over one digit (or column) of all 10000 groups at once.
+    # words[(pos + 1) * 10000 + g]: the 4 digits of g with a point before
+    # digit pos (none when pos is -1 or 4), as the group's 5 slot bytes in
+    # the low bytes of a word.  Each step runs over one digit (or column)
+    # of all 10000 groups at once.
     digits = np.empty((4, 10000), np.uint8)
     for d in range(4):
         digits[d] = np.tile(np.repeat(np.arange(48, 58, dtype=np.uint8),
                                       10**(3 - d)), 10**d)
-    # trailing[d]: digit d and every later digit are zeros.
-    trailing = np.arange(10000) % np.array([[10000], [1000], [100], [10]]) == 0
-    table = np.zeros((6, 2, 10000, 5), np.uint8)
+    table = np.zeros((6, 10000, 8), np.uint8)
     for pos in range(-1, 5):
         point = pos if 0 <= pos <= 3 else 4
-        for strip in (0, 1):
-            kept = digits
-            if strip:
-                kept = digits * ~(trailing & (np.arange(4)[:, None] >= pos))
-            out = table[pos + 1, strip]
-            for c in range(5):
-                if c != point:
-                    out[:, c] = kept[c - (c > point)]
-                elif point < 4:
-                    out[:, c] = (kept[point] != 0) * np.uint8(ord("."))
-    groups = table.view("V5").ravel()
+        out = table[pos + 1]
+        for c in range(5):
+            if c != point:
+                out[:, c] = digits[c - (c > point)]
+            elif point < 4:
+                out[:, c] = ord(".")
+    words = table.view(_WORD).ravel()
+    # zeros[g]: trailing zeros of the 4 digits of g, 4 for g = 0.
+    g = np.arange(10000)
+    zeros = sum(g % 10**d == 0 for d in range(1, 5)).astype(np.uint8)
 
     # Per exponent e, at row e - _E_MIN: %.17g prints fixed point for
     # -4 <= e < 17, with k = max(e + 1, 0) digits before the point, and
     # otherwise one digit, a point and an exponent.  head[2 * row + negative]
-    # is the sign and the "0.000" prefix, tail[row] the exponent, and
-    # variant[4 * row + z, j] the group table offset of group j (digits
-    # 1 + 4j to 4 + 4j) when the last z groups are zero: group j loses its
-    # trailing zeros when every later group is zero, 3 - j <= z.
+    # is the sign and the "0.000" prefix, tail[row] the exponent, both as
+    # words (the tail shifted to its place in the slot's last word);
+    # layout[row, j] is where in ``words`` the table of group j starts (its
+    # point comes before its digit pos = k - 1 - 4j), and mask_rows[row]
+    # is the first row of the masks of k.
     exps = np.arange(_E_MIN, _E_MAX + 1)
     fixed = (exps >= -4) & (exps < 17)
     head = np.array([sign + ("0." + "0" * (-e - 1) if -4 <= e < 0 else "")
                      for e in exps.tolist() for sign in ("", "-")],
-                    "S6").view("V6")
+                    "S8").view(_WORD)
     tail = np.array(["" if f else "e%+03d" % e
-                     for e, f in zip(exps.tolist(), fixed)], "S5").view("V5")
+                     for e, f in zip(exps.tolist(), fixed)], "S8").view(_WORD)
+    tail <<= 8 * (_TAIL % 8)
     k = np.where(fixed, np.maximum(exps + 1, 0), 1)
     pos = np.clip(k[:, None] - [1, 5, 9, 13], -1, 4)
-    strip = np.arange(3, -1, -1) <= np.arange(4)[:, None]
-    variant = ((2 * (pos[:, None] + 1) + strip) * 10000).reshape(-1, 4)
-    return powers, groups, head, tail, variant
+    layout = ((pos + 1) * 10000).astype(np.intp)
+    mask_rows = (17 * k).astype(np.intp)
+
+    # masks[17 * k + z]: the slot's words with the bytes kept when k digits
+    # come before the point and the 16 digits after the leading one end in
+    # z zeros.  %.17g drops the zeros after the point, and the point when
+    # no digit is left after it.  Digit i (1 to 16) sits in group
+    # j = (i - 1) // 4, one byte further on when the point is before it in
+    # that group; the point is just before digit k.
+    i = np.arange(1, 17)
+    j, q = (i - 1) // 4, (i - 1) % 4
+    ks = np.arange(18)[:, None]
+    byte = np.array(_GROUPS)[j] + q + ((ks - 1 - 4 * j >= 0)
+                                       & (ks - 1 - 4 * j <= q))
+    gone = (i >= ks[:, None]) & (i > 16 - np.arange(17)[:, None])
+    keep = np.full((18, 17, _SLOT.itemsize), 0xFF, np.uint8)
+    kk, zz, ii = np.nonzero(gone)
+    keep[kk, zz, byte[kk, ii]] = 0
+    kk, zz = np.nonzero(gone[i, :, i - 1])  # the point goes with digit k
+    keep[kk + 1, zz, byte[kk + 1, kk] - 1] = 0
+    masks = keep.view(_WORD).reshape(-1, _SLOT.itemsize // 8)
+    return powers, words, zeros, head, tail, layout, mask_rows, masks
 
 
 def _scaled(w, e, powers):
     """w * 10**(16 - e) as an unevaluated sum p + r, with p = fl(w * hi):
     Dekker's exact product of w and the power's high word plus w times its
     low word, so p + r is within about 1e-14 of the exact product."""
-    hi, lo, hi_big, hi_small = (np.take(table, _E_MAX - e) for table in powers)
+    hi, lo, hi_big, hi_small = np.take(powers, _E_MAX - e, axis=0).T
     p = w * hi
     c = _SPLIT * w
     w_big = c - (c - w)
@@ -149,62 +190,97 @@ def _out_of_range(p, r):
     return low, high
 
 
+def _store(slots, offset, values):
+    """Store ``values`` as little-endian words at byte ``offset`` of each
+    row of the byte matrix ``slots``; 8 bytes each, however aligned."""
+    slots[:, offset:offset + 8].view(_WORD)[:, 0] = values
+
+
+def _decimal(a, powers):
+    """(e, D, fast) per float of ``a``: the decimal exponent e of |x|, the
+    17-digit integer D = round(|x| * 10**(16 - e)), and where the two are
+    decided exactly.  The rest (zeros, non-finite values, magnitudes outside
+    [1e-270, 1e270], products within 1e-6 of a rounding tie) go through as
+    1 and are not ``fast``."""
+    ax = np.abs(a)
+    fast = (ax >= 1e-270) & (ax <= 1e270)
+    w = np.where(fast, ax, 1.0)
+    e = np.floor(np.log10(w)).astype(np.intp)
+    p, r = _scaled(w, e, powers)
+    near = np.flatnonzero((p <= 1e16) | (p >= 1e17))
+    if near.size:  # log10 may be off by one at a power of ten
+        low, high = _out_of_range(p[near], r[near])
+        e[near] += high.astype(np.intp) - low
+        p[near], r[near] = _scaled(w[near], e[near], powers)
+        low, high = _out_of_range(p[near], r[near])
+        fast[near] &= ~(low | high)
+    # p >= 1e16 > 2**53 is an integer, so rounding p + r only rounds r.
+    nearest = np.rint(r)
+    fast &= np.abs(r - nearest) < 0.5 - 1e-6
+    digits = p.astype(np.int64) + nearest.astype(np.int64)
+    carry = np.flatnonzero(digits >= 10**17)
+    digits[carry] = 10**16
+    e[carry] += 1
+    return e, digits, fast
+
+
+def _groups(digits, zeros):
+    """The leading digit of each D, the other 16 digits as four 4-digit
+    groups (the rows of a (4, n) array), and how many zeros the 16 end in."""
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    g = np.empty((4, digits.size), np.intp)
+    hi8 = rest // 10**8
+    lo8 = rest - hi8 * 10**8
+    np.floor_divide(hi8, 10**4, out=g[0])
+    np.subtract(hi8, g[0] * 10**4, out=g[1])
+    np.floor_divide(lo8, 10**4, out=g[2])
+    np.subtract(lo8, g[2] * 10**4, out=g[3])
+    # The last group's trailing zeros; where it is zero, 4 for each zero
+    # group at the end (at most 3 counted) plus the group before them.
+    trailing = np.take(zeros, g[3])
+    ends = np.flatnonzero(trailing == 4)
+    if ends.size:
+        empty = lo8[ends] == 0
+        z = 1 + empty + (empty & (g[1, ends] == 0))
+        trailing[ends] = 4 * z + zeros[g[3 - z, ends]]
+    return lead, g, trailing
+
+
 def _g17(a, out):
     """Write ``b"%.17g" % x`` for each float x of the 1-D array ``a`` into
     the matching row of ``out``, an (n, _SLOT.itemsize) uint8 view, with
     NUL padding.
 
-    D = round(|x| * 10**(16 - e)) is the 17-digit integer and e the decimal
-    exponent; its digits come from the 4-digit group table.  Only values
-    this cannot decide exactly go through Python's ``%``: non-finite ones,
-    magnitudes outside [1e-270, 1e270], and products within 1e-6 of a
-    rounding tie.
+    Each value's slot is assembled as words in a contiguous (n, 4) matrix:
+    the head word, the leading digit, one looked-up word per 4-digit group
+    (with the point where the exponent puts it) and the tail, each stored
+    over the zero bytes the one before left; a mask by the exponent and
+    the trailing zeros then strips what %.17g drops, and the matrix goes to
+    ``out`` in one copy.  Only values :func:`_decimal` cannot decide go
+    through Python's ``%``.
     """
-    powers, groups, head, tail, variant = _g17_tables()
-    ax = np.abs(a)
-    zero = ax == 0.0
-    fast = (ax >= 1e-270) & (ax <= 1e270)
-    # The rest go through as 1: zeros then print "0", the others are
-    # overwritten by the fallback below.
-    w = np.where(fast, ax, 1.0)
-    e = np.floor(np.log10(w)).astype(np.intp)
-    p, r = _scaled(w, e, powers)
-    low, high = _out_of_range(p, r)
-    miss = np.flatnonzero(low | high)
-    if miss.size:  # log10 was off by one at a power of ten
-        e[miss] += high[miss].astype(np.intp) - low[miss]
-        p[miss], r[miss] = _scaled(w[miss], e[miss], powers)
-        low, high = _out_of_range(p, r)
-        fast &= ~(low | high)
-    floor = np.floor(r)
-    frac = r - floor
-    fast &= np.abs(frac - 0.5) > 1e-6
-    # p >= 1e16 > 2**53 is an integer, so rounding p + r only rounds r.
-    digits = p.astype(np.int64) + floor.astype(np.int64) + (frac > 0.5)
-    carry = digits >= 10**17
-    digits[carry] = 10**16
-    e += carry
-
-    lead = digits // 10**16
-    rest = digits - lead * 10**16
-    g = np.empty((a.size, 4), np.intp)
-    g[:, 1] = rest // 10**8
-    g[:, 3] = rest - g[:, 1] * 10**8
-    g[:, 0] = g[:, 1] // 10**4
-    g[:, 1] -= g[:, 0] * 10**4
-    g[:, 2] = g[:, 3] // 10**4
-    g[:, 3] -= g[:, 2] * 10**4
-    # How many of the last groups are zero (at most 3 matter).
-    zero_groups = (g[:, 3] == 0).astype(np.intp)
-    zero_groups += rest % 10**8 == 0
-    zero_groups += rest % 10**12 == 0
-    g += np.take(variant, 4 * (e - _E_MIN) + zero_groups, axis=0)
-
-    slot = out.view(_SLOT)[:, 0]
-    slot["head"] = np.take(head, 2 * (e - _E_MIN) + np.signbit(a))
-    slot["lead"] = 48 + lead - zero
-    slot["groups"] = np.take(groups, g)
-    slot["tail"] = np.take(tail, e - _E_MIN)
+    powers, words, zeros, head, tail, layout, mask_rows, masks = _g17_tables()
+    e, digits, fast = _decimal(a, powers)
+    lead, g, trailing = _groups(digits, zeros)
+    zero = a == 0.0
+    row = e - _E_MIN
+    matrix = np.empty((a.size, _SLOT.itemsize // 8), _WORD)
+    slots = matrix.view(np.uint8)
+    _store(slots, 0, np.take(head, 2 * row + np.signbit(a)))
+    # Zeros went through as 1: their leading digit becomes "0", and the
+    # mask strips the other 16 and the point.
+    slots[:, _LEAD] = 48 + lead - zero
+    g += np.take(layout, row, axis=0).T
+    found = np.take(words, g)
+    for offset, group in zip(_GROUPS, found):
+        _store(slots, offset, group)
+    # The last word holds the last group's high bytes and the tail.
+    matrix[:, -1] = (found[-1] >> 8 * (-_GROUPS[-1] % 8)) | np.take(tail, row)
+    matrix &= np.take(masks, np.take(mask_rows, row) + trailing, axis=0)
+    # One opaque item per slot: a copy as _SLOT would go field by field.
+    value = np.dtype((np.void, _SLOT.itemsize))
+    out.view(value)[...] = matrix.view(value)
     for i in np.flatnonzero(~(fast | zero)).tolist():
         text = b"%.17g" % a[i]
         out[i] = 0

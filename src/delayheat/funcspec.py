@@ -552,8 +552,12 @@ class FunctionSpec:
         out = []
         for (i, j), c in zip(orders, coefs):
             scale = math.factorial(i) * math.factorial(j)
-            if scale != 1:
-                c = _times(c, float(scale))
+            if scale != 1 and not _is_zero(c):
+                # i! j! passes float range at orders past 170 while the
+                # partial need not: scale by its top bits, then by 2^shift.
+                shift = max(scale.bit_length() - 1000, 0)
+                with np.errstate(over="ignore"):
+                    c = np.ldexp(c * float(scale >> shift), shift)
             c = np.broadcast_to(np.asarray(c, dtype=float), shape)
             if not np.all(np.isfinite(c)):
                 raise NumericError(f"{type(self).__name__} produced a non-finite value")

@@ -381,6 +381,27 @@ def test_check_of_an_overflowing_source_exits_3_without_warnings(tmp_path, capsy
         "numeric failure: ExprFunction produced a non-finite value\n")
 
 
+def test_check_over_many_delays_exits_3_without_warnings(tmp_path, capsys):
+    # tau = 0.001 and T = 0.5 give m = 500, so the decay weights n^(2m+3+d)
+    # leave float range: a numeric failure naming the entry, with no
+    # RuntimeWarning on the way and no report.
+    problem = {"kind": "delay", "diffusion": 1.0, "diffusion_lag": 0.5,
+               "drift": -1460.0, "drift_lag": -365.0, "delay": 0.001,
+               "length": 1.0, "horizon": 0.5, "source": "0",
+               "initial": "sin(pi*x)*exp(-730*x)",
+               "trace_left": 0, "trace_right": 0}
+    cfg = _write(tmp_path, "many.json", {
+        "problem": problem, "solver": {"modes": 8, "nx": 20, "nt_per_tau": 1}})
+    report = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["check", "--config", cfg, "--out-report", str(report)]) == 3
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("numeric failure: decay entry history_endpoint_decay")
+    assert "m = 500" in last
+    assert not report.exists()
+
+
 # ---------------------------------------------------------------------------
 # compare and sweep
 # ---------------------------------------------------------------------------

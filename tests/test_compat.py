@@ -3,6 +3,7 @@ decay proxies on the mode coefficients, and the endpoint identities."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,23 @@ def test_parabola_initial_data_fails_decay_for_m1():
     path = report.decay[1]
     assert path["status"] == "fail"
     assert path["slope"] > 0.0
+
+
+def test_decay_weights_past_float_range_raise_unless_the_entry_is_zero():
+    # Over m = 500 delays the weight n^(2m+3+d) leaves float range from
+    # n = 3 on.  A single-mode history's other coefficients are floored to
+    # zero, so its entries stay zero and pass; a datum with more modes
+    # raises NumericError naming the entry and m, with no RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ms = build_modes(reduce_delay(_delay()), EigenBasis(math.pi, 16))
+        entries = check_decay_conditions(ms, m=500)
+        assert [e["status"] for e in entries] == ["pass"] * 3
+        ms = build_modes(reduce_delay(_delay(psi="x*(pi - x)")),
+                         EigenBasis(math.pi, 16))
+        with pytest.raises(NumericError, match=r"history_endpoint_decay .*"
+                                               r"n\^1003\.5 overflows at m = 500"):
+            check_decay_conditions(ms, m=500)
 
 
 def test_decay_conditions_require_enough_modes():

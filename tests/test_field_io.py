@@ -316,6 +316,45 @@ def test_kernel_matches_percent_format_on_floats(values):
     assert csv_rows(values) == _reference_rows(values)
 
 
+def _block_of_values():
+    """One writer block (4096 values) that visits every exponent row in
+    [-300, 300], every place of the point in fixed notation, and 0 to 3
+    zero groups at the end of the 17 digits."""
+    rng = np.random.default_rng(4096)
+    rows = np.arange(-300, 301)
+    by_row = rng.uniform(1.0, 10.0, rows.size) * 10.0**rows
+    fixed = rng.uniform(1.0, 10.0, 1495) * 10.0**rng.integers(-4, 17, 1495)
+    # Integers of 1 to 15 digits over 1 to 8: exact decimals, whose 17
+    # digits end in zero groups.
+    size = rng.integers(1, 16, 2000)
+    exact = rng.integers(10**(size - 1), 10**size) / 2.0**rng.integers(0, 4, 2000)
+    values = np.concatenate([by_row, fixed, exact])
+    return values * rng.choice([-1.0, 1.0], values.size)
+
+
+def _digits_layout(x):
+    """(e, zero groups, digits before the point) of ``"%.17g" % x``."""
+    mantissa, e = ("%.16e" % abs(x)).split("e")
+    e, rest = int(e), mantissa.replace(".", "")[1:]
+    zero_groups = min((len(rest) - len(rest.rstrip("0"))) // 4, 3)
+    return e, zero_groups, max(e + 1, 0) if -4 <= e < 17 else 1
+
+
+def test_kernel_matches_percent_format_on_a_whole_block():
+    values = _block_of_values()
+    assert values.size == field_module._CSV_BLOCK_CELLS
+    exps, zero_groups, points = map(set, zip(*map(_digits_layout, values.tolist())))
+    assert exps >= set(range(-300, 301))
+    assert zero_groups == {0, 1, 2, 3}
+    assert points == set(range(18))
+    assert csv_rows(values) == _reference_rows(values)
+
+
+def test_kernel_tables_stay_small():
+    # The kernel's lookup tables, built once per process.
+    assert sum(t.nbytes for t in field_module._g17_tables()) <= 696_288
+
+
 def test_read_rejects_partial_grid(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("x,t,v\n0,0,1\n1,0,2\n0,1,3\n")

@@ -2,6 +2,7 @@
 
 import math
 import operator
+import warnings
 
 import mpmath
 import numpy as np
@@ -368,6 +369,22 @@ def test_an_overflowing_jet_is_a_numeric_error_without_warnings():
     assert spec.separate() is None
     with pytest.raises(NumericError, match="non-finite"):
         spec.partials(np.array([[1.0]]), np.array([[0.0, 1.0]]), [(0, 0), (0, 1)])
+
+
+def test_a_high_order_partial_is_scaled_without_warnings():
+    # The scale i! j! of a Taylor coefficient: a product that overflows is
+    # the non-finite check's, an i! past float range (i > 170) still gives
+    # a finite partial where one exists, and an exact zero needs no scale.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sine = parse_function("sin(pi*x)")
+        (d170,) = sine.partials(0.5, 0.0, [(170, 0)])
+        assert d170 == pytest.approx(-math.pi**170, rel=1e-12)
+        with pytest.raises(NumericError, match="non-finite"):
+            parse_function("exp(100*x)").partials(0.0, 0.0, [(160, 0)])
+        (d204,) = parse_function("cos(pi*x)").partials(0.0, 0.0, [(204, 0)])
+        assert d204 == pytest.approx(math.pi**204, rel=1e-12)
+        assert parse_function("x").partials(0.5, 0.0, [(171, 0)]) == [0.0]
 
 
 def test_sampled_domain_clipping_tolerance():
