@@ -43,7 +43,7 @@ from .errors import (
     NumericError,
     QuadratureError,
 )
-from .field import csv_rows, field_difference_report
+from .field import csv_rows, difference_blocks, field_difference_report
 from .funcspec import parse_function
 from .heat_delay import solve_delay
 from .heat_nodelay import solve as solve_nodelay
@@ -230,21 +230,17 @@ def _run_gated(args):
     return EXIT_OK
 
 
-def _write_field(field, out_field, payload):
-    if out_field:
-        field.write_csv(out_field)
-        payload["outputs"] = {"field_csv": out_field}
-
-
 def _solve_body(args, cfg, out_field, payload):
     field = _solve_field(cfg)
     payload["field_meta"] = field.meta
-    if not out_field:
+    if out_field:
+        field.write_csv(out_field)
+        payload["outputs"] = {"field_csv": out_field}
+    else:
         # The values are synthesized when read: read them all, one block at
         # a time, so that a solve fails whether or not it writes the field.
         for _ in field.blocks():
             pass
-    _write_field(field, out_field, payload)
     return (f"solved on {field.x.size} x {field.t.size} grid "
             f"with {cfg.solver.modes} modes"
             + (f"; field written to {out_field}" if out_field else ""))
@@ -253,11 +249,17 @@ def _solve_body(args, cfg, out_field, payload):
 def _compare_body(args, cfg, out_field, payload):
     spectral = _solve_field(cfg)
     oracle = _fd_field(cfg)
-    diff = field_difference_report(spectral, oracle)
+    rows = None
+    if out_field:
+        # One pass over the series field's blocks: the CSV writer reads them,
+        # and the report takes each time row's differences on the way.
+        rows = np.empty((2, spectral.t.size))
+        spectral.write_csv(out_field, difference_blocks(spectral, oracle, rows))
+        payload["outputs"] = {"field_csv": out_field}
+    diff = field_difference_report(spectral, oracle, rows)
     payload["difference"] = diff
     payload["spectral_meta"] = spectral.meta
     payload["oracle_meta"] = oracle.meta
-    _write_field(spectral, out_field, payload)
     return (f"sup difference spectral vs finite-difference: {diff['sup']:.6e}\n"
             f"l2 difference: {diff['l2']:.6e}")
 

@@ -29,29 +29,26 @@ Solution formulas:
 and the full solution is their sum.  Integrands are piecewise smooth with
 kinks where t - tau - s crosses a multiple of tau.
 
-Two evaluators share these formulas and take the data the same way:
-``history(s, nu)`` gives the nu-th derivative (nu = 0, 1) of beta, as a
-:class:`~delayheat.spectral.HermitePaths` family does, and ``forcing(s)``
-gives rho; either may be None for zero data.
+Two evaluators take the history beta and the forcing rho as callables of s
+(a :class:`~delayheat.spectral.HermitePaths` family for many modes):
 
-* :func:`solve_modes` returns the whole trajectories of many modes (one
-  delay, per-mode a and b) on the grid dt = tau / m (the method of steps).
-  There every kink falls on a multiple of dt, so one fixed set of dt-wide
-  panels serves all output times, and both integrals become Toeplitz sums
-  over a table of K.  The stiff factor exp(-a s) of K across a panel is
-  integrated exactly, by product-integration weights of each mode's own
-  rate (an exponential integrator), so a stiff mode needs no finer panels
-  than a mild one.  All modes of a call share one table (modes x lags x
-  offsets) and one contraction per refinement level, and are accepted
-  together.  When no mode is lag-coupled (every b = 0), K is a pure
-  exponential, and the sum is a one-term recursion over the panels
-  instead, O(n) per trajectory rather than O(n^2).
-  :func:`solve_on_grid` is its one-mode call, for data given as plain
-  callables.  The field solvers use this path.
-* :func:`solve_at` evaluates one mode at any t, one adaptive quadrature per
-  point, with panels split at the kinks and graded toward the end where
-  exp(-a s) peaks.  It is the reference the grid engine is tested against,
-  and it serves ``dde solve``.
+* :func:`solve_modes`, the trajectories of many modes (one delay, per-mode
+  a and b) on the grid dt = tau / m, by the method of steps with
+  exponential weights (Bellen & Zennaro 2003; Hochbruck & Ostermann 2010)
+  and no K.  Each dt-panel is cut into S sub-panels of width h with Gauss
+  nodes, and each advances x(end) = exp(a h) x(start) + h W . g(nodes),
+  g = b x(s - tau) + rho, W integrating exp(a h (1 - u)) times the
+  Lagrange basis on the nodes exactly
+  (:func:`~delayheat.quadrature.exp_weights`), so a stiff mode needs no
+  finer sub-panels than a mild one.  The same weights up to each node give
+  the node values, the lagged data one delay later: the work is linear in
+  the horizon, the memory one delay interval's node values.  The field
+  solvers use it; :func:`solve_on_grid` is its one-mode call.
+* :func:`solve_at`, one mode at any t from the formulas above (it also
+  reads beta'), one adaptive quadrature of K per point, with panels split
+  at the kinks and graded toward the end where exp(-a s) peaks.  It serves
+  ``dde solve``, and it and :func:`kernel` are the references the grid
+  engine is tested against.
 """
 
 from __future__ import annotations
@@ -66,9 +63,10 @@ from .quadrature import (
     QuadratureConfig,
     composite_gauss,
     exp_panel_weights,
+    exp_weights,
+    gauss_rule,
     graded_breakpoints,
     halve_until_stable,
-    panel_nodes,
 )
 
 
@@ -96,15 +94,12 @@ _MAX_EXP_ARG = 700.0  # below the float64 overflow threshold of exp
 _MIN_EXP_ARG = -746.0  # exp underflows to exactly 0.0 below this
 
 
-def kernel(params, xi, log_scale=None, starts=None):
+def kernel(params, xi, starts=None):
     """Evaluate K(xi) (see module docstring), vectorized over xi.
 
     ``params.a`` and ``params.b`` may be arrays of one shape M, the rates of
     several modes with one delay; K then has shape M + xi.shape, every mode
-    at every xi.  ``log_scale``, broadcastable to that shape, returns
-    K(xi) exp(log_scale) instead, the factor added to every term's log
-    magnitude, so a stiff exponential can be divided out of K without
-    forming it.  Raises :class:`NumericError` when a term leaves float
+    at every xi.  Raises :class:`NumericError` when a term leaves float
     range, and :class:`InputError` for a non-finite xi.
 
     ``starts``, an empty dict at first, keeps the segment starts S_k of
@@ -127,8 +122,6 @@ def kernel(params, xi, log_scale=None, starts=None):
     if not np.all(np.isfinite(pts)):
         raise InputError("xi must be finite")
     out = np.zeros((a.shape[0], pts.size))
-    if log_scale is not None:
-        log_scale = np.broadcast_to(log_scale, shape).reshape(out.shape)
     seg = np.floor(pts / tau) + 1.0  # K vanishes where seg < 0
     kmax = int(seg.max(initial=-1.0))
     i = np.arange(kmax + 1)
@@ -161,9 +154,6 @@ def kernel(params, xi, log_scale=None, starts=None):
         # vanishing b u an exact zero term, except where i = 0.
         log_term = np.empty((k + 1, a.shape[0], u.size))
         log_term[0] = a * u
-        if log_scale is not None:
-            # Every later term adds term 0, so it takes the scale from here.
-            log_term[0, :, :n] += log_scale[:, cols]
         with np.errstate(divide="ignore"):
             log_bu = np.log(np.abs(b * u))
         log_term[1:] = log_bu * i[1:k + 1, None, None]
@@ -238,18 +228,12 @@ def solve_at(params, history, forcing, t, quad=QuadratureConfig()):
     return x
 
 
-class _Callables:
-    """A one-mode path family over a vectorized callable taken as
-    :func:`solve_at` takes its data (``fn(s, nu)``, or ``fn(s)`` for the
-    value, all a forcing answers).  It answers :func:`solve_modes` as a
-    :class:`~delayheat.spectral.HermitePaths` family of one row does."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __call__(self, s, nu=0):
-        value = self.fn(s.ravel(), nu) if nu else self.fn(s.ravel())
-        return np.asarray(value, dtype=float).reshape(s.shape)[None]
+def _one_row(fn):
+    """A vectorized callable ``fn(s)`` as a one-row path family, as
+    :func:`solve_modes` reads a :class:`~delayheat.spectral.HermitePaths`."""
+    if fn is None:
+        return None
+    return lambda s: np.asarray(fn(s.ravel()), dtype=float).reshape(s.shape)[None]
 
 
 def solve_on_grid(params, history, forcing, steps_per_tau, n_steps,
@@ -261,68 +245,40 @@ def solve_on_grid(params, history, forcing, steps_per_tau, n_steps,
     array of length ``n_steps``.  This is :func:`solve_modes` for one mode
     whose data are plain callables.
     """
-    return solve_modes([params.a], [params.b], params.tau,
-                       None if history is None else _Callables(history),
-                       None if forcing is None else _Callables(forcing),
+    return solve_modes([params.a], [params.b], params.tau, _one_row(history),
+                       _one_row(forcing),
                        steps_per_tau, n_steps, quad)[0]
 
 
-# Kernel-table and data entries one chunk of modes holds at once; the modes
-# are contracted in chunks of at most this many (at least one mode).
-_CHUNK_ELEMENTS = 1 << 16
-
-
-def _rows(family, rows, size):
-    """The sorted ``rows`` of a ``size``-row family, copied only if fewer."""
-    if family is None or rows.size == size:
-        return family
-    return family.rows(rows)
+# Node values (modes x sub-panels x nodes) a block holds at most: lag-coupled
+# modes recurse in chunks whose delay interval fits, others by dt-panels.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
                 quad=QuadratureConfig()):
     """Trajectories x_i(j dt), j = 1..n_steps, of the modes
     x_i' = a_i x_i + b_i x_i(t - tau) + rho_i, on the grid dt = tau / m with
-    m = ``steps_per_tau``; ``a`` and ``b`` are 1-D, and the result is an
-    array (len(a), n_steps).
+    m = ``steps_per_tau``: an array (len(a), n_steps).  ``history`` is a
+    path family of the beta_i (a :class:`~delayheat.spectral.HermitePaths`,
+    whose ``rows(index)`` is the family of some rows), ``forcing`` one of
+    the rho_i; either may be None for zero data.
 
-    ``history`` is a path family of the beta_i (a
-    :class:`~delayheat.spectral.HermitePaths`: ``history(s, nu)`` gives the
-    nu-th derivative of every row, ``history.rows(index)`` the family of some
-    rows), ``forcing`` one of the rho_i; either may be None for zero data.
+    The method of steps of the module docstring, every mode at once, one
+    delay interval at a time: its g is formed at once (the history or the
+    previous interval's node values give x(s - tau)), its sub-panel ends
+    follow by a scan, and its node values replace the previous interval's.
+    When every b_i == 0, no node values are kept, and a dt-panel's
+    sub-panels fold into one step x_(j+1) = exp(a dt) x_j + W . rho(nodes)
+    (W: :func:`~delayheat.quadrature.exp_panel_weights`).
 
-    Both integrals of the module docstring are taken over the same dt-wide
-    panels of [-tau, t_n]; panel p (p = 0, 1, ...) starts at s = -tau + p dt.
-    Every kink of K(t_j - tau - s) lies on a panel edge, and a point at offset
-    c in (0, 1) of panel p contributes through K((j - p - c) dt).  One table
-    of K at (k - c) dt, k = 1-m..n_steps, therefore serves every output time,
-    and x(t_j) is a Toeplitz contraction of that table with the weighted data
-    samples.
-
-    Across a panel K((k - c) dt) carries exp(rate c), rate = -a dt, which
-    peaks at c = 1 when rate > 0 (else at c = 0).  Each panel is cut into
-    equal sub-panels with Gauss nodes, starting from the one panel [0, 1].
-    The weights of a mode integrate exp(rate (c - peak)) times the Lagrange
-    basis on a sub-panel's nodes exactly
-    (:func:`~delayheat.quadrature.exp_panel_weights`, graded by the mode's
-    own rate), and the table holds K exp(rate (peak - c)), the factor added
-    to the kernel's log-space terms; neither forms exp(rate).  So a stiff
-    mode is as smooth to the rule as a mild one, and all modes share one
-    rule.  Each level builds one table (modes x lags x offsets) and
-    contracts it one lag row at a time, every mode at once (one batched
-    matrix-vector product per row); lag rows that underflowed to zero in
-    every mode (stiff modes: the table's tail, and the stretches between
-    delay multiples) are skipped.  At most ``_CHUNK_ELEMENTS`` table and
-    data entries are held at once; more modes are evaluated in chunks.
-
-    The level is accepted once, with all its sub-panels halved, every mode
-    agrees with the previous level to ``abs_tol + 1e-14 * |x|`` at every
-    output time.  Raises :class:`QuadratureError` after
-    ``max_panel_splits`` halvings otherwise.  When every b_i == 0,
-    K((k - c) dt) = exp(a dt)^(k - 1 + m) K((1 - m - c) dt), so each output
-    is the previous one times exp(a dt) plus its newest panel, and only the
-    first row of the table is needed.  A b_i == 0 mode in a lag-coupled
-    family takes the contraction with the others.
+    The levels are S = 1, 2, 4, ...; a mode is accepted at the first level
+    that agrees with the one before to ``abs_tol + 1e-14 * |x|``, as a call
+    for it alone would be, and only the modes still open are solved again.
+    Raises :class:`QuadratureError` after ``max_panel_splits`` halvings
+    otherwise, and :class:`NumericError` when a trajectory leaves float
+    range: at once when some a_i (tau + t_n) exceeds the range of exp, as K
+    would, or when the recursion overflows.
     """
     m = int(steps_per_tau)
     if m < 1:
@@ -335,68 +291,77 @@ def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
     if n_steps == 0 or not a.size:
         return np.zeros((a.size, n_steps))
     dt = tau / m
-    # The weights integrate exp(rate (c - peak)); the table carries the rest
-    # of K's exponential, exp(rate (peak - c)) (see above).
-    rate = -a * dt
-    peak = np.where(rate > 0.0, 1.0, 0.0)
-    head = np.zeros((a.size, n_steps))
-    if history is not None:
-        head = kernel(params, dt * np.arange(1, n_steps + 1)) * history(
-            np.array(-tau))[:, None]
-    lags = np.arange(1 - m, n_steps + 1)
-    recursive = not np.any(b)
-    if recursive:
-        # Only K's leading exponential is left.  The kernel's overflow check,
-        # applied to the trajectory's largest argument, keeps the recursion
-        # from overflowing silently.
-        lags = lags[:1]
-        if np.any(a * (tau + n_steps * dt) > _MAX_EXP_ARG):
-            raise NumericError("delay kernel overflow (a * xi too large)")
-        decay = np.exp(a * dt)
+    if np.any(a * (tau + n_steps * dt) > _MAX_EXP_ARG):
+        raise NumericError("delay ODE overflow (a * t too large)")
+    q = quad.nodes_per_panel
+    nodes = 0.5 * (gauss_rule(q)[0] + 1.0)
+    lagged = bool(np.any(b))
 
-    def contract(rows, offsets, weights):
-        """Trajectories of the modes ``rows`` at one level."""
-        table = kernel(DelayOdeParams(a=a[rows], b=b[rows], tau=tau),
-                       dt * (lags[:, None] - offsets[None, :]),
-                       log_scale=rate[rows, None, None]
-                       * (peak[rows, None, None] - offsets))
-        data = np.zeros((rows.size, m + n_steps, offsets.size))
-        if history is not None:
-            paths = _rows(history, rows, a.size)
-            s = dt * (np.arange(m)[:, None] + offsets[None, :]) - tau
-            data[:, :m] = paths(s, 1) - a[rows, None, None] * paths(s)
-        if forcing is not None:
-            s = dt * (np.arange(n_steps)[:, None] + offsets[None, :])
-            data[:, m:] = _rows(forcing, rows, a.size)(s)
-        data *= dt * weights[rows, None, :]
-        if recursive:
-            # z_r sums panels p <= r: z_r = exp(a dt) z_(r-1) + panel r, and
-            # x(t_j) = z_(j + m - 1).
-            panels = np.matmul(data, table[:, 0, :, None])[..., 0]
-            z, acc, step = np.empty_like(panels), 0.0, decay[rows]
-            for r in range(panels.shape[1]):
-                acc = step * acc + panels[:, r]
-                z[:, r] = acc
-            return head[rows] + z[:, m:]
-        x = head[rows]
-        # Row i holds k = i + 1 - m and links panel p = j - k to output j >= 1.
-        for i in np.flatnonzero(table.any(axis=(0, 2))):
-            j0 = max(1, i - m + 1)
-            x[:, j0 - 1:] += np.matmul(data[:, j0 - i + m - 1:n_steps - i + m],
-                                       table[:, i, :, None])[..., 0]
+    def trajectories(rows, edges):
+        """The modes ``rows`` at S = len(edges) - 1 sub-panels per dt-panel,
+        by blocks: a delay interval with lag coupling, dt-panels without."""
+        per_dt = edges.size - 1
+        h = dt / per_dt
+        rate = a[rows] * h
+        # The data families' rows, copied only when fewer than all.
+        beta, rho = (f if f is None or rows.size == a.size else f.rows(rows)
+                     for f in (history, forcing))
+        if lagged:
+            span, group = m * per_dt, 1
+            # integral_0^c exp(rate (c - u)) l_q(u) du at the nodes and
+            # c = 1: the rule's weights for -rate, times their peak factor.
+            ends = np.append(nodes, 1.0)
+            weights = h * exp_weights(-rate, q, ends) * np.exp(
+                np.multiply.outer(np.maximum(rate, 0.0), ends))[:, :, None]
+            end_weights = weights[:, q, :, None]
+            node_weights = weights[:, :q].transpose(0, 2, 1)
+            node_decay = np.exp(np.multiply.outer(rate, nodes))[:, None, :]
+        else:
+            span = per_dt * max(1, _BLOCK_ELEMENTS // (rows.size * per_dt * q))
+            group = per_dt
+            end_weights = (exp_panel_weights(edges, q, -rate * per_dt).T * dt
+                           * np.exp(np.maximum(rate * per_dt, 0.0))).T[..., None]
+        decay = np.exp(rate * group)
+        out = np.empty((n_steps, rows.size))
+        x = np.zeros(rows.size) if beta is None else beta(np.array(0.0))
+        total = n_steps * per_dt
+        for lo in range(0, total, span):
+            n = min(span, total - lo)
+            s = h * (np.arange(lo, lo + n)[:, None] + nodes)
+            g = np.zeros((rows.size, n, q)) if rho is None else rho(s)
+            if lagged and lo:
+                ring *= b[rows, None, None]
+                g += ring[:, :n]
+            elif lagged and beta is not None:
+                g += b[rows, None, None] * beta(s - tau)
+            # One step per sub-panel, or per dt-panel without lag coupling.
+            steps = np.matmul(g.reshape(rows.size, n // group, -1),
+                              end_weights)[..., 0].T
+            xs = np.empty((len(steps) + 1, rows.size))
+            xs[0] = x
+            for k, step in enumerate(steps):
+                xs[k + 1] = decay * xs[k] + step
+            x = xs[-1]
+            stride = per_dt // group
+            out[lo // per_dt:(lo + n) // per_dt] = xs[stride::stride]
+            if lagged and lo + n < total:
+                ring = np.matmul(g, node_weights)
+                ring += node_decay * xs[:n].T[:, :, None]
+        return out.T
+
+    def level_value(edges, rows=None):
+        rows = np.arange(a.size) if rows is None else rows
+        chunk = (max(1, _BLOCK_ELEMENTS // (m * (edges.size - 1) * q))
+                 if lagged else rows.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = np.concatenate([trajectories(rows[lo:lo + chunk], edges)
+                                for lo in range(0, rows.size, chunk)])
+        if not np.all(np.isfinite(x)):
+            raise NumericError("delay ODE overflow: trajectory leaves float range")
         return x
-
-    def level_value(edges):
-        offsets, _ = panel_nodes(edges, quad.nodes_per_panel)
-        weights = exp_panel_weights(edges, quad.nodes_per_panel, rate)
-        chunk = max(1, _CHUNK_ELEMENTS
-                    // ((lags.size + m + n_steps) * offsets.size))
-        return np.concatenate([
-            contract(np.arange(lo, min(lo + chunk, a.size)), offsets, weights)
-            for lo in range(0, a.size, chunk)])
 
     return halve_until_stable(
         level_value, np.array([0.0, 1.0]), quad,
         f"grid quadrature did not converge to {quad.abs_tol:g} "
-        f"after {quad.max_panel_splits} panel splits",
+        f"after {quad.max_panel_splits} panel splits", by_row=True,
     )

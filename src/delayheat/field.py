@@ -4,8 +4,9 @@ A :class:`SolutionField` either holds its values as arrays (the FD oracle,
 :func:`read_field_csv`) or synthesizes them when they are read (the series
 solvers, :func:`delayheat.heat_delay.to_field`).  Every reader takes the
 values one block of whole time rows at a time (:meth:`SolutionField.blocks`):
-:meth:`~SolutionField.write_csv` and :func:`field_difference_report` hold
-O(block) cells, never the (nt x nx) grid, and a synthesized value is
+:meth:`~SolutionField.write_csv` and :func:`field_difference_report` (one
+pass can feed both: :func:`difference_blocks`) hold O(block) cells, never
+the (nt x nx) grid, and a synthesized value is
 computed as its block is read, so an error of the data on the grid (a
 :class:`~delayheat.errors.NumericError` or
 :class:`~delayheat.errors.DomainError` from the delayed kind's initial
@@ -437,11 +438,12 @@ class SolutionField:
         for j0 in range(0, nt, step):
             yield (j0, *self._rows(j0, min(j0 + step, nt)))
 
-    def write_csv(self, path):
+    def write_csv(self, path, blocks=None):
         """Write the field as CSV (see the module docstring for the schema),
-        one block of time rows at a time.  The text goes to a temporary file
-        beside ``path``, which replaces ``path`` only once every block is
-        written: an error on the way leaves no file at ``path``."""
+        one block of time rows at a time (``blocks``, or its own blocks).
+        The text goes to a temporary file beside ``path``, which replaces
+        ``path`` only once every block is written: an error on the way
+        leaves no file at ``path``."""
         nx, nt = self.x.size, self.t.size
         rows_per_block = _block_rows(nx, nt)
         planes = 2 if self.has_u else 1
@@ -459,7 +461,7 @@ class SolutionField:
         try:
             with open(partial, "wb") as fh:
                 fh.write(b"x,t,v,u\n" if self.has_u else b"x,t,v\n")
-                for j0, v, u in self.blocks():
+                for j0, v, u in self.blocks() if blocks is None else blocks:
                     rows = len(v)
                     block = m[:rows * nx]
                     _column(grid[:rows], 1)[...] = t_slots[j0:j0 + rows, None]
@@ -488,22 +490,33 @@ def read_field_csv(path):
     return SolutionField(x=x, t=t, v=v, u=u, source="file")
 
 
-def field_difference_report(field_a, field_b):
-    """Sup / L2 difference of two fields on the same grid, with per-time
-    rows, read one block of time rows at a time."""
+def difference_blocks(field_a, field_b, rows):
+    """Yield the blocks of field_a (:meth:`SolutionField.blocks`), and fill
+    ``rows`` (2 x times) with each time row's sup and L2 difference from
+    field_b on the way, so that another reader of field_a's blocks (the
+    CSV writer) and :func:`field_difference_report` share one pass."""
     if field_a.x.size != field_b.x.size or field_a.t.size != field_b.t.size:
         raise InputError("fields live on different grid shapes")
     if not (np.allclose(field_a.x, field_b.x, atol=1e-12)
             and np.allclose(field_a.t, field_b.t, atol=1e-12)):
         raise InputError("fields live on different grids")
     dx = float(field_a.x[1] - field_a.x[0])
-    sup_rows = np.empty(field_a.t.size)
-    l2_rows = np.empty(field_a.t.size)
-    for (j0, va, _), (_, vb, _) in zip(field_a.blocks(), field_b.blocks()):
+    for (j0, va, ua), (_, vb, _) in zip(field_a.blocks(), field_b.blocks()):
         diff = va - vb
-        rows = slice(j0, j0 + len(diff))
-        sup_rows[rows] = np.max(np.abs(diff), axis=1)
-        l2_rows[rows] = np.sqrt(dx * np.sum(diff**2, axis=1))
+        rows[0, j0:j0 + len(diff)] = np.max(np.abs(diff), axis=1)
+        rows[1, j0:j0 + len(diff)] = np.sqrt(dx * np.sum(diff**2, axis=1))
+        yield j0, va, ua
+
+
+def field_difference_report(field_a, field_b, rows=None):
+    """Sup / L2 difference of two fields on the same grid, with per-time
+    rows, read one block of time rows at a time; ``rows``, if given, as
+    :func:`difference_blocks` filled them."""
+    if rows is None:
+        rows = np.empty((2, field_a.t.size))
+        for _ in difference_blocks(field_a, field_b, rows):
+            pass
+    sup_rows, l2_rows = rows
     slices = [
         [float(field_a.t[j]), float(sup_rows[j]), float(l2_rows[j])]
         for j in range(field_a.t.size)

@@ -27,9 +27,10 @@ Every sine mode then satisfies a scalar delay ODE
     X_n'(t) = L_n X_n(t) + B_n X_n(t - tau),
     L_n = c1 - (pi n a1 / l)^2,    B_n = c2 - (pi n a2 / l)^2,
 
-solved in closed form by :mod:`delayheat.delay_ode`.  The delayed-exponential
-parameter B_n * exp(-L_n tau) overflows for large n, so only (L_n, B_n) are
-ever passed around; the kernel combines the factors in log space.
+solved by :mod:`delayheat.delay_ode`.  The delayed-exponential parameter
+B_n * exp(-L_n tau) overflows for large n, so only (L_n, B_n) are ever
+passed around: the grid engine carries exp(L_n h) in exponential weights,
+and the kernel combines the factors in log space.
 
 The lift is A(t) + x B(t) with theta1 read at x = 0 and theta2 at x = l,
 so its sine coefficients are known in closed form: :func:`build_modes`

@@ -43,10 +43,10 @@ On the output grid, u1 is the exact exponential.  u2_n is the forced
 solution of the delay ODE x' = -(pi n a / l)^2 x + F_n without lag coupling,
 so :func:`solve` evaluates every mode at all grid times with one call of the
 delay solver's grid engine (:func:`delayheat.delay_ode.solve_modes`, with a
-delay of one time step).  With b = 0 the engine's kernel is the pure
-exponential exp(-(pi n a / l)^2 (t - s)), so it advances the trajectories by
-a one-term recursion, one step of decay plus the newest panel, in O(nt)
-rather than O(nt^2), all modes at once.
+delay of one time step).  With b = 0 the engine keeps no lagged values: it
+advances the trajectories by a one-term recursion, one step of decay
+exp(-(pi n a / l)^2 dt) plus the newest panel's forcing under exponential
+weights, in O(nt), all modes at once.
 """
 
 from __future__ import annotations
@@ -148,8 +148,7 @@ def solve(p, basis, grid, quad=QuadratureConfig()):
     initial, (rate, lag_rate), forcing = _mode_data(rp, basis, quad)
 
     # Modal trajectories: the exact free decay plus the Duhamel term, which is
-    # the grid engine with no lag coupling and a delay of one time step, so
-    # that its kernel is exp(rate (t - s)).
+    # the grid engine with no lag coupling and a delay of one time step.
     traj = np.exp(np.outer(t, rate)) * initial  # (nt+1, N)
     traj[1:] += solve_modes(rate, lag_rate, grid.time_step(p.horizon), None,
                             forcing, 1, grid.nt, quad).T

@@ -15,8 +15,9 @@ each hand it their own level function.
 Where the exponential factor is known, it can instead be integrated exactly
 (product integration): :func:`exp_panel_weights` gives the weights of
 exp(rate (s - peak)) times the Lagrange basis on each panel's Gauss nodes,
-so a stiff factor needs no graded panels in the caller.  The grading moves
-into the weights, computed once per rate on a fine graded rule.
+and :func:`exp_weights` those of one panel up to its end or any point in
+it, so a stiff factor needs no graded panels in the caller.  The grading
+moves into the weights, computed once per rate on a fine graded rule.
 """
 
 from __future__ import annotations
@@ -118,55 +119,57 @@ def graded_breakpoints(lo, hi, rate):
     return [p for p in pts if lo < p < hi]
 
 
-@lru_cache(maxsize=64)
-def _lagrange_table(nodes_per_panel, layout):
-    """A Gauss rule of twice ``nodes_per_panel`` nodes on each panel of
-    [0, 1] cut at the interior points ``layout``, and the Lagrange basis of
-    the ``nodes_per_panel``-point Gauss rule on [0, 1] at its nodes: returns
-    (points - 1, weights, basis), basis of shape (points, nodes_per_panel).
-    """
-    pts, wts = panel_nodes([0.0, *layout, 1.0], 2 * nodes_per_panel)
+def _lagrange_basis(nodes_per_panel, x):
+    """The Lagrange basis on the Gauss nodes of [0, 1] at the points ``x``,
+    shape x.shape + (nodes_per_panel,), by the barycentric formula; a point
+    on a node (|rate| c past about 1e14: the rule rounds onto c) takes
+    that node's unit row."""
     nodes = 0.5 * (gauss_rule(nodes_per_panel)[0] + 1.0)
-    basis = np.ones((pts.size, nodes_per_panel))
-    for k, node in enumerate(nodes):
-        # Column j takes the factor (x - x_k) / (x_j - x_k) for every k != j.
-        factor = (pts[:, None] - node) / np.where(nodes == node, 1.0,
-                                                   nodes - node)
-        factor[:, k] = 1.0
-        basis *= factor
-    return pts - 1.0, wts, basis
+    gaps = nodes[:, None] - nodes + np.eye(nodes_per_panel)
+    offsets = x[..., None] - nodes
+    on_node = offsets == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        basis = np.divide(1.0 / np.prod(gaps, axis=1), offsets)
+        basis /= basis.sum(axis=-1, keepdims=True)
+    return np.where(on_node.any(axis=-1, keepdims=True), on_node, basis)
 
 
-def _exp_weights(rates, nodes_per_panel):
-    """Product-integration weights on [0, 1] for the factor exp(rate * x).
+def exp_weights(rates, nodes_per_panel, ends=(1.0,)):
+    """Product-integration weights on [0, c] for the factor exp(rate * x).
 
-    Row i holds v_j = integral_0^1 exp(rate_i (x - peak_i)) l_j(x) dx,
-    j = 0..nodes_per_panel-1, where l_j is the Lagrange basis on the Gauss
-    nodes of [0, 1] and peak_i the end where the exponential is largest (1
-    for rate_i > 0, else 0).  So sum_j v_j g(x_j) integrates
-    exp(rate (x - peak)) g(x) exactly for g of degree < nodes_per_panel,
-    the weights stay O(1) at any rate, and at rate 0 they are the Gauss
-    weights.  Each row is computed on its own rate's geometric grading
+    Entry (i, e) holds v_j = integral_0^c exp(rate_i (x - peak)) l_j(x) dx
+    at c = ``ends[e]`` in (0, 1], l_j the Lagrange basis on the Gauss nodes
+    of [0, 1] and peak the end of [0, c] where the exponential is largest
+    (c for rate_i > 0, else 0).  So sum_j v_j g(x_j) integrates
+    exp(rate (x - peak)) g(x) over [0, c] exactly for g of degree
+    < nodes_per_panel, and the weights stay O(1) at any rate.  Each rate
+    takes the geometric grading of its |rate| on [0, 1]
     (:func:`graded_breakpoints`), with twice as many Gauss nodes on each
-    fine panel.
+    fine panel, scaled onto [0, c]: as fine as |rate| c needs, or finer.
     """
     rates = np.asarray(rates, dtype=float).ravel()
+    ends = np.asarray(ends, dtype=float)
     mags = np.abs(rates)
-    groups = {}  # rates of one level count share one grading
-    for i, count in enumerate(_grading_levels(mags).tolist()):
-        groups.setdefault(count, []).append(i)
-    out = np.empty((rates.size, 1, nodes_per_panel))
-    for rows in groups.values():
-        layout = tuple(graded_breakpoints(0.0, 1.0, mags[rows[0]]))
-        shifted, wts, basis = _lagrange_table(nodes_per_panel, layout)
-        # exp(|rate| (x - 1)) with peak 1; a falling exponential is its
-        # mirror image, whose Gauss nodes are the same nodes reversed.
-        # One (1 x points) product per row, as a row alone would take it.
-        out[rows] = (wts * np.exp(mags[rows, None, None] * shifted)) @ basis
-    out = out[:, 0]
-    falling = rates < 0.0
-    out[falling] = out[falling, ::-1]
-    return out
+    groups = {}  # rates of one level count and sign share one grading
+    for i, key in enumerate(zip(_grading_levels(mags).tolist(),
+                                (rates > 0.0).tolist())):
+        groups.setdefault(key, []).append(i)
+    out = np.empty((rates.size, ends.size, 1, nodes_per_panel))
+    for (_, rising), rows in groups.items():
+        # The graded rule on [-1, 0], where the points next to the peak at 0
+        # keep their relative accuracy.
+        layout = graded_breakpoints(0.0, 1.0, mags[rows[0]])
+        shifted, wts = panel_nodes([-1.0, *(p - 1.0 for p in layout), 0.0],
+                                   2 * nodes_per_panel)
+        # The rule's points run toward the peak: x = c (1 + shifted) for a
+        # rising exponential, x = -c shifted for a falling one, and either
+        # way the factor is exp(|rate| c shifted).
+        x = ends[:, None] * (1.0 + shifted if rising else -shifted)
+        scaled = np.exp(mags[rows, None, None] * ends[:, None] * shifted)
+        scaled *= ends[:, None] * wts
+        # One (1 x points) product per row and end, as a row alone takes it.
+        out[rows] = scaled[:, :, None, :] @ _lagrange_basis(nodes_per_panel, x)
+    return out[:, :, 0]
 
 
 def exp_panel_weights(edges, nodes_per_panel, rates):
@@ -186,7 +189,7 @@ def exp_panel_weights(edges, nodes_per_panel, rates):
     out = np.empty((rates.size, widths.size, nodes_per_panel))
     for w in set(widths.tolist()):
         # Panels of one width share their weights up to the scale below.
-        out[:, widths == w] = _exp_weights(rates * w, nodes_per_panel)[:, None]
+        out[:, widths == w] = exp_weights(rates * w, nodes_per_panel)
     # Each panel's own peak end lies |rate| * (its distance) below the peak.
     ends = np.where(rates > 0.0, edges[1:] - edges[-1], edges[:-1] - edges[0])
     out *= (widths * np.exp(rates * ends))[:, :, None]
@@ -194,7 +197,7 @@ def exp_panel_weights(edges, nodes_per_panel, rates):
 
 
 def halve_until_stable(level, layout, quad, message, halve=halve_panels,
-                       splits=None):
+                       splits=None, by_row=False):
     """Refine ``layout`` until two successive levels agree; return the last.
 
     ``level(layout)`` evaluates a scalar or an array.  The panels are halved
@@ -203,15 +206,29 @@ def halve_until_stable(level, layout, quad, message, halve=halve_panels,
     ``splits`` halvings (default ``quad.max_panel_splits``) without that,
     raises :class:`QuadratureError` with ``message`` and the largest
     difference; no caller gets an unsettled level back.
+
+    With ``by_row``, each row of the array is accepted at the first level
+    where it agrees with the one before, and keeps that level's value, as
+    a call for it alone would; later levels are asked only for the rows
+    still open, as ``level(layout, rows)`` (sorted 0-based indices).
     """
     value = level(layout)
+    rows = np.arange(len(value)) if by_row else None
     residual = np.inf
     for _ in range(quad.max_panel_splits if splits is None else splits):
         layout = halve(layout)
-        refined = level(layout)
-        diff = np.abs(refined - value)
-        value = refined
-        if np.all(diff <= quad.abs_tol + 1e-14 * np.abs(refined)):
+        if rows is None:
+            refined = level(layout)
+            diff, value = np.abs(refined - value), refined
+        else:
+            refined = level(layout, rows)
+            diff = np.abs(refined - value[rows])
+            value[rows] = refined
+        settled = diff <= quad.abs_tol + 1e-14 * np.abs(refined)
+        if rows is not None:
+            settled = settled.reshape(rows.size, -1).all(axis=1)
+            rows, diff = rows[~settled], diff[~settled]
+        if np.all(settled):
             return value
         residual = float(np.max(diff))
     raise QuadratureError(message, residual=residual)

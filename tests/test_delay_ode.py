@@ -197,6 +197,71 @@ def test_grid_engine_over_many_delays_matches_exact_steps():
     np.testing.assert_allclose(x[[99, 109]], ref, rtol=0, atol=1e-12)
 
 
+def _poly(coeffs):
+    """The ascending-coefficient polynomial as a vectorized callable."""
+    return lambda s: np.polynomial.polynomial.polyval(
+        np.asarray(s, dtype=float), coeffs)
+
+
+@pytest.mark.parametrize("a, b, tau, m, n_steps, beta, rho", [
+    # b < 0 over five delays
+    (-1.5, -0.8, 0.5, 8, 40, [1.0, 1.0, 0.0, -0.5], [0.5, -1.0]),
+    # b > 0, and T / tau = 29 / 6: the last delay interval is partial
+    (-2.0, 1.2, 0.7, 6, 29, [1.0, 1.0, 0.0, -0.5], [0.5, -1.0]),
+    # a positive rate over 7.4 delays
+    (0.8, -0.5, 0.4, 5, 37, [1.0, -0.5, 0.25], [0.25, 0.5]),
+    # zero history, forced
+    (-0.7, 0.6, 1.0, 4, 18, [0.0], [1.0, 0.5, -0.25]),
+])
+def test_recursion_matches_exact_method_of_steps(a, b, tau, m, n_steps, beta,
+                                                 rho):
+    history = _history(_poly(beta), _poly(np.polynomial.polynomial.polyder(
+        beta)))
+    x = solve_on_grid(DelayOdeParams(a=a, b=b, tau=tau), history, _poly(rho),
+                      m, n_steps)
+    ref = dde_steps_exact(a, b, tau, beta, tau / m * np.arange(1, n_steps + 1),
+                          rho_poly=rho)
+    np.testing.assert_allclose(x, ref, rtol=0, atol=1e-12)
+
+
+def test_recursion_on_a_stiff_family_matches_exact_method_of_steps():
+    # a down to -2e5 with lag coupling of both signs, over 3.5 delays: the
+    # node weights carry exp(a h) with no overflow, underflow warning or
+    # lost accuracy, and every mode meets the exact solution.
+    a = np.array([-1.0, -100.0, -300.0, -5e3, -2e4, -2e5])
+    b = np.array([-0.5, -50.0, 200.0, -10.0, 3.0, -1.0])
+    tau, m, n_steps = 1.0, 4, 14
+    s = np.linspace(-tau, 0.0, 33)
+    history = HermitePaths(s, np.tile(1.0 + s - 0.5 * s**3, (a.size, 1)),
+                           np.tile(1.0 - 1.5 * s**2, (a.size, 1)))
+    t = np.linspace(0.0, 3.5, 29)
+    forcing = HermitePaths(t, np.tile(0.5 - t, (a.size, 1)),
+                           -np.ones((a.size, t.size)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solve_modes(a, b, tau, history, forcing, m, n_steps)
+    t_out = tau / m * np.arange(1, n_steps + 1)
+    for i in range(a.size):
+        ref = dde_steps_exact(a[i], b[i], tau, [1.0, 1.0, 0.0, -0.5], t_out,
+                              rho_poly=[0.5, -1.0])
+        np.testing.assert_allclose(x[i], ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("a", [-1e12, -1e15, -1e16])
+def test_recursion_at_extreme_stiffness_is_quasi_static(a):
+    # At |a| h past about 1e14 the weight rule's points next to a node end
+    # round onto the node itself; the Lagrange basis there is that node's
+    # unit row, not a division by zero.  x = -(b x(t - tau) + rho) / a to
+    # within 1 / a^2: 1.5 / |a| on the first delay, (1 + 0.75 / |a|) / |a|
+    # on the second.
+    history = _history(lambda s: np.ones_like(s), lambda s: np.zeros_like(s))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = solve_on_grid(DelayOdeParams(a=a, b=0.5, tau=1.0), history,
+                          lambda s: np.ones_like(s), 2, 4)
+    np.testing.assert_allclose(x * -a, [1.5, 1.5, 1.0, 1.0], rtol=1e-12)
+
+
 def test_grid_engine_without_data_is_zero_and_checks_arguments():
     params = DelayOdeParams(a=-0.5, b=0.3, tau=1.0)
     np.testing.assert_array_equal(solve_on_grid(params, None, None, 4, 6), 0.0)
@@ -354,26 +419,40 @@ def test_engine_on_a_mixed_coupling_family_matches_exact_method_of_steps():
                                    atol=QuadratureConfig().abs_tol)
 
 
-def test_engine_builds_one_ungraded_table_per_level(monkeypatch):
-    # Mild and stiff modes with lag coupling in one call: every level
-    # builds one table for all of them, on equal sub-panels of [0, 1].
+@pytest.mark.parametrize("b", [0.0, 0.5])
+def test_engine_recurses_without_the_kernel_on_halved_sub_panels(b, monkeypatch):
+    # Mild and stiff modes in one call, lag-coupled or not: the engine never
+    # evaluates K, and its levels cut each dt-panel into S = 1, 2, 4, ...
+    # sub-panels, with one set of weights per level: node weights with lag
+    # coupling, panel weights without.
     from delayheat import delay_ode
 
-    tables, levels = [], []
-    kernel_fn, nodes_fn = delay_ode.kernel, delay_ode.panel_nodes
-    monkeypatch.setattr(delay_ode, "kernel", lambda params, xi, **kw: (
-        np.ndim(xi) == 2 and tables.append((np.size(params.a), np.shape(xi)))
-    ) or kernel_fn(params, xi, **kw))
-    monkeypatch.setattr(delay_ode, "panel_nodes", lambda edges, n: (
-        levels.append(len(edges) - 1)) or nodes_fn(edges, n))
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("solve_modes evaluated the delay kernel")
+
+    levels, weights = [], []
+    halve = delay_ode.halve_until_stable
+    node_weights, panel_weights = (delay_ode.exp_weights,
+                                   delay_ode.exp_panel_weights)
+    monkeypatch.setattr(delay_ode, "kernel", no_kernel)
+    monkeypatch.setattr(delay_ode, "halve_until_stable", lambda level, *args,
+                        **kw: halve(lambda edges, *rows: levels.append(
+                            len(edges) - 1) or level(edges, *rows), *args, **kw))
+    monkeypatch.setattr(delay_ode, "exp_weights", lambda rates, q, ends: (
+        weights.append("node")) or node_weights(rates, q, ends))
+    monkeypatch.setattr(delay_ode, "exp_panel_weights", lambda edges, q, r: (
+        weights.append("panel")) or panel_weights(edges, q, r))
     a = -np.array([1.0, 10.0, 200.0, 3e3, 4e4])  # a dt from 0.125 to 5e3
     s = np.linspace(-1.0, 0.0, 33)
     history = HermitePaths(s, np.tile(np.cos(3.0 * s), (5, 1)),
                            np.tile(-3.0 * np.sin(3.0 * s), (5, 1)))
-    solve_modes(a, np.full(5, 0.5), 1.0, history, None, 8, 16)
-    q = QuadratureConfig().nodes_per_panel
+    t = np.linspace(0.0, 2.0, 33)
+    forcing = HermitePaths(t, np.tile(np.sin(t), (5, 1)),
+                           np.tile(np.cos(t), (5, 1)))
+    x = solve_modes(a, np.full(5, b), 1.0, history, forcing, 8, 16)
+    assert np.all(np.isfinite(x))
     assert len(levels) >= 2 and levels == [2**j for j in range(len(levels))]
-    assert tables == [(5, (24, q * panels)) for panels in levels]
+    assert weights == ["node" if b else "panel"] * len(levels)
 
 
 def test_forced_matches_stepping_oracle():

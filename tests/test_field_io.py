@@ -1,5 +1,6 @@
 """Tests for grid construction, CSV field serialization, and difference reports."""
 
+import json
 import math
 import tracemalloc
 
@@ -16,7 +17,7 @@ from delayheat import (
     field_difference_report,
     read_field_csv,
 )
-from delayheat.cli import _fd_field, _solve_field
+from delayheat.cli import _fd_field, _solve_field, main
 from delayheat.config import load_config
 from delayheat.field import csv_rows
 from shipped_configs import CONFIGS, run_configs
@@ -237,6 +238,31 @@ def test_streamed_and_materialised_fields_agree(tmp_path, name, solver):
     assert ((tmp_path / "streamed.csv").read_bytes()
             == (tmp_path / "held.csv").read_bytes())
     assert field_difference_report(held, oracle) == report
+
+
+def test_report_and_csv_from_one_pass_match_two_passes(tmp_path, monkeypatch):
+    # compare --out-field: the CSV writer and the report take the series
+    # field's blocks from one pass, each block synthesized once, with the
+    # bytes and the numbers of a write and a report that each read it whole.
+    cfg = load_config(CONFIGS / "delay_smooth_sweep.json")
+    cfg.solver.modes = 32
+    field, oracle = _solve_field(cfg), _fd_field(cfg)
+    report = field_difference_report(field, oracle)
+    field.write_csv(tmp_path / "alone.csv")
+    reads = []
+    blocks = SolutionField.blocks
+    monkeypatch.setattr(SolutionField, "blocks", lambda self: (
+        reads.append(self.source)) or blocks(self))
+    path = tmp_path / "delay_smooth_sweep.json"
+    path.write_text((CONFIGS / "delay_smooth_sweep.json").read_text())
+    assert main(["compare", "--override-advisory", "--config", str(path),
+                 "--modes", "32", "--out-field", str(tmp_path / "cli.csv"),
+                 "--out-report", str(tmp_path / "report.json")]) == 0
+    assert reads == ["spectral", "fd"]
+    assert ((tmp_path / "cli.csv").read_bytes()
+            == (tmp_path / "alone.csv").read_bytes())
+    with open(tmp_path / "report.json") as fh:
+        assert json.load(fh)["difference"] == json.loads(json.dumps(report))
 
 
 def test_a_failed_write_leaves_no_file(tmp_path):

@@ -1,6 +1,7 @@
 """Tests for the delayed heat solver: reduction rules, mode systems,
 agreement with the scalar delay-ODE core, and grid-level structure."""
 
+import json
 import math
 import tracemalloc
 
@@ -25,7 +26,7 @@ from delayheat import (
     solve_delay,
     solve_at,
 )
-from delayheat.config import load_config
+from delayheat.config import config_from_dict, load_config
 from delayheat.delay_ode import solve_modes, solve_on_grid
 from delayheat.quadrature import QuadratureConfig
 from delayheat.spectral import HermitePaths
@@ -405,21 +406,22 @@ def test_batched_engine_matches_one_mode_calls(p, modes, m):
         assert np.max(np.abs(batched[n - 1] - alone)) <= 1e-14 * scale, n
 
 
-def test_delay_problem_without_lag_coupling_takes_the_recursion(monkeypatch):
-    # a2 = c2 = 0: every B_n vanishes, so the engine builds only the first
-    # lag row of its kernel table and sums the panels by recursion.
+def test_delay_problem_without_lag_coupling_keeps_no_node_values(monkeypatch):
+    # a2 = c2 = 0: every B_n vanishes, so the engine takes the one-term
+    # panel scan: it computes no node weights and keeps no ring of node
+    # values, and it evaluates no delay kernel.
     from delayheat import delay_ode
 
-    shapes, kernel = [], delay_ode.kernel
-    monkeypatch.setattr(delay_ode, "kernel", lambda params, xi, **kw:
-                        shapes.append(np.shape(xi)) or kernel(params, xi, **kw))
+    def refused(*args, **kwargs):
+        raise AssertionError("the b = 0 family took the lag-coupled path")
+
+    monkeypatch.setattr(delay_ode, "exp_weights", refused)
+    monkeypatch.setattr(delay_ode, "kernel", refused)
     p = _problem(d1=-0.2, tau=0.5, horizon=1.0, psi="sin(x)*(1 + t)",
                  g="x*cos(t)")
     assert reduce_delay(p).c2 == 0.0
     grid = GridSpec(nx=40, nt_per_tau=8)
     field = solve_delay(p, EigenBasis(p.length, 16), grid=grid)
-    tables = [shape for shape in shapes if len(shape) == 2]
-    assert tables and all(shape[0] == 1 for shape in tables)
     coarse = fd_solve_delay(p, grid).v
     fine = fd_solve_delay(p, GridSpec(nx=80, nt_per_tau=16)).v
     tol = 4.0 * np.max(np.abs(coarse - fine[::2, ::2]))
@@ -427,9 +429,9 @@ def test_delay_problem_without_lag_coupling_takes_the_recursion(monkeypatch):
 
 
 def test_sweep_solve_holds_little_memory():
-    # The kernel tables are built in chunks of modes, so the
-    # 128-mode sweep fixture never holds a full (modes x lags x offsets)
-    # table.
+    # The modes recurse in chunks whose ring of one delay interval's node
+    # values fits a fixed budget, so the 128-mode sweep fixture never holds
+    # a (modes x sub-panels x nodes) array of a whole interval.
     cfg = load_config(CONFIGS / "delay_smooth_sweep.json")
     p = cfg.problem
     basis = EigenBasis(p.length, cfg.solver.modes)
@@ -441,6 +443,30 @@ def test_sweep_solve_holds_little_memory():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_long_horizon_solve_holds_one_interval_of_node_values():
+    # 32 modes over 80 delays of the sweep fixture's data at 32 steps per
+    # delay: 2560 steps, 5120 sub-panels at the second level.  The engine
+    # keeps the node values of one delay interval (32 x 64 x 16 doubles,
+    # 0.25 MiB), where a store over the horizon would take 20 MiB.
+    # Measured peak: 2.7 MiB (Python 3.11, numpy 2), most of it the
+    # trajectories of two levels (0.6 MiB each) and their comparison.
+    with open(CONFIGS / "delay_smooth_sweep.json") as fh:
+        data = json.load(fh)
+    data["problem"]["delay"] = data["problem"]["horizon"] / 80
+    cfg = config_from_dict(data)
+    p, quad = cfg.problem, cfg.solver.quadrature
+    ms = build_modes(reduce_delay(p), EigenBasis(p.length, 32), quad)
+    tracemalloc.start()
+    try:
+        x = solve_modes(ms.ode_a, ms.ode_b, p.tau, ms.history_paths,
+                        ms.forcing_paths, 32, 2560, quad)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (32, 2560) and np.all(np.isfinite(x))
+    assert peak < 4 * 2**20
 
 
 def test_solve_and_write_hold_little_memory(tmp_path):
