@@ -257,24 +257,29 @@ def _weighted(name, exponent, n, terms, m):
     return seq
 
 
-def _row_checks(spec, row, xs, ts, tol):
-    """Endpoint checks of one row of partial derivatives of ``spec``.
+def _row_checks(spec, rows, xs, ts, tol):
+    """Endpoint checks of ``rows`` of partial derivatives of ``spec``.
 
-    ``row`` lists (name, (i, j)) entries by increasing order; an entry is
-    max |d^(i + j) spec / dx^i dt^j| over the sample product.  Every entry is
-    read off one jet of the row's top order.  An entry whose partial needs a
-    derivative a sampled table cannot supply is 'unverifiable' (a partial
-    that vanishes identically needs none); so is the top entry when the jet
-    leaves the function's domain.  The row then shrinks by that entry and is
-    evaluated again, because a lower order may still stay inside the domain.
+    A row lists (name, (i, j)) entries by increasing order; an entry is
+    max |d^(i + j) spec / dx^i dt^j| over the sample product.  Every entry
+    of every row is read off one jet at the rows' top orders.  An entry
+    whose partial needs a derivative a sampled table cannot supply is
+    'unverifiable' (a partial that vanishes identically needs none); it is
+    dropped and the rest are read again.  When the jet leaves the function's
+    domain, the rows are checked again one at a time, and within one row
+    the top entry is 'unverifiable' and dropped, because a lower order may
+    still stay inside the domain.
     """
-    checks, live = {}, list(row)
+    checks, live = {}, [entry for row in rows for entry in row]
     while live:
         orders = [order for _, order in live]
         try:
             values = spec.partials(xs, ts, orders)
         except (UnsupportedOperationError, DomainError) as exc:
             lacking = isinstance(exc, UnsupportedOperationError)
+            if not lacking and len(rows) > 1:
+                return [check for row in rows
+                        for check in _row_checks(spec, [row], xs, ts, tol)]
             name = live.pop(orders.index(exc.order) if lacking else -1)[0]
             checks[name] = {"name": name, "residual": None, "tol": tol,
                             "status": "unverifiable", "detail": str(exc)}
@@ -284,7 +289,7 @@ def _row_checks(spec, row, xs, ts, tol):
             checks[name] = {"name": name, "residual": residual, "tol": tol,
                             "status": "pass" if residual <= tol else "fail"}
         break
-    return [checks[name] for name, _ in row]
+    return [checks[name] for row in rows for name, _ in row]
 
 
 def check_endpoint_conditions(p, m=None, tol=CheckSettings.tol):
@@ -296,8 +301,9 @@ def check_endpoint_conditions(p, m=None, tol=CheckSettings.tol):
     spatial order grows.  Conditions needing a derivative that a sampled
     table cannot supply are reported as unverifiable, not failed.
     Each kind names its rows (one time-derivative depth each) and the times
-    of Phi; every row is then evaluated at both ends at once, from one jet
-    of the row's highest order, Phi's rows before F's.
+    of Phi; every row is then evaluated at both ends at once, Phi's rows
+    before F's, from one jet per reduced spec at its top orders, with a
+    per-row shrink on a domain error (:func:`_row_checks`).
     """
     if isinstance(p, DelayHeatProblem):
         rp = reduce_delay(p)
@@ -319,10 +325,8 @@ def check_endpoint_conditions(p, m=None, tol=CheckSettings.tol):
         raise InputError("expected a HeatProblem or DelayHeatProblem")
     ends = np.array([0.0, p.length])[:, None]
     forcing_ts = np.linspace(0.0, p.horizon, SAMPLES)[None, :]
-    rows = ([(rp.shifted_initial, initial_ts, row) for row in initial_rows]
-            + [(rp.forcing, forcing_ts, row) for row in forcing_rows])
-    return [check for spec, ts, row in rows
-            for check in _row_checks(spec, row, ends, ts, tol)]
+    return (_row_checks(rp.shifted_initial, initial_rows, ends, initial_ts, tol)
+            + _row_checks(rp.forcing, forcing_rows, ends, forcing_ts, tol))
 
 
 def check_problem(p, basis=None, quad=QuadratureConfig(), check=CheckSettings()):

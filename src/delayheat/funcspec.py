@@ -439,9 +439,11 @@ def _coef(jet, i, j, kx):
 
 
 def _variables(x, t, kx, kt):
-    """The coordinates x and t as jets of order (kx, kt)."""
-    return (_nested(lambda i, j: x if i == j == 0 else float((i, j) == (1, 0)), kx, kt),
-            _nested(lambda i, j: t if i == j == 0 else float((i, j) == (0, 1)), kx, kt))
+    """The coordinates x and t as jets of order (kx, kt): x + h, and t + k
+    as a constant in x."""
+    x_jet = _Jet([x, 1.0] + [0.0] * (kx - 1)) if kx else x
+    t_jet = _Jet([t, 1.0] + [0.0] * (kt - 1)) if kt else t
+    return x_jet, (_Jet([t_jet] + [0.0] * kx) if kx else t_jet)
 
 
 # ---------------------------------------------------------------------------

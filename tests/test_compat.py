@@ -382,6 +382,9 @@ _ENDPOINT_FIXTURES = {
         psi="exp(-0.3*x)*sin(x)*log(2 + t) + (1 + t)^2*sin(2*x)*abs(2 - cos(x))",
         g="exp(-t)*x^3*(l - x)*log(1 + x)*sin(3*t)", horizon=1.5, tau=0.5),
     "linear_trace": _linear_trace_problem,
+    # sqrt(-t) has no t-derivative at t = 0: Phi's one jet leaves the
+    # domain, and so do only its rows of t-depth 1 and 2.
+    "domain_in_t": lambda: _delay(psi="sqrt(-t)*sin(x)"),
 }
 
 
@@ -399,6 +402,12 @@ def test_endpoint_rows_match_the_per_entry_checks(fixture):
              "detail": "Sampled1DFunction (linear) supports d/dt only up to order 1"},
             {"name": "forcing_x2_t1", "residual": 0.0, "tol": 1e-8,
              "status": "pass"}]
+    if fixture == "domain_in_t":
+        # Phi's t-depth rows are unverifiable; its depth-0 rows and F's pass.
+        for check in checks:
+            name = check["name"]
+            in_t = name.startswith("initial") and name.endswith(("_t1", "_t2"))
+            assert check["status"] == ("unverifiable" if in_t else "pass"), check
 
 
 def test_domain_error_row_still_reports_its_lower_entries():
@@ -414,7 +423,7 @@ def test_domain_error_row_still_reports_its_lower_entries():
     assert checks == _reference_endpoint_checks(cfg.problem, m=cfg.check.m)
 
 
-def test_endpoint_checks_evaluate_one_jet_per_row(monkeypatch):
+def test_endpoint_checks_evaluate_one_jet_per_spec(monkeypatch):
     p = _delay(horizon=1.0)  # m = 1
     rp = reduce_delay(p)
     jets = []
@@ -424,10 +433,9 @@ def test_endpoint_checks_evaluate_one_jet_per_row(monkeypatch):
             return inner(x, t, kx, kt)
         monkeypatch.setattr(spec, "_jet", counted)
     check_endpoint_conditions(p)
-    # initial_trace, the initial rows k = 0, 1, 2 and the forcing rows at
-    # depth 0 and 1, each at its top order.
-    assert jets == [("initial", 0, 0), ("initial", 6, 0), ("initial", 4, 1),
-                    ("initial", 2, 2), ("forcing", 2, 0), ("forcing", 0, 1)]
+    # Phi at (2m + 4, 2) holds initial_trace and the rows k = 0, 1, 2; F at
+    # (2m, 1) holds the rows at depth 0 and 1.
+    assert jets == [("initial", 6, 2), ("forcing", 2, 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,21 @@ def test_second_derivative_of_eigenfunction():
                                        rel=1e-12)
 
 
+def test_coordinate_jets_give_exact_partials():
+    # Each order alone (a jet in x alone when kt = 0, in t alone when
+    # kx = 0) and all of them off one jet of order (3, 2).
+    f = parse_function("x*t + x^3 - 2*t^2")
+    x = np.array([[0.0], [0.5], [-2.0]])
+    t = np.array([[0.0, 1.5, -0.25]])
+    exact = {(0, 0): x * t + x**3 - 2 * t**2, (1, 0): t + 3 * x**2,
+             (0, 1): x - 4 * t, (1, 1): 1.0, (3, 0): 6.0, (0, 2): -4.0}
+    together = f.partials(x, t, list(exact))
+    for (order, expected), joint in zip(exact.items(), together):
+        (alone,) = f.partials(x, t, [order])
+        assert np.array_equal(alone, np.broadcast_to(expected, (3, 3)))
+        assert np.array_equal(joint, alone)
+
+
 def test_abs_derivative_away_from_kink():
     f = parse_function("abs(x - 1)")
     df = f.differentiate("x", 1)
