@@ -19,18 +19,19 @@ proxies ask that
     n^(2m+1+delta) max_s (|Phi_n''| + n^2 |Phi_n'| + n^4 |Phi_n|),
     n^(2m-1+delta) max_s (|F_n'| + n^2 |F_n|)
 
-all decay.  Without a delay, the initial offset's sine coefficients must
-decay at rate ``NODELAY_RATE`` less ``fit_slack``, or faster than any power.
+all decay.  Without a delay, n^NODELAY_RATE |Phi_n| must decay, with Phi_n
+the initial offset's sine coefficients.
 
 Both kinds run one flow (:func:`check_problem`): the boundary check, then,
 when it passes, the decay entries on at least ``DECAY_MIN_MODES`` modes and
-the endpoint rows.  Every decay entry is judged by one rule
-(:func:`_fit_sequence`): an identically zero sequence passes, a tail at the
-numerical floor passes (finitely many active modes), fewer than 8 entries
-above the floor is unverifiable, and otherwise the kind's verdict judges
-the fitted log-log slope.  A delay entry passes when its weighted sequence
-decays at a rate of at least ``fit_slack``.  The settings are one
-:class:`CheckSettings` record, which checks itself when built.
+the endpoint rows.  Every decay entry, a power p and its terms, is judged
+by one rule (:func:`_fit_sequence`): identically zero terms pass, terms
+whose tail sits at the numerical floor of their own largest entry pass
+(finitely many active modes), fewer than 8 terms above that floor is
+unverifiable, and otherwise the terms' decay rate is fitted once and the
+entry's log-log slope is p less that rate.  The entry passes at a slope of
+at most -``fit_slack``.  The settings are one :class:`CheckSettings`
+record, which checks itself when built.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .errors import (
     DomainError,
     InputError,
     InsufficientDataError,
-    NumericError,
     UnsupportedOperationError,
 )
 from .heat_delay import DelayHeatProblem, build_modes, reduce_delay, steps_covered
@@ -64,14 +64,10 @@ NODELAY_RATE = 4.5
 class CheckSettings:
     """The gate's settings, checked when built: the delay intervals ``m``
     the delay screens assume (None: ceil(T / tau)), the margin ``delta`` of
-    their weight powers, the decay verdicts' margin ``fit_slack`` and the
-    largest boundary or endpoint residual ``tol``.
-
-    ``fit_slack`` has opposite senses in the two kinds: a delay entry passes
-    when its fitted log-log slope is at most -fit_slack (raising it is
-    stricter), the no-delay entry when the coefficients' rate is at least
-    NODELAY_RATE - fit_slack (raising it is laxer).  So has ``exponent``: a
-    delay entry's weight power, the no-delay entry's rate to reach.
+    their weight powers, the decay verdicts' margin ``fit_slack`` (a decay
+    entry of either kind passes at a log-log slope of at most -fit_slack,
+    so raising it is stricter) and the largest boundary or endpoint
+    residual ``tol``.
     """
 
     m: int = None
@@ -141,56 +137,42 @@ def check_compatibility(p, tol=CheckSettings.tol):
     }
 
 
-def _fit_sequence(name, exponent, seq, verdict):
-    """The decay entry of the non-negative ``seq``, by the module's one rule;
-    ``verdict`` judges its :func:`~delayheat.spectral.decay_fit` and is
-    false (fail), true (pass) or a string (a pass with that detail)."""
-    seq = np.asarray(seq, dtype=float)
-    top = float(seq.max(initial=0.0))
-    entry = {"name": name, "exponent": exponent, "slope": None,
+def _fit_sequence(name, power, terms, fit_slack):
+    """The decay entry of n^power * terms (``terms`` non-negative, n from
+    1), by the module's one rule.  The weight is never formed: log n^power
+    is linear in log n, so the log-log slope of n^power * terms over the
+    fit's window is ``power`` less the terms' own fitted rate
+    (:func:`~delayheat.spectral.decay_fit`).  The entry passes at a slope
+    of at most -``fit_slack``."""
+    terms = np.asarray(terms, dtype=float)
+    top = float(terms.max(initial=0.0))
+    entry = {"name": name, "exponent": power, "slope": None,
              "window": None, "status": None}
     if top == 0.0:
         entry["status"] = "pass"
         entry["detail"] = "sequence is identically zero"
         return entry
     floor = top * FLOOR_REL
-    usable = np.flatnonzero(seq > floor)
-    tail_start = seq.size // 2
-    if np.all(seq[tail_start:] <= floor):
+    usable = np.count_nonzero(terms > floor)
+    if np.all(terms[terms.size // 2:] <= floor):
         entry["status"] = "pass"
         entry["detail"] = "tail sits at the numerical floor (finitely many active modes)"
         return entry
-    if usable.size < 8:
+    if usable < 8:
         entry["status"] = "unverifiable"
-        entry["detail"] = f"only {usable.size} usable entries; need 8 for a fit"
+        entry["detail"] = f"only {usable} usable entries; need 8 for a fit"
         return entry
-    fit = decay_fit(seq)
-    passed = verdict(fit)
-    # The log-log slope: the fit's rate negated.
-    entry["slope"] = -fit.slope
+    fit = decay_fit(terms)
+    entry["slope"] = power - fit.slope
     entry["window"] = list(fit.window)
-    entry["status"] = "pass" if passed else "fail"
-    if isinstance(passed, str):
-        entry["detail"] = passed
+    entry["status"] = "pass" if entry["slope"] <= -fit_slack else "fail"
     return entry
-
-
-def _delay_verdict(fit_slack):
-    """A weighted delay sequence passes at a rate of at least ``fit_slack``."""
-    return lambda fit: fit.slope >= fit_slack
-
-
-def _nodelay_verdict(fit_slack):
-    """No-delay coefficients pass at the class rate less ``fit_slack``, or
-    when they decay faster than any power (with that detail)."""
-    return lambda fit: ("super-polynomial decay" if fit.super_polynomial
-                        else fit.slope >= NODELAY_RATE - fit_slack)
 
 
 def _floor_small(arr):
     """Zero entries that sit at projection-noise level relative to the
-    family's largest entry, so the n-power weights cannot amplify noise
-    into a fake non-decaying tail."""
+    family's largest entry, so the weights n^2 and n^4 that sum families
+    into one entry cannot amplify noise into a fake non-decaying tail."""
     arr = np.asarray(arr, dtype=float).copy()
     top = float(arr.max(initial=0.0))
     if top > 0.0:
@@ -213,7 +195,7 @@ def check_decay_conditions(ms, m=None, delta=CheckSettings.delta,
     n = ms.basis.mode_numbers.astype(float)
 
     hist, forcing = ms.history_paths, ms.forcing_paths
-    phi_start = _floor_small(np.abs(hist.values[:, 0]))
+    phi_start = np.abs(hist.values[:, 0])
 
     # Phi_n'' is the second derivative of the Hermite history paths,
     # evaluated on a refined grid so interior extremes are caught.
@@ -233,28 +215,14 @@ def check_decay_conditions(ms, m=None, delta=CheckSettings.delta,
     f_sup = _floor_small(np.max(np.abs(forcing.values), axis=1))
     f_prime_sup = _floor_small(np.max(np.abs(forcing.slopes), axis=1))
 
-    verdict = _delay_verdict(fit_slack)
     entries = [
         ("history_endpoint_decay", 2 * m + 3 + delta, phi_start),
         ("history_path_decay", 2 * m + 1 + delta,
          phi_second_sup + n**2 * phi_prime_sup + n**4 * phi_sup),
         ("forcing_path_decay", 2 * m - 1 + delta, f_prime_sup + n**2 * f_sup),
     ]
-    return [_fit_sequence(name, exponent,
-                          _weighted(name, exponent, n, terms, m), verdict)
-            for name, exponent, terms in entries]
-
-
-def _weighted(name, exponent, n, terms, m):
-    """The decay entry n**exponent * terms, zero where terms is.  Over many
-    delays (m large) the weight leaves float range, and an entry that is
-    then not finite raises :class:`NumericError`."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        seq = np.where(terms == 0.0, 0.0, n**exponent * terms)
-    if not np.all(np.isfinite(seq)):
-        raise NumericError(f"decay entry {name} is not finite: its weight "
-                           f"n^{exponent:g} overflows at m = {m}")
-    return seq
+    return [_fit_sequence(name, power, terms, fit_slack)
+            for name, power, terms in entries]
 
 
 def _row_checks(spec, rows, xs, ts, tol):
@@ -353,7 +321,6 @@ def check_problem(p, basis=None, quad=QuadratureConfig(), check=CheckSettings())
     else:
         initial = _initial_coefficients(reduce_problem(p), basis, quad)
         report.decay = [_fit_sequence("initial_coefficient_decay", NODELAY_RATE,
-                                      np.abs(initial),
-                                      _nodelay_verdict(check.fit_slack))]
+                                      np.abs(initial), check.fit_slack)]
     report.endpoint = check_endpoint_conditions(p, m=m, tol=check.tol)
     return report

@@ -17,10 +17,10 @@ Hermite interpolant per mode: local, with no linear system to solve, and
 with the same h^4 error order as a cubic spline.
 
 ``decay_fit`` estimates the algebraic decay rate of a coefficient sequence:
-least squares of log|c_n| against log n over the nonzero tail.  It is a
-pure fit: the compat gate judges the fitted slope, the practical proxy this
-package uses for membership in the smoothness classes that guarantee
-classical solvability (|c_n| <= C / n^p).
+least squares of log|c_n| against log n over the entries above the floor.
+It is a pure fit: the compat gate judges the fitted rate, the practical
+proxy this package uses for membership in the smoothness classes that
+guarantee classical solvability (|c_n| <= C / n^p).
 """
 
 from __future__ import annotations
@@ -252,15 +252,13 @@ FLOOR_REL = 1e-13
 
 @dataclass
 class DecayReport:
-    """Result of fitting |c_n| ~ constant / n^slope over the nonzero tail;
-    ``super_polynomial`` flags decay faster than any power (log-log
-    curvature test)."""
+    """Result of fitting |c_n| ~ constant / n^slope over the entries above
+    the floor, which span the ``window`` of mode numbers."""
 
     slope: float
     constant: float
     window: tuple
     n_used: int
-    super_polynomial: bool
 
 
 def decay_fit(coeffs):
@@ -281,23 +279,10 @@ def decay_fit(coeffs):
             f"decay_fit needs at least 8 usable coefficients, found {usable.size}"
         )
     n = usable + 1.0
-    logn = np.log(n)
-    logc = np.log(mags[usable])
-    alpha, intercept = np.polyfit(logn, logc, 1)
-    slope = -float(alpha)
-    constant = float(np.exp(intercept))
-
-    super_poly = False
-    half = usable.size // 2
-    if half >= 4:
-        a1, _ = np.polyfit(logn[:half], logc[:half], 1)
-        a2, _ = np.polyfit(logn[half:], logc[half:], 1)
-        super_poly = (-a2) - (-a1) > 1.0
-
+    alpha, intercept = np.polyfit(np.log(n), np.log(mags[usable]), 1)
     return DecayReport(
-        slope=slope,
-        constant=constant,
+        slope=-float(alpha),
+        constant=float(np.exp(intercept)),
         window=(int(n[0]), int(n[-1])),
         n_used=int(usable.size),
-        super_polynomial=bool(super_poly),
     )

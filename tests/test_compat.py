@@ -31,6 +31,7 @@ from delayheat import (
     check_endpoint_conditions,
     check_problem,
     config_from_dict,
+    decay_fit,
     load_config,
     parse_function,
     reduce_delay,
@@ -196,21 +197,35 @@ def test_parabola_initial_data_fails_decay_for_m1():
     assert path["slope"] > 0.0
 
 
-def test_decay_weights_past_float_range_raise_unless_the_entry_is_zero():
-    # Over m = 500 delays the weight n^(2m+3+d) leaves float range from
-    # n = 3 on.  A single-mode history's other coefficients are floored to
-    # zero, so its entries stay zero and pass; a datum with more modes
-    # raises NumericError naming the entry and m, with no RuntimeWarning.
+def test_parabola_history_decay_entries_over_any_number_of_delays():
+    # The weight n^(2m+3+d) is never formed: each entry fits its terms once
+    # and reports the power less their rate, so the slopes stay finite over
+    # any number of delays, with no RuntimeWarning, and an entry that fails
+    # at some m fails at every larger m.
+    ms = build_modes(reduce_delay(_delay(psi="x*(l-x)")), EigenBasis(math.pi, 16))
+    rate = decay_fit(np.abs(ms.history_paths.values[:, 0])).slope
+    delta = CheckSettings.delta
+    failed = set()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        for m in (1, 2, 40, 80, 160, 500):
+            entries = check_decay_conditions(ms, m=m)
+            endpoint = entries[0]
+            assert endpoint["exponent"] == 2 * m + 3 + delta
+            assert endpoint["slope"] == pytest.approx(2 * m + 3 + delta - rate,
+                                                      rel=1e-14)
+            for entry in entries:
+                assert entry["slope"] is None or math.isfinite(entry["slope"])
+                if entry["name"] in failed:
+                    assert entry["status"] == "fail", (m, entry)
+                if entry["status"] == "fail":
+                    failed.add(entry["name"])
+        assert failed == {"history_endpoint_decay", "history_path_decay"}
+        # A single-mode history's other coefficients are floored to zero, so
+        # its entries pass at the floor however many delays there are.
         ms = build_modes(reduce_delay(_delay()), EigenBasis(math.pi, 16))
         entries = check_decay_conditions(ms, m=500)
         assert [e["status"] for e in entries] == ["pass"] * 3
-        ms = build_modes(reduce_delay(_delay(psi="x*(pi - x)")),
-                         EigenBasis(math.pi, 16))
-        with pytest.raises(NumericError, match=r"history_endpoint_decay .*"
-                                               r"n\^1003\.5 overflows at m = 500"):
-            check_decay_conditions(ms, m=500)
 
 
 def test_decay_conditions_require_enough_modes():
@@ -479,18 +494,22 @@ def _nodelay_entry(monkeypatch, coeffs, fit_slack=0.25):
 
 
 def test_nodelay_entry_judges_the_rate_against_its_class(monkeypatch):
+    # The entry is n^4.5 |c_n|: it passes when its log-log slope, 4.5 less
+    # the coefficients' rate, is at most -fit_slack.
     n = np.arange(1, 65, dtype=float)
-    # Rate 3 misses the class rate 4.5 less the slack 0.25 ...
+    # Rate 3 gives slope 1.5 ...
     entry = _nodelay_entry(monkeypatch, np.where(n % 2 == 1, n**-3.0, 0.0))
     assert entry["exponent"] == 4.5
-    assert entry["slope"] == pytest.approx(-3.0)
+    assert entry["slope"] == pytest.approx(1.5)
     assert entry["status"] == "fail"
-    # ... rate 4.3 clears it ...
-    assert _nodelay_entry(monkeypatch, n**-4.3)["status"] == "pass"
-    # ... and decay faster than any power passes whatever its fitted rate.
+    # ... rate 4.3 is short of 4.5 plus the slack 0.25, rate 4.9 clears it ...
+    assert _nodelay_entry(monkeypatch, n**-4.3)["status"] == "fail"
+    assert _nodelay_entry(monkeypatch, n**-4.9)["status"] == "pass"
+    # ... and geometric decay is judged by its fitted rate alone: e^-n over
+    # 40 modes fits at rate 9.5 and passes, 0.85^n over 64 at 3.0 and fails.
     entry = _nodelay_entry(monkeypatch, np.exp(-n[:40]))
-    assert entry["status"] == "pass"
-    assert entry["detail"] == "super-polynomial decay"
+    assert entry["status"] == "pass" and "detail" not in entry
+    assert _nodelay_entry(monkeypatch, 0.85**n)["status"] == "fail"
 
 
 def test_nodelay_entry_is_fitted_on_the_minimum_mode_count(monkeypatch):
@@ -522,19 +541,19 @@ def test_nodelay_entry_with_too_few_entries_above_the_floor_is_unverifiable(
     assert entry["detail"] == "only 5 usable entries; need 8 for a fit"
 
 
-def test_fit_slack_has_opposite_senses_in_the_two_kinds(monkeypatch):
-    # Raising fit_slack makes the no-delay entry laxer and the delay proxies
-    # stricter; the exponents differ too (a rate to reach, a weight power).
+def test_fit_slack_has_one_sense_in_both_kinds(monkeypatch):
+    # Raising fit_slack makes every entry stricter, and the exponent is the
+    # entry's weight power in both kinds: terms n^-4.9 under power 4.5 have
+    # slope -0.4, which passes at slack 0.25 and fails at 0.5.
     from delayheat import compat
 
     n = np.arange(1, 65, dtype=float)
-    assert _nodelay_entry(monkeypatch, n**-4.1, 0.25)["status"] == "fail"
-    assert _nodelay_entry(monkeypatch, n**-4.1, 0.5)["status"] == "pass"
-    weighted = n**4.5 * n**-4.9
-    assert compat._fit_sequence("d", 4.5, weighted,
-                                compat._delay_verdict(0.25))["status"] == "pass"
-    assert compat._fit_sequence("d", 4.5, weighted,
-                                compat._delay_verdict(0.5))["status"] == "fail"
+    assert _nodelay_entry(monkeypatch, n**-4.9, 0.25)["status"] == "pass"
+    assert _nodelay_entry(monkeypatch, n**-4.9, 0.5)["status"] == "fail"
+    entry = compat._fit_sequence("d", 4.5, n**-4.9, 0.25)
+    assert entry["slope"] == pytest.approx(-0.4)
+    assert entry["status"] == "pass"
+    assert compat._fit_sequence("d", 4.5, n**-4.9, 0.5)["status"] == "fail"
 
 
 def test_nodelay_parabola_fails_smoothness_proxy():
@@ -542,8 +561,8 @@ def test_nodelay_parabola_fails_smoothness_proxy():
     assert report.hard_pass
     entry = report.decay[0]
     assert entry["status"] == "fail"
-    # The log-log slope of coefficients ~ n^-3, signed as the delay entries.
-    assert entry["slope"] == pytest.approx(-3.0, abs=0.1)
+    # The log-log slope of n^4.5 |c_n| with coefficients ~ n^-3.
+    assert entry["slope"] == pytest.approx(1.5, abs=0.1)
     assert not report.advisory_pass
 
 

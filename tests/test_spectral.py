@@ -466,7 +466,6 @@ def test_decay_fit_recovers_cubic_rate():
     report = decay_fit(coeffs)
     assert isinstance(report, DecayReport)
     assert report.slope == pytest.approx(3.0, abs=0.1)
-    assert not report.super_polynomial
     assert report.n_used == 32  # odd modes only
     assert report.window == (1, 63)
 
@@ -479,23 +478,6 @@ def test_decay_fit_thresholds():
     report = decay_fit(coeffs)
     assert report.slope == pytest.approx(3.0, abs=0.1)
     assert not hasattr(report, "threshold") and not hasattr(report, "passed")
-
-
-def test_decay_fit_super_polynomial_flag():
-    n = np.arange(1, 41, dtype=float)
-    coeffs = np.exp(-n)
-    report = decay_fit(coeffs)
-    assert report.super_polynomial
-    # The log-log slope keeps steepening: the fitted rate outruns n^-3.
-    assert report.slope > 3.0
-
-
-def test_decay_fit_pure_power_not_flagged_super_polynomial():
-    n = np.arange(1, 41, dtype=float)
-    report = decay_fit(1.0 / n**2)
-    assert not report.super_polynomial
-    assert report.slope == pytest.approx(2.0, abs=1e-8)
-    assert report.constant == pytest.approx(1.0, rel=1e-6)
 
 
 def test_decay_fit_ignores_floor_noise():
@@ -529,4 +511,4 @@ def test_decay_report_serialization():
     report = decay_fit(1.0 / np.arange(1, 20, dtype=float) ** 3)
     assert dataclasses.asdict(report) == {
         "slope": pytest.approx(3.0), "constant": pytest.approx(1.0),
-        "window": (1, 19), "n_used": 19, "super_polynomial": False}
+        "window": (1, 19), "n_used": 19}
