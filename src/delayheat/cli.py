@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -300,20 +301,29 @@ def _sweep_body(args, cfg, out_field, payload):
     return "\n".join(lines)
 
 
+def _function_of_t(flag, text, tau):
+    """``text`` parsed as a function of t alone: a scalar delay ODE has no
+    x, and an x read as 0 would give a quietly wrong trajectory."""
+    fs = parse_function(text, tau=tau)
+    if "x" in fs.variables():
+        raise ConfigError(f"{flag} must be a function of t alone, got {text!r}")
+    return fs
+
+
 def _cmd_dde_solve(args):
-    if args.delay <= 0.0:
-        raise ConfigError("--delay must be positive")
-    if args.horizon <= 0.0:
-        raise ConfigError("--horizon must be positive")
+    if not 0.0 < args.delay < math.inf:
+        raise ConfigError("--delay must be positive and finite")
+    if not 0.0 < args.horizon < math.inf:
+        raise ConfigError("--horizon must be positive and finite")
     if args.samples < 2:
         raise ConfigError("--samples must be at least 2")
     _check_writable(args.out)
     params = DelayOdeParams(a=args.rate, b=args.lagged_rate, tau=args.delay)
-    history_fs = parse_function(args.history, tau=args.delay)
+    history_fs = _function_of_t("--history", args.history, args.delay)
     history = lambda s, nu=0: history_fs.partials(0.0, s, [(0, nu)])[0]
     forcing = None
     if args.forcing is not None:
-        forcing_fs = parse_function(args.forcing, tau=args.delay)
+        forcing_fs = _function_of_t("--forcing", args.forcing, args.delay)
         forcing = lambda s: forcing_fs(0.0, s)
     t = np.linspace(0.0, args.horizon, args.samples)
     values = solve_at(params, history, forcing, t)

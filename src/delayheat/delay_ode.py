@@ -62,7 +62,6 @@ from .errors import DomainError, InputError, NumericError
 from .quadrature import (
     QuadratureConfig,
     composite_gauss,
-    exp_panel_weights,
     exp_weights,
     gauss_rule,
     graded_breakpoints,
@@ -268,9 +267,8 @@ def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
     delay interval at a time: its g is formed at once (the history or the
     previous interval's node values give x(s - tau)), its sub-panel ends
     follow by a scan, and its node values replace the previous interval's.
-    When every b_i == 0, no node values are kept, and a dt-panel's
-    sub-panels fold into one step x_(j+1) = exp(a dt) x_j + W . rho(nodes)
-    (W: :func:`~delayheat.quadrature.exp_panel_weights`).
+    When every b_i == 0, the same sub-panel step runs with g = rho and no
+    node values are kept.
 
     The levels are S = 1, 2, 4, ...; a mode is accepted at the first level
     that agrees with the one before to ``abs_tol + 1e-14 * |x|``, as a call
@@ -299,29 +297,28 @@ def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
 
     def trajectories(rows, edges):
         """The modes ``rows`` at S = len(edges) - 1 sub-panels per dt-panel,
-        by blocks: a delay interval with lag coupling, dt-panels without."""
+        by blocks: a delay interval with lag coupling, else as many whole
+        dt-panels as ``_BLOCK_ELEMENTS`` values of g fill."""
         per_dt = edges.size - 1
         h = dt / per_dt
         rate = a[rows] * h
         # The data families' rows, copied only when fewer than all.
         beta, rho = (f if f is None or rows.size == a.size else f.rows(rows)
                      for f in (history, forcing))
+        # integral_0^c exp(rate (c - u)) l_q(u) du at c = 1, and at the nodes
+        # with lag coupling: the rule's weights for -rate, times their peak
+        # factor.
+        ends = np.append(nodes, 1.0) if lagged else np.ones(1)
+        weights = h * exp_weights(-rate, q, ends) * np.exp(
+            np.multiply.outer(np.maximum(rate, 0.0), ends))[:, :, None]
+        end_weights = weights[:, -1, :, None]
         if lagged:
-            span, group = m * per_dt, 1
-            # integral_0^c exp(rate (c - u)) l_q(u) du at the nodes and
-            # c = 1: the rule's weights for -rate, times their peak factor.
-            ends = np.append(nodes, 1.0)
-            weights = h * exp_weights(-rate, q, ends) * np.exp(
-                np.multiply.outer(np.maximum(rate, 0.0), ends))[:, :, None]
-            end_weights = weights[:, q, :, None]
+            span = m * per_dt
             node_weights = weights[:, :q].transpose(0, 2, 1)
             node_decay = np.exp(np.multiply.outer(rate, nodes))[:, None, :]
         else:
             span = per_dt * max(1, _BLOCK_ELEMENTS // (rows.size * per_dt * q))
-            group = per_dt
-            end_weights = (exp_panel_weights(edges, q, -rate * per_dt).T * dt
-                           * np.exp(np.maximum(rate * per_dt, 0.0))).T[..., None]
-        decay = np.exp(rate * group)
+        decay = np.exp(rate)
         out = np.empty((n_steps, rows.size))
         x = np.zeros(rows.size) if beta is None else beta(np.array(0.0))
         total = n_steps * per_dt
@@ -334,16 +331,14 @@ def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
                 g += ring[:, :n]
             elif lagged and beta is not None:
                 g += b[rows, None, None] * beta(s - tau)
-            # One step per sub-panel, or per dt-panel without lag coupling.
-            steps = np.matmul(g.reshape(rows.size, n // group, -1),
-                              end_weights)[..., 0].T
-            xs = np.empty((len(steps) + 1, rows.size))
+            # x_(k+1) = exp(a h) x_k + h W . g, row by row in place.
+            xs = np.empty((n + 1, rows.size))
             xs[0] = x
-            for k, step in enumerate(steps):
-                xs[k + 1] = decay * xs[k] + step
+            xs[1:] = np.matmul(g, end_weights)[..., 0].T
+            for prev, row in zip(xs, xs[1:]):
+                row += decay * prev
             x = xs[-1]
-            stride = per_dt // group
-            out[lo // per_dt:(lo + n) // per_dt] = xs[stride::stride]
+            out[lo // per_dt:(lo + n) // per_dt] = xs[per_dt::per_dt]
             if lagged and lo + n < total:
                 ring = np.matmul(g, node_weights)
                 ring += node_decay * xs[:n].T[:, :, None]

@@ -636,6 +636,10 @@ class ExprFunction(FunctionSpec):
     def _jet(self, x, t, kx, kt):
         return _eval_ast(self.ast, *_variables(x, t, kx, kt), self.consts)
 
+    def variables(self):
+        """The variables the expression mentions, of "x" and "t"."""
+        return _names(self.ast)
+
     def separate(self):
         """The terms of the AST, split at +, -, unary minus and *, grouped by
         their t-factor: None when some other subtree mentions both x and t,

@@ -43,10 +43,9 @@ On the output grid, u1 is the exact exponential.  u2_n is the forced
 solution of the delay ODE x' = -(pi n a / l)^2 x + F_n without lag coupling,
 so :func:`solve` evaluates every mode at all grid times with one call of the
 delay solver's grid engine (:func:`delayheat.delay_ode.solve_modes`, with a
-delay of one time step).  With b = 0 the engine keeps no lagged values: it
-advances the trajectories by a one-term recursion, one step of decay
-exp(-(pi n a / l)^2 dt) plus the newest panel's forcing under exponential
-weights, in O(nt), all modes at once.
+delay of one time step).  With b = 0 the engine keeps no lagged values: each
+sub-panel of width h is one step of decay exp(-(pi n a / l)^2 h) plus its
+forcing under exponential weights, in O(nt), all modes at once.
 """
 
 from __future__ import annotations

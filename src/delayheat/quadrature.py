@@ -13,11 +13,11 @@ tolerance.  :func:`halve_until_stable` is that acceptance loop; the adaptive
 each hand it their own level function.
 
 Where the exponential factor is known, it can instead be integrated exactly
-(product integration): :func:`exp_panel_weights` gives the weights of
-exp(rate (s - peak)) times the Lagrange basis on each panel's Gauss nodes,
-and :func:`exp_weights` those of one panel up to its end or any point in
-it, so a stiff factor needs no graded panels in the caller.  The grading
-moves into the weights, computed once per rate on a fine graded rule.
+(product integration): :func:`exp_weights` gives the weights of
+exp(rate (x - peak)) times the Lagrange basis on a panel's Gauss nodes, up
+to the panel's end or any point in it, so a stiff factor needs no graded
+panels in the caller.  The grading moves into the weights, computed once
+per rate on a fine graded rule.
 """
 
 from __future__ import annotations
@@ -170,30 +170,6 @@ def exp_weights(rates, nodes_per_panel, ends=(1.0,)):
         # One (1 x points) product per row and end, as a row alone takes it.
         out[rows] = scaled[:, :, None, :] @ _lagrange_basis(nodes_per_panel, x)
     return out[:, :, 0]
-
-
-def exp_panel_weights(edges, nodes_per_panel, rates):
-    """Product-integration weights of every panel of ``edges`` for the
-    factor exp(rate * (s - peak)), peak being the end of [edges[0],
-    edges[-1]] where the exponential is largest; the rule's points are
-    ``panel_nodes(edges, nodes_per_panel)[0]``.
-
-    Returns (len(rates), points): row i integrates
-    exp(rate_i (s - peak_i)) g(s) for g a polynomial of degree
-    < ``nodes_per_panel`` on each panel.  A caller integrating
-    exp(rate s) f(s) evaluates f(s) exp(rate (peak - s)) at the points.
-    """
-    edges = np.asarray(edges, dtype=float)
-    rates = np.asarray(rates, dtype=float).ravel()[:, None]
-    widths = np.diff(edges)
-    out = np.empty((rates.size, widths.size, nodes_per_panel))
-    for w in set(widths.tolist()):
-        # Panels of one width share their weights up to the scale below.
-        out[:, widths == w] = exp_weights(rates * w, nodes_per_panel)
-    # Each panel's own peak end lies |rate| * (its distance) below the peak.
-    ends = np.where(rates > 0.0, edges[1:] - edges[-1], edges[:-1] - edges[0])
-    out *= (widths * np.exp(rates * ends))[:, :, None]
-    return out.reshape(rates.size, -1)
 
 
 def halve_until_stable(level, layout, quad, message, halve=halve_panels,

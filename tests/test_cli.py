@@ -614,6 +614,35 @@ def test_dde_solve_validation():
                  "--delay", "1", "--horizon", "1", "--samples", "1"]) == 1
 
 
+@pytest.mark.parametrize("flags", [["--history", "x"],
+                                   ["--history", "1 + t*sin(x)"],
+                                   ["--forcing", "x*t"]])
+def test_dde_solve_refuses_data_in_x(flags, tmp_path, capsys):
+    # A scalar delay ODE has no x: an x read as 0 would write a quietly
+    # wrong trajectory and exit 0.
+    out = tmp_path / "traj.csv"
+    assert main(["dde", "solve", "--rate", "-1", "--lagged-rate", "0.5",
+                 "--delay", "1", "--horizon", "2", "--out", str(out),
+                 *flags]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {flags[0]} must be a function of t alone, got {flags[1]!r}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--horizon", "--delay"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_dde_solve_refuses_a_non_finite_horizon_or_delay(flag, value, capsys):
+    args = {"--rate": "-1", "--lagged-rate": "0.5", "--delay": "1",
+            "--horizon": "2", flag: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["dde", "solve",
+                     *(v for item in args.items() for v in item)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be positive and finite\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # Usage and configuration errors
 # ---------------------------------------------------------------------------

@@ -17,12 +17,7 @@ from delayheat.delay_ode import (
     solve_on_grid,
 )
 from delayheat.errors import DomainError, InputError, NumericError, QuadratureError
-from delayheat.quadrature import (
-    QuadratureConfig,
-    exp_panel_weights,
-    gauss_rule,
-    panel_nodes,
-)
+from delayheat.quadrature import QuadratureConfig, exp_weights, gauss_rule
 from delayheat.funcspec import parse_function
 from delayheat.spectral import HermitePaths
 
@@ -285,8 +280,8 @@ def test_grid_engine_raises_when_refinement_budget_is_exhausted():
 
 @pytest.mark.parametrize("b", [0.0, 0.5])
 def test_grid_engine_raises_on_kernel_overflow(b):
-    # a (tau + t_n) = 1100 is beyond exp's float range: the b = 0 recursion
-    # must refuse as the kernel table does, not return inf.
+    # a (tau + t_n) = 1100 is beyond exp's float range: the recursion must
+    # refuse, as the kernel K does, not return inf.
     params = DelayOdeParams(a=100.0, b=b, tau=1.0)
     with pytest.raises(NumericError):
         solve_on_grid(params, None, lambda s: np.ones_like(s), 2, 20)
@@ -324,85 +319,105 @@ def test_engine_overflow_in_one_mode_of_a_group_raises(b):
 
 
 # ---------------------------------------------------------------------------
-# Exponentially weighted panel rules: the stiff factor integrated exactly
+# Exponential weights: the stiff factor integrated exactly
 # ---------------------------------------------------------------------------
 
 
-def _exp_moments(rate, count, dps=400):
-    """integral_0^1 exp(rate (x - peak)) x^d dx for d < count, exactly (peak
-    1 for rate > 0, else 0), by J_d = e^rate / rate - (d / rate) J_(d-1)."""
+def _exp_moments(rate, end, count, dps=400):
+    """integral_0^c exp(rate (x - peak)) x^d dx for d < count at c = ``end``,
+    exactly (peak c for rate > 0, else 0), by
+    J_d = e^(rate c) c^d / rate - (d / rate) J_(d-1)."""
     import mpmath
 
     with mpmath.workdps(dps):
-        lam = mpmath.mpf(rate)
+        lam, c = mpmath.mpf(rate), mpmath.mpf(end)
         if lam == 0:
-            return np.array([1.0 / (d + 1) for d in range(count)])
-        shift = mpmath.exp(-lam) if rate > 0 else mpmath.mpf(1)
-        moment, out = (mpmath.exp(lam) - 1) / lam, []
+            return np.array([float(c ** (d + 1) / (d + 1)) for d in range(count)])
+        shift = mpmath.exp(-lam * c) if rate > 0 else mpmath.mpf(1)
+        moment, out = (mpmath.exp(lam * c) - 1) / lam, []
         for d in range(count):
             if d:
-                moment = mpmath.exp(lam) / lam - d / lam * moment
+                moment = mpmath.exp(lam * c) * c**d / lam - d / lam * moment
             out.append(float(shift * moment))
         return np.array(out)
+
+
+def _engine_ends(q):
+    """The ends c the engine asks weights for: the Gauss nodes and 1."""
+    return np.append(0.5 * (gauss_rule(q)[0] + 1.0), 1.0)
 
 
 @pytest.mark.parametrize("edges", [[0.0, 1.0], [0.0, 0.25, 0.5, 1.0]])
 @pytest.mark.parametrize("rate", [0.0, 1e-9, -1e-9, 1.0, -1.0, 16.0, -16.0,
                                   512.0, 4096.0, 5e4, -5e4])
 def test_exponential_weights_integrate_polynomials_exactly(rate, edges):
-    # Polynomials of degree below the node count, against the exponential
-    # factor exp(rate (c - peak)), with weights of size O(1) at any rate.
+    # ``edges`` cuts a unit dt-panel into sub-panels as wide as those of
+    # the levels S = 1, 2 and 4; the engine asks a sub-panel's weights at
+    # its rate times its width h.  At every end, polynomials of degree
+    # below the node count integrate exactly against the factor
+    # exp(rate h (x - peak)), to 1e-13 of that end's own integral of the
+    # factor, with weights of size O(1) at any rate.
     q = 16
-    pts, _ = panel_nodes(np.array(edges), q)
-    weights = exp_panel_weights(edges, q, [rate])[0]
-    exact = _exp_moments(rate, q)
-    got = np.array([np.dot(weights, pts**d) for d in range(q)])
-    np.testing.assert_allclose(got, exact, rtol=0, atol=1e-13 * exact[0])
-    assert np.all(np.isfinite(weights))
-    assert np.max(np.abs(weights)) <= 1.0
+    ends = _engine_ends(q)
+    nodes = ends[:q]
+    for h in set(np.diff(edges).tolist()):
+        weights = exp_weights([rate * h], q, ends)[0]
+        assert np.all(np.isfinite(weights))
+        assert np.max(np.abs(weights)) <= 1.0
+        for end, row in zip(ends, weights):
+            exact = _exp_moments(rate * h, end, q)
+            got = np.array([np.dot(row, nodes**d) for d in range(q)])
+            np.testing.assert_allclose(got, exact, rtol=0,
+                                       atol=1e-13 * exact[0])
 
 
 def test_exponential_weights_reduce_to_gauss_weights():
     q = 16
     gauss = 0.5 * gauss_rule(q)[1]
-    weights = exp_panel_weights([0.0, 1.0], q, [0.0, 1e-9, -1e-9])
-    np.testing.assert_allclose(weights[0], gauss, rtol=0, atol=1e-15)
-    np.testing.assert_allclose(weights[1:], [gauss, gauss], rtol=0, atol=2e-10)
+    weights = exp_weights([0.0, 1e-9, -1e-9], q, _engine_ends(q))
+    np.testing.assert_allclose(weights[0, -1], gauss, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(weights[1:], [weights[0], weights[0]], rtol=0,
+                               atol=2e-10)
 
 
 def test_exponential_weights_of_a_mode_depend_on_its_rate_alone():
+    # A row is the same whatever rates share the call, and the end 1 the
+    # same whether it is asked alone (no lag coupling) or with the nodes.
     rates = np.array([-3.0, 0.5, 12.0, 700.0, 4.1e3, 5e4])
-    together = exp_panel_weights([0.0, 0.5, 1.0], 16, rates)
+    ends = _engine_ends(16)
+    together = exp_weights(rates, 16, ends)
     for rate, row in zip(rates, together):
-        np.testing.assert_array_equal(
-            exp_panel_weights([0.0, 0.5, 1.0], 16, [rate])[0], row)
+        np.testing.assert_array_equal(exp_weights([rate], 16, ends)[0], row)
+        np.testing.assert_array_equal(exp_weights([rate], 16, [1.0])[0, 0],
+                                      row[-1])
 
 
 def test_engine_on_stiff_modes_matches_exact_method_of_steps():
     # lambda = -a dt up to 5e4: the exponential weights must carry the
-    # stiff factor with no overflow, underflow warning or lost accuracy.
+    # stiff factor with no overflow, underflow warning or lost accuracy,
+    # in a lag-coupled family and in an uncoupled one (every b = 0).
     a = np.array([-1.0, -100.0, -5e3, -2e4, -2e5])
-    b = np.array([-0.5, -50.0, -10.0, 3.0, -1.0])
     tau, m, n_steps = 1.0, 4, 12
     s = np.linspace(-tau, 0.0, 33)
     history = HermitePaths(s, np.tile(1.0 + s - 0.5 * s**3, (5, 1)),
                            np.tile(1.0 - 1.5 * s**2, (5, 1)))
     t = np.linspace(0.0, 3.0, 25)
     forcing = HermitePaths(t, np.tile(0.5 - t, (5, 1)), -np.ones((5, 25)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        x = solve_modes(a, b, tau, history, forcing, m, n_steps)
     t_out = tau / m * np.arange(1, n_steps + 1)
-    for i in range(a.size):
-        ref = dde_steps_exact(a[i], b[i], tau, [1.0, 1.0, 0.0, -0.5], t_out,
-                              rho_poly=[0.5, -1.0])
-        np.testing.assert_allclose(x[i], ref, rtol=0,
-                                   atol=QuadratureConfig().abs_tol)
+    for b in ([-0.5, -50.0, -10.0, 3.0, -1.0], np.zeros(5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x = solve_modes(a, b, tau, history, forcing, m, n_steps)
+        for i in range(a.size):
+            ref = dde_steps_exact(a[i], b[i], tau, [1.0, 1.0, 0.0, -0.5],
+                                  t_out, rho_poly=[0.5, -1.0])
+            np.testing.assert_allclose(x[i], ref, rtol=0,
+                                       atol=QuadratureConfig().abs_tol)
 
 
 def test_engine_on_a_mixed_coupling_family_matches_exact_method_of_steps():
-    # One mode without lag coupling and one with: the b = 0 mode shares the
-    # lag-coupled mode's table and contraction.
+    # One mode without lag coupling and one with: the b = 0 mode takes the
+    # lag-coupled family's node weights and ring along.
     a, b = np.array([-3.0, -2.0]), np.array([0.0, 0.5])
     tau, m, n_steps = 1.0, 4, 12
     s = np.linspace(-tau, 0.0, 33)
@@ -423,25 +438,22 @@ def test_engine_on_a_mixed_coupling_family_matches_exact_method_of_steps():
 def test_engine_recurses_without_the_kernel_on_halved_sub_panels(b, monkeypatch):
     # Mild and stiff modes in one call, lag-coupled or not: the engine never
     # evaluates K, and its levels cut each dt-panel into S = 1, 2, 4, ...
-    # sub-panels, with one set of weights per level: node weights with lag
-    # coupling, panel weights without.
+    # sub-panels, with one call of the one weight routine per level: for
+    # the nodes and the end 1 with lag coupling, for the end 1 alone
+    # without.
     from delayheat import delay_ode
 
     def no_kernel(*args, **kwargs):
         raise AssertionError("solve_modes evaluated the delay kernel")
 
-    levels, weights = [], []
-    halve = delay_ode.halve_until_stable
-    node_weights, panel_weights = (delay_ode.exp_weights,
-                                   delay_ode.exp_panel_weights)
+    levels, asked = [], []
+    halve, weights = delay_ode.halve_until_stable, delay_ode.exp_weights
     monkeypatch.setattr(delay_ode, "kernel", no_kernel)
     monkeypatch.setattr(delay_ode, "halve_until_stable", lambda level, *args,
                         **kw: halve(lambda edges, *rows: levels.append(
                             len(edges) - 1) or level(edges, *rows), *args, **kw))
     monkeypatch.setattr(delay_ode, "exp_weights", lambda rates, q, ends: (
-        weights.append("node")) or node_weights(rates, q, ends))
-    monkeypatch.setattr(delay_ode, "exp_panel_weights", lambda edges, q, r: (
-        weights.append("panel")) or panel_weights(edges, q, r))
+        asked.append(list(ends))) or weights(rates, q, ends))
     a = -np.array([1.0, 10.0, 200.0, 3e3, 4e4])  # a dt from 0.125 to 5e3
     s = np.linspace(-1.0, 0.0, 33)
     history = HermitePaths(s, np.tile(np.cos(3.0 * s), (5, 1)),
@@ -452,7 +464,8 @@ def test_engine_recurses_without_the_kernel_on_halved_sub_panels(b, monkeypatch)
     x = solve_modes(a, np.full(5, b), 1.0, history, forcing, 8, 16)
     assert np.all(np.isfinite(x))
     assert len(levels) >= 2 and levels == [2**j for j in range(len(levels))]
-    assert weights == ["node" if b else "panel"] * len(levels)
+    ends = list(_engine_ends(16)) if b else [1.0]
+    assert asked == [ends] * len(levels)
 
 
 def test_forced_matches_stepping_oracle():

@@ -407,15 +407,20 @@ def test_batched_engine_matches_one_mode_calls(p, modes, m):
 
 
 def test_delay_problem_without_lag_coupling_keeps_no_node_values(monkeypatch):
-    # a2 = c2 = 0: every B_n vanishes, so the engine takes the one-term
-    # panel scan: it computes no node weights and keeps no ring of node
-    # values, and it evaluates no delay kernel.
+    # a2 = c2 = 0: every B_n vanishes, so the engine asks the weights of the
+    # sub-panel end 1 alone: it computes no node weights and keeps no ring
+    # of node values, and it evaluates no delay kernel.
     from delayheat import delay_ode
 
     def refused(*args, **kwargs):
-        raise AssertionError("the b = 0 family took the lag-coupled path")
+        raise AssertionError("the b = 0 family evaluated the delay kernel")
 
-    monkeypatch.setattr(delay_ode, "exp_weights", refused)
+    def end_weights_only(rates, q, ends):
+        assert list(ends) == [1.0], "the b = 0 family asked for node weights"
+        return weights(rates, q, ends)
+
+    weights = delay_ode.exp_weights
+    monkeypatch.setattr(delay_ode, "exp_weights", end_weights_only)
     monkeypatch.setattr(delay_ode, "kernel", refused)
     p = _problem(d1=-0.2, tau=0.5, horizon=1.0, psi="sin(x)*(1 + t)",
                  g="x*cos(t)")
