@@ -315,6 +315,9 @@ def _cmd_dde_solve(args):
         raise ConfigError("--delay must be positive and finite")
     if not 0.0 < args.horizon < math.inf:
         raise ConfigError("--horizon must be positive and finite")
+    for flag, value in (("--rate", args.rate), ("--lagged-rate", args.lagged_rate)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite")
     if args.samples < 2:
         raise ConfigError("--samples must be at least 2")
     _check_writable(args.out)

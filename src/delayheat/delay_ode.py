@@ -295,11 +295,10 @@ def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
     nodes = 0.5 * (gauss_rule(q)[0] + 1.0)
     lagged = bool(np.any(b))
 
-    def trajectories(rows, edges):
-        """The modes ``rows`` at S = len(edges) - 1 sub-panels per dt-panel,
-        by blocks: a delay interval with lag coupling, else as many whole
+    def trajectories(rows, per_dt):
+        """The modes ``rows`` at S = ``per_dt`` sub-panels per dt-panel, by
+        blocks: a delay interval with lag coupling, else as many whole
         dt-panels as ``_BLOCK_ELEMENTS`` values of g fill."""
-        per_dt = edges.size - 1
         h = dt / per_dt
         rate = a[rows] * h
         # The data families' rows, copied only when fewer than all.
@@ -344,19 +343,20 @@ def solve_modes(a, b, tau, history, forcing, steps_per_tau, n_steps,
                 ring += node_decay * xs[:n].T[:, :, None]
         return out.T
 
-    def level_value(edges, rows=None):
+    def level_value(per_dt, rows=None):
         rows = np.arange(a.size) if rows is None else rows
-        chunk = (max(1, _BLOCK_ELEMENTS // (m * (edges.size - 1) * q))
+        chunk = (max(1, _BLOCK_ELEMENTS // (m * per_dt * q))
                  if lagged else rows.size)
         with np.errstate(over="ignore", invalid="ignore"):
-            x = np.concatenate([trajectories(rows[lo:lo + chunk], edges)
+            x = np.concatenate([trajectories(rows[lo:lo + chunk], per_dt)
                                 for lo in range(0, rows.size, chunk)])
         if not np.all(np.isfinite(x)):
             raise NumericError("delay ODE overflow: trajectory leaves float range")
         return x
 
     return halve_until_stable(
-        level_value, np.array([0.0, 1.0]), quad,
+        level_value, 1, quad,
         f"grid quadrature did not converge to {quad.abs_tol:g} "
-        f"after {quad.max_panel_splits} panel splits", by_row=True,
+        f"after {quad.max_panel_splits} panel splits",
+        halve=lambda per_dt: 2 * per_dt, by_row=True,
     )

@@ -51,11 +51,13 @@ so ``-x^2`` means ``-(x^2)``.
 This is Python's arithmetic with ``**`` spelled ``^``: :func:`parse_expression`
 refuses characters outside the grammar, rewrites the text to Python's
 spelling without moving an offset (blanks for whitespace and zero padding,
-``**`` for ``^``), runs :func:`ast.parse` and keeps only the grammar's nodes
-(decimal literals only: not ``0x1F``, ``2j`` or ``True``).  :func:`to_string`
-prints with :func:`ast.unparse`; re-parsing its text yields a structurally
-identical AST (this module keeps numeric literals non-negative and writes a
-leading minus as a unary-minus node).
+``**`` for ``^``), runs :func:`ast.parse` and returns Python's tree once every
+node is the grammar's (decimal literals only: not ``0x1F``, ``2j`` or
+``True``; each valued as the float of its own text, none past float range).
+This module has no node classes of its own.  :func:`to_string` prints with
+:func:`ast.unparse`; re-parsing its text yields a structurally identical AST
+(equal under :func:`ast.dump`; this module keeps numeric literals
+non-negative and writes a leading minus as a unary-minus node).
 """
 
 from __future__ import annotations
@@ -82,44 +84,6 @@ CONSTANTS = ("pi", "l", "tau")
 
 
 # ---------------------------------------------------------------------------
-# AST nodes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str  # 'x' or 't'
-
-
-@dataclass(frozen=True)
-class Const:
-    name: str  # 'pi', 'l', 'tau'
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str  # one of + - * / ^
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: object
-
-
-# ---------------------------------------------------------------------------
 # Parsing and printing, by Python's own parser and printer
 # ---------------------------------------------------------------------------
 
@@ -131,30 +95,33 @@ _SPACE_RE = re.compile(r"[^\S ]")
 # exponent keeps its own (2.5e+07).  The literal 0 first makes the scan fast.
 _ZERO_PAD_RE = re.compile(r"0(?<![\w.]0)(?<![eE][+-]0)0*(?=\d)")
 _OPEN_RE = re.compile(r" *\(")
-_BIN_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
-_PYTHON_OPS = {op: kind for kind, op in _BIN_OPS.items()}
+_BIN_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow)
 
 
 class _Refused(Exception):
     """A Python node outside the grammar: (message, offset in the parsed text)."""
 
 
-def _from_python(node, text):
-    """The grammar's AST for a node of ``ast.parse(text)``."""
+def _checked(node, text):
+    """``node``, a node of ``ast.parse(text)``, once it is in the grammar;
+    each number's value becomes the float of its own text."""
     kind = type(node)
     if kind is ast.BinOp and type(node.op) in _BIN_OPS:
-        return Bin(_BIN_OPS[type(node.op)], _from_python(node.left, text),
-                   _from_python(node.right, text))
+        _checked(node.left, text)
+        _checked(node.right, text)
+        return node
     if kind is ast.UnaryOp and type(node.op) is ast.USub:
-        return Neg(_from_python(node.operand, text))
+        _checked(node.operand, text)
+        return node
     # The literal's own text decides: Python also reads 0x1F, 2j and True.
     if kind is ast.Constant and _NUMBER_RE.fullmatch(text, node.col_offset, node.end_col_offset):
-        return Num(float(text[node.col_offset:node.end_col_offset]))
+        node.value = float(text[node.col_offset:node.end_col_offset])
+        if node.value == math.inf:
+            raise _Refused("number out of float range", node.col_offset)
+        return node
     if kind is ast.Name:
-        if node.id in VARIABLES:
-            return Var(node.id)
-        if node.id in CONSTANTS:
-            return Const(node.id)
+        if node.id in VARIABLES or node.id in CONSTANTS:
+            return node
         raise _Refused(f"unknown identifier {node.id!r}", node.col_offset)
     # The name must stand right before its '(': Python drops those of "(sin)(x)".
     if (kind is ast.Call and type(node.func) is ast.Name
@@ -162,7 +129,8 @@ def _from_python(node, text):
         if node.func.id not in FUNCTIONS:
             raise _Refused(f"unknown function {node.func.id!r}", node.col_offset)
         if len(node.args) == 1 and not node.keywords:
-            return Call(node.func.id, _from_python(node.args[0], text))
+            _checked(node.args[0], text)
+            return node
     raise _Refused("invalid expression", node.col_offset)
 
 
@@ -176,7 +144,8 @@ def _source_offset(text, pos):
 
 
 def parse_expression(src):
-    """Parse expression source into an AST; raise ParseError with offset."""
+    """Parse expression source into a Python ``ast`` node of the grammar;
+    raise ParseError with offset."""
     if not isinstance(src, str):
         raise InputError(f"expression source must be a string, got {type(src).__name__}")
     refused = _REFUSED_RE.search(src)
@@ -195,7 +164,7 @@ def parse_expression(src):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # SyntaxWarning on "1or x"
             tree = ast.parse(python, mode="eval")
-        return _from_python(tree.body, python)
+        return _checked(tree.body, python)
     except SyntaxError as e:
         message, pos = "invalid expression", (e.offset or 1) - 1
     except (RecursionError, MemoryError):  # MemoryError: the parser's stack
@@ -205,24 +174,9 @@ def parse_expression(src):
     raise ParseError(message, len(text) - len(body) + _source_offset(body, pos))
 
 
-def _to_python(node):
-    if isinstance(node, Num):
-        return ast.Constant(node.value)
-    if isinstance(node, (Var, Const)):
-        return ast.Name(node.name)
-    if isinstance(node, Call):
-        return ast.Call(ast.Name(node.fn), [_to_python(node.arg)], [])
-    if isinstance(node, Neg):
-        return ast.UnaryOp(ast.USub(), _to_python(node.operand))
-    if isinstance(node, Bin):
-        return ast.BinOp(_to_python(node.left), _PYTHON_OPS[node.op](),
-                         _to_python(node.right))
-    raise InputError(f"not an AST node: {node!r}")
-
-
 def to_string(node):
     """Render an AST back to grammar-conformant source text."""
-    return ast.unparse(_to_python(node)).replace(" ** ", "^")
+    return ast.unparse(node).replace(" ** ", "^")
 
 
 # ---------------------------------------------------------------------------
@@ -453,27 +407,31 @@ def _variables(x, t, kx, kt):
 
 def _eval_ast(node, x, t, consts):
     """Evaluate an AST at x, t: plain arrays give values, jets give jets."""
-    if isinstance(node, Num):
+    kind = type(node)
+    if kind is ast.Constant:
         return node.value
-    if isinstance(node, Var):
-        return x if node.name == "x" else t
-    if isinstance(node, Const):
+    if kind is ast.Name:
+        if node.id == "x":
+            return x
+        if node.id == "t":
+            return t
         try:
-            return consts[node.name]
+            return consts[node.id]
         except KeyError:
-            raise InputError(f"constant {node.name!r} is not bound") from None
-    if isinstance(node, Neg):
+            raise InputError(f"constant {node.id!r} is not bound") from None
+    if kind is ast.UnaryOp:
         return -_eval_ast(node.operand, x, t, consts)
-    if isinstance(node, Bin):
+    if kind is ast.BinOp:
         a = _eval_ast(node.left, x, t, consts)
         b = _eval_ast(node.right, x, t, consts)
-        if node.op == "+":
+        op = type(node.op)
+        if op is ast.Add:
             return a + b
-        if node.op == "-":
+        if op is ast.Sub:
             return a - b
-        if node.op == "*":
+        if op is ast.Mult:
             return a * b
-        if node.op == "/":
+        if op is ast.Div:
             if np.any(np.asarray(_base(b)) == 0.0):
                 raise DomainError("division by zero")
             return _over(a, b) if isinstance(a, _Jet) or isinstance(b, _Jet) else a / b
@@ -487,24 +445,25 @@ def _eval_ast(node, x, t, consts):
         if isinstance(a, _Jet) or isinstance(b, _Jet):
             return _power(a, b)
         return np.power(a, b)
-    if isinstance(node, Call):
-        u = _eval_ast(node.arg, x, t, consts)
+    if kind is ast.Call:
+        fn = node.func.id
+        u = _eval_ast(node.args[0], x, t, consts)
         u0 = np.asarray(_base(u))
-        if node.fn in ("sin", "cos"):
+        if fn in ("sin", "cos"):
             if not isinstance(u, _Jet):
-                return np.sin(u) if node.fn == "sin" else np.cos(u)
-            return _sincos(u)[node.fn == "cos"]
-        if node.fn == "exp":
+                return np.sin(u) if fn == "sin" else np.cos(u)
+            return _sincos(u)[fn == "cos"]
+        if fn == "exp":
             return _exp(u)
-        if node.fn == "log":
+        if fn == "log":
             if np.any(u0 <= 0.0):
                 raise DomainError("log of a non-positive value")
             return _log(u)
-        if node.fn == "sqrt":
+        if fn == "sqrt":
             if np.any(u0 < 0.0):
                 raise DomainError("sqrt of a negative value")
             return _power(u, 0.5) if isinstance(u, _Jet) else np.sqrt(u)
-        if node.fn == "abs":
+        if fn == "abs":
             return _abs(u)
     raise InputError(f"not an AST node: {node!r}")
 
@@ -649,13 +608,14 @@ class ExprFunction(FunctionSpec):
             return None
         groups = {}
         for negated, xs, ts in terms:
-            x = _product(xs)
-            groups.setdefault(_product(ts), []).append(Neg(x) if negated else x)
+            x, t = _product(xs), _product(ts)
+            group = groups.setdefault(_key(t), (t, []))[1]
+            group.append(ast.UnaryOp(ast.USub(), x) if negated else x)
         out = []
-        for t, xs in groups.items():
+        for t, xs in groups.values():
             x = xs[0]
             for term in xs[1:]:
-                x = Bin("+", x, term)
+                x = ast.BinOp(x, ast.Add(), term)
             out.append((ExprFunction(x, self.consts), ExprFunction(t, self.consts)))
         return out
 
@@ -664,16 +624,32 @@ class ExprFunction(FunctionSpec):
 _MAX_TERMS = 64
 
 
+def _key(node):
+    """A hashable key, equal for structurally equal ASTs: ``ast.dump`` gives
+    one too, at several times the cost."""
+    kind = type(node)
+    if kind is ast.Constant:
+        return node.value
+    if kind is ast.Name:
+        return node.id
+    if kind is ast.UnaryOp:
+        return ("-", _key(node.operand))
+    if kind is ast.BinOp:
+        return (type(node.op), _key(node.left), _key(node.right))
+    return (node.func.id, _key(node.args[0]))
+
+
 def _names(node):
     """The variables an AST mentions."""
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Bin):
+    kind = type(node)
+    if kind is ast.Name:
+        return {node.id} if node.id in VARIABLES else set()
+    if kind is ast.BinOp:
         return _names(node.left) | _names(node.right)
-    if isinstance(node, Neg):
+    if kind is ast.UnaryOp:
         return _names(node.operand)
-    if isinstance(node, Call):
-        return _names(node.arg)
+    if kind is ast.Call:
+        return _names(node.args[0])
     return set()
 
 
@@ -684,9 +660,10 @@ def _terms(node):
     Above it, sums, differences, unary minus and products are expanded, and
     every other subtree is one t-factor if it does not mention x.
     """
-    if isinstance(node, Neg):
+    kind = type(node)
+    if kind is ast.UnaryOp:
         children = (node.operand,)
-    elif isinstance(node, Bin) and node.op in ("+", "-", "*"):
+    elif kind is ast.BinOp and type(node.op) in (ast.Add, ast.Sub, ast.Mult):
         children = (node.left, node.right)
     else:
         names = _names(node)
@@ -698,12 +675,12 @@ def _terms(node):
         return None
     if not any(ts for terms in parts for _, _, ts in terms):
         return [(False, (node,), ())]
-    if isinstance(node, Neg):
+    if kind is ast.UnaryOp:
         return [(not n, xs, ts) for n, xs, ts in parts[0]]
     left, right = parts
-    if node.op == "+":
+    if type(node.op) is ast.Add:
         return left + right
-    if node.op == "-":
+    if type(node.op) is ast.Sub:
         return left + [(not n, xs, ts) for n, xs, ts in right]
     if len(left) * len(right) > _MAX_TERMS:
         return None
@@ -714,10 +691,10 @@ def _terms(node):
 def _product(factors):
     """The AST of the product of ``factors``, 1 when there are none."""
     if not factors:
-        return Num(1.0)
+        return ast.Constant(1.0)
     node = factors[0]
     for f in factors[1:]:
-        node = Bin("*", node, f)
+        node = ast.BinOp(node, ast.Mult(), f)
     return node
 
 
@@ -731,7 +708,8 @@ def fs_const(value):
     v = float(value)
     if not math.isfinite(v):
         raise NumericError(f"constant must be finite, got {v!r}")
-    return ExprFunction(Num(v) if v >= 0.0 else Neg(Num(-v)))
+    return ExprFunction(ast.Constant(v) if v >= 0.0
+                        else ast.UnaryOp(ast.USub(), ast.Constant(-v)))
 
 
 def _clip(u, pts, name):

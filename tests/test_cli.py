@@ -643,6 +643,20 @@ def test_dde_solve_refuses_a_non_finite_horizon_or_delay(flag, value, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("flag", ["--rate", "--lagged-rate"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_dde_solve_refuses_a_non_finite_rate(flag, value, capsys):
+    args = {"--rate": "-1", "--lagged-rate": "0.5", "--delay": "1",
+            "--horizon": "2", flag: value}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["dde", "solve",
+                     *(v for item in args.items() for v in item)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be finite\n"
+    assert captured.out == ""
+
+
 # ---------------------------------------------------------------------------
 # Usage and configuration errors
 # ---------------------------------------------------------------------------
@@ -736,6 +750,24 @@ def test_bad_quadrature_setting_exits_1(tmp_path, capsys):
         assert f"error: {key!r}" in err
         assert "Traceback" not in err
         assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_a_number_past_float_range_in_the_data_exits_1(command, tmp_path, capsys):
+    # Python reads 1e400 as inf: the parser refuses it and names the slot,
+    # as an infinite JSON number is refused, rather than a numeric failure
+    # when the data are first evaluated.
+    data = json.loads((CONFIGS / "pure_diffusion.json").read_text())
+    data.pop("outputs", None)
+    data["problem"]["source"] = "1e400*x*(pi - x)"
+    cfg = _write(tmp_path, "run.json", data)
+    out = str(tmp_path / "r.json")
+    assert main([command, "--config", cfg, "--out-report", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: problem.source: number out of float range "
+                            "(at offset 0)\n")
+    assert captured.out == ""
+    assert not os.path.exists(out)
 
 
 def test_infinite_and_nan_gate_settings_exit_1(tmp_path, capsys):

@@ -450,8 +450,8 @@ def test_engine_recurses_without_the_kernel_on_halved_sub_panels(b, monkeypatch)
     halve, weights = delay_ode.halve_until_stable, delay_ode.exp_weights
     monkeypatch.setattr(delay_ode, "kernel", no_kernel)
     monkeypatch.setattr(delay_ode, "halve_until_stable", lambda level, *args,
-                        **kw: halve(lambda edges, *rows: levels.append(
-                            len(edges) - 1) or level(edges, *rows), *args, **kw))
+                        **kw: halve(lambda per_dt, *rows: levels.append(
+                            per_dt) or level(per_dt, *rows), *args, **kw))
     monkeypatch.setattr(delay_ode, "exp_weights", lambda rates, q, ends: (
         asked.append(list(ends))) or weights(rates, q, ends))
     a = -np.array([1.0, 10.0, 200.0, 3e3, 4e4])  # a dt from 0.125 to 5e3

@@ -1,7 +1,7 @@
 """Expression grammar, evaluation, differentiation, and sampled fallbacks."""
 
+import ast
 import math
-import operator
 import warnings
 
 import mpmath
@@ -18,14 +18,8 @@ from delayheat.errors import (
     UnsupportedOperationError,
 )
 from delayheat.funcspec import (
-    Bin,
-    Call,
-    Const,
-    Neg,
-    Num,
     Sampled1DFunction,
     Sampled2DFunction,
-    Var,
     fs_at_x,
     fs_const,
     fs_exp_weight,
@@ -73,15 +67,24 @@ def test_parse_errors(src):
         parse_expression(src)
 
 
+def _name(name):
+    return ast.Name(name, ast.Load())
+
+
+def _call(fn, arg):
+    return ast.Call(_name(fn), [arg], [])
+
+
 @pytest.mark.parametrize("src, expected", [
-    ("007*x", Bin("*", Num(7.0), Var("x"))),     # zero padding, which Python refuses
-    ("2.5e+07", Num(2.5e7)),                     # an exponent keeps its zeros
-    ("x\n+\t1", Bin("+", Var("x"), Num(1.0))),
-    ("x\u00a0+ 1", Bin("+", Var("x"), Num(1.0))),  # a no-break space
-    ("  sin(x)", Call("sin", Var("x"))),
+    # zero padding, which Python refuses
+    ("007*x", ast.BinOp(ast.Constant(7.0), ast.Mult(), _name("x"))),
+    ("2.5e+07", ast.Constant(2.5e7)),              # an exponent keeps its zeros
+    ("x\n+\t1", ast.BinOp(_name("x"), ast.Add(), ast.Constant(1.0))),
+    ("x\u00a0+ 1", ast.BinOp(_name("x"), ast.Add(), ast.Constant(1.0))),  # a no-break space
+    ("  sin(x)", _call("sin", _name("x"))),
 ])
 def test_parse_edge_cases(src, expected):
-    assert parse_expression(src) == expected
+    assert ast.dump(parse_expression(src)) == ast.dump(expected)
 
 
 @pytest.mark.parametrize("src", [
@@ -103,6 +106,16 @@ def test_parse_error_offsets():
         assert 0 <= err.value.position <= len(src), src
 
 
+@pytest.mark.parametrize("src, position", [
+    ("1e400*x", 0), ("x + 2^1e309", 6), ("  x*" + "9" * 400, 4),
+], ids=["exponent", "power", "digits"])
+def test_number_past_float_range_is_a_parse_error(src, position):
+    # Python reads such a literal as inf, which no evaluation can use.
+    with pytest.raises(ParseError) as err:
+        parse_expression(src)
+    assert str(err.value) == f"number out of float range (at offset {position})"
+
+
 def test_deep_nesting_is_a_parse_error():
     with pytest.raises(ParseError):
         parse_expression("(" * 300 + "x" + ")" * 300)
@@ -120,30 +133,26 @@ def test_unbound_constant_rejected_at_evaluation():
 # ------------------------------------------------------- print/parse loop
 
 _leaf = st.one_of(
-    st.floats(min_value=0.0, max_value=9.0, allow_nan=False).map(Num),
-    st.sampled_from(["x", "t"]).map(Var),
-    st.sampled_from(["pi", "l", "tau"]).map(Const),
+    st.floats(min_value=0.0, max_value=9.0, allow_nan=False).map(ast.Constant),
+    st.sampled_from(["x", "t", "pi", "l", "tau"]).map(_name),
 )
 
 
 def _node(children):
-    ops = st.sampled_from(["+", "-", "*", "/", "^"])
+    ops = st.sampled_from([ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow])
     return st.one_of(
-        st.builds(Neg, children),
-        st.builds(Bin, ops, children, children),
-        st.builds(Call, st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]),
+        st.builds(lambda u: ast.UnaryOp(ast.USub(), u), children),
+        st.builds(lambda op, a, b: ast.BinOp(a, op(), b), ops, children, children),
+        st.builds(_call, st.sampled_from(["sin", "cos", "exp", "sqrt", "abs"]),
                   children),
     )
 
 
-_ast = st.recursive(_leaf, _node, max_leaves=20)
-
-
 @settings(max_examples=200, deadline=None)
-@given(_ast)
-def test_print_parse_round_trip(ast):
-    printed = to_string(ast)
-    assert parse_expression(printed) == ast
+@given(st.recursive(_leaf, _node, max_leaves=20))
+def test_print_parse_round_trip(node):
+    printed = to_string(node)
+    assert ast.dump(parse_expression(printed)) == ast.dump(node)
 
 
 # --------------------------------------------------------- derivatives
@@ -201,24 +210,16 @@ def test_abs_derivative_away_from_kink():
     assert df(0.0, 0.0) == pytest.approx(-1.0)
 
 
-_MP_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv, "^": operator.pow}
+_MP_NAMES = {"__builtins__": {}, "pi": mpmath.pi, "sin": mpmath.sin,
+             "cos": mpmath.cos, "exp": mpmath.exp, "log": mpmath.log,
+             "sqrt": mpmath.sqrt, "abs": mpmath.fabs}
 
 
 def _mp_eval(node, x, t):
-    """Evaluate an AST in mpmath arithmetic (reference for derivatives)."""
-    if isinstance(node, Num):
-        return mpmath.mpf(node.value)
-    if isinstance(node, Var):
-        return x if node.name == "x" else t
-    if isinstance(node, Const):
-        return {"pi": mpmath.pi}[node.name]
-    if isinstance(node, Neg):
-        return -_mp_eval(node.operand, x, t)
-    if isinstance(node, Call):
-        fn = mpmath.fabs if node.fn == "abs" else getattr(mpmath, node.fn)
-        return fn(_mp_eval(node.arg, x, t))
-    return _MP_OPS[node.op](_mp_eval(node.left, x, t), _mp_eval(node.right, x, t))
+    """Evaluate an AST in mpmath arithmetic by Python's own evaluator
+    (reference for derivatives)."""
+    code = compile(ast.Expression(node), "<expression>", "eval")
+    return eval(code, {**_MP_NAMES, "x": x, "t": t})
 
 
 def _partial(spec, steps):
@@ -245,9 +246,9 @@ def _partial(spec, steps):
 def test_high_order_and_mixed_derivatives_match_mpmath(src, steps):
     x0, t0 = 0.7, 0.4
     orders = (sum(k for v, k in steps if v == "x"), sum(k for v, k in steps if v == "t"))
-    ast = parse_expression(src)
+    node = parse_expression(src)
     with mpmath.workdps(30):
-        ref = float(mpmath.diff(lambda x, t: _mp_eval(ast, x, t),
+        ref = float(mpmath.diff(lambda x, t: _mp_eval(node, x, t),
                                 (mpmath.mpf(x0), mpmath.mpf(t0)), orders))
     got = _partial(parse_function(src), steps)(x0, t0)
     assert got == pytest.approx(ref, rel=1e-12, abs=1e-20)
