@@ -31,11 +31,12 @@ import math
 import os
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from .compat import check_problem
-from .config import load_config
+from .config import SolverSettings, load_config, other_grid_keys
 from .delay_ode import DelayOdeParams, solve_at
 from .errors import (
     CompatibilityError,
@@ -101,13 +102,13 @@ def _load(args):
     into ``args.mode_list`` and each count judged by the basis, before any
     work."""
     cfg = load_config(args.config)
-    other_kind = "nt" if cfg.kind == "delay" else "nt_per_tau"
-    if getattr(args, other_kind, None) is not None:
-        flag = "--" + other_kind.replace("_", "-")
-        raise ConfigError(f"{flag} does not apply to {cfg.kind} problems")
-    for key in ("modes", "nx", "nt", "nt_per_tau"):
+    for key in other_grid_keys(cfg.kind):
         if getattr(args, key, None) is not None:
-            setattr(cfg.solver, key, getattr(args, key))
+            flag = "--" + key.replace("_", "-")
+            raise ConfigError(f"{flag} does not apply to {cfg.kind} problems")
+    for setting in fields(SolverSettings):
+        if getattr(args, setting.name, None) is not None:
+            setattr(cfg.solver, setting.name, getattr(args, setting.name))
     cfg.check_solver()
     if hasattr(args, "modes_list"):
         args.mode_list = (_parse_mode_list(args.modes_list) if args.modes_list
@@ -142,7 +143,7 @@ def _gate(cfg, override):
             file=sys.stderr,
         )
         return report, EXIT_REJECTED
-    failed = [e["name"] for e in report.decay if e.get("status") == "fail"]
+    failed = report.failed_screens
     if failed:
         if override:
             print(

@@ -104,10 +104,16 @@ class CompatReport:
         return bool(self.boundary.get("pass", False))
 
     @property
+    def failed_screens(self):
+        """The names of the advisory screens that failed, in report order."""
+        return [entry["name"] for entry in self.decay
+                if entry.get("status") == "fail"]
+
+    @property
     def advisory_pass(self):
         """None when the hard check failed: the advisory screens did not run."""
         if self.hard_pass:
-            return all(entry.get("status") != "fail" for entry in self.decay)
+            return not self.failed_screens
 
     def to_dict(self):
         return {**asdict(self), "hard_pass": self.hard_pass,

@@ -30,15 +30,16 @@ A run is described by one JSON object::
 
 ``outputs`` holds optional default paths; command-line flags take
 precedence.  :func:`load_config` resolves a relative ``outputs`` path
-against the directory of the config file, so a run writes the same files
-from any working directory; a relative path given as a flag stays relative
-to the working directory.  The time grid is set by ``nt_per_tau`` for delay
-problems (default 16) and by ``nt`` for problems without delay (default
-200); the setting of the other kind is an error, not ignored, and so are
-``check.m`` and ``check.delta`` without a delay.  The run's basis and grid
-check the solver settings (:meth:`RunConfig.check_solver`), and
-:class:`~delayheat.compat.CheckSettings` the ``check`` section: this module
-checks JSON types and passes each settings class only the keys the file sets.
+against the directory of the config file; a relative flag path stays
+relative to the working directory.
+
+A settings section is read by the fields of the class it builds
+(:func:`settings_from_dict`): ``solver`` by :class:`SolverSettings` (its
+``quadrature`` by :class:`~delayheat.quadrature.QuadratureConfig`) and
+``check`` by :class:`~delayheat.compat.CheckSettings`.  An int field takes a
+JSON integer (null: the default), a float field a number, a nested settings
+field an object; each class judges its own values, and a refusal reads
+``invalid <section> settings: ...``.
 
 Each function slot accepts a number (a constant), an expression string over
 ``x`` and ``t`` (with ``pi`` plus the problem's ``l`` and ``tau`` bound as
@@ -49,17 +50,19 @@ constants), or a sampled table::
     {"table": "2d", "x": [...], "t": [...], "values": [[...]],
      "interp": "cubic"}        # values[i][j] = f(x[i], t[j])
 
-The problem keys of each kind, and the problem fields they fill, are one
-table per kind (``_PROBLEM_KINDS``) plus one table of the four function
-slots (``_FUNCTION_KEYS``) that both kinds share.  Unknown keys anywhere are
-rejected so typos cannot silently change a run.
+The keys and rules of each problem kind are one table (``_PROBLEM_KINDS``),
+as are the function slots both kinds share (``_FUNCTION_KEYS``) and the keys
+of each table kind (``_TABLE_KINDS``).  Unknown keys anywhere are rejected
+so typos cannot silently change a run.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
+from functools import cache
 
 from .compat import CheckSettings
 from .errors import ConfigError, DelayHeatError, InputError
@@ -130,19 +133,45 @@ def _reject_unknown(mapping, allowed, where):
         raise ConfigError(f"unknown key(s) {extra} in {where}")
 
 
-def _number(value, key):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key!r} must be a number, got {value!r}")
-    return float(value)
+def _number(value, key, where, kind=float):
+    """A JSON number as ``kind``: an integer for int, any number for float."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key!r} in {where} must be {noun}, got {value!r}")
+    return kind(value)
 
 
-def _integers(mapping, keys, where):
-    """The integer settings of ``keys`` that ``mapping`` sets (null: unset)."""
-    values = {key: mapping[key] for key in keys if mapping.get(key) is not None}
-    for key, value in values.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{key!r} in {where} must be an integer, got {value!r}")
-    return values
+@cache
+def _field_types(cls):
+    """Each field of the settings class ``cls`` mapped to its type."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def settings_from_dict(cls, data, where):
+    """``cls`` read from the section ``data`` by its own fields; null: defaults."""
+    if data is None:
+        return cls()
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where!r} must be an object")
+    types = _field_types(cls)
+    _reject_unknown(data, types, where)
+    values = {key: _number(data[key], key, where, kind) if kind in (int, float)
+              else settings_from_dict(kind, data[key], f"{where}.{key}")
+              for key, kind in types.items()
+              if key in data and (data[key] is not None or kind is float)}
+    try:
+        return cls(**values)
+    except InputError as exc:
+        raise ConfigError(f"invalid {where} settings: {exc}") from exc
+
+
+# Per table kind: its class, and its keys mapped to the fields they fill;
+# "interp" (default "cubic") is optional in both.
+_TABLE_KINDS = {
+    "1d": (Sampled1DFunction, {"var": "var", "points": "points", "values": "values"}),
+    "2d": (Sampled2DFunction, {"x": "x_points", "t": "t_points", "values": "values"}),
+}
 
 
 def build_function(value, length, tau=None, slot="function"):
@@ -153,53 +182,49 @@ def build_function(value, length, tau=None, slot="function"):
         raise ConfigError(f"{slot}: expected a function, got {value!r}")
     if isinstance(value, (int, float)):
         return fs_const(float(value))
-    consts = {"l": length}
-    if tau is not None:
-        consts["tau"] = tau
-    if isinstance(value, str):
-        try:
-            return parse_function(value, **consts)
-        except DelayHeatError as exc:
-            raise ConfigError(f"{slot}: {exc}") from exc
-    if isinstance(value, dict):
+    if not isinstance(value, (str, dict)):
+        raise ConfigError(f"{slot}: expected number, expression string, or table object")
+    try:
+        if isinstance(value, str):
+            return parse_function(value, l=length,
+                                  **({} if tau is None else {"tau": tau}))
         table = value.get("table")
-        try:
-            if table == "1d":
-                _reject_unknown(value, ("table", "var", "points", "values", "interp"),
-                                slot)
-                return Sampled1DFunction(
-                    var=_require(value, "var", slot),
-                    points=_require(value, "points", slot),
-                    values=_require(value, "values", slot),
-                    kind=value.get("interp", "cubic"),
-                )
-            if table == "2d":
-                _reject_unknown(value, ("table", "x", "t", "values", "interp"), slot)
-                return Sampled2DFunction(
-                    x_points=_require(value, "x", slot),
-                    t_points=_require(value, "t", slot),
-                    values=_require(value, "values", slot),
-                    kind=value.get("interp", "cubic"),
-                )
-        except DelayHeatError as exc:
-            raise ConfigError(f"{slot}: {exc}") from exc
-        raise ConfigError(f"{slot}: table kind must be '1d' or '2d', got {table!r}")
-    raise ConfigError(f"{slot}: expected number, expression string, or table object")
+        if not isinstance(table, str) or table not in _TABLE_KINDS:
+            raise InputError(f"table kind must be '1d' or '2d', got {table!r}")
+        table_cls, keys = _TABLE_KINDS[table]
+        _reject_unknown(value, ("table", "interp", *keys), slot)
+        return table_cls(kind=value.get("interp", "cubic"),
+                         **{name: _require(value, key, slot) for key, name in keys.items()})
+    except ConfigError:
+        raise
+    except DelayHeatError as exc:
+        raise ConfigError(f"{slot}: {exc}") from exc
 
 
-# Per problem kind: its class, and its coefficient keys mapped to the fields
-# they fill, in the order they are read.  Of these, only "delay" and
-# "diffusion" are required; the others default to 0.
+# Per problem kind: its class; its coefficient keys mapped to the fields
+# they fill, in the order they are read (of these, only "delay" and
+# "diffusion" are required, the others default to 0); its time-grid setting
+# and that setting's default (the other kind's setting is an error, not
+# ignored); and the check settings it refuses (the delay screens' m and
+# delta mean nothing without a delay).
 _PROBLEM_KINDS = {
-    "nodelay": (HeatProblem, {"diffusion": "a", "drift": "b", "reaction": "c"}),
+    "nodelay": (HeatProblem, {"diffusion": "a", "drift": "b", "reaction": "c"},
+                ("nt", 200), ("m", "delta")),
     "delay": (DelayHeatProblem, {
         "delay": "tau", "diffusion": "a1", "diffusion_lag": "a2", "drift": "b1",
-        "drift_lag": "b2", "reaction": "d1", "reaction_lag": "d2"}),
+        "drift_lag": "b2", "reaction": "d1", "reaction_lag": "d2"},
+        ("nt_per_tau", 16), ()),
 }
 _REQUIRED = ("delay", "diffusion")
 # The function slots of both kinds, mapped to the fields they fill.
 _FUNCTION_KEYS = {"source": "g", "initial": "psi", "trace_left": "theta1",
                   "trace_right": "theta2"}
+
+
+def other_grid_keys(kind):
+    """The time-grid settings of the problem kinds other than ``kind``."""
+    return [key for other, (_, _, (key, _), _) in _PROBLEM_KINDS.items()
+            if other != kind]
 
 
 def problem_from_dict(data):
@@ -210,15 +235,15 @@ def problem_from_dict(data):
     if kind not in ("delay", "nodelay"):
         raise ConfigError(f"problem kind must be 'delay' or 'nodelay', got {kind!r}")
     where = "problem"
-    length = _number(_require(data, "length", where), "length")
-    horizon = _number(_require(data, "horizon", where), "horizon")
-    problem_cls, coefficient_keys = _PROBLEM_KINDS[kind]
+    length = _number(_require(data, "length", where), "length", where)
+    horizon = _number(_require(data, "horizon", where), "horizon", where)
+    problem_cls, coefficient_keys, _, _ = _PROBLEM_KINDS[kind]
     try:
         _reject_unknown(data, ("kind", "length", "horizon", *coefficient_keys,
                                *_FUNCTION_KEYS), where)
         values = {
             name: _number(_require(data, key, where) if key in _REQUIRED
-                          else data.get(key, 0.0), key)
+                          else data.get(key, 0.0), key, where)
             for key, name in coefficient_keys.items()}
         values.update(
             (name, build_function(_require(data, key, where), length,
@@ -229,48 +254,6 @@ def problem_from_dict(data):
         raise
     except DelayHeatError as exc:
         raise ConfigError(f"invalid problem data: {exc}") from exc
-
-
-def solver_from_dict(data):
-    if data is None:
-        return SolverSettings()
-    if not isinstance(data, dict):
-        raise ConfigError("'solver' must be an object")
-    where = "solver"
-    _reject_unknown(data, ("modes", "nx", "nt", "nt_per_tau", "quadrature"),
-                    where)
-    settings = {}
-    quad_data = data.get("quadrature")
-    if isinstance(quad_data, dict):
-        _reject_unknown(quad_data, ("nodes_per_panel", "max_panel_splits",
-                                    "abs_tol"), "solver.quadrature")
-        values = _integers(quad_data, ("nodes_per_panel", "max_panel_splits"),
-                           "solver.quadrature")
-        if "abs_tol" in quad_data:
-            values["abs_tol"] = _number(quad_data["abs_tol"], "abs_tol")
-        try:
-            settings["quadrature"] = QuadratureConfig(**values)
-        except DelayHeatError as exc:
-            raise ConfigError(f"invalid quadrature settings: {exc}") from exc
-    elif quad_data is not None:
-        raise ConfigError("'solver.quadrature' must be an object")
-    settings.update(_integers(data, ("modes", "nx", "nt", "nt_per_tau"), where))
-    return SolverSettings(**settings)
-
-
-def check_from_dict(data):
-    if data is None:
-        return CheckSettings()
-    if not isinstance(data, dict):
-        raise ConfigError("'check' must be an object")
-    _reject_unknown(data, ("m", "delta", "fit_slack", "tol"), "check")
-    values = _integers(data, ("m",), "check")
-    values.update((key, _number(data[key], key))
-                  for key in ("delta", "fit_slack", "tol") if key in data)
-    try:
-        return CheckSettings(**values)
-    except InputError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def outputs_from_dict(data):
@@ -292,23 +275,20 @@ def config_from_dict(data):
                     "run configuration")
     cfg = RunConfig(
         problem=problem_from_dict(_require(data, "problem", "run configuration")),
-        solver=solver_from_dict(data.get("solver")),
-        check=check_from_dict(data.get("check")),
+        solver=settings_from_dict(SolverSettings, data.get("solver"), "solver"),
+        check=settings_from_dict(CheckSettings, data.get("check"), "check"),
         outputs=outputs_from_dict(data.get("outputs")),
     )
-    key, other, default = (("nt_per_tau", "nt", 16) if cfg.kind == "delay"
-                           else ("nt", "nt_per_tau", 200))
-    if getattr(cfg.solver, other) is not None:
-        raise ConfigError(
-            f"solver.{other} does not apply to {cfg.kind} problems; "
-            f"set solver.{key}")
+    _, _, (key, default), refused = _PROBLEM_KINDS[cfg.kind]
+    for other in other_grid_keys(cfg.kind):
+        if getattr(cfg.solver, other) is not None:
+            raise ConfigError(f"solver.{other} does not apply to {cfg.kind} "
+                              f"problems; set solver.{key}")
     if getattr(cfg.solver, key) is None:
         setattr(cfg.solver, key, default)
-    if cfg.kind == "nodelay":
-        for name in ("m", "delta"):
-            if (data.get("check") or {}).get(name) is not None:
-                raise ConfigError(
-                    f"check.{name} does not apply to nodelay problems")
+    for name in refused:
+        if (data.get("check") or {}).get(name) is not None:
+            raise ConfigError(f"check.{name} does not apply to {cfg.kind} problems")
     cfg.check_solver()
     return cfg
 

@@ -725,6 +725,36 @@ def _clip(u, pts, name):
 _TABLE_SMOOTHNESS = {"linear": 1, "cubic": 2}
 
 
+def _finite(data, what):
+    """``data`` as a float array of finite numbers; InputError for text,
+    ragged nesting or a non-finite entry."""
+    try:
+        array = np.asarray(data)
+    except ValueError as exc:
+        raise InputError(f"{what} must be a rectangular array of numbers") from exc
+    if array.dtype.kind not in "iuf":
+        raise InputError(f"{what} must be numbers")
+    if not np.all(np.isfinite(array)):
+        raise InputError(f"{what} must be finite")
+    return np.asarray(array, dtype=float)
+
+
+def _axis(points, name, kind):
+    """A table axis: a 1D array of finite, strictly increasing numbers, at
+    least 2 for linear and 4 for cubic interpolation."""
+    if kind not in _TABLE_SMOOTHNESS:
+        raise InputError(f"interpolation kind must be 'linear' or 'cubic', got {kind!r}")
+    pts = _finite(points, f"{name} sample points")
+    if pts.ndim != 1:
+        raise InputError(f"{name} sample points must be a 1D array")
+    if np.any(np.diff(pts) <= 0.0):
+        raise InputError(f"{name} sample points must be strictly increasing")
+    min_pts = 4 if kind == "cubic" else 2
+    if pts.size < min_pts:
+        raise InputError(f"{kind} interpolation needs at least {min_pts} {name} points")
+    return pts
+
+
 @dataclass
 class Sampled1DFunction(FunctionSpec):
     """Values sampled on a strictly increasing 1D grid in ``x`` or ``t``.
@@ -742,19 +772,10 @@ class Sampled1DFunction(FunctionSpec):
     def __post_init__(self):
         if self.var not in VARIABLES:
             raise InputError(f"sample variable must be 'x' or 't', got {self.var!r}")
-        if self.kind not in ("linear", "cubic"):
-            raise InputError(f"interpolation kind must be 'linear' or 'cubic', got {self.kind!r}")
-        self.points = np.asarray(self.points, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.points.ndim != 1 or self.points.shape != self.values.shape:
+        self.points = _axis(self.points, self.var, self.kind)
+        self.values = _finite(self.values, "sample values")
+        if self.values.shape != self.points.shape:
             raise InputError("sample points and values must be 1D arrays of equal length")
-        if not (np.all(np.isfinite(self.points)) and np.all(np.isfinite(self.values))):
-            raise InputError("sample data must be finite")
-        if np.any(np.diff(self.points) <= 0.0):
-            raise InputError("sample points must be strictly increasing")
-        min_pts = 4 if self.kind == "cubic" else 2
-        if self.points.size < min_pts:
-            raise InputError(f"{self.kind} interpolation needs at least {min_pts} points")
         self._spline = None
 
     def _derivative(self, u, order):
@@ -798,21 +819,11 @@ class Sampled2DFunction(FunctionSpec):
     kind: str = "cubic"
 
     def __post_init__(self):
-        if self.kind not in ("linear", "cubic"):
-            raise InputError(f"interpolation kind must be 'linear' or 'cubic', got {self.kind!r}")
-        self.x_points = np.asarray(self.x_points, dtype=float)
-        self.t_points = np.asarray(self.t_points, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
+        self.x_points = _axis(self.x_points, "x", self.kind)
+        self.t_points = _axis(self.t_points, "t", self.kind)
+        self.values = _finite(self.values, "sample values")
         if self.values.shape != (self.x_points.size, self.t_points.size):
             raise InputError("2D sample values must have shape (len(x_points), len(t_points))")
-        for pts, name in ((self.x_points, "x"), (self.t_points, "t")):
-            if np.any(np.diff(pts) <= 0.0):
-                raise InputError(f"{name} sample points must be strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise InputError("sample data must be finite")
-        min_pts = 4 if self.kind == "cubic" else 2
-        if self.x_points.size < min_pts or self.t_points.size < min_pts:
-            raise InputError(f"{self.kind} interpolation needs at least {min_pts} points per axis")
         self._spline = None
 
     def _derivative(self, xc, tc, dx, dt):

@@ -787,7 +787,8 @@ def test_infinite_and_nan_gate_settings_exit_1(tmp_path, capsys):
         assert literal in cfg.read_text()
         assert main(["check", "--config", str(cfg), "--out-report", out]) == 1
         err = capsys.readouterr().err
-        assert f"error: check {key} must" in err and "Traceback" not in err
+        assert f"error: invalid check settings: check {key} must" in err
+        assert "Traceback" not in err
         assert not os.path.exists(out)
     # The quadrature tolerance, also from a fresh interpreter.
     solver = dict(data["solver"], quadrature={"abs_tol": "@"})
@@ -803,9 +804,58 @@ def test_infinite_and_nan_gate_settings_exit_1(tmp_path, capsys):
         [sys.executable, "-m", "delayheat", "compare", "--config", str(cfg),
          "--out-report", out], env=env, capture_output=True, text=True)
     assert proc.returncode == 1
-    assert "error: invalid quadrature settings: abs_tol must be finite" in (
+    assert "error: invalid solver.quadrature settings: abs_tol must be finite" in (
         proc.stderr)
     assert not os.path.exists(out)
+
+
+_XS = [0.0, 0.8, 1.6, 2.4, 3.141592653589793]
+_TS = [0.0, 0.5, 1.0, 1.5]
+
+
+@pytest.mark.parametrize("table", [
+    {"x": [math.nan, *_XS[1:]], "t": _TS, "values": [[0.0] * 4] * 5},
+    {"x": ["a", "b", "c", "d", "e"], "t": _TS, "values": [[0.0] * 4] * 5},
+    {"x": _XS, "t": _TS, "values": [[0.0] * 4] * 4 + [[0.0] * 3]},
+    {"x": _XS, "t": [*_TS[:3], math.inf], "values": [[0.0] * 4] * 5},
+], ids=["nan_in_x", "text_points", "ragged_values", "inf_in_t"])
+def test_a_malformed_table_exits_1(table, tmp_path, capsys):
+    # The table's axes and values are read by one rule when the config
+    # loads: a bad entry names the slot, with no traceback from scipy and
+    # no numeric failure once the table is evaluated.
+    data = json.loads((CONFIGS / "delay_single_mode.json").read_text())
+    data["problem"]["source"] = {"table": "2d", **table}
+    cfg = _write(tmp_path, "run.json", data)
+    out = str(tmp_path / "r.json")
+    assert main(["check", "--config", cfg, "--out-report", out]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: problem.source: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not os.path.exists(out)
+
+
+def test_every_int_solver_setting_has_a_flag(tmp_path):
+    # The flags override the solver settings by the class's own fields.
+    from typing import get_type_hints
+
+    from delayheat import ConfigError
+    from delayheat.cli import _load, build_parser
+    from delayheat.config import SolverSettings
+
+    types = get_type_hints(SolverSettings)
+    names = [name for name, kind in types.items() if kind is int]
+    assert "modes" in names
+    for name in names:
+        applied = []
+        for config in ("pure_diffusion", "delay_single_mode"):
+            args = build_parser().parse_args(
+                ["solve", "--config", str(CONFIGS / f"{config}.json"),
+                 "--" + name.replace("_", "-"), "5"])
+            try:
+                applied.append(getattr(_load(args).solver, name))
+            except ConfigError:  # the other problem kind's time grid
+                pass
+        assert 5 in applied, name
 
 
 def test_nodelay_run_reduces_its_problem_once(tmp_path, monkeypatch):

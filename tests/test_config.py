@@ -1,12 +1,15 @@
 """Tests for JSON run-configuration parsing."""
 
+import dataclasses
 import json
 import math
+from typing import get_type_hints
 
 import numpy as np
 import pytest
 
 from delayheat import (
+    CheckSettings,
     ConfigError,
     DelayHeatProblem,
     HeatProblem,
@@ -16,6 +19,8 @@ from delayheat import (
     config_from_dict,
     load_config,
 )
+from delayheat.config import SolverSettings, settings_from_dict
+from delayheat.quadrature import QuadratureConfig
 
 
 def _delay_dict(**overrides):
@@ -246,6 +251,62 @@ def test_numbers_are_validated():
         solver={"quadrature": {"nodes_per_panel": None, "abs_tol": 1e-9}}))
     assert cfg.solver.quadrature.nodes_per_panel == 16
     assert cfg.solver.quadrature.abs_tol == 1e-9
+
+
+def _section(where, body):
+    """``body`` nested at the dotted path ``where`` of a config."""
+    for part in reversed(where.split(".")):
+        body = {part: body}
+    return body
+
+
+def test_a_settings_section_takes_exactly_its_class_fields():
+    # One rule reads solver, solver.quadrature and check: the keys are the
+    # class's dataclass fields, each at its default loads, and any other
+    # key is unknown.
+    sections = (("solver", SolverSettings), ("solver.quadrature", QuadratureConfig),
+                ("check", CheckSettings))
+    for where, cls in sections:
+        types = get_type_hints(cls)
+        assert list(types) == [f.name for f in dataclasses.fields(cls)]
+        for name, kind in types.items():
+            nested = dataclasses.is_dataclass(kind)
+            assert nested or kind in (int, float)
+            value = {} if nested else getattr(cls(), name)
+            got = config_from_dict(_delay_dict(**_section(where, {name: value})))
+            for part in (*where.split("."), name):
+                got = getattr(got, part)
+            # A null leaves the default; the time grid resolves it per kind.
+            assert value is None or got == (kind() if nested else value)
+        with pytest.raises(ConfigError,
+                           match=rf"^unknown key\(s\) \['surplus'\] in {where}$"):
+            config_from_dict(_delay_dict(**_section(where, {"surplus": 1})))
+
+
+def test_a_field_added_to_a_settings_class_is_read_by_the_same_rule():
+    @dataclasses.dataclass(frozen=True)
+    class Extended(CheckSettings):
+        max_modes: int = None
+
+    got = settings_from_dict(Extended, {"max_modes": 3, "tol": 1e-6}, "check")
+    assert (got.max_modes, got.tol) == (3, 1e-6)
+    assert settings_from_dict(Extended, {"max_modes": None}, "check").max_modes is None
+    with pytest.raises(ConfigError,
+                       match=r"^'max_modes' in check must be an integer, got 2.5$"):
+        settings_from_dict(Extended, {"max_modes": 2.5}, "check")
+
+
+def test_refusals_of_every_section_read_alike():
+    for section, message in (
+            ({"check": {"tol": 0.0}},
+             "invalid check settings: check tol must be positive"),
+            ({"solver": {"quadrature": {"abs_tol": 0.0}}},
+             "invalid solver.quadrature settings: abs_tol must be finite and positive"),
+            ({"solver": {"nx": 1}},
+             "invalid solver settings: nx must be at least 2, got 1")):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(_delay_dict(**section))
+        assert str(info.value) == message
 
 
 def test_invalid_problem_data_becomes_config_error():
