@@ -138,7 +138,10 @@ def _number(value, key, where, kind=float):
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         noun = "an integer" if kind is int else "a number"
         raise ConfigError(f"{key!r} in {where} must be {noun}, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:  # a JSON integer past float range
+        raise ConfigError(f"{key!r} in {where}: number out of float range") from None
 
 
 @cache
@@ -181,7 +184,10 @@ def build_function(value, length, tau=None, slot="function"):
     if isinstance(value, bool):
         raise ConfigError(f"{slot}: expected a function, got {value!r}")
     if isinstance(value, (int, float)):
-        return fs_const(float(value))
+        try:
+            return fs_const(float(value))
+        except OverflowError:  # a JSON integer past float range
+            raise ConfigError(f"{slot}: number out of float range") from None
     if not isinstance(value, (str, dict)):
         raise ConfigError(f"{slot}: expected number, expression string, or table object")
     try:

@@ -27,6 +27,22 @@ outside [1e-270, 1e270], or within 1e-6 of a rounding tie) are formatted by
 Python's ``%`` one at a time.  The writer is fully deterministic: the same
 field always produces byte-identical output.
 
+A large field is written on every CPU.  When the writer reads the field's
+own blocks, the platform is Linux, at least two CPUs are usable, only one
+Python thread runs and each CPU would get at least ``_BLOCKS_PER_PROCESS``
+blocks, the time rows are cut at block boundaries into contiguous ranges
+(:func:`_ranges`).  Forked workers write all but the first to part files
+beside the output; this process writes the header and the first range, then
+appends the parts in order.  Each block keeps its rows, so BLAS sums in the
+same order and the bytes are those of one process.  Forking is safe here:
+numpy's OpenBLAS stops its thread pool at a fork (its ``pthread_atfork``
+handler) and starts it again on the next call, no other Python thread can
+hold a lock, and a worker ends with ``os._exit``, so it never returns into
+the caller's frames, flushes no buffer it inherited and runs no atexit
+handler.  The caller gets the exception one process would raise, that of the
+first failing block in row order; on any error or interrupt every worker is
+killed and reaped and no part file is left.
+
 How the kernel works: each value gets a fixed 32-byte slot of NUL-padded
 text (head, leading digit, four 4-digit groups, exponent tail), and one
 ``bytes.translate`` per block drops the NULs.  The decimal exponent e and
@@ -48,6 +64,11 @@ import contextlib
 import functools
 import math
 import os
+import pickle
+import shutil
+import signal
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +79,14 @@ from .errors import InputError
 # holds one block at a time, and the writer one block of text, never the
 # whole grid or file.  _g17 runs fastest at about 4k-8k values a call.
 _CSV_BLOCK_CELLS = 1 << 12
+# Fewest blocks each process takes when a field's CSV is split across
+# processes, and the most processes.  A worker costs about 6.5 ms (its fork,
+# the copy-on-write faults that follow, the wait and the append), about two
+# blocks of 801 points with a u column at 2.9 ms each (2-core x86-64, Python
+# 3.11): two processes break even near 6 blocks, and at 16 a range the cost
+# is an eighth of the range's own time.
+_BLOCKS_PER_PROCESS = 16
+_MAX_PROCESSES = 8
 
 # One formatted value: a fixed slot of NUL-padded bytes (sign and "0.000"
 # prefix, leading digit, four 4-digit groups each with room for a point, and
@@ -427,52 +456,211 @@ class SolutionField:
             self._hold(v, u)
         return self._arrays
 
-    def blocks(self):
+    def blocks(self, j_lo=0, j_hi=None):
         """Yield (j0, v, u) for consecutive blocks of whole time rows
-        j0:j0 + len(v), in order, each of at most ``_CSV_BLOCK_CELLS`` cells
-        (at least one row); u is None without a u column.  A synthesized
-        field computes each block here, so an error of its data surfaces
-        at the block that reads it."""
+        j0:j0 + len(v) of rows j_lo:j_hi (all rows by default), in order,
+        each of at most ``_CSV_BLOCK_CELLS`` cells (at least one row); u is
+        None without a u column.  A j_lo on a block boundary gives the
+        blocks of the whole field.  A synthesized field computes each block
+        here, so an error of its data surfaces at the block that reads it."""
         nt = self.t.size
+        j_hi = nt if j_hi is None else j_hi
         step = _block_rows(self.x.size, nt)
-        for j0 in range(0, nt, step):
-            yield (j0, *self._rows(j0, min(j0 + step, nt)))
+        for j0 in range(j_lo, j_hi, step):
+            yield (j0, *self._rows(j0, min(j0 + step, j_hi)))
 
     def write_csv(self, path, blocks=None):
         """Write the field as CSV (see the module docstring for the schema),
         one block of time rows at a time (``blocks``, or its own blocks).
         The text goes to a temporary file beside ``path``, which replaces
         ``path`` only once every block is written: an error on the way
-        leaves no file at ``path``."""
-        nx, nt = self.x.size, self.t.size
-        rows_per_block = _block_rows(nx, nt)
-        planes = 2 if self.has_u else 1
-        m = _cells(rows_per_block * nx, 2 + planes)
-        grid = m.reshape(rows_per_block, nx, -1)
-        # x is the same in every time row of a block, t in every cell of a
-        # row: each is formatted once per call.
-        _g17(self.x, _column(grid[0], 0))
-        grid[1:, :, :_CELL] = grid[0, :, :_CELL]
-        t_slots = np.zeros((nt, _SLOT.itemsize), np.uint8)
-        _g17(self.t, t_slots)
+        leaves no file at ``path``.  A field that reads its own blocks may
+        be written by several processes (:func:`_ranges`); given
+        ``blocks`` (``compare --out-field`` passes
+        :func:`difference_blocks`, which fills the report's rows on the
+        way), it is written by this one."""
+        write = self._range_writer()
+        ranges = [blocks] if blocks is not None else [
+            self.blocks(j_lo, j_hi) for j_lo, j_hi in _ranges(self.x.size,
+                                                             self.t.size)]
         path = os.fspath(path)
-        partial = os.path.join(os.path.dirname(path) or ".",
-                               f".{os.path.basename(path)}.{os.getpid()}.tmp")
+        stem = os.path.join(os.path.dirname(path) or ".",
+                            f".{os.path.basename(path)}.{os.getpid()}")
+        partial = stem + ".tmp"
         try:
             with open(partial, "wb") as fh:
                 fh.write(b"x,t,v,u\n" if self.has_u else b"x,t,v\n")
-                for j0, v, u in self.blocks() if blocks is None else blocks:
-                    rows = len(v)
-                    block = m[:rows * nx]
-                    _column(grid[:rows], 1)[...] = t_slots[j0:j0 + rows, None]
-                    for col, plane in enumerate((v, u)[:planes], 2):
-                        _g17(plane.ravel(), _column(block, col))
-                    fh.write(_text(block))
+                _write_ranges(fh, write, ranges, stem)
             os.replace(partial, path)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.remove(partial)
             raise
+
+    def _range_writer(self):
+        """A function ``write(fh, blocks)`` that writes the CSV rows of the
+        blocks (j0, v, u) of this field to the open file ``fh``.  The x and
+        t slots are formatted here, once per field: x is the same in every
+        time row of a block, t in every cell of a row."""
+        nx, nt = self.x.size, self.t.size
+        rows_per_block = _block_rows(nx, nt)
+        planes = 2 if self.has_u else 1
+        m = _cells(rows_per_block * nx, 2 + planes)
+        grid = m.reshape(rows_per_block, nx, -1)
+        _g17(self.x, _column(grid[0], 0))
+        grid[1:, :, :_CELL] = grid[0, :, :_CELL]
+        t_slots = np.zeros((nt, _SLOT.itemsize), np.uint8)
+        _g17(self.t, t_slots)
+
+        def write(fh, blocks):
+            for j0, v, u in blocks:
+                rows = len(v)
+                block = m[:rows * nx]
+                _column(grid[:rows], 1)[...] = t_slots[j0:j0 + rows, None]
+                for col, plane in enumerate((v, u)[:planes], 2):
+                    _g17(plane.ravel(), _column(block, col))
+                fh.write(_text(block))
+
+        return write
+
+
+def _ranges(nx, nt):
+    """The time-row ranges (j_lo, j_hi) that separate processes write, cut
+    at block boundaries so that every block keeps its rows (and BLAS its
+    summation order).  More than one only on Linux with fork, at least two
+    usable CPUs, one Python thread and ``_BLOCKS_PER_PROCESS`` blocks or
+    more for each range."""
+    step = _block_rows(nx, nt)
+    n_blocks = -(-nt // step)
+    count = 1
+    if (sys.platform == "linux" and hasattr(os, "fork")
+            and threading.active_count() == 1):
+        count = max(1, min(len(os.sched_getaffinity(0)),
+                           n_blocks // _BLOCKS_PER_PROCESS, _MAX_PROCESSES))
+    cuts = [min(nt, n_blocks * k // count * step) for k in range(count + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _write_ranges(fh, write, ranges, stem):
+    """Write the blocks of each range to ``fh`` in order: the first here,
+    each other in a forked :class:`_Worker` that writes a part file
+    (``stem.k.tmp``), which is then appended here; a range whose fork fails
+    is written here.  The first error in row order is raised; on any error
+    or interrupt every worker is killed and reaped and its part removed."""
+    jobs = []
+    try:
+        for k, blocks in enumerate(ranges[1:], 1):
+            try:
+                jobs.append(_Worker(write, blocks, f"{stem}.{k}.tmp"))
+            except OSError:
+                jobs.append(blocks)
+        write(fh, ranges[0])
+        for job in jobs:
+            if isinstance(job, _Worker):
+                fh.flush()
+                job.join()
+                job.append_to(fh)
+            else:
+                write(fh, job)
+    finally:
+        for job in jobs:
+            if isinstance(job, _Worker):
+                job.close()
+
+
+@contextlib.contextmanager
+def _signals_blocked():
+    """Hold off every signal this thread can block, and deliver the pending
+    ones (a KeyboardInterrupt, say) on leaving."""
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+    try:
+        yield mask
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+class _Worker:
+    """A forked process that writes one range's blocks to its own part
+    file and sends an exception, if one stops it, through a pipe."""
+
+    def __init__(self, write, blocks, part):
+        self.part, self.pid = part, None
+        self.fd, send = os.pipe()
+        try:
+            # No signal reaches the child before it is inside _work, which
+            # ends the process: it never unwinds into the caller's frames.
+            with _signals_blocked() as mask:
+                self.pid = os.fork()
+                if self.pid == 0:
+                    _work(write, blocks, part, send, mask)
+        except BaseException:
+            self.close()
+            raise
+        finally:
+            os.close(send)
+
+    def join(self):
+        """Wait for the worker to end; raise the exception it sent, if any."""
+        with open(self.fd, "rb") as pipe:
+            self.fd = None
+            payload = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if payload:
+            raise pickle.loads(payload)
+        if status != 0:
+            raise RuntimeError(f"a CSV writer process ended with status "
+                               f"{os.waitstatus_to_exitcode(status)}")
+
+    def append_to(self, fh):
+        """Append the part file to the open file ``fh`` (flushed)."""
+        with open(self.part, "rb", buffering=0) as part:
+            try:
+                while os.copy_file_range(part.fileno(), fh.fileno(), 1 << 30):
+                    pass
+            except (AttributeError, OSError):  # no copy_file_range here
+                # Both files' offsets are past what was copied, if anything.
+                shutil.copyfileobj(part, fh)
+
+    def close(self):
+        """Kill the worker if it still runs, reap it, close the pipe and
+        remove the part file, with signals held off until all is done."""
+        with _signals_blocked():
+            if self.pid is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+                self.pid = None
+            if self.fd is not None:
+                os.close(self.fd)
+                self.fd = None
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(self.part)
+
+
+def _work(write, blocks, part, send, mask):
+    """The body of a forked writer.  It ends the process with ``os._exit``,
+    which flushes no buffer it inherited and runs no atexit handler: exit
+    0 once the part file is written, else 1 after sending the exception,
+    pickled."""
+    code = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        try:
+            with open(part, "wb") as out:
+                write(out, blocks)
+            code = 0
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps(exc)
+                pickle.loads(payload)
+            except Exception:  # an exception that does not round-trip
+                payload = pickle.dumps(RuntimeError(
+                    f"{type(exc).__name__}: {exc}"))
+            with open(send, "wb") as pipe:
+                pipe.write(payload)
+    finally:
+        os._exit(code)
 
 
 def read_field_csv(path):

@@ -1,6 +1,9 @@
 """Ordered map over per-mode work, in one thread.  No solver calls it: a
-thread pool over vectorized modes does not pay off.  The benchmark's tracer
-(``perfbench/layers.py``) wraps both functions by name."""
+thread pool over vectorized modes does not pay off.  The one place that runs
+in parallel is the field CSV writer, which splits a large field's time rows
+across forked processes (:meth:`delayheat.field.SolutionField.write_csv`).
+The benchmark's tracer (``perfbench/layers.py``) wraps both functions by
+name."""
 
 
 def thread_count():

@@ -253,6 +253,32 @@ def test_numbers_are_validated():
     assert cfg.solver.quadrature.abs_tol == 1e-9
 
 
+@pytest.mark.parametrize("where, key, message", [
+    ("problem", "length", "'length' in problem: number out of float range"),
+    ("problem", "reaction_lag",
+     "'reaction_lag' in problem: number out of float range"),
+    ("solver.quadrature", "abs_tol",
+     "'abs_tol' in solver.quadrature: number out of float range"),
+    ("check", "tol", "'tol' in check: number out of float range"),
+    ("problem", "source", "problem.source: number out of float range"),
+    ("problem", "trace_left", "problem.trace_left: number out of float range"),
+])
+def test_an_integer_past_float_range_is_a_config_error(tmp_path, where, key,
+                                                       message):
+    # JSON reads an integer literal of any size as a Python int, which
+    # float() refuses with OverflowError: the key or slot is named instead.
+    data = _delay_dict()
+    section = data
+    for part in where.split("."):
+        section = section.setdefault(part, {})
+    section[key] = 10**400
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == message
+
+
 def _section(where, body):
     """``body`` nested at the dotted path ``where`` of a config."""
     for part in reversed(where.split(".")):

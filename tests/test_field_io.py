@@ -1,7 +1,12 @@
 """Tests for grid construction, CSV field serialization, and difference reports."""
 
+import errno
 import json
 import math
+import os
+import signal
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -281,6 +286,152 @@ def test_a_failed_write_leaves_no_file(tmp_path):
     with pytest.raises(InputError, match="past the first block"):
         field.write_csv(tmp_path / "field.csv")
     assert list(tmp_path.iterdir()) == []
+
+
+# A field of 48 blocks of 2 time rows (7 points a row, 16 cells a block):
+# with three CPUs the writer splits it into three ranges of 16 blocks.
+_SPLIT_CELLS, _SPLIT_ROWS = 16, 96
+
+
+def _split_field(monkeypatch, kind):
+    """A field past the split threshold, ``held`` (with or without u) or
+    ``synthesized``, on three CPUs; and the list each os.fork call adds to."""
+    monkeypatch.setattr(field_module, "_CSV_BLOCK_CELLS", _SPLIT_CELLS)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    rng = np.random.default_rng(7)
+    x = np.linspace(0.0, 1.0, 7)
+    t = np.linspace(-0.5, 1.5, _SPLIT_ROWS)
+    v = rng.standard_normal((t.size, x.size)) * 10.0 ** rng.integers(-8, 8)
+    v.flat[:len(_AWKWARD)] = _AWKWARD
+    u = -np.flip(v)
+    if kind == "synthesized":
+        field = SolutionField(x=x, t=t, rows=lambda j0, j1: (v[j0:j1],
+                                                             u[j0:j1]))
+    else:
+        field = SolutionField(x=x, t=t, v=v, u=u if kind == "held_u" else None)
+    assert field_module._ranges(x.size, t.size) == [(0, 32), (32, 64),
+                                                      (64, 96)]
+    return field, forks
+
+
+@pytest.mark.parametrize("kind", ["held", "held_u", "synthesized"])
+def test_a_split_write_matches_per_row_writer(tmp_path, monkeypatch, kind):
+    # Two forked writers take the second and third ranges; the output is
+    # the one-process writer's, byte for byte, and no part file is left.
+    field, forks = _split_field(monkeypatch, kind)
+    path = tmp_path / "field.csv"
+    field.write_csv(path)
+    assert len(forks) == 2
+    assert path.read_bytes() == _per_row_csv(field)
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_split_needs_a_single_python_thread(tmp_path, monkeypatch):
+    # With a second thread alive, the writer never forks (a thread holding
+    # a lock at the fork would leave it held in the child).
+    field, _ = _split_field(monkeypatch, "held_u")
+
+    def no_fork():
+        raise AssertionError("forked with two Python threads")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        field.write_csv(tmp_path / "field.csv")
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert (tmp_path / "field.csv").read_bytes() == _per_row_csv(field)
+
+
+def test_a_range_whose_fork_fails_is_written_here(tmp_path, monkeypatch):
+    field, _ = _split_field(monkeypatch, "synthesized")
+
+    def no_fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    field.write_csv(tmp_path / "field.csv")
+    assert (tmp_path / "field.csv").read_bytes() == _per_row_csv(field)
+    assert list(tmp_path.iterdir()) == [tmp_path / "field.csv"]
+
+
+def _error(write):
+    with pytest.raises(BaseException) as info:
+        write()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("first_bad", [
+    10,  # in every range: the parent's own block comes first
+    40,  # in the first worker's range and the second's
+    70,  # in the second worker's range only
+])
+def test_a_failed_split_write_raises_the_first_error_in_row_order(
+        tmp_path, monkeypatch, first_bad):
+    # The caller gets the one-process writer's exception, type and message,
+    # and is left no file and no child process.
+    field, forks = _split_field(monkeypatch, "synthesized")
+    rows = field._rows
+
+    def failing(j0, j1):
+        if j0 >= first_bad:
+            raise InputError(f"no rows from {j0}")
+        return rows(j0, j1)
+
+    field._rows = failing
+    path = tmp_path / "field.csv"
+    assert _error(lambda: field.write_csv(path)) == (
+        InputError, f"no rows from {first_bad}")
+    assert len(forks) == 2
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    monkeypatch.setattr(field_module, "_MAX_PROCESSES", 1)
+    assert _error(lambda: field.write_csv(path)) == (
+        InputError, f"no rows from {first_bad}")
+    assert len(forks) == 2
+
+
+def test_an_interrupted_or_dead_writer_leaves_nothing(tmp_path, monkeypatch):
+    field, _ = _split_field(monkeypatch, "synthesized")
+    rows, parent = field._rows, os.getpid()
+
+    def interrupted(j0, j1):
+        # The parent is interrupted in its own range while both workers
+        # run, one of them stuck: it is killed, not waited for.
+        if os.getpid() == parent and j0 == 30:
+            raise KeyboardInterrupt
+        if j0 == 80:
+            time.sleep(60)
+        return rows(j0, j1)
+
+    field._rows = interrupted
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        field.write_csv(tmp_path / "field.csv")
+    assert time.monotonic() - start < 30
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+    def killed(j0, j1):
+        # A worker that dies with no word is an error, not a short file.
+        if j0 == 40:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return rows(j0, j1)
+
+    field._rows = killed
+    with pytest.raises(RuntimeError, match="ended with status -9"):
+        field.write_csv(tmp_path / "field.csv")
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ---------------------------------------------------------------------------
