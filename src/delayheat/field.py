@@ -39,8 +39,10 @@ numpy's OpenBLAS stops its thread pool at a fork (its ``pthread_atfork``
 handler) and starts it again on the next call, no other Python thread can
 hold a lock, and a worker ends with ``os._exit``, so it never returns into
 the caller's frames, flushes no buffer it inherited and runs no atexit
-handler.  The caller gets the exception one process would raise, that of the
-first failing block in row order; on any error or interrupt every worker is
+handler.  A range whose worker does not exit 0 is written by this process,
+as is one whose fork fails, so the caller gets what one process would give:
+the same bytes, or the exception of the first failing block in row order,
+with its own type and attributes.  On any error or interrupt every worker is
 killed and reaped and no part file is left.
 
 How the kernel works: each value gets a fixed 32-byte slot of NUL-padded
@@ -64,11 +66,11 @@ import contextlib
 import functools
 import math
 import os
-import pickle
 import shutil
 import signal
 import sys
 import threading
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -543,29 +545,40 @@ def _ranges(nx, nt):
 
 def _write_ranges(fh, write, ranges, stem):
     """Write the blocks of each range to ``fh`` in order: the first here,
-    each other in a forked :class:`_Worker` that writes a part file
-    (``stem.k.tmp``), which is then appended here; a range whose fork fails
-    is written here.  The first error in row order is raised; on any error
+    each other in a forked process (:func:`_fork`) that writes a part file
+    (``stem.k.tmp``), which is then appended here.  A range whose fork
+    fails, or whose worker does not exit 0, is written here, so the caller
+    gets one process's bytes or its first error in row order.  On any error
     or interrupt every worker is killed and reaped and its part removed."""
-    jobs = []
+    jobs = []  # [pid or None, part, blocks] per range after the first
     try:
         for k, blocks in enumerate(ranges[1:], 1):
-            try:
-                jobs.append(_Worker(write, blocks, f"{stem}.{k}.tmp"))
-            except OSError:
-                jobs.append(blocks)
+            job = [None, f"{stem}.{k}.tmp", blocks]
+            # Signals wait until the worker's pid is on the list, so an
+            # interrupt finds every worker to kill.
+            with _signals_blocked() as mask:
+                jobs.append(job)
+                with contextlib.suppress(OSError):
+                    job[0] = _fork(write, blocks, job[1], mask)
         write(fh, ranges[0])
         for job in jobs:
-            if isinstance(job, _Worker):
-                fh.flush()
-                job.join()
-                job.append_to(fh)
+            pid, part, blocks = job
+            done = pid is not None and os.waitpid(pid, 0)[1] == 0
+            job[0] = None
+            if done:
+                _append(fh, part)
             else:
-                write(fh, job)
+                write(fh, blocks)
     finally:
-        for job in jobs:
-            if isinstance(job, _Worker):
-                job.close()
+        with _signals_blocked():
+            for pid, part, _ in jobs:
+                if pid is not None:
+                    # No such process: reaped above, just before an interrupt.
+                    with contextlib.suppress(ProcessLookupError):
+                        os.kill(pid, signal.SIGKILL)
+                        os.waitpid(pid, 0)
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(part)
 
 
 @contextlib.contextmanager
@@ -579,102 +592,52 @@ def _signals_blocked():
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-class _Worker:
-    """A forked process that writes one range's blocks to its own part
-    file and sends an exception, if one stops it, through a pipe."""
-
-    def __init__(self, write, blocks, part):
-        self.part, self.pid = part, None
-        self.fd, send = os.pipe()
+def _fork(write, blocks, part, mask):
+    """Fork a process that writes the blocks to the file ``part`` and ends
+    with ``os._exit``: 0 once the part is written, 1 on any error.  The
+    caller holds every signal off; the child restores ``mask`` (the caller's
+    own) only inside the ``try`` that ends it.  Returns the child's pid."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
         try:
-            # No signal reaches the child before it is inside _work, which
-            # ends the process: it never unwinds into the caller's frames.
-            with _signals_blocked() as mask:
-                self.pid = os.fork()
-                if self.pid == 0:
-                    _work(write, blocks, part, send, mask)
-        except BaseException:
-            self.close()
-            raise
-        finally:
-            os.close(send)
-
-    def join(self):
-        """Wait for the worker to end; raise the exception it sent, if any."""
-        with open(self.fd, "rb") as pipe:
-            self.fd = None
-            payload = pipe.read()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if payload:
-            raise pickle.loads(payload)
-        if status != 0:
-            raise RuntimeError(f"a CSV writer process ended with status "
-                               f"{os.waitstatus_to_exitcode(status)}")
-
-    def append_to(self, fh):
-        """Append the part file to the open file ``fh`` (flushed)."""
-        with open(self.part, "rb", buffering=0) as part:
-            try:
-                while os.copy_file_range(part.fileno(), fh.fileno(), 1 << 30):
-                    pass
-            except (AttributeError, OSError):  # no copy_file_range here
-                # Both files' offsets are past what was copied, if anything.
-                shutil.copyfileobj(part, fh)
-
-    def close(self):
-        """Kill the worker if it still runs, reap it, close the pipe and
-        remove the part file, with signals held off until all is done."""
-        with _signals_blocked():
-            if self.pid is not None:
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(self.pid, signal.SIGKILL)
-                os.waitpid(self.pid, 0)
-                self.pid = None
-            if self.fd is not None:
-                os.close(self.fd)
-                self.fd = None
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(self.part)
-
-
-def _work(write, blocks, part, send, mask):
-    """The body of a forked writer.  It ends the process with ``os._exit``,
-    which flushes no buffer it inherited and runs no atexit handler: exit
-    0 once the part file is written, else 1 after sending the exception,
-    pickled."""
-    code = 1
-    try:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        try:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             with open(part, "wb") as out:
                 write(out, blocks)
             code = 0
-        except BaseException as exc:
-            try:
-                payload = pickle.dumps(exc)
-                pickle.loads(payload)
-            except Exception:  # an exception that does not round-trip
-                payload = pickle.dumps(RuntimeError(
-                    f"{type(exc).__name__}: {exc}"))
-            with open(send, "wb") as pipe:
-                pipe.write(payload)
-    finally:
-        os._exit(code)
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _append(fh, part):
+    """Append the file ``part`` to the open file ``fh``."""
+    fh.flush()
+    with open(part, "rb", buffering=0) as src:
+        try:
+            while os.copy_file_range(src.fileno(), fh.fileno(), 1 << 30):
+                pass
+        except (AttributeError, OSError):  # no copy_file_range here
+            # Both files' offsets are past what was copied, if anything.
+            shutil.copyfileobj(src, fh)
 
 
 def read_field_csv(path):
-    """Inverse of :meth:`SolutionField.write_csv`: reads a field CSV back."""
-    with open(path) as fh:
+    """Inverse of :meth:`SolutionField.write_csv`: reads a field CSV back.
+    Rows other than the writer's (t-major, then x) raise InputError."""
+    with open(path) as fh, warnings.catch_warnings():
+        # No rows is an InputError below, not a warning from numpy.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    x = np.unique(data[:, 0])
-    t = np.unique(data[:, 1])
-    nx, nt = x.size, t.size
-    if data.shape[0] != nx * nt:
-        raise InputError(f"CSV at {path} is not a full tensor grid")
-    v = data[:, 2].reshape(nt, nx)
-    u = data[:, 3].reshape(nt, nx) if "u" in header else None
+    if data.shape[0] == 0 or data.shape[1] != len(header):
+        raise InputError(f"CSV at {path} has no rows of its header's columns")
+    x, t = np.unique(data[:, 0]), np.unique(data[:, 1])
+    if not (np.array_equal(data[:, 0], np.tile(x, t.size))
+            and np.array_equal(data[:, 1], np.repeat(t, x.size))):
+        raise InputError(f"CSV at {path} is not a t-major tensor grid")
+    v = data[:, 2].reshape(t.size, x.size)
+    u = data[:, 3].reshape(t.size, x.size) if "u" in header else None
     return SolutionField(x=x, t=t, v=v, u=u, source="file")
 
 
@@ -685,8 +648,8 @@ def difference_blocks(field_a, field_b, rows):
     CSV writer) and :func:`field_difference_report` share one pass."""
     if field_a.x.size != field_b.x.size or field_a.t.size != field_b.t.size:
         raise InputError("fields live on different grid shapes")
-    if not (np.allclose(field_a.x, field_b.x, atol=1e-12)
-            and np.allclose(field_a.t, field_b.t, atol=1e-12)):
+    if not (np.allclose(field_a.x, field_b.x, rtol=0, atol=1e-12)
+            and np.allclose(field_a.t, field_b.t, rtol=0, atol=1e-12)):
         raise InputError("fields live on different grids")
     dx = float(field_a.x[1] - field_a.x[0])
     for (j0, va, ua), (_, vb, _) in zip(field_a.blocks(), field_b.blocks()):

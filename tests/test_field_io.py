@@ -18,6 +18,7 @@ import delayheat.field as field_module
 from delayheat import (
     GridSpec,
     InputError,
+    ParseError,
     SolutionField,
     field_difference_report,
     read_field_csv,
@@ -421,15 +422,61 @@ def test_an_interrupted_or_dead_writer_leaves_nothing(tmp_path, monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
     def killed(j0, j1):
-        # A worker that dies with no word is an error, not a short file.
-        if j0 == 40:
+        # A worker that dies with no word leaves its range to the parent,
+        # which reads block 40 itself: not a short file.
+        if os.getpid() != parent and j0 == 40:
             os.kill(os.getpid(), signal.SIGKILL)
         return rows(j0, j1)
 
     field._rows = killed
-    with pytest.raises(RuntimeError, match="ended with status -9"):
+    path = tmp_path / "field.csv"
+    field.write_csv(path)
+    assert path.read_bytes() == _per_row_csv(field)
+    assert list(tmp_path.iterdir()) == [path]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_parse_error_in_a_worker_reaches_the_caller_whole(tmp_path,
+                                                            monkeypatch):
+    # A worker's exception is not sent back: its range is written again
+    # here, so the caller gets the error itself, with its attributes.
+    field, forks = _split_field(monkeypatch, "synthesized")
+    rows = field._rows
+
+    def failing(j0, j1):
+        if j0 == 50:
+            raise ParseError("bad", 3)
+        return rows(j0, j1)
+
+    field._rows = failing
+    with pytest.raises(ParseError) as info:
         field.write_csv(tmp_path / "field.csv")
+    assert info.value.position == 3
+    assert str(info.value) == "bad (at offset 3)"
+    assert len(forks) == 2
     assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_range_whose_part_file_cannot_be_made_is_written_here(
+        tmp_path, monkeypatch):
+    field, forks = _split_field(monkeypatch, "held_u")
+    parent = os.getpid()
+
+    def no_part(path, mode="r", **kwargs):
+        # The first worker cannot create its part file.
+        if os.getpid() != parent and path.endswith(".1.tmp"):
+            raise PermissionError(errno.EACCES, "Permission denied", path)
+        return open(path, mode, **kwargs)
+
+    monkeypatch.setattr(field_module, "open", no_part, raising=False)
+    path = tmp_path / "field.csv"
+    field.write_csv(path)
+    assert len(forks) == 2
+    assert path.read_bytes() == _per_row_csv(field)
+    assert list(tmp_path.iterdir()) == [path]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -539,6 +586,24 @@ def test_read_rejects_partial_grid(tmp_path):
         read_field_csv(path)
 
 
+@pytest.mark.parametrize("text", [
+    # The writer's cells, x-major: the row count is |x| * |t|, but a
+    # reshape would read v(x=0, t=1) as v(x=1, t=0).
+    pytest.param("x,t,v\n0,0,1\n0,1,2\n0,2,3\n1,0,4\n1,1,5\n1,2,6\n",
+                 id="x_major"),
+    # One row twice and one missing: the count still matches.
+    pytest.param("x,t,v\n0,0,1\n1,0,2\n1,0,2\n1,1,4\n", id="duplicated"),
+    pytest.param("x,t,v\n", id="header_only"),
+    pytest.param("x,t,v,u\n0,0,1\n1,0,2\n", id="no_u_column"),
+])
+def test_read_rejects_what_the_writer_does_not_write(tmp_path, recwarn, text):
+    path = tmp_path / "field.csv"
+    path.write_text(text)
+    with pytest.raises(InputError):
+        read_field_csv(path)
+    assert not recwarn.list
+
+
 # ---------------------------------------------------------------------------
 # Difference reports
 # ---------------------------------------------------------------------------
@@ -572,3 +637,12 @@ def test_difference_report_requires_matching_grids():
     fc.t = fc.t + 0.125  # same shape, shifted rows
     with pytest.raises(InputError):
         field_difference_report(fa, fc)
+    # 2.65e-6 apart at x = pi: far past the stated 1e-12, though inside
+    # allclose's default relative tolerance.
+    x = np.linspace(0.0, np.pi, 201)
+    t = np.linspace(0.0, 1.0, 3)
+    v = np.zeros((t.size, x.size))
+    fd = SolutionField(x=x, t=t, v=v)
+    fe = SolutionField(x=np.linspace(0.0, 3.14159, 201), t=t, v=v)
+    with pytest.raises(InputError, match="different grids"):
+        field_difference_report(fd, fe)
