@@ -40,10 +40,13 @@ Two evaluators take the history beta and the forcing rho as callables of s
   g = b x(s - tau) + rho, W integrating exp(a h (1 - u)) times the
   Lagrange basis on the nodes exactly
   (:func:`~delayheat.quadrature.exp_weights`), so a stiff mode needs no
-  finer sub-panels than a mild one.  The same weights up to each node give
-  the node values, the lagged data one delay later: the work is linear in
-  the horizon, the memory one delay interval's node values.  The field
-  solvers use it; :func:`solve_on_grid` is its one-mode call.
+  finer sub-panels than a mild one.  Only the exponentials of those weights
+  depend on the rates: the graded rules and bases behind them are kept for
+  the life of the process, so a level (or a later solve) that asks for the
+  same grading group again builds nothing.  The same weights up to each
+  node give the node values, the lagged data one delay later: the work is
+  linear in the horizon, the memory one delay interval's node values.  The
+  field solvers use it; :func:`solve_on_grid` is its one-mode call.
 * :func:`solve_at`, one mode at any t from the formulas above (it also
   reads beta'), one adaptive quadrature of K per point, with panels split
   at the kinks and graded toward the end where exp(-a s) peaks.  It serves

@@ -5,6 +5,15 @@ rejected problem data (boundary-trace mismatch, failed solvability screen)
 exit 2, and numeric failures (quadrature non-convergence, overflow) exit 3.
 """
 
+import sys
+
+# The largest count (grid intervals, modes) a setting may hold.  One numpy
+# array holds at most sys.maxsize // 8 float64 values; a count stays a factor
+# of two below, so that the arrays it sizes (nx + 1 grid points, 2N panels)
+# can still be sized, and a larger count is refused by name where it is set
+# instead of failing in numpy.
+MAX_COUNT = sys.maxsize // 16
+
 
 class DelayHeatError(Exception):
     """Base class for all package-specific errors."""

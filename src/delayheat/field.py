@@ -75,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import MAX_COUNT, InputError
 
 # Cells (CSV rows) per block of whole time rows: every reader of a field
 # holds one block at a time, and the writer one block of text, never the
@@ -367,6 +367,10 @@ class GridSpec:
             raise InputError(f"nt must be at least 1, got {self.nt!r}")
         if self.nt_per_tau is not None and self.nt_per_tau < 1:
             raise InputError(f"nt_per_tau must be at least 1, got {self.nt_per_tau!r}")
+        for name in ("nx", "nt", "nt_per_tau"):
+            count = getattr(self, name)
+            if count is not None and count > MAX_COUNT:
+                raise InputError(f"{name} must be at most {MAX_COUNT}, got {count!r}")
 
     def x_points(self, length):
         return np.linspace(0.0, length, self.nx + 1)
@@ -570,7 +574,8 @@ def _write_ranges(fh, write, ranges, stem):
             else:
                 write(fh, blocks)
     finally:
-        with _signals_blocked():
+        # A write that forked no worker blocks no signal.
+        with _signals_blocked() if jobs else contextlib.nullcontext():
             for pid, part, _ in jobs:
                 if pid is not None:
                     # No such process: reaped above, just before an interrupt.

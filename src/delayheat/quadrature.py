@@ -16,8 +16,12 @@ Where the exponential factor is known, it can instead be integrated exactly
 (product integration): :func:`exp_weights` gives the weights of
 exp(rate (x - peak)) times the Lagrange basis on a panel's Gauss nodes, up
 to the panel's end or any point in it, so a stiff factor needs no graded
-panels in the caller.  The grading moves into the weights, computed once
-per rate on a fine graded rule.
+panels in the caller.  The grading moves into the weights, computed per
+rate on a fine graded rule.  That rule and its Lagrange basis depend only
+on the node count, the rate's grading level and sign, and the ends, so
+they are built once per process (:func:`_graded_group`, a table bounded
+like :func:`gauss_rule`'s, which keeps no group past 1 MiB); a call forms
+only the exponentials of its rates.
 """
 
 from __future__ import annotations
@@ -28,7 +32,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InputError, QuadratureError
+from .errors import MAX_COUNT, InputError, QuadratureError
+
+
+# A Gauss rule of n nodes is found from an (n x n) matrix, so a node count
+# stays within the square root of the largest count.
+_MAX_NODES = math.isqrt(MAX_COUNT)
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,9 @@ class QuadratureConfig:
     def __post_init__(self):
         if self.nodes_per_panel < 2:
             raise InputError("nodes_per_panel must be at least 2")
+        if self.nodes_per_panel > _MAX_NODES:
+            raise InputError(f"nodes_per_panel must be at most {_MAX_NODES}, "
+                             f"got {self.nodes_per_panel!r}")
         if self.max_panel_splits < 0:
             raise InputError("max_panel_splits must be non-negative")
         if not 0.0 < self.abs_tol < math.inf:
@@ -107,15 +119,17 @@ def graded_breakpoints(lo, hi, rate):
     peaks (hi for rate > 0, lo for rate < 0); empty when |rate|*(hi-lo) is
     at most ``_GRADING_THRESHOLD``.
     """
-    width = hi - lo
-    levels = int(_grading_levels(abs(rate) * width))
+    return _graded_points(lo, hi, int(_grading_levels(abs(rate) * (hi - lo))),
+                          rate > 0)
+
+
+def _graded_points(lo, hi, levels, rising):
+    """The ``levels`` points of :func:`graded_breakpoints` on [lo, hi],
+    toward hi when ``rising``, else toward lo."""
     if not levels:
         return []
-    dists = width * 0.5 ** np.arange(1, levels + 1)
-    if rate > 0:
-        pts = hi - dists
-    else:
-        pts = lo + dists
+    dists = (hi - lo) * 0.5 ** np.arange(1, levels + 1)
+    pts = hi - dists if rising else lo + dists
     return [p for p in pts if lo < p < hi]
 
 
@@ -146,6 +160,9 @@ def exp_weights(rates, nodes_per_panel, ends=(1.0,)):
     takes the geometric grading of its |rate| on [0, 1]
     (:func:`graded_breakpoints`), with twice as many Gauss nodes on each
     fine panel, scaled onto [0, c]: as fine as |rate| c needs, or finer.
+    Rates of one grading level and sign share that rule, whose points,
+    weights and basis come from :func:`_graded_group`; the call forms the
+    exponentials and one product per rate.
     """
     rates = np.asarray(rates, dtype=float).ravel()
     ends = np.asarray(ends, dtype=float)
@@ -155,21 +172,55 @@ def exp_weights(rates, nodes_per_panel, ends=(1.0,)):
                                 (rates > 0.0).tolist())):
         groups.setdefault(key, []).append(i)
     out = np.empty((rates.size, ends.size, 1, nodes_per_panel))
-    for (_, rising), rows in groups.items():
-        # The graded rule on [-1, 0], where the points next to the peak at 0
-        # keep their relative accuracy.
-        layout = graded_breakpoints(0.0, 1.0, mags[rows[0]])
-        shifted, wts = panel_nodes([-1.0, *(p - 1.0 for p in layout), 0.0],
-                                   2 * nodes_per_panel)
-        # The rule's points run toward the peak: x = c (1 + shifted) for a
-        # rising exponential, x = -c shifted for a falling one, and either
-        # way the factor is exp(|rate| c shifted).
-        x = ends[:, None] * (1.0 + shifted if rising else -shifted)
+    kept_ends = tuple(ends.tolist())
+    for (levels, rising), rows in groups.items():
+        # The group's bytes at most: 2 Q points on each of levels + 1 panels,
+        # each with a weight and Q basis values an end.
+        points = 2 * nodes_per_panel * (levels + 1)
+        size = 8 * points * (1 + ends.size * (nodes_per_panel + 1))
+        build = (_graded_group if size <= _GROUP_BYTES_KEPT
+                 else _graded_group.__wrapped__)
+        shifted, wts, basis = build(nodes_per_panel, levels, rising, kept_ends)
+        # With x = c (1 + shifted) for a rising exponential and x = -c
+        # shifted for a falling one, either way the factor is
+        # exp(|rate| c shifted).
         scaled = np.exp(mags[rows, None, None] * ends[:, None] * shifted)
-        scaled *= ends[:, None] * wts
+        scaled *= wts
         # One (1 x points) product per row and end, as a row alone takes it.
-        out[rows] = scaled[:, :, None, :] @ _lagrange_basis(nodes_per_panel, x)
+        out[rows] = scaled[:, :, None, :] @ basis
     return out[:, :, 0]
+
+
+# The table of :func:`_graded_group` keeps at most ``_GROUPS_KEPT`` groups
+# of at most ``_GROUP_BYTES_KEPT`` bytes each, so it never holds more than
+# 16 MiB; a larger group (a fine node count or a very stiff rate) is built
+# for its call alone.  A group of 16 nodes and 17 ends takes about 74 kB a
+# grading level + 1, and a delay solve asks for a few: four (0.97 MB) for
+# a seeded benchmark compare.
+_GROUPS_KEPT = 16
+_GROUP_BYTES_KEPT = 1 << 20
+
+
+@lru_cache(maxsize=_GROUPS_KEPT)
+def _graded_group(nodes_per_panel, levels, rising, ends):
+    """The rate-free part of :func:`exp_weights` for the rates of one
+    grading level and sign at the tuple of ``ends``, as read-only arrays:
+    the graded rule's points on [-1, 0] (``shifted``), its weights times
+    each end, (ends, points), and the Lagrange basis at x(shifted) for each
+    end, (ends, points, nodes_per_panel)."""
+    ends = np.array(ends)
+    # The graded rule on [-1, 0], where the points next to the peak at 0
+    # keep their relative accuracy.
+    layout = _graded_points(0.0, 1.0, levels, True)
+    shifted, wts = panel_nodes([-1.0, *(p - 1.0 for p in layout), 0.0],
+                               2 * nodes_per_panel)
+    # The rule's points run toward the peak: x = c (1 + shifted) for a
+    # rising exponential, x = -c shifted for a falling one.
+    x = ends[:, None] * (1.0 + shifted if rising else -shifted)
+    group = (shifted, ends[:, None] * wts, _lagrange_basis(nodes_per_panel, x))
+    for array in group:
+        array.flags.writeable = False
+    return group
 
 
 def halve_until_stable(level, layout, quad, message, halve=halve_panels,

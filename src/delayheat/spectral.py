@@ -26,12 +26,13 @@ guarantee classical solvability (|c_n| <= C / n^p).
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, InsufficientDataError, NumericError
+from .errors import MAX_COUNT, InputError, InsufficientDataError, NumericError
 from .quadrature import QuadratureConfig, halve_until_stable, panel_nodes
 
 
@@ -47,6 +48,8 @@ class EigenBasis:
             raise InputError(f"length must be positive and finite, got {self.length!r}")
         if self.n_modes < 1:
             raise InputError(f"n_modes must be at least 1, got {self.n_modes!r}")
+        if self.n_modes > MAX_COUNT:
+            raise InputError(f"n_modes must be at most {MAX_COUNT}, got {self.n_modes!r}")
 
     @property
     def mode_numbers(self):
@@ -76,10 +79,21 @@ _PROJECT_BLOCK = 32
 _TABLE_POINTS = 1 << 16  # per sine table, to bound a fine rung's memory
 
 
-def _project_rung(spec, times, basis, quad, panels, kt, step):
+def _factors(spec, times, kt):
+    """What no rung of :func:`project_paths` changes: the spec's pairs
+    (X_g, T_g) (``spec.separate()``, or None), and a function that reads the
+    t-factors' jets at ``times`` on its first call and keeps them."""
+    pairs = spec.separate()
+    orders = [(0, j) for j in range(kt + 1)]
+    return pairs, functools.cache(lambda: np.array(
+        [t.partials(0.0, times, orders) for _, t in pairs]))
+
+
+def _project_rung(spec, times, basis, quad, panels, kt, step, factors=None):
     """The ``panels``-panel Gauss rule's sine coefficients of spec(., t) and
     of its first ``kt`` t-derivatives at ``times``: an array
-    (kt + 1, N, len(times)).
+    (kt + 1, N, len(times)).  ``factors`` is :func:`_factors`'s, shared by
+    the rungs of one ladder (made here when not given).
 
     The uniform panels are cut at the spec's x-knots inside (0, l), so a
     table's interpolant is smooth on every panel.  A spec that separates as
@@ -100,10 +114,11 @@ def _project_rung(spec, times, basis, quad, panels, kt, step):
     blocks = [slice(lo, lo + _TABLE_POINTS)
               for lo in range(0, pts.size, _TABLE_POINTS)]
     orders = [(0, j) for j in range(kt + 1)]
-    pairs = spec.separate()
+    pairs, t_jets = factors or _factors(spec, times, kt)
     if pairs is not None:
         xs = np.array([x.partials(pts, 0.0, orders[:1])[0] for x, _ in pairs])
-        ts = np.array([t.partials(0.0, times, orders) for _, t in pairs])
+        # Read after the first rung's x-factors, whose errors come first.
+        ts = t_jets()
         with np.errstate(over="ignore", invalid="ignore"):
             weighted = (weight * xs).T
             # Each table is a temporary, freed before the next is built.
@@ -156,9 +171,11 @@ def project_paths(spec, times, basis, quad=QuadratureConfig(), kt=1,
         parts = linear.partials(0.0, times, orders + [(1, j) for _, j in orders])
     top = max(4, 2 * basis.n_modes)
     splits = next(k for k in (3, 2, 1) if top % 2**k == 0)
+    factors = _factors(spec, times, kt)
     out = halve_until_stable(
         lambda panels: _project_rung(spec, times, basis, quad, panels, kt,
-                                     max(1, _PROJECT_BLOCK * top // panels)),
+                                     max(1, _PROJECT_BLOCK * top // panels),
+                                     factors),
         top >> splits, quad,
         f"sine projection did not converge to {quad.abs_tol:g}",
         halve=lambda panels: 2 * panels, splits=splits + quad.max_panel_splits)

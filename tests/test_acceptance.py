@@ -389,9 +389,10 @@ def test_parabola_coefficient_decay_and_condition_verdicts():
 # ---------------------------------------------------------------------------
 
 
-def test_compare_outputs_are_byte_identical_across_runs(tmp_path):
+def test_compare_outputs_are_byte_identical_across_runs(tmp_path, monkeypatch):
     """Running `compare` twice on the same config, in fresh processes,
-    produces byte-identical CSV and JSON artifacts."""
+    produces byte-identical CSV and JSON artifacts; so does a run in a
+    process whose tables a stiffer compare filled first."""
     config = {
         "problem": {
             "kind": "delay",
@@ -424,6 +425,30 @@ def test_compare_outputs_are_byte_identical_across_runs(tmp_path):
                           (rundir / "report.json").read_bytes()))
     assert artifacts[0][0] == artifacts[1][0], "field CSV differs between runs"
     assert artifacts[0][1] == artifacts[1][1], "JSON report differs between runs"
+
+    # In this process, after a compare with stiffer modes, which fills the
+    # modal engine's weights table first.
+    from delayheat import quadrature
+    from delayheat.cli import main
+
+    stiff = dict(config, solver={"modes": 24, "nx": 40, "nt_per_tau": 4})
+    stiff["problem"] = dict(config["problem"], diffusion=3.0)
+    stiff_path = tmp_path / "stiff.json"
+    stiff_path.write_text(json.dumps(stiff))
+    rundir = tmp_path / "warm"
+    rundir.mkdir()
+    monkeypatch.chdir(rundir)
+    quadrature._graded_group.cache_clear()
+    assert main(["compare", "--override-advisory", "--config", str(stiff_path),
+                 "--out-report", "stiff.json"]) == 0
+    built = quadrature._graded_group.cache_info()
+    assert main(["compare", "--config", str(cfg_path),
+                 "--out-field", "field.csv", "--out-report", "report.json"]) == 0
+    # Every group this run asked for was built by the stiff run.
+    table = quadrature._graded_group.cache_info()
+    assert table.misses == built.misses and table.hits > built.hits
+    assert (rundir / "field.csv").read_bytes() == artifacts[0][0]
+    assert (rundir / "report.json").read_bytes() == artifacts[0][1]
 
 
 # ---------------------------------------------------------------------------

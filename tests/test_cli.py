@@ -753,6 +753,35 @@ def test_bad_quadrature_setting_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["check", "solve"])
+@pytest.mark.parametrize("section, key, name", [
+    ("solver", "nx", "nx"), ("solver", "nt", "nt"), ("solver", "modes", "n_modes"),
+    ("solver.quadrature", "nodes_per_panel", "nodes_per_panel")])
+def test_a_count_numpy_cannot_size_exits_1(command, section, key, name,
+                                           tmp_path, capsys):
+    # 10^30 grid intervals, modes or Gauss nodes are past any array numpy
+    # can size: the class that owns the count refuses it when built, naming
+    # the setting, before numpy is asked.
+    from delayheat.errors import MAX_COUNT
+    from delayheat.quadrature import _MAX_NODES
+
+    data = json.loads((CONFIGS / "pure_diffusion.json").read_text())
+    data.pop("outputs", None)
+    if section == "solver":
+        data["solver"][key] = 10**30
+    else:
+        data["solver"]["quadrature"] = {key: 10**30}
+    cfg = _write(tmp_path, "run.json", data)
+    out = str(tmp_path / "r.json")
+    assert main([command, "--config", cfg, "--out-report", out]) == 1
+    most = _MAX_NODES if key == "nodes_per_panel" else MAX_COUNT
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: invalid {section} settings: {name} must be "
+                            f"at most {most}, got {10**30}\n")
+    assert captured.out == ""
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["check", "solve"])
 def test_a_number_past_float_range_in_the_data_exits_1(command, tmp_path, capsys):
     # Python reads 1e400 as inf: the parser refuses it and names the slot,
     # as an infinite JSON number is refused, rather than a numeric failure

@@ -329,6 +329,23 @@ def test_a_split_write_matches_per_row_writer(tmp_path, monkeypatch, kind):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def test_only_a_write_that_forks_blocks_signals(tmp_path, monkeypatch):
+    # Blocking every signal costs a system call and the mask's conversion:
+    # a one-process write makes none, and a split write blocks them around
+    # each fork and around the cleanup.
+    calls, sigmask = [], signal.pthread_sigmask
+    monkeypatch.setattr(signal, "pthread_sigmask", lambda how, mask: (
+        calls.append(how) or sigmask(how, mask)))
+    small = _sample_field(nx=4, nt=3, with_u=True)
+    small.write_csv(tmp_path / "small.csv")
+    assert calls == []
+    field, forks = _split_field(monkeypatch, "held")
+    field.write_csv(tmp_path / "field.csv")
+    assert len(forks) == 2
+    assert calls == [signal.SIG_BLOCK, signal.SIG_SETMASK] * 3
+    assert (tmp_path / "field.csv").read_bytes() == _per_row_csv(field)
+
+
 def test_a_split_needs_a_single_python_thread(tmp_path, monkeypatch):
     # With a second thread alive, the writer never forks (a thread holding
     # a lock at the fork would leave it held in the child).

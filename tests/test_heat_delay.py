@@ -406,6 +406,35 @@ def test_batched_engine_matches_one_mode_calls(p, modes, m):
         assert np.max(np.abs(batched[n - 1] - alone)) <= 1e-14 * scale, n
 
 
+def test_the_weights_table_holds_the_stiff_family_within_its_bound():
+    # The stiff 128-mode family, batched and one mode at a time, asks the
+    # weights of a few grading groups: the process-wide table builds each
+    # once and keeps every one within its bound, so the family solved again
+    # builds none.
+    from delayheat import quadrature
+
+    p, modes, m = next(case.values for case in _engine_cases()
+                       if case.id == "stiff_128_modes")
+    ms = build_modes(reduce_delay(p), EigenBasis(p.length, modes))
+    n_steps = int(np.sum(GridSpec(nx=4, nt_per_tau=m).t_points(p.horizon, p.tau)
+                         > 0.0))
+
+    def family():
+        solve_modes(ms.ode_a, ms.ode_b, p.tau, ms.history_paths,
+                    ms.forcing_paths, m, n_steps)
+        for n in range(1, modes + 1):
+            solve_on_grid(ms.mode_params(n), ms.history_paths.row(n),
+                          ms.forcing_paths.row(n), m, n_steps)
+
+    table = quadrature._graded_group
+    table.cache_clear()
+    family()
+    built = table.cache_info()
+    assert 0 < built.currsize == built.misses <= quadrature._GROUPS_KEPT
+    family()
+    assert table.cache_info().misses == built.misses
+
+
 def test_delay_problem_without_lag_coupling_keeps_no_node_values(monkeypatch):
     # a2 = c2 = 0: every B_n vanishes, so the engine asks the weights of the
     # sub-panel end 1 alone: it computes no node weights and keeps no ring
